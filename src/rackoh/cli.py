@@ -19,13 +19,14 @@ from .cochains import (apply_rack_element, chain_isomorphism, differential,
                        differential_prime, invariant_basis,
                        is_invariant_cochain, cochain_product, slice_first)
 from .cohomology import (CHECK_BETTI_MN, CHECK_TORSION_PRIMES, RackComplex,
-                         CohomologyReport, cohomology_integral,
+                         CohomologyReport, _parse_coefficient,
+                         cohomology_integral,
                          cohomology_over_field, direct_h2, h2_via_group,
                          invariant_cohomology, nonabelian_h2,
                          same_operator_cohomology, semidirect_cocycle_check,
                          twisted_cohomology)
 from .errors import InputError, PreconditionError, RackohError, ResourceError
-from .linalg import GF, QQ, ZZ, DEFAULT_SNF_BIT_CAP, ExactMatrix
+from .linalg import GF, QQ, ZZ, ExactMatrix
 from .modules import (constant_module, jordan_module, module_from_spec,
                       trivial_module, function_module)
 from .permutations import DEFAULT_CLOSURE_CAP, inner_group
@@ -64,20 +65,23 @@ def _builtin_group_table(name: str):
     raise InputError(f"unknown coefficient group {name!r} (use S3 or Z<k>)")
 
 
+def _read_json(path: str, what: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}")
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{what} {path} is not valid JSON: {exc}")
+
+
 def parse_rack_spec(spec: str):
     """`kind:param` grammar -> (normalised spec, rack, labels)."""
     if ":" not in spec:
         raise InputError(f"rack spec {spec!r} must look like kind:param")
     kind, _, param = spec.partition(":")
     if kind == "file":
-        try:
-            with open(param, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise InputError(f"cannot read rack file {param}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise InputError(f"rack file {param} is not valid JSON: {exc}")
-        rack, labels = rack_from_json(doc)
+        rack, labels = rack_from_json(_read_json(param, "rack file"))
         return spec, rack, labels
     if kind in ("trivial", "dihedral", "cyclic"):
         if not param.isdigit():
@@ -104,12 +108,11 @@ class RunConfig:
     invariant: bool = False
     as_json: bool = False
     closure_cap: int = DEFAULT_CLOSURE_CAP
-    snf_bit_cap: int = DEFAULT_SNF_BIT_CAP
 
     def __post_init__(self):
         if self.max_degree < 0:
             raise InputError("max-degree must be >= 0")
-        if self.closure_cap <= 0 or self.snf_bit_cap <= 0:
+        if self.closure_cap <= 0:
             raise InputError("budget caps must be positive")
 
 
@@ -127,12 +130,16 @@ def _parse_twisted(arg: str):
     t, k = Fraction(1), 1
     for piece in arg.split(","):
         key, _, val = piece.partition("=")
-        if key == "t":
-            t = Fraction(val)
-        elif key == "k":
-            k = int(val)
-        else:
-            raise InputError(f"bad twisted parameter {piece!r} (use t=..,k=..)")
+        bad = InputError(f"bad twisted parameter {piece!r} (use t=..,k=..)")
+        if key not in ("t", "k"):
+            raise bad
+        try:
+            if key == "t":
+                t = Fraction(val)
+            else:
+                k = int(val)
+        except (ValueError, ZeroDivisionError):
+            raise bad
     return t, k
 
 
@@ -145,13 +152,7 @@ def load_rack_candidate(spec: str):
     axiom report (not an input error) covers non-racks."""
     kind, _, param = spec.partition(":")
     if kind == "file":
-        try:
-            with open(param, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise InputError(f"cannot read rack file {param}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise InputError(f"rack file {param} is not valid JSON: {exc}")
+        doc = _read_json(param, "rack file")
         if not isinstance(doc, dict) or not isinstance(doc.get("table"), list):
             raise InputError("rack JSON needs a 'table' list")
         table = [list(row) for row in doc["table"]]
@@ -196,8 +197,8 @@ def cmd_cohomology(config: RunConfig) -> tuple:
         report = twisted_cohomology(rack, t, k, config.max_degree, spec)
         return _report_exit(report), report.to_json_dict()
     if config.module_path is not None:
-        with open(config.module_path, "r", encoding="utf-8") as fh:
-            module = module_from_spec(rack, json.load(fh))
+        module = module_from_spec(
+            rack, _read_json(config.module_path, "module file"))
     else:
         ring = _parse_ring(config.ring)
         module = trivial_module(rack, ring)
@@ -230,6 +231,9 @@ def cmd_cohomology(config: RunConfig) -> tuple:
 def cmd_h2(config: RunConfig) -> tuple:
     spec, rack, _ = parse_rack_spec(config.rack_spec)
     if config.nonabelian is not None:
+        abelian = config.nonabelian.startswith("Z")
+        if abelian:
+            _parse_coefficient(config.nonabelian)
         table = _builtin_group_table(config.nonabelian)
         result = nonabelian_h2(rack, table)
         doc = {
@@ -238,14 +242,11 @@ def cmd_h2(config: RunConfig) -> tuple:
             "cocycles": result.cocycle_count,
             "classes": result.class_count,
         }
-        if config.nonabelian.startswith("Z"):
+        if abelian:
             # abelian input: cross-check the class count against the
             # linear pipeline
-            ab = direct_h2(rack, config.nonabelian)
-            order = 1
-            for d in ab.torsion:
-                order *= d
-            match = (ab.free_rank == 0 and result.class_count == order)
+            order = direct_h2(rack, config.nonabelian).order
+            match = result.class_count == order
             doc["abelian_order"] = order
             doc["match"] = match
             return (EXIT_OK if match else EXIT_CHECK_FAILED), doc
@@ -525,11 +526,8 @@ def criterion_nonabelian(max_size=2):
         if rack.size > max_size:
             continue
         result = nonabelian_h2(rack, cyclic_group_table(3))
-        ab = direct_h2(rack, "Z3")
-        order = 1
-        for d in ab.torsion:
-            order *= d
-        ok = ab.free_rank == 0 and result.class_count == order
+        order = direct_h2(rack, "Z3").order
+        ok = result.class_count == order
         out.append(CheckOutcome(spec, "nonabelian_matches_abelian_Z3", ok,
                                 f"classes={result.class_count} |H2|={order}"))
     return out
@@ -640,7 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "conj:S3, file:path.json")
         p.add_argument("--json", action="store_true", help="canonical JSON output")
         p.add_argument("--closure-cap", type=int, default=DEFAULT_CLOSURE_CAP)
-        p.add_argument("--snf-bit-cap", type=int, default=DEFAULT_SNF_BIT_CAP)
 
     p = sub.add_parser("verify", help="check the rack axioms and invariants")
     common(p)
@@ -683,7 +680,6 @@ def main(argv=None) -> int:
             invariant=getattr(args, "invariant", False),
             as_json=args.json,
             closure_cap=args.closure_cap,
-            snf_bit_cap=args.snf_bit_cap,
         )
         code, doc = handlers[args.command](config)
     except ResourceError as exc:

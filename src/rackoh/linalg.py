@@ -1,7 +1,9 @@
-"""Exact dense linear algebra over Z, Q, and prime fields.
+"""Exact linear algebra over Z, Q, and prime fields.
 
 Rank, kernel, solve, and Smith normal form back every cohomology
 computation.  All arithmetic is arbitrary precision; no floats anywhere.
+Matrices are stored as dense rows; the Smith form removes unit pivots on
+a sparse copy and runs its dense loop only on the core that remains.
 Large integer matrices get their rank from elimination modulo two
 independent ~30-bit primes, cross-checked against each other, with an
 exact fraction-free fallback on disagreement.
@@ -12,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -266,11 +268,6 @@ class ExactMatrix:
         return ExactMatrix(self.rows, self.cols, self.ring,
                            [[-a for a in row] for row in self.data])
 
-    def scaled(self, c):
-        c = self.ring.coerce(c)
-        return ExactMatrix(self.rows, self.cols, self.ring,
-                           [[c * a for a in row] for row in self.data])
-
     def _check_same_shape(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols) or self.ring != other.ring:
             raise InputError("shape or ring mismatch")
@@ -279,7 +276,7 @@ class ExactMatrix:
         if isinstance(other, ExactMatrix):
             if self.cols != other.rows or self.ring != other.ring:
                 raise InputError("matmul shape or ring mismatch")
-            bt = list(zip(*other.data)) if other.cols else []
+            bt = list(zip(*other.data)) if other.rows else [()] * other.cols
             zero = self.ring.coerce(0)
             out = []
             for arow in self.data:
@@ -419,25 +416,10 @@ class ExactMatrix:
 
     # -- Smith normal form ------------------------------------------------------
 
-    def smith_normal_form(self, transforms: bool = False,
-                          bit_cap: int = DEFAULT_SNF_BIT_CAP) -> "SmithForm":
+    def smith_normal_form(self, bit_cap: int = DEFAULT_SNF_BIT_CAP) -> "SmithForm":
         if self.ring != ZZ:
             raise PreconditionError("Smith normal form needs an integer matrix")
-        return _smith(self, transforms, bit_cap)
-
-    def integer_kernel_basis(self) -> "ExactMatrix":
-        """Basis of the saturated kernel lattice (columns); Z matrices only."""
-        if self.ring != ZZ:
-            raise PreconditionError("integer kernel needs a Z matrix")
-        if self.rows == 0:
-            return ExactMatrix.identity(self.cols, ZZ)
-        sf = self.smith_normal_form(transforms=True)
-        r = sf.rank
-        basis = ExactMatrix(self.cols, self.cols - r, ZZ)
-        for j in range(r, self.cols):
-            for i in range(self.cols):
-                basis.data[i][j - r] = sf.V.data[i][j]
-        return basis
+        return _smith(self, bit_cap)
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols} over {self.ring})"
@@ -630,7 +612,11 @@ def _rank_modular_crosscheck(int_rows):
 
 @dataclass(frozen=True)
 class SmithForm:
-    """Invariant factors d1 | d2 | ... | dr of an integer matrix."""
+    """Invariant factors d1 | d2 | ... | dr of an integer matrix.
+
+    No transforms are computed, so `U` and `V` are always None; the fields
+    stay for code that inspects them.
+    """
 
     invariant_factors: tuple
     rank: int
@@ -642,82 +628,103 @@ class SmithForm:
         return tuple(d for d in self.invariant_factors if d != 1)
 
 
-def _smith(matrix: ExactMatrix, transforms: bool, bit_cap: int) -> SmithForm:
-    d = [[int(x) for x in row] for row in matrix.data]
-    m, n = matrix.rows, matrix.cols
-    u = [[int(i == j) for j in range(m)] for i in range(m)] if transforms else None
-    v = [[int(i == j) for j in range(n)] for i in range(n)] if transforms else None
+def _smith(matrix: ExactMatrix, bit_cap: int) -> SmithForm:
+    """Invariant factors: unit pivots first on a sparse copy, then a dense
+    loop on the core they leave.
 
-    def row_op(i, k, q):
-        # row_i -= q * row_k
-        d[i] = [a - q * b for a, b in zip(d[i], d[k])]
-        if u is not None:
-            u[i] = [a - q * b for a, b in zip(u[i], u[k])]
+    A +-1 pivot clears its column by row operations; its row is then
+    cleared by column operations that touch nothing else, so it splits off
+    a factor 1.  Pivots go in Markowitz order (least (row nnz - 1) *
+    (col nnz - 1) first) to limit fill-in; see the elimination phase of
+    Dumas, Saunders and Villard, JSC 2001.
+    """
+    rows = {}
+    for i, row in enumerate(matrix.data):
+        entries = {j: int(x) for j, x in enumerate(row) if x}
+        if entries:
+            rows[i] = entries
+    cols: dict = {}
+    for i, entries in rows.items():
+        for j in entries:
+            cols.setdefault(j, set()).add(i)
 
-    def col_op(j, k, q):
-        # col_j -= q * col_k
-        for row in d:
-            row[j] -= q * row[k]
-        if v is not None:
-            for row in v:
-                row[j] -= q * row[k]
+    units = 0
+    while True:
+        best = None
+        for i, entries in rows.items():
+            width = len(entries) - 1
+            for j, a in entries.items():
+                if a == 1 or a == -1:
+                    cost = width * (len(cols[j]) - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, i, j)
+            if best is not None and best[0] == 0:
+                break
+        if best is None:
+            break
+        _, i, j = best
+        prow = rows.pop(i)
+        sign = prow.pop(j)
+        others = cols.pop(j)
+        others.discard(i)
+        for l in prow:
+            cols[l].discard(i)
+        for k in others:
+            row = rows[k]
+            q = row.pop(j) * sign
+            for l, b in prow.items():
+                old = row.get(l)
+                new = (old or 0) - q * b
+                if new:
+                    row[l] = new
+                    if old is None:
+                        cols[l].add(k)
+                elif old is not None:
+                    del row[l]
+                    cols[l].discard(k)
+            if not row:
+                del rows[k]
+        units += 1
 
-    def swap_rows(i, k):
-        d[i], d[k] = d[k], d[i]
-        if u is not None:
-            u[i], u[k] = u[k], u[i]
-
-    def swap_cols(j, k):
-        for row in d:
-            row[j], row[k] = row[k], row[j]
-        if v is not None:
-            for row in v:
-                row[j], row[k] = row[k], row[j]
-
-    def negate_row(i):
-        d[i] = [-a for a in d[i]]
-        if u is not None:
-            u[i] = [-a for a in u[i]]
+    core_cols = sorted(j for j, members in cols.items() if members)
+    d = [[entries.get(j, 0) for j in core_cols] for entries in rows.values()]
+    m, n = len(d), len(core_cols)
 
     s = 0
     while s < min(m, n):
-        piv, best, maxabs = None, None, 0
+        piv, best = None, None
         for i in range(s, m):
             for j in range(s, n):
                 a = abs(d[i][j])
-                if a > maxabs:
-                    maxabs = a
                 if a and (best is None or a < best):
                     piv, best = (i, j), a
         if piv is None:
             break
-        if maxabs.bit_length() > bit_cap:
-            raise ResourceError(f"Smith form entries exceeded {bit_cap} bits")
-        if piv[0] != s:
-            swap_rows(s, piv[0])
-        if piv[1] != s:
-            swap_cols(s, piv[1])
-        if d[s][s] < 0:
-            negate_row(s)
+        d[s], d[piv[0]] = d[piv[0]], d[s]
+        for row in d:
+            row[s], row[piv[1]] = row[piv[1]], row[s]
 
         while True:
+            # entries can grow within one pivot step, so check every pass
+            if max(abs(a) for row in d[s:] for a in row[s:]).bit_length() > bit_cap:
+                raise ResourceError(f"Smith form entries exceeded {bit_cap} bits")
             dirty = False
             for i in range(s + 1, m):
                 if d[i][s]:
                     q = d[i][s] // d[s][s]
-                    row_op(i, s, q)
+                    d[i] = [a - q * b for a, b in zip(d[i], d[s])]
                     if d[i][s]:
-                        swap_rows(s, i)
+                        d[s], d[i] = d[i], d[s]
                         dirty = True
             for j in range(s + 1, n):
                 if d[s][j]:
                     q = d[s][j] // d[s][s]
-                    col_op(j, s, q)
+                    for row in d:
+                        row[j] -= q * row[s]
                     if d[s][j]:
-                        swap_cols(s, j)
+                        for row in d:
+                            row[s], row[j] = row[j], row[s]
                         dirty = True
-            if d[s][s] < 0:
-                negate_row(s)
             if not dirty and all(d[i][s] == 0 for i in range(s + 1, m)) \
                     and all(d[s][j] == 0 for j in range(s + 1, n)):
                 break
@@ -729,30 +736,17 @@ def _smith(matrix: ExactMatrix, transforms: bool, bit_cap: int) -> SmithForm:
                 fix = i
                 break
         if fix is not None:
-            row_op(s, fix, -1)  # adds the offending row to the pivot row
+            d[s] = [a + b for a, b in zip(d[s], d[fix])]
             continue
         s += 1
 
-    factors = []
+    factors = [1] * units
     for i in range(min(m, n)):
         if d[i][i]:
             factors.append(abs(d[i][i]))
         else:
             break
-    rank = len(factors)
-
-    um = vm = None
-    if transforms:
-        um = ExactMatrix.from_rows(u, ZZ) if m else ExactMatrix(0, 0, ZZ)
-        vm = ExactMatrix.from_rows(v, ZZ) if n else ExactMatrix(n, n, ZZ)
-        if m and n:
-            check = um @ matrix @ vm
-            for i in range(m):
-                for j in range(n):
-                    want = factors[i] if i == j and i < rank else 0
-                    if check.data[i][j] != want:
-                        raise RuntimeError("Smith transform verification failed")
-    return SmithForm(tuple(factors), rank, um, vm)
+    return SmithForm(tuple(factors), len(factors))
 
 
 # ---------------------------------------------------------------------------
@@ -766,6 +760,11 @@ class AbelianGroup:
     free_rank: int
     torsion: tuple
 
+    @property
+    def order(self):
+        """Number of elements; None when the group is infinite."""
+        return None if self.free_rank else prod(self.torsion)
+
     def is_trivial(self):
         return self.free_rank == 0 and not self.torsion
 
@@ -778,56 +777,35 @@ def lattice_quotient(kernel_of: ExactMatrix, image_of: ExactMatrix,
                      modulus: int = 0) -> AbelianGroup:
     """Invariants of ker(kernel_of) / im(image_of) over Z, or mod `modulus`.
 
-    With modulus q > 0 the numerator is {v : kernel_of @ v = 0 mod q}, the
-    denominator additionally contains q * (ambient lattice), and the result
-    is a finite group of exponent dividing q.  For prime q this reduces to
-    plain F_q linear algebra; for prime powers the kernel lattice is
-    extracted from a Smith form of the stacked matrix [A | qI].
+    kernel_of @ image_of must vanish.  Then ker(kernel_of) is a direct
+    summand of the ambient lattice (its quotient embeds in a free group),
+    so only the invariant factors e of image_of and f of kernel_of matter:
+    over Z the quotient is Z^free + sum of Z/e, with
+    free = cols - rank(kernel_of) - rank(image_of).  With a prime power
+    q > 1 the numerator is {v : kernel_of @ v = 0 mod q}, the denominator
+    also contains q * (ambient lattice), and the universal coefficient
+    theorem gives (Z/q)^free + sum of Z/gcd(e, q) + sum of Z/gcd(f, q).
     """
     if kernel_of.ring != ZZ or image_of.ring != ZZ:
         raise PreconditionError("lattice_quotient works on integer matrices")
-    ambient = kernel_of.cols
-    if image_of.rows != ambient:
+    if image_of.rows != kernel_of.cols:
         raise InputError("image generators live in the wrong ambient space")
+    if modulus and not _is_prime_power(modulus):
+        raise InputError(f"modulus {modulus} is not a prime power")
+    if not (kernel_of @ image_of).is_zero():
+        raise ArithmeticError("image does not lie in the kernel")
+    a = kernel_of.smith_normal_form()
+    b = image_of.smith_normal_form()
+    free = kernel_of.cols - a.rank - b.rank
+    if not modulus:
+        return AbelianGroup(free, b.torsion)
+    orders = [gcd(d, modulus) for d in b.torsion + a.torsion]
+    return AbelianGroup(0, tuple(sorted([modulus] * free
+                                        + [d for d in orders if d != 1])))
 
-    if modulus and is_prime(modulus):
-        # mod a prime the quotient is the F_p cohomology: ker/im of reductions
-        fp = GF(modulus)
-        ker_dim = ambient - kernel_of.to_ring(fp).rank()
-        im_rank = image_of.to_ring(fp).rank()
-        return AbelianGroup(0, (modulus,) * (ker_dim - im_rank))
 
-    if modulus:
-        stacked = kernel_of.hstack(
-            ExactMatrix.identity(kernel_of.rows, ZZ).scaled(modulus))
-        full_kernel = stacked.integer_kernel_basis()
-        basis = ExactMatrix(ambient, full_kernel.cols, ZZ,
-                            full_kernel.data[:ambient])
-        gens = image_of.hstack(ExactMatrix.identity(ambient, ZZ).scaled(modulus))
-    else:
-        basis = kernel_of.integer_kernel_basis()
-        gens = image_of
-
-    k = basis.cols
-    if k == 0:
-        return AbelianGroup(0, ())
-    if gens.cols == 0:
-        return AbelianGroup(k, ())
-
-    coords = basis.to_ring(QQ).solve_columns(gens.to_ring(QQ))
-    if coords is None:
-        raise ArithmeticError("image does not lie in the kernel lattice")
-    for row in coords.data:
-        for x in row:
-            if x.denominator != 1:
-                raise ArithmeticError("image is not integral in the kernel basis")
-    rel = coords.to_ring(ZZ)
-    sf = rel.smith_normal_form()
-    free = k - sf.rank
-    if modulus:
-        if free:
-            raise ArithmeticError("quotient mod a modulus must be finite")
-        for dfac in sf.torsion:
-            if modulus % dfac:
-                raise ArithmeticError("invariant factor does not divide the modulus")
-    return AbelianGroup(free, sf.torsion)
+def _is_prime_power(q: int) -> bool:
+    p = next((d for d in range(2, q + 1) if q % d == 0), None)
+    while p is not None and q % p == 0:
+        q //= p
+    return p is not None and q == 1

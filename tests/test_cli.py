@@ -122,6 +122,26 @@ class TestCohomologyCommand:
                                "--ring", "R")
         assert code == EXIT_INPUT
 
+    def test_missing_module_file_exit_2(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "cohomology", "--rack", "dihedral:3",
+                               "--module", str(tmp_path / "missing.json"))
+        assert code == EXIT_INPUT
+        assert err.startswith("input error:")
+
+    def test_invalid_module_json_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "module.json"
+        path.write_text("{not json")
+        code, _, err = run_cli(capsys, "cohomology", "--rack", "dihedral:3",
+                               "--module", str(path))
+        assert code == EXIT_INPUT
+        assert err.startswith("input error:")
+
+    def test_bad_twisted_eigenvalue_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "cohomology", "--rack", "dihedral:3",
+                               "--twisted", "t=abc")
+        assert code == EXIT_INPUT
+        assert err.startswith("input error:")
+
 
 class TestH2Command:
     def test_group_comparison(self, capsys):
@@ -141,6 +161,14 @@ class TestH2Command:
                                "--nonabelian", "Z3")
         assert code == EXIT_OK
         assert "MATCH" in out
+
+    def test_nonabelian_bad_modulus_exit_2(self, capsys):
+        # rejected before the enumeration, whose budget cyclic:3 exceeds
+        for rack in ("trivial:2", "cyclic:3"):
+            code, _, err = run_cli(capsys, "h2", "--rack", rack,
+                                   "--nonabelian", "Z6")
+            assert code == EXIT_INPUT, rack
+            assert "prime power" in err
 
     def test_rational_dimension(self, capsys):
         code, out, _ = run_cli(capsys, "h2", "--rack", "trivial:2",
@@ -174,6 +202,12 @@ class TestBudgets:
         code, _, err = run_cli(capsys, "verify", "--rack", "dihedral:3",
                                "--closure-cap", "0")
         assert code == EXIT_INPUT
+
+    def test_snf_bit_cap_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cohomology", "--rack", "dihedral:3", "--ring", "Z",
+                  "--snf-bit-cap", "1"])
+        assert exc.value.code == EXIT_INPUT
 
 
 class TestJsonDeterminism:

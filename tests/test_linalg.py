@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rackoh.errors import InputError, PreconditionError
+from rackoh.errors import InputError, PreconditionError, ResourceError
 from rackoh.linalg import (GF, QQ, ZZ, AbelianGroup, ExactMatrix, is_prime,
                            lattice_quotient)
 
@@ -188,14 +188,6 @@ class TestKernelSolve:
         assert len(basis) == 1
         assert all(x == 0 for x in m.matvec(basis[0]))
 
-    def test_integer_kernel_is_saturated(self):
-        m = ExactMatrix.from_rows([[2, 4, 0], [0, 0, 3]], ZZ)
-        basis = m.integer_kernel_basis()
-        assert (m @ basis).is_zero()
-        # (2, -1, 0) is in the kernel and must be an integer combination
-        sol = basis.to_ring(QQ).solve([2, -1, 0])
-        assert sol is not None and all(x.denominator == 1 for x in sol)
-
 
 class TestSmithNormalForm:
     def test_oracle_on_spec_example(self):
@@ -210,18 +202,24 @@ class TestSmithNormalForm:
 
     def test_2x2_with_content(self):
         assert snf_by_minor_gcds([[2, 4], [6, 8]]) == (2, 4)
-        sf = ExactMatrix.from_rows([[2, 4], [6, 8]], ZZ).smith_normal_form(
-            transforms=True)
+        sf = ExactMatrix.from_rows([[2, 4], [6, 8]], ZZ).smith_normal_form()
         assert sf.invariant_factors == (2, 4)
 
     def test_zero_matrix(self):
         sf = ExactMatrix.zeros(2, 3, ZZ).smith_normal_form()
         assert sf.invariant_factors == () and sf.rank == 0
 
+    def test_bit_cap_enforced_on_core(self):
+        # no +-1 entry, so the whole matrix reaches the dense loop
+        m = ExactMatrix.from_rows([[2**10, 0], [0, 3]], ZZ)
+        with pytest.raises(ResourceError):
+            m.smith_normal_form(bit_cap=8)
+        assert m.smith_normal_form().invariant_factors == (1, 3 * 2**10)
+
     @given(int_matrices())
     @settings(max_examples=50, deadline=None)
     def test_against_minors_oracle(self, rows):
-        sf = ExactMatrix.from_rows(rows, ZZ).smith_normal_form(transforms=True)
+        sf = ExactMatrix.from_rows(rows, ZZ).smith_normal_form()
         assert sf.invariant_factors == snf_by_minor_gcds(rows)
         for a, b in zip(sf.invariant_factors, sf.invariant_factors[1:]):
             assert b % a == 0
@@ -289,6 +287,70 @@ class TestLatticeQuotient:
         kernel_of = ExactMatrix.from_rows([[1, 1]], ZZ)
         image = ExactMatrix.from_rows([[3], [-3]], ZZ)
         assert lattice_quotient(kernel_of, image) == AbelianGroup(0, (3,))
+
+    def test_image_outside_kernel_raises(self):
+        kernel_of = ExactMatrix.from_rows([[1, 1]], ZZ)
+        image = ExactMatrix.from_rows([[3], [3]], ZZ)
+        with pytest.raises(ArithmeticError):
+            lattice_quotient(kernel_of, image)
+        with pytest.raises(ArithmeticError):
+            lattice_quotient(kernel_of, image, modulus=3)
+
+    def test_rejects_modulus_that_is_not_a_prime_power(self):
+        zero = ExactMatrix.zeros(0, 1, ZZ)
+        image = ExactMatrix.from_rows([[2]], ZZ)
+        for q in (1, 6, 12):
+            with pytest.raises(InputError):
+                lattice_quotient(zero, image, modulus=q)
+
+    def test_order(self):
+        assert AbelianGroup(0, (2, 4)).order == 8
+        assert AbelianGroup(0, ()).order == 1
+        assert AbelianGroup(1, (2,)).order is None
+
+    @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2),
+           st.integers(0, 2), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_scrambled_diagonal_complex(self, r_b, r_a, extra_a, extra_c, seed):
+        # Z^a --B--> Z^b --A--> Z^c built diagonal (B hits the first r_b
+        # coordinates with a factor chain e, A the next r_a with a chain f),
+        # then scrambled by unimodular changes of basis on all three
+        # lattices.  The quotient is known from the construction alone.
+        rng = random.Random(seed)
+        free = rng.randrange(0, 3)
+        b = r_b + r_a + free
+        a, c = r_b + extra_a, r_a + extra_c
+
+        def chain(k):
+            out = []
+            for _ in range(k):
+                step = rng.choice((1, 1, 2, 3, 4, 6))
+                out.append(step if not out else out[-1] * step)
+            return out
+
+        e, f = chain(r_b), chain(r_a)
+        diag_b = [[e[i] if i == j and i < r_b else 0 for j in range(a)]
+                  for i in range(b)]
+        diag_a = [[f[k] if k < r_a and j == r_b + k else 0 for j in range(b)]
+                  for k in range(c)]
+
+        def unimodular(n):
+            if n == 0:
+                return ExactMatrix(0, 0, ZZ)
+            ident = [[int(i == j) for j in range(n)] for i in range(n)]
+            return ExactMatrix.from_rows(_random_unimodular_scramble(ident, rng),
+                                         ZZ)
+
+        p, q_a, q_c = unimodular(b), unimodular(a), unimodular(c)
+        p_inv = p.inverse() if b else p
+        image = p @ ExactMatrix(b, a, ZZ, diag_b) @ q_a
+        kernel_of = q_c @ ExactMatrix(c, b, ZZ, diag_a) @ p_inv
+        assert lattice_quotient(kernel_of, image) == AbelianGroup(
+            free, tuple(x for x in e if x != 1))
+        for q in (2, 3, 4, 9):
+            orders = sorted([q] * free + [gcd(x, q) for x in e + f])
+            assert lattice_quotient(kernel_of, image, q) == AbelianGroup(
+                0, tuple(x for x in orders if x != 1))
 
 
 class TestRings:
