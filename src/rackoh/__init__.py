@@ -12,10 +12,9 @@ from .permutations import PermGroup, Permutation, group_closure, inner_group, po
 from .modules import (CoeffModule, constant_module, custom_module,
                       function_module, jordan_module, module_from_spec,
                       trivial_module)
-from .cochains import (CochainSpace, FiniteActionGroup, ShiftIso,
-                       averaging_projector, chain_isomorphism, cochain_product,
-                       cochain_space, degree_shift, differential,
-                       differential_prime, finite_action_group,
+from .cochains import (CochainSpace, FiniteActionGroup, averaging_projector,
+                       chain_isomorphism, cochain_product, cochain_space,
+                       differential, differential_prime, finite_action_group,
                        group_action_on_cochains, invariant_basis, slice_first)
 from .cohomology import (CohomologyReport, H2Comparison, InvariantComparison,
                          NonabelianH2, RackComplex, RackPresentation,

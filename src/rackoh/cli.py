@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cochains import (apply_rack_element, chain_isomorphism, differential,
+from .cochains import (apply_rack_element, chain_isomorphism,
                        differential_prime, invariant_basis,
                        is_invariant_cochain, cochain_product, slice_first)
 from .cohomology import (CHECK_BETTI_MN, CHECK_TORSION_PRIMES, RackComplex,
@@ -202,15 +202,15 @@ def cmd_cohomology(config: RunConfig) -> tuple:
     else:
         ring = _parse_ring(config.ring)
         module = trivial_module(rack, ring)
+    cx = RackComplex(rack, module, spec, closure_cap=config.closure_cap)
     if module.ring == ZZ:
-        report = cohomology_integral(rack, config.max_degree, spec,
-                                     complex_=RackComplex(
-                                         rack, module, spec,
-                                         closure_cap=config.closure_cap))
+        report = cohomology_integral(rack, config.max_degree, spec, complex_=cx)
         return _report_exit(report), report.to_json_dict()
-    report = cohomology_over_field(rack, module, config.max_degree, spec)
+    report = cohomology_over_field(rack, module, config.max_degree, spec,
+                                   complex_=cx)
     if config.invariant:
-        comparison = invariant_cohomology(rack, module, config.max_degree, spec)
+        comparison = invariant_cohomology(rack, module, config.max_degree, spec,
+                                          complex_=cx)
         doc = report.to_json_dict()
         doc["invariant"] = {
             "betti": comparison.invariant_betti,
@@ -445,6 +445,8 @@ def criterion_structural(racks, trials=20):
         out.append(CheckOutcome(spec, "chain_iso_intertwines", ok,
                                 f"{trials} instances"))
 
+        # Fun(X, Q) tensored with the 1-dimensional trivial module keeps
+        # Fun's matrices, so fcx.diff(2) is the product's d_2
         fun = function_module(rack, QQ)
         gbasis = invariant_basis(rack, fun, 1, via="fixed_space")
         fcx = RackComplex(rack, fun, spec)
@@ -454,8 +456,8 @@ def criterion_structural(racks, trials=20):
             f = [Fraction(v) for v in rand_vec(size)]
             coeffs = [Fraction(rng.randrange(-3, 4)) for _ in range(gbasis.cols)]
             g = gbasis.matvec(coeffs)
-            fg, tensor = cochain_product(rack, qmod, 1, f, fun, 1, g)
-            lhs = differential(rack, tensor, 2).matvec(fg)
+            fg, _ = cochain_product(rack, qmod, 1, f, fun, 1, g)
+            lhs = fcx.diff(2).matvec(fg)
             df = qcx.diff(1).matvec(f)
             dg = fcx.diff(1).matvec(g)
             dfg, _ = cochain_product(rack, qmod, 2, df, fun, 1, g)
@@ -466,9 +468,9 @@ def criterion_structural(racks, trials=20):
             if not found_violation:
                 g_bad = [Fraction(rng.randrange(-3, 4)) for _ in range(size * size)]
                 if not is_invariant_cochain(rack, fun, 1, g_bad):
-                    fg, tensor = cochain_product(rack, qmod, 1, f, fun, 1, g_bad,
-                                                 require_invariant=False)
-                    lhs = differential(rack, tensor, 2).matvec(fg)
+                    fg, _ = cochain_product(rack, qmod, 1, f, fun, 1, g_bad,
+                                            require_invariant=False)
+                    lhs = fcx.diff(2).matvec(fg)
                     dgb = fcx.diff(1).matvec(g_bad)
                     dfg, _ = cochain_product(rack, qmod, 2, df, fun, 1, g_bad,
                                              require_invariant=False)

@@ -5,7 +5,8 @@ per pair (tuple, module index), flattened as lex(x_1..x_n) * dim + j with
 the module index innermost.  Cochain values are column vectors and every
 operator is a matrix acting by left multiplication; since the module
 action is a right action on row vectors, action matrices enter operator
-blocks transposed.
+blocks transposed.  _index and _permuted_index own the lex order of the
+tuples.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import product
 
 from .errors import InputError, PreconditionError, ResourceError
 from .linalg import QQ, ZZ, ExactMatrix, PrimeField, _IncrementalRREF
-from .modules import CoeffModule, function_module, tensor_with_trivial
+from .modules import CoeffModule, tensor_with_trivial
 from .racks import RackTable
 
 DEFAULT_ACTION_GROUP_CAP = 1_000_000
@@ -52,10 +53,7 @@ class CochainSpace:
         return self.rack.size ** self.degree * self.module.dim
 
     def flat(self, xs, j=0):
-        idx = 0
-        for x in xs:
-            idx = idx * self.rack.size + x
-        return idx * self.module.dim + j
+        return _index(xs, self.rack.size) * self.module.dim + j
 
     def unflat(self, flat):
         j = flat % self.module.dim
@@ -77,12 +75,47 @@ def cochain_space(rack, module, degree) -> CochainSpace:
 # differentials
 
 
-def differential(rack: RackTable, module: CoeffModule, n: int) -> ExactMatrix:
-    """Matrix of the degree-n coboundary map C^n -> C^(n+1).
+def _index(xs, size) -> int:
+    """Lex index of the tuple xs over an alphabet of `size` elements."""
+    idx = 0
+    for x in xs:
+        idx = idx * size + x
+    return idx
 
-    Row (y_1..y_(n+1), l), column (z_1..z_n, j); the i-th term deletes y_i
-    (identity block) and twists the later arguments by y_i while acting by
-    y_i on the value (transposed action block), with sign (-1)^(i-1).
+
+def _permuted_index(perm, n) -> list:
+    """Lex index of (perm[x_1], .., perm[x_n]) for every n-tuple, in lex order."""
+    size = len(perm)
+    out = [0]
+    for _ in range(n):
+        out = [t * size + p for t in out for p in perm]
+    return out
+
+
+def _add_block(entries, row, col, k, mat, weight):
+    """Add weight * mat transposed at (row, col); mat=None is the identity."""
+    if mat is None:
+        for j in range(k):
+            key = (row + j, col + j)
+            entries[key] = entries.get(key, 0) + weight
+        return
+    for j in range(k):
+        mrow = mat.data[j]
+        for l in range(k):
+            a = mrow[l]
+            if a:
+                key = (row + l, col + j)
+                entries[key] = entries.get(key, 0) + weight * a
+
+
+def _coboundary(rack, module, n, deleted, twisted) -> ExactMatrix:
+    """Shared body of the two coboundary maps C^n -> C^(n+1).
+
+    Row (y_1..y_(n+1), l), column (z_1..z_n, j).  Term i, with sign
+    (-1)^(i-1), adds the block deleted[w_i] at the tuple that drops y_i,
+    where w_i = y_1 |> (y_2 |> (.. y_i)), and subtracts the block
+    twisted[y_i] at the tuple that twists the later arguments by y_i.
+    Either list may be None, meaning identity blocks.
     """
     if n < 0:
         raise InputError("differential degree must be >= 0")
@@ -90,37 +123,34 @@ def differential(rack: RackTable, module: CoeffModule, n: int) -> ExactMatrix:
     rows = size ** (n + 1) * k
     cols = size ** n * k
     _guard(rows, cols)
+    op = rack.op
     entries: dict = {}
-    for ys in product(range(size), repeat=n + 1):
-        base = 0
-        for y in ys:
-            base = base * size + y
-        base *= k
+    for row, ys in enumerate(product(range(size), repeat=n + 1)):
+        base = row * k
         for i in range(n + 1):
             sign = 1 if i % 2 == 0 else -1
             yi = ys[i]
-            z1 = ys[:i] + ys[i + 1:]
-            flat1 = 0
-            for z in z1:
-                flat1 = flat1 * size + z
-            flat1 *= k
-            for j in range(k):
-                key = (base + j, flat1 + j)
-                entries[key] = entries.get(key, 0) + sign
-            z2 = ys[:i] + tuple(rack.op(yi, y) for y in ys[i + 1:])
-            flat2 = 0
-            for z in z2:
-                flat2 = flat2 * size + z
-            flat2 *= k
-            act = module.action(yi)
-            for j in range(k):
-                arow = act.data[j]
-                for l in range(k):
-                    a = arow[l]
-                    if a:
-                        key = (base + l, flat2 + j)
-                        entries[key] = entries.get(key, 0) - sign * a
+            block = None
+            if deleted is not None:
+                w = yi
+                for j in range(i - 1, -1, -1):
+                    w = op(ys[j], w)
+                block = deleted[w]
+            _add_block(entries, base, _index(ys[:i] + ys[i + 1:], size) * k,
+                       k, block, sign)
+            twist = ys[:i] + tuple(op(yi, y) for y in ys[i + 1:])
+            _add_block(entries, base, _index(twist, size) * k, k,
+                       None if twisted is None else twisted[yi], -sign)
     return ExactMatrix.from_entries(rows, cols, module.ring, entries)
+
+
+def differential(rack: RackTable, module: CoeffModule, n: int) -> ExactMatrix:
+    """Matrix of the degree-n coboundary map C^n -> C^(n+1).
+
+    The i-th term deletes y_i (identity block) and twists the later
+    arguments by y_i while acting by y_i on the value.
+    """
+    return _coboundary(rack, module, n, None, module.matrices)
 
 
 def differential_prime(rack: RackTable, module: CoeffModule, n: int) -> ExactMatrix:
@@ -129,47 +159,8 @@ def differential_prime(rack: RackTable, module: CoeffModule, n: int) -> ExactMat
     Term i acts on the value by the inverse of w_i = y_1 |> (y_2 |> (... y_i))
     instead of twisting it by y_i; chain_isomorphism intertwines the two.
     """
-    if n < 0:
-        raise InputError("differential degree must be >= 0")
-    size, k = rack.size, module.dim
-    rows = size ** (n + 1) * k
-    cols = size ** n * k
-    _guard(rows, cols)
-    inverses = [module.action_inverse(x) for x in range(size)]
-    entries: dict = {}
-    for ys in product(range(size), repeat=n + 1):
-        base = 0
-        for y in ys:
-            base = base * size + y
-        base *= k
-        for i in range(n + 1):
-            sign = 1 if i % 2 == 0 else -1
-            yi = ys[i]
-            w = yi
-            for j in range(i - 1, -1, -1):
-                w = rack.op(ys[j], w)
-            z1 = ys[:i] + ys[i + 1:]
-            flat1 = 0
-            for z in z1:
-                flat1 = flat1 * size + z
-            flat1 *= k
-            winv = inverses[w]
-            for j in range(k):
-                wrow = winv.data[j]
-                for l in range(k):
-                    a = wrow[l]
-                    if a:
-                        key = (base + l, flat1 + j)
-                        entries[key] = entries.get(key, 0) + sign * a
-            z2 = ys[:i] + tuple(rack.op(yi, y) for y in ys[i + 1:])
-            flat2 = 0
-            for z in z2:
-                flat2 = flat2 * size + z
-            flat2 *= k
-            for j in range(k):
-                key = (base + j, flat2 + j)
-                entries[key] = entries.get(key, 0) - sign
-    return ExactMatrix.from_entries(rows, cols, module.ring, entries)
+    inverses = [module.action_inverse(x) for x in range(rack.size)]
+    return _coboundary(rack, module, n, inverses, None)
 
 
 def chain_isomorphism(rack: RackTable, module: CoeffModule, n: int) -> ExactMatrix:
@@ -178,44 +169,24 @@ def chain_isomorphism(rack: RackTable, module: CoeffModule, n: int) -> ExactMatr
     size, k = rack.size, module.dim
     dim = size ** n * k
     _guard(dim, dim)
-    out = ExactMatrix(dim, dim, module.ring)
-    cache: dict = {}
+    entries: dict = {}
     for idx, xs in enumerate(product(range(size), repeat=n)):
-        if xs not in cache:
-            prod_mat = ExactMatrix.identity(k, module.ring)
-            for x in xs:
-                prod_mat = prod_mat @ module.action(x)
-            cache[xs] = prod_mat.inverse()
-        block = cache[xs]
-        base = idx * k
-        for j in range(k):
-            for l in range(k):
-                out.data[base + l][base + j] = block.data[j][l]
-    return out
+        prod_mat = ExactMatrix.identity(k, module.ring)
+        for x in xs:
+            prod_mat = prod_mat @ module.action(x)
+        _add_block(entries, idx * k, idx * k, k, prod_mat.inverse(), 1)
+    return ExactMatrix.from_entries(dim, dim, module.ring, entries)
 
 
 # ---------------------------------------------------------------------------
 # the diagonal action on cochains
 
 
-def _action_entries(rack, module, n, perm_images, mat, entries=None, weight=1):
-    """Entries of the cochain action of one (permutation, matrix) pair."""
-    size, k = rack.size, module.dim
-    if entries is None:
-        entries = {}
-    for idx, xs in enumerate(product(range(size), repeat=n)):
-        tgt = 0
-        for x in xs:
-            tgt = tgt * size + perm_images[x]
-        tgt *= k
-        base = idx * k
-        for j in range(k):
-            mrow = mat.data[j]
-            for l in range(k):
-                a = mrow[l]
-                if a:
-                    key = (base + l, tgt + j)
-                    entries[key] = entries.get(key, 0) + weight * a
+def _action_entries(module, n, perm_images, mat, entries):
+    """Add the entries of the cochain action of one (permutation, matrix) pair."""
+    k = module.dim
+    for idx, tgt in enumerate(_permuted_index(perm_images, n)):
+        _add_block(entries, idx * k, tgt * k, k, mat, 1)
     return entries
 
 
@@ -227,18 +198,15 @@ def group_action_on_cochains(rack: RackTable, module: CoeffModule,
     size, k = rack.size, module.dim
     dim = size ** n * k
     _guard(dim, dim)
-    entries = _action_entries(rack, module, n, rack.translation(y), module.action(y))
+    entries = _action_entries(module, n, rack.translation(y), module.action(y), {})
     return ExactMatrix.from_entries(dim, dim, module.ring, entries)
 
 
 def apply_group_action(rack, module, n, perm_images, mat, vec):
     """f -> f.g for a closure pair g = (permutation, matrix), vector form."""
-    size, k = rack.size, module.dim
+    k = module.dim
     out = [module.ring.coerce(0)] * len(vec)
-    for idx, xs in enumerate(product(range(size), repeat=n)):
-        tgt = 0
-        for x in xs:
-            tgt = tgt * size + perm_images[x]
+    for idx, tgt in enumerate(_permuted_index(perm_images, n)):
         tgt *= k
         base = idx * k
         for l in range(k):
@@ -340,17 +308,15 @@ def averaging_projector(rack: RackTable, module: CoeffModule, n: int,
     _guard(dim, dim)
     entries: dict = {}
     for perm, mat in group.elements:
-        _action_entries(rack, module, n, perm, mat, entries)
+        _action_entries(module, n, perm, mat, entries)
     if ring == QQ:
         scale = Fraction(1, order)
     elif ring == ZZ:
         scale = 1
     else:
         scale = ring.inv(order)
-    out = ExactMatrix(dim, dim, ring)
-    for (i, j), v in entries.items():
-        out.data[i][j] = ring.coerce(v * scale)
-    return out
+    return ExactMatrix.from_entries(
+        dim, dim, ring, {key: v * scale for key, v in entries.items()})
 
 
 def invariant_basis(rack: RackTable, module: CoeffModule, n: int,
@@ -376,13 +342,8 @@ def invariant_basis(rack: RackTable, module: CoeffModule, n: int,
                 a = parent[a]
             return a
 
-        tuples = list(product(range(size), repeat=n))
         for y in range(size):
-            tr = rack.translation(y)
-            for idx, xs in enumerate(tuples):
-                tgt = 0
-                for x in xs:
-                    tgt = tgt * size + tr[x]
+            for idx, tgt in enumerate(_permuted_index(rack.translation(y), n)):
                 ra, rb = find(idx), find(tgt)
                 if ra != rb:
                     parent[rb] = ra
@@ -429,33 +390,7 @@ def invariant_basis(rack: RackTable, module: CoeffModule, n: int,
 
 
 # ---------------------------------------------------------------------------
-# degree shift and products
-
-
-@dataclass(frozen=True)
-class ShiftIso:
-    """Reindexing C^n(X, A) = C^(n-1)(X, Fun(X, A)) for trivial A.
-
-    Under the flat basis convention the two coordinate systems agree, so
-    the matrix is the identity; the content is that the function-module
-    differential in degree n-1 equals the trivial-coefficient differential
-    in degree n.
-    """
-
-    rack: RackTable
-    degree: int
-    fun_module: CoeffModule
-    matrix: ExactMatrix
-
-
-def degree_shift(rack: RackTable, n: int, module: CoeffModule) -> ShiftIso:
-    if n < 1:
-        raise InputError("degree shift needs degree >= 1")
-    if not module.is_trivial:
-        raise PreconditionError("degree shift requires a trivial coefficient action")
-    fun = function_module(rack, module.ring, module.dim)
-    dim = rack.size ** n * module.dim
-    return ShiftIso(rack, n, fun, ExactMatrix.identity(dim, module.ring))
+# products
 
 
 def is_invariant_cochain(rack, module, n, vec) -> bool:

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .cochains import differential, finite_action_group, invariant_basis
+from .cochains import (DEFAULT_ACTION_GROUP_CAP, differential,
+                       finite_action_group, invariant_basis)
 from .errors import InputError, PreconditionError, ResourceError
 from .linalg import (QQ, ZZ, AbelianGroup, ExactMatrix, PrimeField,
                      lattice_quotient)
@@ -295,7 +296,10 @@ def invariant_cohomology(rack: RackTable, module: CoeffModule, max_degree: int,
     if not module.ring.is_field:
         raise PreconditionError("invariant cohomology needs field coefficients")
     cx = complex_ or RackComplex(rack, module, rack_spec)
-    group = finite_action_group(rack, module)
+    cap = DEFAULT_ACTION_GROUP_CAP
+    if cx.closure_cap is not None:
+        cap = min(cap, cx.closure_cap)
+    group = finite_action_group(rack, module, cap)
     ring = module.ring
     invertible = not isinstance(ring, PrimeField) or group.order % ring.p != 0
 

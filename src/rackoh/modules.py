@@ -8,6 +8,7 @@ invertibility of every matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -158,26 +159,42 @@ def ring_from_spec(doc: dict) -> Ring:
     raise InputError(f"unknown ring {name!r}")
 
 
+def _number(value):
+    """A module-file entry: a JSON number, or a string such as "1/2"."""
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    elif isinstance(value, int) or (isinstance(value, float)
+                                    and math.isfinite(value)):
+        return value
+    raise InputError(f"bad number {value!r} in the module file")
+
+
 def module_from_spec(rack: RackTable, doc: dict) -> CoeffModule:
     """Parse the module JSON: ring, dim, action type trivial|jordan|custom."""
+    if not isinstance(doc, dict):
+        raise InputError("module JSON must be an object")
     ring = ring_from_spec(doc)
     dim = doc.get("dim", 1)
     if not isinstance(dim, int) or dim < 0:
         raise InputError("module dim must be a non-negative integer")
     action = doc.get("action", {"type": "trivial"})
+    if not isinstance(action, dict):
+        raise InputError("module 'action' must be an object")
     kind = action.get("type", "trivial")
     if kind == "trivial":
         return trivial_module(rack, ring, dim)
     if kind == "jordan":
-        t = action.get("t", 1)
-        if isinstance(t, str):
-            t = Fraction(t)
-        return jordan_module(rack, t, dim, ring)
+        return jordan_module(rack, _number(action.get("t", 1)), dim, ring)
     if kind == "custom":
         matrices = action.get("matrices")
-        if matrices is None:
-            raise InputError("custom action needs 'matrices'")
-        parsed = [[[Fraction(v) if isinstance(v, str) else v for v in row]
-                   for row in mat] for mat in matrices]
+        if not isinstance(matrices, list) or not all(
+                isinstance(mat, list) and all(isinstance(row, list) for row in mat)
+                for mat in matrices):
+            raise InputError("custom action needs 'matrices', a list of "
+                             "matrices given as lists of rows")
+        parsed = [[[_number(v) for v in row] for row in mat] for mat in matrices]
         return custom_module(rack, ring, parsed)
     raise InputError(f"unknown action type {kind!r}")

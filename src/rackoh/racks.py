@@ -100,10 +100,6 @@ class RackTable:
         """The permutation y -> x |> y as an image tuple."""
         return self.table[x]
 
-    def inverse_op(self, x, z):
-        """The unique y with x |> y = z."""
-        return self.table[x].index(z)
-
     def __repr__(self):
         return f"RackTable(size={self.size})"
 

@@ -1,15 +1,10 @@
 import pytest
 
-from rackoh.racks import (conjugation_rack, cyclic_rack, dihedral_rack,
-                          symmetric_group_table, trivial_rack)
+from rackoh.cli import corpus_racks
 
 
 def corpus():
-    out = [(f"trivial:{n}", trivial_rack(n)) for n in (1, 2, 3, 4)]
-    out += [(f"dihedral:{n}", dihedral_rack(n)) for n in (3, 4, 5, 6)]
-    out += [(f"cyclic:{n}", cyclic_rack(n)) for n in (3, 4, 5)]
-    out.append(("conj:S3", conjugation_rack(symmetric_group_table(3))))
-    return out
+    return corpus_racks()
 
 
 # orbit counts of the corpus racks, used by several theorem checks

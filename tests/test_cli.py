@@ -136,6 +136,22 @@ class TestCohomologyCommand:
         assert code == EXIT_INPUT
         assert err.startswith("input error:")
 
+    @pytest.mark.parametrize("doc", [
+        [],
+        {"ring": "Q", "action": [1]},
+        {"ring": "Q", "action": {"type": "jordan", "t": "abc"}},
+        {"ring": "Q", "action": {"type": "custom",
+                                 "matrices": [[["x"]], [[1]], [[1]]]}},
+    ], ids=["not_an_object", "action_not_an_object", "jordan_t_abc",
+            "custom_entry_x"])
+    def test_malformed_module_file_exit_2(self, capsys, tmp_path, doc):
+        path = tmp_path / "module.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "cohomology", "--rack", "dihedral:3",
+                               "--module", str(path))
+        assert code == EXIT_INPUT
+        assert err.startswith("input error:")
+
     def test_bad_twisted_eigenvalue_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "cohomology", "--rack", "dihedral:3",
                                "--twisted", "t=abc")
@@ -202,6 +218,15 @@ class TestBudgets:
         code, _, err = run_cli(capsys, "verify", "--rack", "dihedral:3",
                                "--closure-cap", "0")
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("flags", [("--ring", "F5"), ("--invariant",)],
+                             ids=["field", "invariant"])
+    def test_closure_cap_reaches_field_path(self, capsys, flags):
+        code, _, err = run_cli(capsys, "cohomology", "--rack", "dihedral:3",
+                               *flags, "--max-degree", "1",
+                               "--closure-cap", "1")
+        assert code == 3
+        assert "exceeded cap 1" in err
 
     def test_snf_bit_cap_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

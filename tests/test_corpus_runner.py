@@ -1,6 +1,9 @@
+import rackoh.cli
+import rackoh.cohomology
 from rackoh.cli import (CORPUS_WORK_CEILING, _degree_cap, corpus_racks,
                         criterion_betti, criterion_h2, criterion_structural,
                         criterion_torsion, semidirect_examples)
+from rackoh.cochains import differential
 from rackoh.racks import dihedral_rack, trivial_rack, verify_yang_baxter
 
 
@@ -63,3 +66,17 @@ def test_cmd_corpus_aggregation(monkeypatch, capsys):
     assert code == 0
     assert "corpus checks passed" in out
     assert "FAIL" not in out
+
+
+def test_structural_builds_each_differential_once(monkeypatch):
+    built = []
+
+    def counting(rack, module, n):
+        built.append((module.ring.name, n,
+                      tuple(tuple(map(tuple, m.data)) for m in module.matrices)))
+        return differential(rack, module, n)
+
+    monkeypatch.setattr(rackoh.cohomology, "differential", counting)
+    monkeypatch.setattr(rackoh.cli, "differential", counting, raising=False)
+    criterion_structural([("dihedral:3", dihedral_rack(3))], trials=20)
+    assert len(built) == len(set(built))
