@@ -32,7 +32,7 @@ from .modules import (constant_module, jordan_module, module_from_spec,
 from .permutations import DEFAULT_CLOSURE_CAP, inner_group
 from .racks import (RackTable, conjugation_rack, cyclic_group_table,
                     cyclic_rack, dihedral_rack, is_quandle, make_semidirect,
-                    orbits, rack_from_json, rack_to_json,
+                    orbits, rack_from_json, rack_to_json, read_rack_document,
                     symmetric_group_table, trivial_rack, verify_rack,
                     verify_yang_baxter)
 
@@ -152,11 +152,7 @@ def load_rack_candidate(spec: str):
     axiom report (not an input error) covers non-racks."""
     kind, _, param = spec.partition(":")
     if kind == "file":
-        doc = _read_json(param, "rack file")
-        if not isinstance(doc, dict) or not isinstance(doc.get("table"), list):
-            raise InputError("rack JSON needs a 'table' list")
-        table = [list(row) for row in doc["table"]]
-        labels = doc.get("labels")
+        table, labels = read_rack_document(_read_json(param, "rack file"))
         return spec, table, labels
     spec, rack, labels = parse_rack_spec(spec)
     return spec, [list(row) for row in rack.table], labels
@@ -507,12 +503,12 @@ def criterion_semidirect_lemma():
     """Exhaustive 27-function agreement scan for dihedral 3 over F3."""
     from itertools import product as iproduct
     d3 = dihedral_rack(3)
-    module = constant_module(d3, ExactMatrix.from_rows([[-1]], GF(3)))
+    cx = RackComplex(d3, constant_module(d3, ExactMatrix.from_rows([[-1]], GF(3))))
     agree = True
     cocycles = 0
     for vals in iproduct(range(3), repeat=3):
         omega = [(v,) for v in vals]
-        is_hom, is_cocycle = semidirect_cocycle_check(d3, module, omega)
+        is_hom, is_cocycle = semidirect_cocycle_check(cx, omega)
         if is_hom != is_cocycle:
             agree = False
         cocycles += is_cocycle

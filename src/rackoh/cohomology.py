@@ -17,7 +17,7 @@ from .cochains import (DEFAULT_ACTION_GROUP_CAP, differential,
                        finite_action_group, invariant_basis)
 from .errors import InputError, PreconditionError, ResourceError
 from .linalg import (QQ, ZZ, AbelianGroup, ExactMatrix, PrimeField,
-                     lattice_quotient)
+                     _is_prime_power, lattice_quotient)
 from .modules import (CoeffModule, constant_module, function_module,
                       jordan_module, trivial_module)
 from .permutations import inner_group
@@ -480,8 +480,7 @@ def _parse_coefficient(coeff: str):
             raise InputError(f"bad coefficient spec {coeff!r}")
         if q < 2:
             raise InputError("modulus must be at least 2")
-        ps = prime_factors(q)
-        if len(ps) != 1:
+        if not _is_prime_power(q):
             raise InputError(f"modulus {q} is not a prime power")
         return ("Zq", q)
     raise InputError(f"bad coefficient spec {coeff!r}")
@@ -614,13 +613,14 @@ def nonabelian_h2(rack: RackTable, group_table,
 # the extension-rack cocycle test
 
 
-def semidirect_cocycle_check(rack: RackTable, module: CoeffModule, omega):
+def semidirect_cocycle_check(cx: RackComplex, omega):
     """Two independent reads of the same condition on omega: X -> N.
 
     is_rack_hom: x -> (x, omega(x).x^-1) is a homomorphism into the
-    extension rack on X x N; is_cocycle: the coboundary of omega vanishes.
-    The pair must agree for every omega.
+    extension rack on X x N; is_cocycle: the coboundary cx.diff(1) of
+    omega vanishes.  The pair must agree for every omega.
     """
+    rack, module = cx.rack, cx.module
     ring = module.ring
     p = getattr(ring, "p", None)
     if p is None:
@@ -647,6 +647,5 @@ def semidirect_cocycle_check(rack: RackTable, module: CoeffModule, omega):
         for x in range(n) for y in range(n))
 
     flat = [omega[x][j] for x in range(n) for j in range(k)]
-    d1 = differential(rack, module, 1)
-    is_cocycle = all(v == 0 for v in d1.matvec(flat))
+    is_cocycle = all(v == 0 for v in cx.diff(1).matvec(flat))
     return is_hom, is_cocycle

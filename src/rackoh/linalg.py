@@ -6,7 +6,8 @@ Matrices are stored as dense rows; the Smith form removes unit pivots on
 a sparse copy and runs its dense loop only on the core that remains.
 Large integer matrices get their rank from elimination modulo two
 independent ~30-bit primes, cross-checked against each other, with an
-exact fraction-free fallback on disagreement.
+exact fraction-free fallback on disagreement.  Every F_p rank runs one
+numpy elimination: on int64 entries below 2^31, on Python ints above.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -156,7 +157,7 @@ class ExactMatrix:
     may assemble `data` in place but must not mutate a published matrix.
     """
 
-    __slots__ = ("rows", "cols", "ring", "data", "_np_cache")
+    __slots__ = ("rows", "cols", "ring", "data")
 
     def __init__(self, rows: int, cols: int, ring: Ring, data=None):
         if rows < 0 or cols < 0:
@@ -171,7 +172,6 @@ class ExactMatrix:
             if len(data) != rows or any(len(r) != cols for r in data):
                 raise InputError("matrix data does not match declared shape")
             self.data = [[ring.coerce(x) for x in row] for row in data]
-        self._np_cache = None
 
     # -- construction ------------------------------------------------------
 
@@ -209,15 +209,7 @@ class ExactMatrix:
                 m.data[i][j] = ring.coerce(x)
         return m
 
-    def copy(self):
-        return ExactMatrix(self.rows, self.cols, self.ring,
-                           [row[:] for row in self.data])
-
     # -- basic queries -----------------------------------------------------
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
 
     def __eq__(self, other):
         return (isinstance(other, ExactMatrix)
@@ -234,13 +226,6 @@ class ExactMatrix:
     def column(self, j):
         return [row[j] for row in self.data]
 
-    def transpose(self):
-        if self.rows == 0:
-            return ExactMatrix(self.cols, 0, self.ring,
-                               [[] for _ in range(self.cols)])
-        return ExactMatrix(self.cols, self.rows, self.ring,
-                           [list(col) for col in zip(*self.data)])
-
     def hstack(self, other):
         if other.rows != self.rows or other.ring != self.ring:
             raise InputError("hstack needs matching row count and ring")
@@ -252,21 +237,11 @@ class ExactMatrix:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
-        self._check_same_shape(other)
-        return ExactMatrix(self.rows, self.cols, self.ring,
-                           [[a + b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.data, other.data)])
-
     def __sub__(self, other):
         self._check_same_shape(other)
         return ExactMatrix(self.rows, self.cols, self.ring,
                            [[a - b for a, b in zip(r1, r2)]
                             for r1, r2 in zip(self.data, other.data)])
-
-    def __neg__(self):
-        return ExactMatrix(self.rows, self.cols, self.ring,
-                           [[-a for a in row] for row in self.data])
 
     def _check_same_shape(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols) or self.ring != other.ring:
@@ -296,10 +271,6 @@ class ExactMatrix:
     def matvec(self, vec):
         if len(vec) != self.cols:
             raise InputError("vector length mismatch")
-        if self.ring == ZZ and self.cols and self._fits_int64(vec):
-            a = self._np()
-            v = np.array([int(x) for x in vec], dtype=np.int64)
-            return [int(x) for x in a @ v]
         zero = self.ring.coerce(0)
         out = []
         for row in self.data:
@@ -309,19 +280,6 @@ class ExactMatrix:
                     s = s + a * x
             out.append(self.ring.coerce(s))
         return out
-
-    def _fits_int64(self, vec):
-        if not all(isinstance(x, int) for x in vec):
-            return False
-        vmax = max((abs(x) for x in vec), default=0)
-        amax = max((abs(x) for row in self.data for x in row), default=0)
-        return amax * vmax * max(self.cols, 1) < 2**62
-
-    def _np(self):
-        if self._np_cache is None:
-            self._np_cache = np.array(
-                [[int(x) for x in row] for row in self.data], dtype=np.int64)
-        return self._np_cache
 
     # -- integer normalisation ----------------------------------------------
 
@@ -341,12 +299,12 @@ class ExactMatrix:
 
     # -- rank ----------------------------------------------------------------
 
-    def rank(self, method: str = "auto") -> int:
+    def rank(self) -> int:
         """Rank over the matrix ring.
 
-        method: "auto" picks modular cross-checked elimination for large
-        Z/Q matrices and exact fraction-free elimination otherwise;
-        "exact" and "modular" force the respective path.
+        Z/Q matrices with at least MODULAR_RANK_THRESHOLD entries take the
+        cross-checked modular path, smaller ones exact fraction-free
+        elimination.
         """
         if self.rows == 0 or self.cols == 0:
             return 0
@@ -354,10 +312,7 @@ class ExactMatrix:
             return _rank_mod_p([[int(x) for x in row] for row in self.data],
                                self.ring.p)
         ints = self._int_rows()
-        if method == "exact":
-            return _bareiss_rank(ints)
-        if method == "modular" or (method == "auto"
-                                   and self.rows * self.cols >= MODULAR_RANK_THRESHOLD):
+        if self.rows * self.cols >= MODULAR_RANK_THRESHOLD:
             return _rank_modular_crosscheck(ints)
         return _bareiss_rank(ints)
 
@@ -476,10 +431,6 @@ class _IncrementalRREF:
         self.pivot_cols.insert(pos, lead)
         return True
 
-    @property
-    def rank(self):
-        return len(self.pivot_rows)
-
     def kernel_basis(self, ring):
         pivot_set = set(self.pivot_cols)
         free_cols = [j for j in range(self.width) if j not in pivot_set]
@@ -530,31 +481,12 @@ def _bareiss_rank(rows):
 
 
 def _rank_mod_p(rows, p):
-    if p < 2**31:
-        a = np.array(rows, dtype=np.int64) % p
-        return _rank_mod_p_numpy(a, p)
-    work = [[x % p for x in row] for row in rows]
-    r = 0
-    m = len(work)
-    n = len(work[0]) if work else 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = pow(work[r][c], -1, p)
-        work[r] = [v * inv % p for v in work[r]]
-        for i in range(r + 1, m):
-            f = work[i][c]
-            if f:
-                work[i] = [(a - f * b) % p for a, b in zip(work[i], work[r])]
-        r += 1
-        if r == m:
-            break
-    return r
+    """Rank of integer rows mod p by one numpy elimination.
 
-
-def _rank_mod_p_numpy(a, p):
+    Residue products fit int64 for p < 2^31 (the rows must fit int64
+    too); larger primes run the same loop on Python ints.
+    """
+    a = np.array(rows, dtype=np.int64 if p < 2**31 else object) % p
     m, n = a.shape
     r = 0
     for c in range(n):
@@ -805,7 +737,9 @@ def lattice_quotient(kernel_of: ExactMatrix, image_of: ExactMatrix,
 
 
 def _is_prime_power(q: int) -> bool:
-    p = next((d for d in range(2, q + 1) if q % d == 0), None)
-    while p is not None and q % p == 0:
+    if q < 2:
+        return False
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    while q % p == 0:
         q //= p
-    return p is not None and q == 1
+    return q == 1

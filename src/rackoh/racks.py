@@ -345,19 +345,28 @@ def rack_to_json(rack: RackTable, labels=None) -> dict:
     return doc
 
 
-def rack_from_json(doc) -> tuple:
-    """Parse {"size": n, "table": [[..]], "labels"?: [..]} -> (rack, labels)."""
+def read_rack_document(doc) -> tuple:
+    """Check {"size": n, "table": [[..]], "labels"?: [..]} -> (table, labels).
+
+    The table is well formed but may break the rack axioms.
+    """
     if not isinstance(doc, dict) or "table" not in doc:
         raise InputError("rack JSON needs a 'table' field")
     table = doc["table"]
     if not isinstance(table, list):
         raise InputError("rack JSON 'table' must be a list of rows")
-    rack = RackTable.from_table(table)
-    if "size" in doc and doc["size"] != rack.size:
+    n = _check_shape(table)
+    if "size" in doc and doc["size"] != n:
         raise InputError("rack JSON 'size' does not match the table")
     labels = doc.get("labels")
     if labels is not None:
-        if not isinstance(labels, list) or len(labels) != rack.size:
+        if not isinstance(labels, list) or len(labels) != n:
             raise InputError("rack JSON 'labels' must list one label per element")
         labels = [str(x) for x in labels]
-    return rack, labels
+    return table, labels
+
+
+def rack_from_json(doc) -> tuple:
+    """Parse a rack document -> (rack, labels)."""
+    table, labels = read_rack_document(doc)
+    return RackTable.from_table(table), labels

@@ -64,6 +64,19 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--rack", f"file:{path}")
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("doc", [
+        {"table": [5, 6]},
+        {"table": [[0, 1], [0, 1]], "labels": 5},
+        {"table": [[0, 1], [0, 1]], "size": 3},
+    ], ids=["rows-not-lists", "labels-not-list", "size-mismatch"])
+    def test_malformed_document_exit_2(self, capsys, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        for command in ("verify", "cohomology"):
+            code, _, err = run_cli(capsys, command, "--rack", f"file:{path}")
+            assert code == EXIT_INPUT
+            assert "input error:" in err and "Traceback" not in err
+
 
 class TestCohomologyCommand:
     def test_rational_betti_table(self, capsys):

@@ -1,7 +1,8 @@
 import rackoh.cli
 import rackoh.cohomology
 from rackoh.cli import (CORPUS_WORK_CEILING, _degree_cap, corpus_racks,
-                        criterion_betti, criterion_h2, criterion_structural,
+                        criterion_betti, criterion_h2,
+                        criterion_semidirect_lemma, criterion_structural,
                         criterion_torsion, semidirect_examples)
 from rackoh.cochains import differential
 from rackoh.racks import dihedral_rack, trivial_rack, verify_yang_baxter
@@ -80,3 +81,17 @@ def test_structural_builds_each_differential_once(monkeypatch):
     monkeypatch.setattr(rackoh.cli, "differential", counting, raising=False)
     criterion_structural([("dihedral:3", dihedral_rack(3))], trials=20)
     assert len(built) == len(set(built))
+
+
+def test_semidirect_lemma_builds_d1_once(monkeypatch):
+    built = []
+
+    def counting(rack, module, n):
+        built.append(n)
+        return differential(rack, module, n)
+
+    monkeypatch.setattr(rackoh.cohomology, "differential", counting)
+    monkeypatch.setattr(rackoh.cli, "differential", counting, raising=False)
+    [outcome] = criterion_semidirect_lemma()
+    assert outcome.passed
+    assert built == [1]

@@ -2,8 +2,8 @@ from itertools import product
 
 import pytest
 
-from rackoh.cohomology import (direct_h2, h2_via_group, nonabelian_h2,
-                               semidirect_cocycle_check)
+from rackoh.cohomology import (RackComplex, direct_h2, h2_via_group,
+                               nonabelian_h2, semidirect_cocycle_check)
 from rackoh.errors import InputError, ResourceError
 from rackoh.linalg import GF, AbelianGroup, ExactMatrix
 from rackoh.modules import constant_module, trivial_module
@@ -97,21 +97,22 @@ class TestSemidirectLemma:
 
     def test_zero_function(self):
         d3, module = self._sign_module()
-        assert semidirect_cocycle_check(d3, module, [(0,), (0,), (0,)]) == \
+        assert semidirect_cocycle_check(RackComplex(d3, module),
+                                        [(0,), (0,), (0,)]) == \
             (True, True)
 
     def test_coboundary_is_cocycle(self):
         d3, module = self._sign_module()
         # omega(x) = v.x - v for v = 1: with the sign action v.x = -1
         omega = [((-1 - 1) % 3,)] * 3
-        assert semidirect_cocycle_check(d3, module, omega) == (True, True)
+        assert semidirect_cocycle_check(RackComplex(d3, module), omega) == (True, True)
 
     def test_exhaustive_agreement_27_functions(self):
         d3, module = self._sign_module()
         results = {True: 0, False: 0}
         for vals in product(range(3), repeat=3):
             is_hom, is_cocycle = semidirect_cocycle_check(
-                d3, module, [(v,) for v in vals])
+                RackComplex(d3, module), [(v,) for v in vals])
             assert is_hom == is_cocycle
             results[is_cocycle] += 1
         assert results[True] + results[False] == 27
@@ -122,5 +123,5 @@ class TestSemidirectLemma:
         module = trivial_module(d3, GF(3))
         for vals in product(range(3), repeat=3):
             is_hom, is_cocycle = semidirect_cocycle_check(
-                d3, module, [(v,) for v in vals])
+                RackComplex(d3, module), [(v,) for v in vals])
             assert is_hom == is_cocycle

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rackoh.errors import InputError, PreconditionError, ResourceError
-from rackoh.linalg import (GF, QQ, ZZ, AbelianGroup, ExactMatrix, is_prime,
+from rackoh.linalg import (GF, QQ, ZZ, AbelianGroup, ExactMatrix,
+                           _bareiss_rank, _rank_modular_crosscheck, is_prime,
                            lattice_quotient)
 
 
@@ -97,7 +98,7 @@ class TestRank:
     @settings(max_examples=60, deadline=None)
     def test_exact_equals_modular(self, rows):
         m = ExactMatrix.from_rows(rows, ZZ)
-        assert m.rank("exact") == m.rank("modular")
+        assert _bareiss_rank(m._int_rows()) == _rank_modular_crosscheck(m._int_rows())
 
     @given(int_matrices())
     @settings(max_examples=60, deadline=None)
@@ -115,20 +116,29 @@ class TestRank:
             expected = sum(1 for d in factors if d % p)
             assert m.to_ring(GF(p)).rank() == expected
 
+    @given(int_matrices())
+    @settings(max_examples=40, deadline=None)
+    def test_rank_mod_large_prime(self, rows):
+        # p >= 2^31 takes the Python-int elimination
+        p = 2**61 - 1
+        m = ExactMatrix.from_rows(rows, ZZ)
+        assert m.to_ring(GF(p)).rank() == m.to_ring(QQ).rank()
+        assert ExactMatrix.from_rows([[p, 0], [0, 1]], GF(p)).rank() == 1
+
     def test_modular_path_falls_back_on_bad_prime(self):
         # a diagonal of one of the scheduled primes drops rank mod that
         # prime; the cross-check must disagree and fall back to exact
         from rackoh.linalg import _modular_primes
         p1, p2 = _modular_primes(2, 2)
         m = ExactMatrix.from_rows([[p1, 0], [0, 1]], ZZ)
-        assert m.rank("modular") == 2
+        assert _rank_modular_crosscheck(m._int_rows()) == 2
 
     def test_auto_threshold_large_matrix(self):
         rng = random.Random(7)
         rows = [[rng.randrange(-2, 3) for _ in range(80)] for _ in range(150)]
         m = ExactMatrix.from_rows(rows, ZZ)
         assert m.rows * m.cols >= 10_000
-        assert m.rank("auto") == m.rank("exact")
+        assert m.rank() == _bareiss_rank(m._int_rows())
 
 
 class TestKernelSolve:
@@ -302,6 +312,13 @@ class TestLatticeQuotient:
         for q in (1, 6, 12):
             with pytest.raises(InputError):
                 lattice_quotient(zero, image, modulus=q)
+
+    def test_large_prime_modulus(self):
+        # the prime-power test divides only up to sqrt(q)
+        q = 1_000_000_007
+        zero = ExactMatrix.zeros(0, 1, ZZ)
+        image = ExactMatrix.from_rows([[2]], ZZ)
+        assert lattice_quotient(zero, image, modulus=q) == AbelianGroup(0, ())
 
     def test_order(self):
         assert AbelianGroup(0, (2, 4)).order == 8
