@@ -219,8 +219,9 @@ def _betti0_check(cx, betti0) -> TheoremCheck:
 
 
 def _betti_mn_check(cx, betti) -> TheoremCheck:
-    m = cx.orbit_count
-    want = [m ** n for n in range(len(betti))]
+    # a trivial module of dimension k is k copies of the ground field
+    m, k = cx.orbit_count, cx.module.dim
+    want = [k * m ** n for n in range(len(betti))]
     return TheoremCheck(CHECK_BETTI_MN, betti == want,
                         f"betti={betti}, expected={want}")
 

@@ -2,12 +2,16 @@
 
 Rank, kernel, solve, and Smith normal form back every cohomology
 computation.  All arithmetic is arbitrary precision; no floats anywhere.
-Matrices are stored as dense rows; the Smith form removes unit pivots on
-a sparse copy and runs its dense loop only on the core that remains.
-Large integer matrices get their rank from elimination modulo two
-independent ~30-bit primes, cross-checked against each other, with an
+Matrices are stored as dense rows.  Rank and the Smith form read only the
+nonzero entries: rank takes them as integer COO triplets (each Q row
+scaled by the lcm of its own denominators), and the Smith form removes
+unit pivots on a sparse copy and runs its dense loop only on the core that
+remains.  Large integer matrices get their rank from elimination modulo
+two independent ~30-bit primes, cross-checked against each other, with an
 exact fraction-free fallback on disagreement.  Every F_p rank runs one
-numpy elimination: on int64 entries below 2^31, on Python ints above.
+numpy elimination whose pivot steps update only the rows that meet the
+pivot column, and in them only the pivot row's support: on int64 entries
+below 2^31, on Python ints above.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from itertools import compress
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -283,38 +288,45 @@ class ExactMatrix:
 
     # -- integer normalisation ----------------------------------------------
 
-    def _int_rows(self):
-        """Rows scaled to integers (row scaling preserves rank)."""
-        if self.ring == ZZ:
-            return [row[:] for row in self.data]
-        if self.ring == QQ:
-            out = []
-            for row in self.data:
-                den = 1
-                for x in row:
-                    den = den * x.denominator // gcd(den, x.denominator)
-                out.append([int(x * den) for x in row])
-            return out
-        raise InputError("integer normalisation needs a Z or Q matrix")
+    def _int_entries(self):
+        """Nonzero entries as COO triplets (row indices, column indices, ints).
+
+        A Q row is scaled by the lcm of its nonzero entries' denominators
+        (row scaling preserves rank); Z and F_p entries are ints already.
+        """
+        ii, jj, vals = [], [], []
+        columns = range(self.cols)
+        scale = self.ring == QQ
+        for i, row in enumerate(self.data):
+            nz = list(compress(columns, row))
+            if not nz:
+                continue
+            xs = [row[j] for j in nz]
+            if scale:
+                den = lcm(*[x.denominator for x in xs])
+                xs = [x.numerator * (den // x.denominator) for x in xs]
+            ii += [i] * len(nz)
+            jj += nz
+            vals += xs
+        return ii, jj, vals
 
     # -- rank ----------------------------------------------------------------
 
     def rank(self) -> int:
         """Rank over the matrix ring.
 
-        Z/Q matrices with at least MODULAR_RANK_THRESHOLD entries take the
-        cross-checked modular path, smaller ones exact fraction-free
-        elimination.
+        F_p matrices run one modular elimination.  Z/Q matrices with at
+        least MODULAR_RANK_THRESHOLD entries take the cross-checked modular
+        path, smaller ones exact fraction-free elimination.
         """
         if self.rows == 0 or self.cols == 0:
             return 0
+        coo = self._int_entries()
         if isinstance(self.ring, PrimeField):
-            return _rank_mod_p([[int(x) for x in row] for row in self.data],
-                               self.ring.p)
-        ints = self._int_rows()
+            return _rank_mod_p(self.rows, self.cols, coo, self.ring.p)
         if self.rows * self.cols >= MODULAR_RANK_THRESHOLD:
-            return _rank_modular_crosscheck(ints)
-        return _bareiss_rank(ints)
+            return _rank_modular_crosscheck(self.rows, self.cols, coo)
+        return _bareiss_rank(_dense_rows(self.rows, self.cols, coo))
 
     # -- field elimination ----------------------------------------------------
 
@@ -480,32 +492,42 @@ def _bareiss_rank(rows):
     return r
 
 
-def _rank_mod_p(rows, p):
-    """Rank of integer rows mod p by one numpy elimination.
+def _dense_rows(m, n, coo):
+    """Dense integer rows of an m x n matrix given by COO triplets."""
+    rows = [[0] * n for _ in range(m)]
+    for i, j, v in zip(*coo):
+        rows[i][j] = v
+    return rows
 
-    Residue products fit int64 for p < 2^31 (the rows must fit int64
-    too); larger primes run the same loop on Python ints.
+
+def _rank_mod_p(m, n, coo, p):
+    """Rank mod p of the m x n integer matrix given by COO triplets.
+
+    One numpy elimination with first-nonzero pivoting: each pivot step
+    updates only the rows with a nonzero in the pivot column, and in
+    them only the pivot row's nonzero columns.  Residue products fit
+    int64 for p < 2^31; larger primes run the same loop on Python ints.
     """
-    a = np.array(rows, dtype=np.int64 if p < 2**31 else object) % p
-    m, n = a.shape
+    ii, jj, vals = coo
+    a = np.zeros((m, n), dtype=np.int64 if p < 2**31 else object)
+    a[ii, jj] = [v % p for v in vals]
     r = 0
     for c in range(n):
         if r == m:
             break
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
+        nz = np.flatnonzero(a[r:, c])
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
         if piv != r:
             a[[r, piv], :] = a[[piv, r], :]
+        support = np.flatnonzero(a[r, c:]) + c
         inv = pow(int(a[r, c]), -1, p)
-        a[r, c:] = a[r, c:] * inv % p
-        rest = a[r + 1:, c]
-        nzr = np.nonzero(rest)[0]
-        if nzr.size:
-            idx = nzr + r + 1
-            a[idx, c:] = (a[idx, c:] - a[idx, c, None] * a[r, c:]) % p
+        a[r, support] = a[r, support] * inv % p
+        below = nz[1:] + r
+        if below.size:
+            block = np.ix_(below, support)
+            a[block] = (a[block] - a[below, c, None] * a[r, support]) % p
         r += 1
     return r
 
@@ -521,21 +543,18 @@ def _modular_primes(rows, cols):
     return primes
 
 
-def _rank_modular_crosscheck(int_rows):
+def _rank_modular_crosscheck(m, n, coo):
     """Rank mod two independent primes; exact fallback on disagreement.
 
     rank_Q >= rank mod p always, so two agreeing residue ranks pin the
     rational rank unless both primes divide the same maximal minor.
     """
-    amax = max((abs(x) for row in int_rows for x in row), default=0)
-    if amax >= 2**31:
-        return _bareiss_rank([row[:] for row in int_rows])
-    p1, p2 = _modular_primes(len(int_rows), len(int_rows[0]) if int_rows else 0)
-    r1 = _rank_mod_p(int_rows, p1)
-    r2 = _rank_mod_p(int_rows, p2)
-    if r1 == r2:
-        return r1
-    return _bareiss_rank([row[:] for row in int_rows])
+    if max(map(abs, coo[2]), default=0) < 2**31:
+        p1, p2 = _modular_primes(m, n)
+        r1 = _rank_mod_p(m, n, coo, p1)
+        if r1 == _rank_mod_p(m, n, coo, p2):
+            return r1
+    return _bareiss_rank(_dense_rows(m, n, coo))
 
 
 # ---------------------------------------------------------------------------
@@ -737,9 +756,22 @@ def lattice_quotient(kernel_of: ExactMatrix, image_of: ExactMatrix,
 
 
 def _is_prime_power(q: int) -> bool:
-    if q < 2:
-        return False
-    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
-    while q % p == 0:
-        q //= p
-    return q == 1
+    """Whether q = r^k for a prime r and k >= 1: tests the exact integer
+    k-th roots of q, so its cost grows with log q, not with r."""
+    for k in range(1, q.bit_length()):
+        r = _iroot(q, k)
+        if r ** k == q and is_prime(r):
+            return True
+    return False
+
+
+def _iroot(n: int, k: int) -> int:
+    """Largest r with r^k <= n, for n >= 0 and k >= 1 (Newton from above)."""
+    if n < 2:
+        return n
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rackoh.cli import (EXIT_CHECK_FAILED, EXIT_INPUT, EXIT_OK, canonical_json,
                         main, parse_rack_spec)
@@ -110,6 +116,15 @@ class TestCohomologyCommand:
         code, out, _ = run_cli(capsys, "cohomology", "--rack", "dihedral:3",
                                "--module", str(path), "--max-degree", "2")
         assert code == EXIT_OK
+
+    def test_trivial_module_of_dim_2_meets_betti_formula(self, capsys, tmp_path):
+        # dim H^n(X, Q^2) = 2 m^n; the check compared against m^n alone
+        path = tmp_path / "module.json"
+        path.write_text(json.dumps({"ring": "Q", "dim": 2}))
+        code, out, _ = run_cli(capsys, "cohomology", "--rack", "dihedral:3",
+                               "--module", str(path), "--max-degree", "2")
+        assert code == EXIT_OK
+        assert "betti_equals_m_pow_n: PASS" in out
 
     def test_custom_module_file(self, capsys, tmp_path):
         path = tmp_path / "module.json"
@@ -271,3 +286,125 @@ class TestJsonDeterminism:
         doc = json.loads(out)
         assert "time" not in out.lower()
         assert set(doc) == {"rack", "module", "degrees", "checks", "notes"}
+
+
+# --- argv fuzzing: the exit-code contract on random input ------------------
+
+SMALL_RACK_SPECS = ["trivial:1", "trivial:2", "trivial:3", "cyclic:1",
+                    "cyclic:2", "cyclic:3", "dihedral:1", "dihedral:2",
+                    "dihedral:3", "conj:Z1", "conj:Z2", "conj:Z3",
+                    "trivial:0", "dihedral:x", "cyclic:-1", "moebius:3",
+                    "conj:K4", "dihedral"]
+SMALL_RACK_TABLES = [[[0]], [[0, 0], [1, 1]], [[1, 1], [0, 0]],
+                     [[0, 2, 1], [2, 1, 0], [1, 0, 2]],
+                     [[1, 1, 1], [2, 2, 2], [0, 0, 0]]]
+TWISTED_ARGS = ["t=1,k=1", "t=2,k=1", "t=-1,k=2", "t=1/2", "k=2", "t=0",
+                "t=abc", "t=1/0", "k=x", "k=0", "k=-1", "", "q=1", "t=1,,k=1"]
+
+
+def _rack_documents():
+    entries = st.integers(-1, 3)
+    random_table = st.integers(0, 3).flatmap(lambda n: st.lists(
+        st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    doc = st.fixed_dictionaries(
+        {"table": st.one_of(st.sampled_from(SMALL_RACK_TABLES), random_table)},
+        optional={"size": st.integers(0, 4),
+                  "labels": st.one_of(st.lists(st.text(max_size=2),
+                                               max_size=4), st.integers())})
+    return st.one_of(doc, st.sampled_from([[], {}, 5, {"table": 5},
+                                           {"table": [[0, "a"]]}])).map(
+        json.dumps) | st.just("{not json")
+
+
+def _module_documents():
+    number = st.one_of(st.integers(-2, 2), st.sampled_from(
+        ["1/2", "-1", "abc", "1/0", 0.5, None, [1]]))
+    matrix = st.lists(st.lists(number, max_size=2), max_size=2)
+    action = st.one_of(
+        st.fixed_dictionaries({"type": st.just("trivial")}),
+        st.fixed_dictionaries({"type": st.just("jordan")}, optional={"t": number}),
+        st.fixed_dictionaries({"type": st.just("custom")},
+                              optional={"matrices": st.lists(matrix, max_size=3)}),
+        st.sampled_from([{"type": "sign"}, [], "trivial"]))
+    doc = st.fixed_dictionaries(
+        {"ring": st.sampled_from(["Q", "Z", "Fp", "R"])},
+        optional={"p": st.sampled_from([2, 3, 4, "x"]),
+                  "dim": st.sampled_from([0, 1, 2, -1, "x"]),
+                  "action": action})
+    return st.one_of(doc, st.sampled_from([[], 3, "Q"])).map(
+        json.dumps) | st.just("{not json")
+
+
+@st.composite
+def _argv_and_files(draw):
+    """A random argv over the real subcommands (all but the minutes-long
+    corpus) and flags, with the text of the JSON files it names."""
+    files = {}
+    command = draw(st.sampled_from(["verify", "cohomology", "h2"]))
+    argv = [command]
+    if draw(st.integers(0, 2)) == 0:
+        files["rack.json"] = draw(_rack_documents())
+        argv += ["--rack", "file:rack.json"]
+    elif draw(st.integers(0, 9)):
+        argv += ["--rack", draw(st.sampled_from(SMALL_RACK_SPECS))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    if draw(st.integers(0, 3)) == 0:
+        argv += ["--closure-cap", str(draw(st.integers(0, 30)))]
+    if command == "cohomology":
+        if draw(st.booleans()):
+            argv += ["--ring", draw(st.sampled_from(
+                ["Q", "Z", "F2", "F3", "F4", "F5", "F", "X", "F1"]))]
+        argv += ["--max-degree", str(draw(st.sampled_from([0, 1, 2, 2, -1])))]
+        if draw(st.integers(0, 3)) == 0:
+            argv += ["--twisted", draw(st.sampled_from(TWISTED_ARGS))]
+        if draw(st.integers(0, 2)) == 0:
+            files["module.json"] = draw(_module_documents())
+            argv += ["--module", "module.json"]
+        if draw(st.booleans()):
+            argv.append("--invariant")
+    elif command == "h2":
+        if draw(st.booleans()):
+            argv += ["--coeff", draw(st.sampled_from(
+                ["Q", "Z", "Z2", "Z3", "Z4", "Z6", "Z1", "Z0", "Zx", "F2"]))]
+        if draw(st.integers(0, 2)) == 0:
+            argv += ["--nonabelian", draw(st.sampled_from(
+                ["S3", "Z1", "Z2", "Z3", "Z6", "Z0", "Q", "Zx"]))]
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(["--bogus", "--ring", "--max-degree"])))
+    return argv, files
+
+
+def _report_fails(command, out, as_json):
+    if not as_json:
+        return any(mark in out for mark in ("FAIL", "NOT a rack", "MISMATCH"))
+    doc = json.loads(out)
+    if command == "verify":
+        return not doc["valid"]
+    if command == "h2":
+        return not doc["match"]
+    return not all(check["pass"] for check in doc["checks"])
+
+
+@given(_argv_and_files())
+@settings(max_examples=40, deadline=None)
+def test_random_argv_keeps_exit_contract(case):
+    argv, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        argv = [os.path.join(tmp, a) if a in files else
+                a.replace("file:", "file:" + tmp + os.sep) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == EXIT_CHECK_FAILED:
+        assert _report_fails(argv[0], out.getvalue(), "--json" in argv)
+    if code == EXIT_INPUT:
+        assert "error:" in err.getvalue()

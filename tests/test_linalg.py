@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -7,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rackoh.cohomology import _parse_coefficient
 from rackoh.errors import InputError, PreconditionError, ResourceError
-from rackoh.linalg import (GF, QQ, ZZ, AbelianGroup, ExactMatrix,
-                           _bareiss_rank, _rank_modular_crosscheck, is_prime,
+from rackoh.linalg import (GF, MODULAR_RANK_THRESHOLD, QQ, ZZ, AbelianGroup,
+                           ExactMatrix, _bareiss_rank, _dense_rows,
+                           _IncrementalRREF, _is_prime_power, _modular_primes,
+                           _rank_mod_p, _rank_modular_crosscheck, is_prime,
                            lattice_quotient)
 
 
@@ -98,7 +102,9 @@ class TestRank:
     @settings(max_examples=60, deadline=None)
     def test_exact_equals_modular(self, rows):
         m = ExactMatrix.from_rows(rows, ZZ)
-        assert _bareiss_rank(m._int_rows()) == _rank_modular_crosscheck(m._int_rows())
+        coo = m._int_entries()
+        assert (_bareiss_rank(_dense_rows(m.rows, m.cols, coo))
+                == _rank_modular_crosscheck(m.rows, m.cols, coo))
 
     @given(int_matrices())
     @settings(max_examples=60, deadline=None)
@@ -128,17 +134,46 @@ class TestRank:
     def test_modular_path_falls_back_on_bad_prime(self):
         # a diagonal of one of the scheduled primes drops rank mod that
         # prime; the cross-check must disagree and fall back to exact
-        from rackoh.linalg import _modular_primes
         p1, p2 = _modular_primes(2, 2)
         m = ExactMatrix.from_rows([[p1, 0], [0, 1]], ZZ)
-        assert _rank_modular_crosscheck(m._int_rows()) == 2
+        assert _rank_modular_crosscheck(m.rows, m.cols, m._int_entries()) == 2
 
     def test_auto_threshold_large_matrix(self):
         rng = random.Random(7)
         rows = [[rng.randrange(-2, 3) for _ in range(80)] for _ in range(150)]
         m = ExactMatrix.from_rows(rows, ZZ)
         assert m.rows * m.cols >= 10_000
-        assert m.rank() == _bareiss_rank(m._int_rows())
+        assert m.rank() == _bareiss_rank(
+            _dense_rows(m.rows, m.cols, m._int_entries()))
+
+    def test_rational_rows_scaled_by_their_own_denominators(self):
+        m = ExactMatrix.from_rows([[Fraction(1, 2), 0, Fraction(1, 3)],
+                                   [0, 0, 0],
+                                   [0, Fraction(-5, 4), 0]], QQ)
+        assert m._int_entries() == ([0, 0, 2], [0, 2, 1], [3, 2, -5])
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=6, deadline=None)
+    def test_rank_mod_p_against_row_by_row_rref(self, seed):
+        # sparse matrices at the modular threshold, about 1 % nonzero, with
+        # rank deficiency forced by duplicated and summed rows; the oracle
+        # is the independent row-at-a-time RREF
+        rng = random.Random(seed)
+        n = rng.randrange(60, 120)
+        m = -(-MODULAR_RANK_THRESHOLD // n) + rng.randrange(0, 30)
+        rows = [[rng.choice((-2, -1, 1, 2)) if rng.random() < 0.01 else 0
+                 for _ in range(n)] for _ in range(m)]
+        for _ in range(m // 10):
+            i, k, l = rng.sample(range(m), 3)
+            rows[i] = rows[k][:]
+            rows[l] = [a + b for a, b in zip(rows[l], rows[k])]
+        matrix = ExactMatrix.from_rows(rows, ZZ)
+        coo = matrix._int_entries()
+        for p in (2, 7, _modular_primes(m, n)[0], 2**61 - 1):
+            rref = _IncrementalRREF(n, p)
+            for row in rows:
+                rref.feed(row)
+            assert _rank_mod_p(m, n, coo, p) == len(rref.pivot_cols)
 
 
 class TestKernelSolve:
@@ -314,11 +349,21 @@ class TestLatticeQuotient:
                 lattice_quotient(zero, image, modulus=q)
 
     def test_large_prime_modulus(self):
-        # the prime-power test divides only up to sqrt(q)
         q = 1_000_000_007
         zero = ExactMatrix.zeros(0, 1, ZZ)
         image = ExactMatrix.from_rows([[2]], ZZ)
         assert lattice_quotient(zero, image, modulus=q) == AbelianGroup(0, ())
+
+    def test_square_of_large_prime_modulus(self):
+        # trial division up to the smallest prime factor would take about
+        # 10^9 steps on this modulus; integer roots take a few
+        q = (10**9 + 7) ** 2
+        zero = ExactMatrix.zeros(0, 1, ZZ)
+        image = ExactMatrix.from_rows([[2]], ZZ)
+        start = time.perf_counter()
+        assert _is_prime_power(q)
+        assert lattice_quotient(zero, image, modulus=q) == AbelianGroup(0, ())
+        assert time.perf_counter() - start < 1.0
 
     def test_order(self):
         assert AbelianGroup(0, (2, 4)).order == 8
@@ -368,6 +413,41 @@ class TestLatticeQuotient:
             orders = sorted([q] * free + [gcd(x, q) for x in e + f])
             assert lattice_quotient(kernel_of, image, q) == AbelianGroup(
                 0, tuple(x for x in orders if x != 1))
+
+
+def _is_prime_power_by_trial_division(q):
+    if q < 2:
+        return False
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+class TestPrimePower:
+    @given(st.integers(-5, 10**5 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_trial_division(self, q):
+        assert _is_prime_power(q) == _is_prime_power_by_trial_division(q)
+
+    def test_high_powers(self):
+        assert _is_prime_power(2**127) and _is_prime_power(3**80)
+        assert _is_prime_power(2**127 - 1)
+        assert not _is_prime_power(2**127 * 3) and not _is_prime_power(6**40)
+
+    @pytest.mark.parametrize("coeff, message", [
+        ("Z6", "modulus 6 is not a prime power"),
+        ("Z1", "modulus must be at least 2"),
+        ("Z12", "modulus 12 is not a prime power"),
+    ])
+    def test_coefficient_messages(self, coeff, message):
+        with pytest.raises(InputError) as info:
+            _parse_coefficient(coeff)
+        assert str(info.value) == message
+
+    def test_coefficient_prime_powers(self):
+        assert _parse_coefficient("Z8") == ("Zq", 8)
+        assert _parse_coefficient(f"Z{(10**9 + 7) ** 2}") == ("Zq", (10**9 + 7) ** 2)
 
 
 class TestRings:
