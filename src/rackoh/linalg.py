@@ -16,6 +16,7 @@ below 2^31, on Python ints above.
 
 from __future__ import annotations
 
+import mmap
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -507,9 +508,16 @@ def _rank_mod_p(m, n, coo, p):
     updates only the rows with a nonzero in the pivot column, and in
     them only the pivot row's nonzero columns.  Residue products fit
     int64 for p < 2^31; larger primes run the same loop on Python ints.
+    The int64 array gets an anonymous mapping of its own, unmapped when
+    the array dies: a large array from the malloc heap stays resident
+    after it is freed, and whether the next one reuses it depends on the
+    heap's layout, so peak memory would differ from run to run.
     """
     ii, jj, vals = coo
-    a = np.zeros((m, n), dtype=np.int64 if p < 2**31 else object)
+    if p < 2**31:
+        a = np.frombuffer(mmap.mmap(-1, 8 * m * n), dtype=np.int64).reshape(m, n)
+    else:
+        a = np.zeros((m, n), dtype=object)
     a[ii, jj] = [v % p for v in vals]
     r = 0
     for c in range(n):
