@@ -23,6 +23,11 @@ from .racks import RackTable
 
 DEFAULT_ACTION_GROUP_CAP = 1_000_000
 
+# What _guard charges per entry a matrix may store: the tracemalloc peak of
+# building one (the entry dict and the stored rows) per charged entry stays
+# below this for every builder here; tests/test_cochains.py measures it.
+BYTES_PER_ENTRY = 640
+
 
 def memory_budget_bytes() -> int:
     mb = os.environ.get("RACKOH_BUDGET_MB", "512")
@@ -32,14 +37,16 @@ def memory_budget_bytes() -> int:
         raise InputError(f"RACKOH_BUDGET_MB must be an integer, got {mb!r}")
 
 
-def _guard(rows, cols):
-    need = rows * cols * 8
+def _guard(rows, cols, per_row):
+    """Refuse a rows x cols matrix whose stored entries, at most `per_row`
+    in each row, would take more than the memory budget."""
+    need = rows * min(per_row, cols) * BYTES_PER_ENTRY
     budget = memory_budget_bytes()
     if need > budget:
         raise ResourceError(
-            f"a {rows}x{cols} matrix exceeds the memory budget "
-            f"({need >> 20} MiB > {budget >> 20} MiB); lower the degree or "
-            f"raise RACKOH_BUDGET_MB")
+            f"a {rows}x{cols} matrix with up to {per_row} entries per row "
+            f"exceeds the memory budget ({need >> 20} MiB > {budget >> 20} MiB); "
+            f"lower the degree or raise RACKOH_BUDGET_MB")
 
 
 @dataclass(frozen=True)
@@ -92,20 +99,23 @@ def _permuted_index(perm, n) -> list:
     return out
 
 
-def _add_block(entries, row, col, k, mat, weight):
-    """Add weight * mat transposed at (row, col); mat=None is the identity."""
-    if mat is None:
+def _block(mat):
+    """The nonzeros of mat, row by row, in the form _add_block takes."""
+    return [mat.nonzeros(j) for j in range(mat.rows)]
+
+
+def _add_block(entries, row, col, k, block, weight):
+    """Add weight * mat transposed at (row, col), for block = _block(mat);
+    block=None is the identity."""
+    if block is None:
         for j in range(k):
             key = (row + j, col + j)
             entries[key] = entries.get(key, 0) + weight
         return
-    for j in range(k):
-        mrow = mat.data[j]
-        for l in range(k):
-            a = mrow[l]
-            if a:
-                key = (row + l, col + j)
-                entries[key] = entries.get(key, 0) + weight * a
+    for j, mrow in enumerate(block):
+        for l, a in mrow:
+            key = (row + l, col + j)
+            entries[key] = entries.get(key, 0) + weight * a
 
 
 def _coboundary(rack, module, n, deleted, twisted) -> ExactMatrix:
@@ -122,7 +132,11 @@ def _coboundary(rack, module, n, deleted, twisted) -> ExactMatrix:
     size, k = rack.size, module.dim
     rows = size ** (n + 1) * k
     cols = size ** n * k
-    _guard(rows, cols)
+    _guard(rows, cols, 2 * (n + 1) * k)
+    if deleted is not None:
+        deleted = [_block(m) for m in deleted]
+    if twisted is not None:
+        twisted = [_block(m) for m in twisted]
     op = rack.op
     entries: dict = {}
     for row, ys in enumerate(product(range(size), repeat=n + 1)):
@@ -168,13 +182,13 @@ def chain_isomorphism(rack: RackTable, module: CoeffModule, n: int) -> ExactMatr
     two differentials: chain_isomorphism . d == d' . chain_isomorphism."""
     size, k = rack.size, module.dim
     dim = size ** n * k
-    _guard(dim, dim)
+    _guard(dim, dim, k)
     entries: dict = {}
     for idx, xs in enumerate(product(range(size), repeat=n)):
         prod_mat = ExactMatrix.identity(k, module.ring)
         for x in xs:
             prod_mat = prod_mat @ module.action(x)
-        _add_block(entries, idx * k, idx * k, k, prod_mat.inverse(), 1)
+        _add_block(entries, idx * k, idx * k, k, _block(prod_mat.inverse()), 1)
     return ExactMatrix.from_entries(dim, dim, module.ring, entries)
 
 
@@ -185,8 +199,9 @@ def chain_isomorphism(rack: RackTable, module: CoeffModule, n: int) -> ExactMatr
 def _action_entries(module, n, perm_images, mat, entries):
     """Add the entries of the cochain action of one (permutation, matrix) pair."""
     k = module.dim
+    block = _block(mat)
     for idx, tgt in enumerate(_permuted_index(perm_images, n)):
-        _add_block(entries, idx * k, tgt * k, k, mat, 1)
+        _add_block(entries, idx * k, tgt * k, k, block, 1)
     return entries
 
 
@@ -197,7 +212,7 @@ def group_action_on_cochains(rack: RackTable, module: CoeffModule,
         raise InputError(f"rack element {y} out of range")
     size, k = rack.size, module.dim
     dim = size ** n * k
-    _guard(dim, dim)
+    _guard(dim, dim, k)
     entries = _action_entries(module, n, rack.translation(y), module.action(y), {})
     return ExactMatrix.from_entries(dim, dim, module.ring, entries)
 
@@ -205,19 +220,22 @@ def group_action_on_cochains(rack: RackTable, module: CoeffModule,
 def apply_group_action(rack, module, n, perm_images, mat, vec):
     """f -> f.g for a closure pair g = (permutation, matrix), vector form."""
     k = module.dim
-    out = [module.ring.coerce(0)] * len(vec)
+    coerce = module.ring.coerce
+    terms = [[] for _ in range(k)]  # terms[l]: the (j, mat[j, l]) with mat[j, l] != 0
+    for j in range(k):
+        for l, a in mat.nonzeros(j):
+            terms[l].append((j, a))
+    out = [coerce(0)] * len(vec)
     for idx, tgt in enumerate(_permuted_index(perm_images, n)):
         tgt *= k
         base = idx * k
-        for l in range(k):
+        for l, column in enumerate(terms):
             s = 0
-            for j in range(k):
-                a = mat.data[j][l]
-                if a:
-                    v = vec[tgt + j]
-                    if v:
-                        s += a * v
-            out[base + l] = module.ring.coerce(s)
+            for j, a in column:
+                v = vec[tgt + j]
+                if v:
+                    s += a * v
+            out[base + l] = coerce(s)
     return out
 
 
@@ -259,10 +277,7 @@ def finite_action_group(rack: RackTable, module: CoeffModule,
     gens = [(rack.translation(x), module.action(x)) for x in range(size)]
     ident = (tuple(range(size)), ExactMatrix.identity(module.dim, module.ring))
 
-    def key(pair):
-        return (pair[0], tuple(tuple(row) for row in pair[1].data))
-
-    seen = {key(ident)}
+    seen = {ident}
     elements = [ident]
     frontier = [ident]
     while frontier:
@@ -272,9 +287,8 @@ def finite_action_group(rack: RackTable, module: CoeffModule,
                 perm = tuple(cur_perm[g_perm[i]] for i in range(size))
                 mat = cur_mat @ g_mat
                 pair = (perm, mat)
-                pk = key(pair)
-                if pk not in seen:
-                    seen.add(pk)
+                if pair not in seen:
+                    seen.add(pair)
                     elements.append(pair)
                     nxt.append(pair)
                     if len(elements) > cap:
@@ -305,7 +319,7 @@ def averaging_projector(rack: RackTable, module: CoeffModule, n: int,
             f"|G| = {order} is not invertible in characteristic {ring.p}")
     size, k = rack.size, module.dim
     dim = size ** n * k
-    _guard(dim, dim)
+    _guard(dim, dim, order * k)
     entries: dict = {}
     for perm, mat in group.elements:
         _action_entries(module, n, perm, mat, entries)
@@ -370,23 +384,22 @@ def invariant_basis(rack: RackTable, module: CoeffModule, n: int,
         proj = averaging_projector(rack, module, n, group)
         p = ring.p if isinstance(ring, PrimeField) else None
         rref = _IncrementalRREF(dim, p)
-        for row in proj.data:
-            rref.feed(row)
+        for i in range(dim):
+            rref.feed(proj.nonzeros(i))
         return ExactMatrix.from_columns(
             [proj.column(c) for c in rref.pivot_cols], dim, ring)
 
     # simultaneous fixed space of the generator actions
     if not ring.is_field:
         raise PreconditionError("fixed-space computation needs a field ring")
-    stacked_rows = []
     ident = ExactMatrix.identity(dim, ring)
+    entries = {}
     for y in range(size):
-        act = group_action_on_cochains(rack, module, n, y)
-        diff_rows = (act - ident).data
-        stacked_rows.extend(diff_rows)
-    stacked = ExactMatrix.from_rows(stacked_rows, ring) if stacked_rows else \
-        ExactMatrix(0, dim, ring)
-    return stacked.kernel_matrix()
+        diff = group_action_on_cochains(rack, module, n, y) - ident
+        for i in range(dim):
+            for j, x in diff.nonzeros(i):
+                entries[(y * dim + i, j)] = x
+    return ExactMatrix.from_entries(size * dim, dim, ring, entries).kernel_matrix()
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,7 @@ class RackComplex:
         for x in range(self.rack.size):
             a = self.module.action(x)
             for l in range(k):
-                rows.append([a.data[j][l] - (1 if j == l else 0) for j in range(k)])
+                rows.append([a[j, l] - (1 if j == l else 0) for j in range(k)])
         if not rows:
             return k
         work = ExactMatrix.from_rows(rows, ring if ring.is_field else QQ)
@@ -414,16 +414,14 @@ def _h1_matrices(presentation: RackPresentation, module: CoeffModule):
         ax = module.action(x)
         ay = module.action(y)
         base = ridx * k
+        for j in range(k):
+            for l, a in ay.nonzeros(j):
+                key = (base + l, x * k + j)
+                constraints[key] = constraints.get(key, 0) + a
+            for l, a in ax.nonzeros(j):
+                key = (base + l, xy * k + j)
+                constraints[key] = constraints.get(key, 0) - a
         for l in range(k):
-            for j in range(k):
-                a = ay.data[j][l]
-                if a:
-                    key = (base + l, x * k + j)
-                    constraints[key] = constraints.get(key, 0) + a
-                a = ax.data[j][l]
-                if a:
-                    key = (base + l, xy * k + j)
-                    constraints[key] = constraints.get(key, 0) - a
             key = (base + l, y * k + l)
             constraints[key] = constraints.get(key, 0) + 1
             key = (base + l, x * k + l)
@@ -435,7 +433,7 @@ def _h1_matrices(presentation: RackPresentation, module: CoeffModule):
         ax = module.action(x)
         for l in range(k):
             for j in range(k):
-                v = ax.data[j][l] - (1 if j == l else 0)
+                v = ax[j, l] - (1 if j == l else 0)
                 if v:
                     cob[(x * k + l, j)] = v
     bmat = ExactMatrix.from_entries(n * k, k, ring, cob)
@@ -574,19 +572,22 @@ def nonabelian_h2(rack: RackTable, group_table,
             f"{a_size}^{n * n} functions exceed the enumeration budget "
             f"{budget}; use a smaller rack or coefficient group")
 
+    # f(x|>y, x|>z) f(x, z) = f(x, y|>z) f(y, z), as four flat indices
+    op = rack.op
+    conditions = [(op(x, y) * n + op(x, z), x * n + z, x * n + op(y, z), y * n + z)
+                  for x in range(n) for y in range(n) for z in range(n)]
+
     def cocycle_ok(f):
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    lhs = group_table[f[rack.op(x, y) * n + rack.op(x, z)]][f[x * n + z]]
-                    rhs = group_table[f[x * n + rack.op(y, z)]][f[y * n + z]]
-                    if lhs != rhs:
-                        return False
+        for a, b, c, d in conditions:
+            if group_table[f[a]][f[b]] != group_table[f[c]][f[d]]:
+                return False
         return True
 
     cocycles = [f for f in product(range(a_size), repeat=n * n) if cocycle_ok(f)]
     cocycle_set = set(cocycles)
     gammas = list(product(range(a_size), repeat=n))
+    # gauge action f'(x, y) = gamma(x|>y) f(x, y) gamma(y)^-1, per pair (x, y)
+    gauge = [(op(x, y), x * n + y, y) for x in range(n) for y in range(n)]
     seen = set()
     reps = []
     for f in cocycles:  # lexicographic order: first unseen is the class minimum
@@ -598,10 +599,8 @@ def nonabelian_h2(rack: RackTable, group_table,
         while stack:
             cur = stack.pop()
             for gamma in gammas:
-                nxt = tuple(
-                    group_table[group_table[gamma[rack.op(x, y)]][cur[x * n + y]]]
-                    [inv[gamma[y]]]
-                    for x in range(n) for y in range(n))
+                nxt = tuple(group_table[group_table[gamma[xy]][cur[i]]][inv[gamma[y]]]
+                            for xy, i, y in gauge)
                 if nxt not in seen:
                     if nxt not in cocycle_set:
                         raise ArithmeticError("gauge action left the cocycle set")
@@ -639,7 +638,7 @@ def semidirect_cocycle_check(cx: RackComplex, omega):
 
     def hat(x):
         ainv = module.action_inverse(x)
-        val = tuple(sum(omega[x][i] * ainv.data[i][j] for i in range(k)) % p
+        val = tuple(sum(omega[x][i] * ainv[i, j] for i in range(k)) % p
                     for j in range(k))
         return x * count + vec_index[val]
 

@@ -2,9 +2,10 @@
 
 Rank, kernel, solve, and Smith normal form back every cohomology
 computation.  All arithmetic is arbitrary precision; no floats anywhere.
-Matrices are stored as dense rows.  Rank and the Smith form read only the
-nonzero entries: rank takes them as integer COO triplets (each Q row
-scaled by the lcm of its own denominators), and the Smith form removes
+Matrices store only their nonzero entries, row by row, as integers over
+one denominator per row (the lcm of the row's denominators; 1 over Z and
+F_p).  Products with a vector or a matrix cost O(nnz) integer operations.
+Rank takes the stored integers as COO triplets, and the Smith form removes
 unit pivots on a sparse copy and runs its dense loop only on the core that
 remains.  Large integer matrices get their rank from elimination modulo
 two independent ~30-bit primes, cross-checked against each other, with an
@@ -18,10 +19,11 @@ from __future__ import annotations
 
 import mmap
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from math import gcd, lcm, prod
+from operator import mul
 
 import numpy as np
 
@@ -157,27 +159,38 @@ def GF(p: int) -> PrimeField:
 
 
 class ExactMatrix:
-    """Dense matrix with exact, ring-normalised entries.
+    """Sparse matrix with exact, ring-normalised entries.
 
-    Instances are treated as immutable once built; construction helpers
-    may assemble `data` in place but must not mutate a published matrix.
+    Each row stores only its nonzero entries, as a triple (cols, nums,
+    den): ascending column indices, integer numerators and one positive
+    denominator, so entry (i, cols[t]) is nums[t] / den.  Z and F_p rows
+    have den = 1 (F_p numerators are residues in [1, p)); a Q row's den is
+    the lcm of its entries' denominators, which makes the triple canonical
+    and is the row scaling that rank works with.  Read entries through
+    `m[i, j]` and `m.nonzeros(i)`.  Instances are immutable.
     """
 
-    __slots__ = ("rows", "cols", "ring", "data")
+    __slots__ = ("rows", "cols", "ring", "_rows")
 
     def __init__(self, rows: int, cols: int, ring: Ring, data=None):
+        """A rows x cols matrix from dense rows `data`; zero when omitted."""
         if rows < 0 or cols < 0:
             raise InputError("matrix dimensions must be non-negative")
         self.rows = rows
         self.cols = cols
         self.ring = ring
         if data is None:
-            zero = ring.coerce(0)
-            self.data = [[zero] * cols for _ in range(rows)]
+            self._rows = [_EMPTY_ROW] * rows
         else:
             if len(data) != rows or any(len(r) != cols for r in data):
                 raise InputError("matrix data does not match declared shape")
-            self.data = [[ring.coerce(x) for x in row] for row in data]
+            self._rows = [_row(ring, enumerate(r)) for r in data]
+
+    @classmethod
+    def _of(cls, rows, cols, ring, stored):
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.ring, m._rows = rows, cols, ring, stored
+        return m
 
     # -- construction ------------------------------------------------------
 
@@ -187,11 +200,7 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n, ring):
-        m = cls(n, n, ring)
-        one = ring.coerce(1)
-        for i in range(n):
-            m.data[i][i] = one
-        return m
+        return cls._of(n, n, ring, [_row(ring, [(i, 1)]) for i in range(n)])
 
     @classmethod
     def from_rows(cls, rows, ring):
@@ -201,90 +210,133 @@ class ExactMatrix:
 
     @classmethod
     def from_entries(cls, rows, cols, ring, entries):
-        """Build from a {(i, j): value} mapping; unmentioned entries are zero."""
-        m = cls(rows, cols, ring)
+        """Build from a {(i, j): value} mapping; unmentioned entries are zero.
+
+        Values are coerced into the ring, and those that become 0 (sums
+        that cancelled, multiples of p over F_p) are not stored.
+        """
+        by_row = [[] for _ in range(rows)]
         for (i, j), v in entries.items():
-            m.data[i][j] = ring.coerce(v)
-        return m
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise InputError(f"entry ({i}, {j}) lies outside a "
+                                 f"{rows}x{cols} matrix")
+            by_row[i].append((j, v))
+        return cls._of(rows, cols, ring, [_row(ring, items) for items in by_row])
 
     @classmethod
     def from_columns(cls, columns, rows, ring):
-        m = cls(rows, len(columns), ring)
-        for j, col in enumerate(columns):
-            for i, x in enumerate(col):
-                m.data[i][j] = ring.coerce(x)
-        return m
+        return cls.from_entries(rows, len(columns), ring,
+                                {(i, j): x for j, col in enumerate(columns)
+                                 for i, x in enumerate(col)})
+
+    # -- entry access --------------------------------------------------------
+
+    def __getitem__(self, ij):
+        i, j = ij
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry ({i}, {j}) lies outside a "
+                             f"{self.rows}x{self.cols} matrix")
+        cols, nums, den = self._rows[i]
+        t = bisect_left(cols, j)
+        if t == len(cols) or cols[t] != j:
+            return self.ring.coerce(0)
+        return Fraction(nums[t], den) if self.ring == QQ else nums[t]
+
+    def nonzeros(self, i):
+        """The (column, value) pairs of row i's nonzero entries, by column."""
+        cols, nums, den = self._rows[i]
+        if self.ring == QQ:
+            return [(j, Fraction(a, den)) for j, a in zip(cols, nums)]
+        return list(zip(cols, nums))
+
+    @property
+    def data(self):
+        """Fresh dense rows, zeros included (for code outside the package)."""
+        zero = self.ring.coerce(0)
+        out = []
+        for i in range(self.rows):
+            row = [zero] * self.cols
+            for j, x in self.nonzeros(i):
+                row[j] = x
+            out.append(row)
+        return out
 
     # -- basic queries -----------------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, ExactMatrix)
                 and self.rows == other.rows and self.cols == other.cols
-                and self.ring == other.ring and self.data == other.data)
+                and self.ring == other.ring and self._rows == other._rows)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.ring,
-                     tuple(tuple(r) for r in self.data)))
+        return hash((self.rows, self.cols, self.ring, tuple(self._rows)))
 
     def is_zero(self):
-        return all(all(x == 0 for x in row) for row in self.data)
+        return not any(cols for cols, _, _ in self._rows)
 
     def column(self, j):
-        return [row[j] for row in self.data]
+        return [self[i, j] for i in range(self.rows)]
 
     def hstack(self, other):
         if other.rows != self.rows or other.ring != self.ring:
             raise InputError("hstack needs matching row count and ring")
-        return ExactMatrix(self.rows, self.cols + other.cols, self.ring,
-                           [a + b for a, b in zip(self.data, other.data)])
+        shift = self.cols
+        return ExactMatrix._of(
+            self.rows, self.cols + other.cols, self.ring,
+            [_combine(self.ring, [(1, a, 0), (1, b, shift)])
+             for a, b in zip(self._rows, other._rows)])
 
     def to_ring(self, ring: Ring) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, ring, self.data)
+        return ExactMatrix._of(self.rows, self.cols, ring,
+                               [_row(ring, self.nonzeros(i))
+                                for i in range(self.rows)])
 
     # -- arithmetic --------------------------------------------------------
 
     def __sub__(self, other):
         self._check_same_shape(other)
-        return ExactMatrix(self.rows, self.cols, self.ring,
-                           [[a - b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.data, other.data)])
+        return ExactMatrix._of(self.rows, self.cols, self.ring,
+                               [_combine(self.ring, [(1, a, 0), (-1, b, 0)])
+                                for a, b in zip(self._rows, other._rows)])
 
     def _check_same_shape(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols) or self.ring != other.ring:
             raise InputError("shape or ring mismatch")
 
     def __matmul__(self, other):
+        """Matrix product (row i of A @ B is sum_j a_ij * row j of B), or
+        matvec for a vector."""
         if isinstance(other, ExactMatrix):
             if self.cols != other.rows or self.ring != other.ring:
                 raise InputError("matmul shape or ring mismatch")
-            bt = list(zip(*other.data)) if other.rows else [()] * other.cols
-            zero = self.ring.coerce(0)
-            out = []
-            for arow in self.data:
-                nz = [(j, a) for j, a in enumerate(arow) if a != 0]
-                orow = []
-                for bcol in bt:
-                    s = zero
-                    for j, a in nz:
-                        b = bcol[j]
-                        if b:
-                            s = s + a * b
-                    orow.append(s)
-                out.append(orow)
-            return ExactMatrix(self.rows, other.cols, self.ring, out)
+            brows = other._rows
+            return ExactMatrix._of(
+                self.rows, other.cols, self.ring,
+                [_combine(self.ring, [(a, brows[j], 0) for j, a in zip(cols, nums)],
+                          den)
+                 for cols, nums, den in self._rows])
         return self.matvec(other)
 
     def matvec(self, vec):
+        """self @ vec as a list, in O(nnz) integer operations.
+
+        Over Q the vector is scaled by the lcm L of its denominators, so
+        each output entry is one integer dot product over (den * L).
+        """
         if len(vec) != self.cols:
             raise InputError("vector length mismatch")
-        zero = self.ring.coerce(0)
+        scale = self.ring == QQ
+        if scale:
+            big = lcm(*[x.denominator for x in vec])
+            vec = [x.numerator * (big // x.denominator) for x in vec]
+        else:
+            big = 1
+        coerce = self.ring.coerce
+        get = vec.__getitem__
         out = []
-        for row in self.data:
-            s = zero
-            for a, x in zip(row, vec):
-                if a and x:
-                    s = s + a * x
-            out.append(self.ring.coerce(s))
+        for cols, nums, den in self._rows:
+            s = sum(map(mul, nums, map(get, cols)))
+            out.append(Fraction(s, den * big) if scale else coerce(s))
         return out
 
     # -- integer normalisation ----------------------------------------------
@@ -292,23 +344,14 @@ class ExactMatrix:
     def _int_entries(self):
         """Nonzero entries as COO triplets (row indices, column indices, ints).
 
-        A Q row is scaled by the lcm of its nonzero entries' denominators
-        (row scaling preserves rank); Z and F_p entries are ints already.
+        These are the stored numerators: a Q row comes scaled by the lcm of
+        its denominators (row scaling preserves rank).
         """
         ii, jj, vals = [], [], []
-        columns = range(self.cols)
-        scale = self.ring == QQ
-        for i, row in enumerate(self.data):
-            nz = list(compress(columns, row))
-            if not nz:
-                continue
-            xs = [row[j] for j in nz]
-            if scale:
-                den = lcm(*[x.denominator for x in xs])
-                xs = [x.numerator * (den // x.denominator) for x in xs]
-            ii += [i] * len(nz)
-            jj += nz
-            vals += xs
+        for i, (cols, nums, _) in enumerate(self._rows):
+            ii += [i] * len(cols)
+            jj += cols
+            vals += nums
         return ii, jj, vals
 
     # -- rank ----------------------------------------------------------------
@@ -337,8 +380,8 @@ class ExactMatrix:
             raise PreconditionError("kernel_basis needs a field ring (Q or Fp)")
         p = self.ring.p if isinstance(self.ring, PrimeField) else None
         rref = _IncrementalRREF(self.cols, p)
-        for row in self.data:
-            rref.feed(row)
+        for i in range(self.rows):
+            rref.feed(self.nonzeros(i))
         return rref.kernel_basis(self.ring)
 
     def kernel_matrix(self):
@@ -357,16 +400,17 @@ class ExactMatrix:
         if rhs.rows != self.rows:
             raise InputError("rhs row count mismatch")
         p = self.ring.p if isinstance(self.ring, PrimeField) else None
-        rref = _IncrementalRREF(self.cols + rhs.cols, p)
-        for row, rrow in zip(self.data, rhs.data):
-            rref.feed(row + rrow)
-        if any(c >= self.cols for c in rref.pivot_cols):
+        width = self.cols
+        rref = _IncrementalRREF(width + rhs.cols, p)
+        for i in range(self.rows):
+            rref.feed(self.nonzeros(i)
+                      + [(width + k, x) for k, x in rhs.nonzeros(i)])
+        if any(c >= width for c in rref.pivot_cols):
             return None
-        sol = ExactMatrix(self.cols, rhs.cols, self.ring)
-        for row, c in zip(rref.pivot_rows, rref.pivot_cols):
-            for k in range(rhs.cols):
-                sol.data[c][k] = self.ring.coerce(row[self.cols + k])
-        return sol
+        return ExactMatrix.from_entries(
+            width, rhs.cols, self.ring,
+            {(c, k): row[width + k] for row, c in zip(rref.pivot_rows, rref.pivot_cols)
+             for k in range(rhs.cols)})
 
     def inverse(self):
         """Inverse matrix; InputError when singular (Z needs a unimodular input)."""
@@ -374,7 +418,7 @@ class ExactMatrix:
             raise InputError("only square matrices can be inverted")
         if self.ring == ZZ:
             inv_q = self.to_ring(QQ).inverse()
-            if any(x.denominator != 1 for row in inv_q.data for x in row):
+            if any(den != 1 for _, _, den in inv_q._rows):
                 raise InputError("matrix is not invertible over Z")
             return inv_q.to_ring(ZZ)
         sol = self.solve_columns(ExactMatrix.identity(self.rows, self.ring))
@@ -391,6 +435,54 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols} over {self.ring})"
+
+
+# ---------------------------------------------------------------------------
+# sparse rows
+
+
+_EMPTY_ROW = ((), (), 1)
+
+
+def _row(ring, items):
+    """Stored form of one row from (column, value) pairs, columns distinct.
+
+    Values are coerced into the ring; those that become 0 are dropped.
+    """
+    coerce = ring.coerce
+    pairs = sorted((j, x) for j, v in items if (x := coerce(v)))
+    if not pairs:
+        return _EMPTY_ROW
+    cols, vals = zip(*pairs)
+    if ring != QQ:
+        return cols, vals, 1
+    den = lcm(*[x.denominator for x in vals])
+    return cols, tuple(x.numerator * (den // x.denominator) for x in vals), den
+
+
+def _combine(ring, terms, den=1):
+    """Stored form of (1 / den) * sum(c * row, shifted right by `shift`)
+    over the (c, row, shift) terms, for integers c and stored rows."""
+    scale = lcm(*[row[2] for _, row, _ in terms])
+    acc = {}
+    for c, (cols, nums, d), shift in terms:
+        f = c * (scale // d)
+        for j, a in zip(cols, nums):
+            j += shift
+            acc[j] = acc.get(j, 0) + f * a
+    p = ring.characteristic
+    if p:
+        acc = {j: a % p for j, a in acc.items()}
+    pairs = sorted((j, a) for j, a in acc.items() if a)
+    if not pairs:
+        return _EMPTY_ROW
+    cols, nums = zip(*pairs)
+    den *= scale
+    g = gcd(den, *nums)
+    if g != 1:
+        den //= g
+        nums = tuple(a // g for a in nums)
+    return cols, nums, den
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +509,18 @@ class _IncrementalRREF:
             return [a - factor * b for a, b in zip(row, other)]
         return [(a - factor * b) % self.p for a, b in zip(row, other)]
 
-    def feed(self, src):
+    def feed(self, items):
+        """Add the row given by its (column, value) pairs; True if it was
+        independent of the rows fed so far."""
         p = self.p
-        row = [Fraction(x) for x in src] if p is None else [int(x) % p for x in src]
+        if p is None:
+            row = [Fraction(0)] * self.width
+            for j, x in items:
+                row[j] = Fraction(x)
+        else:
+            row = [0] * self.width
+            for j, x in items:
+                row[j] = int(x) % p
         for r, c in zip(self.pivot_rows, self.pivot_cols):
             f = row[c]
             if f:
@@ -597,11 +698,8 @@ def _smith(matrix: ExactMatrix, bit_cap: int) -> SmithForm:
     (col nnz - 1) first) to limit fill-in; see the elimination phase of
     Dumas, Saunders and Villard, JSC 2001.
     """
-    rows = {}
-    for i, row in enumerate(matrix.data):
-        entries = {j: int(x) for j, x in enumerate(row) if x}
-        if entries:
-            rows[i] = entries
+    rows = {i: dict(zip(cols, nums))
+            for i, (cols, nums, _) in enumerate(matrix._rows) if cols}
     cols: dict = {}
     for i, entries in rows.items():
         for j in entries:

@@ -87,11 +87,9 @@ def jordan_module(rack: RackTable, t, k: int, ring: Ring = QQ) -> CoeffModule:
         raise InputError("jordan eigenvalue must be nonzero")
     if k < 1:
         raise InputError("jordan block size must be >= 1")
-    block = ExactMatrix(k, k, ring)
-    for i in range(k):
-        block.data[i][i] = t
-        if i > 0:
-            block.data[i][i - 1] = ring.coerce(1)
+    entries = {(i, i): t for i in range(k)}
+    entries.update({(i, i - 1): 1 for i in range(1, k)})
+    block = ExactMatrix.from_entries(k, k, ring, entries)
     mod = CoeffModule(ring, k, (block,) * rack.size, TAG_JORDAN, (t, k))
     return check_module(rack, mod)
 
@@ -114,13 +112,10 @@ def function_module(rack: RackTable, ring: Ring, base_dim: int = 1) -> CoeffModu
     dim = n * base_dim
     mats = []
     for y in range(n):
-        m = ExactMatrix(dim, dim, ring)
-        one = ring.coerce(1)
-        for x in range(n):
-            z = rack.op(y, x)  # row index z = phi_y(x), column index x
-            for b in range(base_dim):
-                m.data[z * base_dim + b][x * base_dim + b] = one
-        mats.append(m)
+        # row index z = phi_y(x), column index x
+        mats.append(ExactMatrix.from_entries(dim, dim, ring, {
+            (rack.op(y, x) * base_dim + b, x * base_dim + b): 1
+            for x in range(n) for b in range(base_dim)}))
     return CoeffModule(ring, dim, tuple(mats), TAG_FUNCTIONS, (base_dim,))
 
 
@@ -137,12 +132,10 @@ def tensor_with_trivial(module: CoeffModule, trivial_dim: int) -> CoeffModule:
     dim = trivial_dim * k
     mats = []
     for m in module.matrices:
-        big = ExactMatrix(dim, dim, module.ring)
-        for a in range(trivial_dim):
-            for i in range(k):
-                for j in range(k):
-                    big.data[a * k + i][a * k + j] = m.data[i][j]
-        mats.append(big)
+        mats.append(ExactMatrix.from_entries(dim, dim, module.ring, {
+            (a * k + i, a * k + j): x
+            for a in range(trivial_dim) for i in range(k)
+            for j, x in m.nonzeros(i)}))
     return CoeffModule(module.ring, dim, tuple(mats), TAG_CUSTOM)
 
 

@@ -257,7 +257,7 @@ def make_semidirect(rack: RackTable, module) -> RackTable:
 
     def vec_mat(vec, mat):
         # right action on row vectors, entries mod p
-        return tuple(sum(vec[i] * mat.data[i][j] for i in range(k)) % p
+        return tuple(sum(vec[i] * mat[i, j] for i in range(k)) % p
                      for j in range(k))
 
     n_elems = []

@@ -1,8 +1,11 @@
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from rackoh import cochains
 from rackoh.cochains import (apply_rack_element, averaging_projector,
                              chain_isomorphism, cochain_product, cochain_space,
                              differential, differential_prime,
@@ -66,6 +69,41 @@ class TestCochainSpace:
         d6 = dihedral_rack(6)
         with pytest.raises(ResourceError):
             differential(d6, trivial_module(d6, ZZ), 3)
+
+    def test_guard_charge_covers_measured_bytes(self, monkeypatch):
+        # the tracemalloc peak of building each kind of guarded matrix (the
+        # builder's entry dict plus the stored rows), per entry the guard
+        # charges, must stay within BYTES_PER_ENTRY; and the constant
+        # must be near the worst case, not padded far above it
+        charged = []
+        guard = cochains._guard
+        monkeypatch.setattr(cochains, "_guard", lambda rows, cols, per_row: (
+            charged.append(rows * min(per_row, cols)), guard(rows, cols, per_row)))
+        d5, d6 = dihedral_rack(5), dihedral_rack(6)
+        jordan = jordan_module(d5, Fraction(1, 2), 2)
+        fun = function_module(d5, QQ)
+        group = finite_action_group(d5, fun)
+        builds = [lambda ring=ring: differential(d6, trivial_module(d6, ring), 3)
+                  for ring in (ZZ, QQ, GF(7))]
+        builds += [lambda: differential(d5, jordan, 2),
+                   lambda: differential_prime(d5, jordan, 2),
+                   lambda: chain_isomorphism(d5, jordan, 3),
+                   lambda: chain_isomorphism(d6, trivial_module(d6, QQ), 3),
+                   lambda: group_action_on_cochains(d6, trivial_module(d6, QQ), 3, 1),
+                   lambda: group_action_on_cochains(d5, fun, 2, 1),
+                   lambda: averaging_projector(d5, fun, 2, group)]
+        per_entry = []
+        for build in builds:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            per_entry.append(peak / charged[-1])
+        assert max(per_entry) <= cochains.BYTES_PER_ENTRY
+        assert max(per_entry) >= 0.8 * cochains.BYTES_PER_ENTRY
 
     def test_flat_round_trip(self):
         d3 = dihedral_rack(3)

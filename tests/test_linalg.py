@@ -1,13 +1,16 @@
+import ast
 import random
 import time
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rackoh
 from rackoh.cohomology import _parse_coefficient
 from rackoh.errors import InputError, PreconditionError, ResourceError
 from rackoh.linalg import (GF, MODULAR_RANK_THRESHOLD, QQ, ZZ, AbelianGroup,
@@ -172,7 +175,7 @@ class TestRank:
         for p in (2, 7, _modular_primes(m, n)[0], 2**61 - 1):
             rref = _IncrementalRREF(n, p)
             for row in rows:
-                rref.feed(row)
+                rref.feed(enumerate(row))
             assert _rank_mod_p(m, n, coo, p) == len(rref.pivot_cols)
 
 
@@ -471,3 +474,101 @@ class TestRings:
     def test_entries_normalised(self):
         m = ExactMatrix.from_rows([[7, -1]], GF(5))
         assert m.data[0] == [2, 4]
+
+
+# --- sparse storage against dense Fraction arithmetic ----------------------
+
+SPARSE_RINGS = (ZZ, QQ, GF(2), GF(7))
+
+
+def _ring_values(ring):
+    """Entries with many zeros: mixed denominators over Q, multiples of p
+    over F_p, and sums that cancel to 0."""
+    p = ring.characteristic
+    if ring == QQ:
+        nonzero = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    elif p:
+        nonzero = st.integers(-3 * p, 3 * p)
+    else:
+        nonzero = st.integers(-9, 9)
+    cancelled = st.builds(lambda x: x - x, nonzero)
+    return st.one_of(st.just(0), cancelled, nonzero)
+
+
+def _dense(ring, draw, m, n):
+    row = st.lists(_ring_values(ring), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=m, max_size=m))
+
+
+def _ref(ring, x):
+    """x as an element of the ring, by plain Fraction arithmetic."""
+    x = Fraction(x)
+    p = ring.characteristic
+    if not p:
+        return x
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def _ref_rows(ring, rows):
+    return [[_ref(ring, x) for x in row] for row in rows]
+
+
+@st.composite
+def sparse_cases(draw):
+    ring = draw(st.sampled_from(SPARSE_RINGS))
+    m, n, q = (draw(st.integers(0, 5)) for _ in range(3))
+    return ring, m, n, q, {name: _dense(ring, draw, *shape) for name, shape in (
+        ("a", (m, n)), ("b", (n, q)), ("c", (m, q)), ("d", (m, n)),
+        ("vec", (1, n)))}
+
+
+class TestSparseAgainstDense:
+    @given(sparse_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_operations_match_dense_reference(self, case):
+        ring, m, n, q, dense = case
+        a_rows, vec = dense["a"], dense["vec"][0]
+        a = ExactMatrix.from_entries(m, n, ring, {(i, j): x for i, row in enumerate(a_rows)
+                                                  for j, x in enumerate(row)})
+        ref = _ref_rows(ring, a_rows)
+        b, c, d = (ExactMatrix(*shape, ring, dense[name]) for name, shape in
+                   (("b", (n, q)), ("c", (m, q)), ("d", (m, n))))
+        ref_b, ref_c, ref_d = (_ref_rows(ring, dense[name]) for name in "bcd")
+
+        from_rows = ExactMatrix(m, n, ring, a_rows)
+        assert a == from_rows and hash(a) == hash(from_rows)
+        assert a.data == ref and from_rows.data == ref
+        for i in range(m):
+            assert all(x != 0 for _, x in a.nonzeros(i))
+            assert a.nonzeros(i) == [(j, x) for j, x in enumerate(ref[i]) if x]
+            assert [a[i, j] for j in range(n)] == ref[i]
+        assert all(x != 0 for x in a._int_entries()[2])
+        assert [a.column(j) for j in range(n)] == [[row[j] for row in ref]
+                                                   for j in range(n)]
+        assert a.is_zero() == all(x == 0 for row in ref for x in row)
+        assert (a == d) == (ref == ref_d)
+
+        assert a.matvec(vec) == [
+            _ref(ring, sum(x * Fraction(v) for x, v in zip(row, vec))) for row in ref]
+        assert (a @ b).data == [
+            [_ref(ring, sum(row[j] * ref_b[j][k] for j in range(n))) for k in range(q)]
+            for row in ref]
+        assert a.hstack(c).data == [r1 + r2 for r1, r2 in zip(ref, ref_c)]
+        assert (a - d).data == [[_ref(ring, x - y) for x, y in zip(r1, r2)]
+                                for r1, r2 in zip(ref, ref_d)]
+        for target in (QQ, GF(7)) if ring in (ZZ, QQ) else ():
+            assert a.to_ring(target).data == _ref_rows(target, ref)
+
+
+def test_package_reads_no_dense_rows():
+    """Outside linalg, ExactMatrix entries are read only through m[i, j]
+    and m.nonzeros(i), so the storage can change without touching callers."""
+    offenders = []
+    for path in sorted(Path(rackoh.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)
+                      and node.attr in ("data", "_rows")]
+    assert offenders == []
