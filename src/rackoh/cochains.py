@@ -11,30 +11,25 @@ tuples.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .errors import InputError, PreconditionError, ResourceError
-from .linalg import QQ, ZZ, ExactMatrix, PrimeField, _IncrementalRREF
+from .linalg import (QQ, ZZ, ExactMatrix, PrimeField, _IncrementalRREF,
+                     memory_budget_bytes)
 from .modules import CoeffModule, tensor_with_trivial
 from .racks import RackTable
 
 DEFAULT_ACTION_GROUP_CAP = 1_000_000
 
 # What _guard charges per entry a matrix may store: the tracemalloc peak of
-# building one (the entry dict and the stored rows) per charged entry stays
-# below this for every builder here; tests/test_cochains.py measures it.
+# building one per charged entry stays below this for every builder here;
+# tests/test_cochains.py measures it.  The builders that sum an entry dict
+# (chain_isomorphism, the actions, the projector) set it; a differential,
+# built row by row, peaks near 80 bytes per stored entry.
 BYTES_PER_ENTRY = 640
-
-
-def memory_budget_bytes() -> int:
-    mb = os.environ.get("RACKOH_BUDGET_MB", "512")
-    try:
-        return max(1, int(mb)) * 1024 * 1024
-    except ValueError:
-        raise InputError(f"RACKOH_BUDGET_MB must be an integer, got {mb!r}")
 
 
 def _guard(rows, cols, per_row):
@@ -104,18 +99,21 @@ def _block(mat):
     return [mat.nonzeros(j) for j in range(mat.rows)]
 
 
-def _add_block(entries, row, col, k, block, weight):
-    """Add weight * mat transposed at (row, col), for block = _block(mat);
-    block=None is the identity."""
-    if block is None:
-        for j in range(k):
-            key = (row + j, col + j)
-            entries[key] = entries.get(key, 0) + weight
-        return
+def _add_block(entries, row, col, block):
+    """Add mat transposed at (row, col), for block = _block(mat)."""
     for j, mrow in enumerate(block):
         for l, a in mrow:
             key = (row + l, col + j)
-            entries[key] = entries.get(key, 0) + weight * a
+            entries[key] = entries.get(key, 0) + a
+
+
+def _columns(mat, den):
+    """Column l of mat, for each l, as (j, den * mat[j, l]) pairs."""
+    out = [[] for _ in range(mat.cols)]
+    for j in range(mat.rows):
+        for l, x in mat.nonzeros(j):
+            out[l].append((j, x.numerator * (den // x.denominator)))
+    return out
 
 
 def _coboundary(rack, module, n, deleted, twisted) -> ExactMatrix:
@@ -126,6 +124,11 @@ def _coboundary(rack, module, n, deleted, twisted) -> ExactMatrix:
     where w_i = y_1 |> (y_2 |> (.. y_i)), and subtracts the block
     twisted[y_i] at the tuple that twists the later arguments by y_i.
     Either list may be None, meaning identity blocks.
+
+    Every entry is an integer over den, the lcm of the denominators of
+    the blocks, so a row (ys, l) is summed as integers from column l of
+    its 2(n+1) blocks and handed to ExactMatrix.from_int_rows as soon as
+    it is complete; no entry outside the current row is held.
     """
     if n < 0:
         raise InputError("differential degree must be >= 0")
@@ -133,29 +136,37 @@ def _coboundary(rack, module, n, deleted, twisted) -> ExactMatrix:
     rows = size ** (n + 1) * k
     cols = size ** n * k
     _guard(rows, cols, 2 * (n + 1) * k)
-    if deleted is not None:
-        deleted = [_block(m) for m in deleted]
-    if twisted is not None:
-        twisted = [_block(m) for m in twisted]
-    op = rack.op
-    entries: dict = {}
-    for row, ys in enumerate(product(range(size), repeat=n + 1)):
-        base = row * k
-        for i in range(n + 1):
-            sign = 1 if i % 2 == 0 else -1
-            yi = ys[i]
-            block = None
-            if deleted is not None:
+    mats = list(deleted or ()) + list(twisted or ())
+    den = lcm(*[x.denominator for m in mats for j in range(m.rows)
+                for _, x in m.nonzeros(j)])
+    ident = [[(l, den)] for l in range(k)]
+    deleted = ([ident] * size if deleted is None
+               else [_columns(m, den) for m in deleted])
+    twisted = ([ident] * size if twisted is None
+               else [_columns(m, den) for m in twisted])
+    table = rack.table
+
+    def int_rows():
+        for ys in product(range(size), repeat=n + 1):
+            terms = []
+            for i in range(n + 1):
+                sign = 1 if i % 2 == 0 else -1
+                yi = ys[i]
                 w = yi
                 for j in range(i - 1, -1, -1):
-                    w = op(ys[j], w)
-                block = deleted[w]
-            _add_block(entries, base, _index(ys[:i] + ys[i + 1:], size) * k,
-                       k, block, sign)
-            twist = ys[:i] + tuple(op(yi, y) for y in ys[i + 1:])
-            _add_block(entries, base, _index(twist, size) * k, k,
-                       None if twisted is None else twisted[yi], -sign)
-    return ExactMatrix.from_entries(rows, cols, module.ring, entries)
+                    w = table[ys[j]][w]
+                terms.append((_index(ys[:i] + ys[i + 1:], size) * k, sign,
+                              deleted[w]))
+                twist = ys[:i] + tuple(table[yi][y] for y in ys[i + 1:])
+                terms.append((_index(twist, size) * k, -sign, twisted[yi]))
+            for l in range(k):
+                acc = {}
+                for base, weight, block in terms:
+                    for j, a in block[l]:
+                        acc[base + j] = acc.get(base + j, 0) + weight * a
+                yield acc
+
+    return ExactMatrix.from_int_rows(rows, cols, module.ring, int_rows(), den)
 
 
 def differential(rack: RackTable, module: CoeffModule, n: int) -> ExactMatrix:
@@ -188,7 +199,7 @@ def chain_isomorphism(rack: RackTable, module: CoeffModule, n: int) -> ExactMatr
         prod_mat = ExactMatrix.identity(k, module.ring)
         for x in xs:
             prod_mat = prod_mat @ module.action(x)
-        _add_block(entries, idx * k, idx * k, k, _block(prod_mat.inverse()), 1)
+        _add_block(entries, idx * k, idx * k, _block(prod_mat.inverse()))
     return ExactMatrix.from_entries(dim, dim, module.ring, entries)
 
 
@@ -201,7 +212,7 @@ def _action_entries(module, n, perm_images, mat, entries):
     k = module.dim
     block = _block(mat)
     for idx, tgt in enumerate(_permuted_index(perm_images, n)):
-        _add_block(entries, idx * k, tgt * k, k, block, 1)
+        _add_block(entries, idx * k, tgt * k, block)
     return entries
 
 

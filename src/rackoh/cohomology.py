@@ -16,8 +16,8 @@ from itertools import product
 from .cochains import (DEFAULT_ACTION_GROUP_CAP, differential,
                        finite_action_group, invariant_basis)
 from .errors import InputError, PreconditionError, ResourceError
-from .linalg import (QQ, ZZ, AbelianGroup, ExactMatrix, PrimeField,
-                     _is_prime_power, lattice_quotient)
+from .linalg import (QQ, ZZ, AbelianGroup, ExactMatrix, PrimeField, SmithForm,
+                     _is_prime_power, _quotient_invariants, lattice_quotient)
 from .modules import (CoeffModule, constant_module, function_module,
                       jordan_module, trivial_module)
 from .permutations import inner_group
@@ -127,6 +127,7 @@ class RackComplex:
         self.closure_cap = closure_cap
         self._diff: dict = {}
         self._rank: dict = {}
+        self._smith: dict = {}
         self._orbits = None
         self._group_order = None
 
@@ -160,6 +161,14 @@ class RackComplex:
         if n not in self._rank:
             self._rank[n] = self.diff(n).rank()
         return self._rank[n]
+
+    def smith(self, n) -> SmithForm:
+        """Invariant factors of d_n; d_(-1) is the zero map into C^0."""
+        if n < 0:
+            return SmithForm((), 0)
+        if n not in self._smith:
+            self._smith[n] = self.diff(n).smith_normal_form()
+        return self._smith[n]
 
     def betti(self, n) -> int:
         return self.space_dim(n) - self.rank(n) - self.rank(n - 1)
@@ -227,9 +236,12 @@ def _betti_mn_check(cx, betti) -> TheoremCheck:
 
 
 def integral_degree(cx: RackComplex, n: int) -> AbelianGroup:
-    """H^n with integer coefficients: ker d_n / im d_(n-1) as a lattice quotient."""
-    prev = cx.diff(n - 1) if n >= 1 else ExactMatrix.zeros(cx.space_dim(n), 0, ZZ)
-    return lattice_quotient(cx.diff(n), prev)
+    """H^n with integer coefficients: ker d_n / im d_(n-1) as a lattice
+    quotient, from the invariant factors the complex caches, so each d_n
+    is Smith-formed once however many degrees are asked for."""
+    if n >= 1 and not (cx.diff(n) @ cx.diff(n - 1)).is_zero():
+        raise ArithmeticError("image does not lie in the kernel")
+    return _quotient_invariants(cx.space_dim(n), cx.smith(n), cx.smith(n - 1))
 
 
 def cohomology_integral(rack: RackTable, max_degree: int,

@@ -12,12 +12,16 @@ two independent ~30-bit primes, cross-checked against each other, with an
 exact fraction-free fallback on disagreement.  Every F_p rank runs one
 numpy elimination whose pivot steps update only the rows that meet the
 pivot column, and in them only the pivot row's support: on int64 entries
-below 2^31, on Python ints above.
+below 2^31, on Python ints above.  It eliminates the columns from last to
+first, pivoting on the first row that meets each, which on a rack
+differential picks pivots that share few columns with the other rows (see
+_rank_mod_p), so fill-in stays small.
 """
 
 from __future__ import annotations
 
 import mmap
+import os
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -33,6 +37,15 @@ from .errors import InputError, PreconditionError, ResourceError
 MODULAR_RANK_THRESHOLD = 10_000
 
 DEFAULT_SNF_BIT_CAP = 200_000
+
+
+def memory_budget_bytes() -> int:
+    """The memory budget RACKOH_BUDGET_MB (default 512), in bytes."""
+    mb = os.environ.get("RACKOH_BUDGET_MB", "512")
+    try:
+        return max(1, int(mb)) * 1024 * 1024
+    except ValueError:
+        raise InputError(f"RACKOH_BUDGET_MB must be an integer, got {mb!r}")
 
 
 def is_prime(n: int) -> bool:
@@ -222,6 +235,21 @@ class ExactMatrix:
                                  f"{rows}x{cols} matrix")
             by_row[i].append((j, v))
         return cls._of(rows, cols, ring, [_row(ring, items) for items in by_row])
+
+    @classmethod
+    def from_int_rows(cls, rows, cols, ring, int_rows, den=1):
+        """Build from one {column: integer} mapping per row, each entry
+        read over the common denominator `den` (1 unless the ring is Q).
+
+        Entries are reduced mod p over F_p and those that are 0 are not
+        stored; a Q row is brought to lowest terms.  `int_rows` may be a
+        generator, so a builder need not hold all its rows as mappings.
+        """
+        stored = [_int_row(ring, acc, den) for acc in int_rows]
+        if len(stored) != rows or any(c and (c[0] < 0 or c[-1] >= cols)
+                                      for c, _, _ in stored):
+            raise InputError(f"rows do not fit a {rows}x{cols} matrix")
+        return cls._of(rows, cols, ring, stored)
 
     @classmethod
     def from_columns(cls, columns, rows, ring):
@@ -470,6 +498,11 @@ def _combine(ring, terms, den=1):
         for j, a in zip(cols, nums):
             j += shift
             acc[j] = acc.get(j, 0) + f * a
+    return _int_row(ring, acc, den * scale)
+
+
+def _int_row(ring, acc, den):
+    """Stored form of the row {column: integer} / den (den = 1 over F_p)."""
     p = ring.characteristic
     if p:
         acc = {j: a % p for j, a in acc.items()}
@@ -477,7 +510,6 @@ def _combine(ring, terms, den=1):
     if not pairs:
         return _EMPTY_ROW
     cols, nums = zip(*pairs)
-    den *= scale
     g = gcd(den, *nums)
     if g != 1:
         den //= g
@@ -605,9 +637,21 @@ def _dense_rows(m, n, coo):
 def _rank_mod_p(m, n, coo, p):
     """Rank mod p of the m x n integer matrix given by COO triplets.
 
-    One numpy elimination with first-nonzero pivoting: each pivot step
-    updates only the rows with a nonzero in the pivot column, and in
-    them only the pivot row's nonzero columns.  Residue products fit
+    One numpy elimination over the columns from last to first, each
+    pivoting on the first remaining row with a nonzero in it: a pivot
+    step updates only the rows with a nonzero in the pivot column, and
+    in them only the pivot row's nonzero columns.  The order suits the
+    lex-ordered differentials: the rows whose first argument y_1 is
+    element 0 come first, and each column z meets an invertible block
+    in row (0, z), from the term that deletes y_1.  All but one of that
+    row's other blocks sit in columns (0, ...), which come first and so
+    are eliminated last; the pivots therefore share few columns with the
+    rows below them (structural pivots, as in LaMacchia-Odlyzko and
+    Faugere-Lachartre), and the updates stay small: on dihedral:5 d_4
+    they touch 1.1 M cells, against 7.3 M going first to last.
+
+    The m x n array takes 8 * m * n bytes, charged to
+    memory_budget_bytes() before it exists.  Residue products fit
     int64 for p < 2^31; larger primes run the same loop on Python ints.
     The int64 array gets an anonymous mapping of its own, unmapped when
     the array dies: a large array from the malloc heap stays resident
@@ -615,13 +659,20 @@ def _rank_mod_p(m, n, coo, p):
     heap's layout, so peak memory would differ from run to run.
     """
     ii, jj, vals = coo
+    need = 8 * m * n
+    budget = memory_budget_bytes()
+    if need > budget:
+        raise ResourceError(
+            f"the {m}x{n} residue array of a modular rank exceeds the memory "
+            f"budget ({need >> 20} MiB > {budget >> 20} MiB); lower the "
+            f"degree or raise RACKOH_BUDGET_MB")
     if p < 2**31:
-        a = np.frombuffer(mmap.mmap(-1, 8 * m * n), dtype=np.int64).reshape(m, n)
+        a = np.frombuffer(mmap.mmap(-1, need), dtype=np.int64).reshape(m, n)
     else:
         a = np.zeros((m, n), dtype=object)
     a[ii, jj] = [v % p for v in vals]
     r = 0
-    for c in range(n):
+    for c in range(n - 1, -1, -1):
         if r == m:
             break
         nz = np.flatnonzero(a[r:, c])
@@ -630,7 +681,7 @@ def _rank_mod_p(m, n, coo, p):
         piv = r + int(nz[0])
         if piv != r:
             a[[r, piv], :] = a[[piv, r], :]
-        support = np.flatnonzero(a[r, c:]) + c
+        support = np.flatnonzero(a[r, :c + 1])
         inv = pow(int(a[r, c]), -1, p)
         a[r, support] = a[r, support] * inv % p
         below = nz[1:] + r
@@ -851,9 +902,14 @@ def lattice_quotient(kernel_of: ExactMatrix, image_of: ExactMatrix,
         raise InputError(f"modulus {modulus} is not a prime power")
     if not (kernel_of @ image_of).is_zero():
         raise ArithmeticError("image does not lie in the kernel")
-    a = kernel_of.smith_normal_form()
-    b = image_of.smith_normal_form()
-    free = kernel_of.cols - a.rank - b.rank
+    return _quotient_invariants(kernel_of.cols, kernel_of.smith_normal_form(),
+                                image_of.smith_normal_form(), modulus)
+
+
+def _quotient_invariants(cols, a, b, modulus=0):
+    """The lattice_quotient formula, from the Smith forms a of kernel_of and
+    b of image_of and the ambient rank cols."""
+    free = cols - a.rank - b.rank
     if not modulus:
         return AbelianGroup(free, b.torsion)
     orders = [gcd(d, modulus) for d in b.torsion + a.torsion]

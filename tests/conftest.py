@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from rackoh.cli import corpus_racks
+from rackoh.racks import RackTable
 
 
 def corpus():
@@ -32,3 +35,15 @@ def corpus_list():
 @pytest.fixture(params=corpus(), ids=[spec for spec, _ in corpus()])
 def corpus_rack(request):
     return request.param
+
+
+def relabelled(rack, seed):
+    """The isomorphic rack with element x renamed sigma[x], for a seeded
+    permutation sigma of the elements."""
+    sigma = list(range(rack.size))
+    random.Random(seed).shuffle(sigma)
+    table = [[0] * rack.size for _ in range(rack.size)]
+    for x in range(rack.size):
+        for y in range(rack.size):
+            table[sigma[x]][sigma[y]] = sigma[rack.op(x, y)]
+    return RackTable.from_table(table)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rackoh import cochains
 from rackoh.cli import (EXIT_CHECK_FAILED, EXIT_INPUT, EXIT_OK, canonical_json,
                         main, parse_rack_spec)
 from rackoh.errors import InputError
@@ -230,6 +231,16 @@ class TestBudgets:
                                "--max-degree", "3")
         assert code == 3
         assert "budget" in err
+
+    def test_residue_array_budget_exit_3(self, capsys, monkeypatch):
+        # with the builder's charge waived, the rank of dihedral:5 d_4
+        # (a 3125 x 625 residue array, 15 MiB) is what passes the budget
+        monkeypatch.setenv("RACKOH_BUDGET_MB", "1")
+        monkeypatch.setattr(cochains, "BYTES_PER_ENTRY", 1)
+        code, _, err = run_cli(capsys, "cohomology", "--rack", "dihedral:5",
+                               "--ring", "F7", "--max-degree", "4")
+        assert code == 3
+        assert "residue array" in err and "budget" in err
 
     def test_budget_env_restored(self, capsys, monkeypatch):
         monkeypatch.delenv("RACKOH_BUDGET_MB", raising=False)

@@ -2,6 +2,7 @@ import gc
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
@@ -14,11 +15,12 @@ from rackoh.cochains import (apply_rack_element, averaging_projector,
                              slice_first)
 from rackoh.errors import PreconditionError, ResourceError
 from rackoh.linalg import GF, QQ, ZZ, ExactMatrix
-from rackoh.modules import (check_module, function_module, jordan_module,
-                            trivial_module)
-from rackoh.racks import cyclic_rack, dihedral_rack, trivial_rack
+from rackoh.modules import (check_module, constant_module, custom_module,
+                            function_module, jordan_module, trivial_module)
+from rackoh.racks import (conjugation_rack, cyclic_rack, dihedral_rack,
+                          symmetric_group_table, trivial_rack)
 
-from conftest import INNER_ORDERS
+from conftest import INNER_ORDERS, relabelled
 
 
 def rand_vec(rng, dim, ring=None, lo=-6, hi=6):
@@ -157,6 +159,85 @@ class TestDifferential:
         for row in d.data:
             blocks = {j // 2 for j, v in enumerate(row) if v}
             assert len(blocks) <= 2 * (n + 1)
+
+
+def _reference_coboundary(rack, module, n, deleted, twisted):
+    """Oracle for the two coboundary maps: every entry is summed as a ring
+    value into one {(i, j): value} mapping, block by block, and the matrix
+    is made by ExactMatrix.from_entries (the builder differentials had
+    before their rows were summed as integers)."""
+    size, k = rack.size, module.dim
+    entries = {}
+    ident = [[(j, 1)] for j in range(k)]
+    deleted, twisted = ([ident] * size if mats is None else
+                        [[m.nonzeros(j) for j in range(k)] for m in mats]
+                        for mats in (deleted, twisted))
+
+    def index(xs):
+        idx = 0
+        for x in xs:
+            idx = idx * size + x
+        return idx
+
+    def add(row, col, block, weight):
+        # weight * (the matrix whose rows are block) transposed at (row, col)
+        for j, pairs in enumerate(block):
+            for l, a in pairs:
+                key = (row + l, col + j)
+                entries[key] = entries.get(key, 0) + weight * a
+
+    for row, ys in enumerate(product(range(size), repeat=n + 1)):
+        for i in range(n + 1):
+            sign = (-1) ** i
+            yi = ys[i]
+            w = yi
+            for j in range(i - 1, -1, -1):
+                w = rack.op(ys[j], w)
+            add(row * k, index(ys[:i] + ys[i + 1:]) * k, deleted[w], sign)
+            twist = ys[:i] + tuple(rack.op(yi, y) for y in ys[i + 1:])
+            add(row * k, index(twist) * k, twisted[yi], -sign)
+    return ExactMatrix.from_entries(size ** (n + 1) * k, size ** n * k,
+                                    module.ring, entries)
+
+
+def _sign_module(rack, spec):
+    """The sign character on conj:S3 (its elements are the permutations of
+    range(3) in lex order), -1 for every element elsewhere."""
+    if spec != "conj:S3":
+        return constant_module(rack, ExactMatrix.from_rows([[-1]], QQ))
+    signs = [(-1) ** sum(a > b for i, a in enumerate(p) for b in p[i + 1:])
+             for p in permutations(range(3))]
+    return custom_module(rack, QQ, [ExactMatrix.from_rows([[s]], QQ)
+                                    for s in signs])
+
+
+ORACLE_RACKS = {
+    "dihedral:3": lambda: dihedral_rack(3),
+    "dihedral:5": lambda: dihedral_rack(5),
+    "conj:S3": lambda: conjugation_rack(symmetric_group_table(3)),
+    "dihedral:4/seed 3": lambda: relabelled(dihedral_rack(4), 3),
+}
+
+
+class TestBuilderOracle:
+    @pytest.mark.parametrize("spec", sorted(ORACLE_RACKS))
+    def test_differentials_match_dict_builder(self, spec):
+        # degrees 0..3; degree 3 with modules of dimension above 1 (t = 1/2
+        # gives rows with denominators) only on the smallest rack, to keep
+        # the oracle's Fraction sums cheap
+        rack = ORACLE_RACKS[spec]()
+        modules = [trivial_module(rack, ring) for ring in (ZZ, QQ, GF(2), GF(7))]
+        modules += [jordan_module(rack, t, k) for t in (1, 2, Fraction(1, 2))
+                    for k in (2, 3)]
+        modules += [function_module(rack, QQ), _sign_module(rack, spec)]
+        for module in modules:
+            inverses = [module.action_inverse(x) for x in range(rack.size)]
+            top = 3 if module.dim == 1 or rack.size == 3 else 2
+            for n in range(top + 1):
+                assert differential(rack, module, n) == _reference_coboundary(
+                    rack, module, n, None, module.matrices)
+                assert differential_prime(rack, module, n) == \
+                    _reference_coboundary(rack, module, n, inverses, None)
 
 
 class TestDifferentialPrime:

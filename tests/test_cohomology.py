@@ -12,7 +12,8 @@ from rackoh.cohomology import (CHECK_TORSION_PRIMES, RackComplex,
                                invariant_cohomology, prime_factors,
                                same_operator_cohomology, twisted_cohomology)
 from rackoh.errors import InputError, PreconditionError
-from rackoh.linalg import GF, QQ, ZZ, AbelianGroup, ExactMatrix
+from rackoh.linalg import (GF, QQ, ZZ, AbelianGroup, ExactMatrix,
+                           lattice_quotient)
 from rackoh.modules import function_module, jordan_module, trivial_module
 from rackoh.racks import (conjugation_rack, cyclic_rack, dihedral_rack,
                           symmetric_group_table, trivial_rack)
@@ -117,6 +118,24 @@ class TestIntegralCohomology:
         assert report.degrees[4].betti == 1
         assert report.degrees[4].torsion == (3,)
         assert report.all_passed
+
+    def test_each_differential_smith_formed_once(self, monkeypatch):
+        # the invariant factors cached on the complex give the groups that
+        # lattice_quotient gives on the differentials, one Smith form per d_n
+        d3 = dihedral_rack(3)
+        shapes = []
+        smith = ExactMatrix.smith_normal_form
+        monkeypatch.setattr(ExactMatrix, "smith_normal_form", lambda m, *a: (
+            shapes.append((m.rows, m.cols)), smith(m, *a))[1])
+        report = cohomology_integral(d3, 4)
+        assert sorted(shapes) == [(3 ** (n + 1), 3 ** n) for n in range(5)]
+        monkeypatch.undo()
+        module = trivial_module(d3, ZZ)
+        for n, deg in enumerate(report.degrees):
+            prev = (differential(d3, module, n - 1) if n
+                    else ExactMatrix.zeros(1, 0, ZZ))
+            group = lattice_quotient(differential(d3, module, n), prev)
+            assert (deg.betti, deg.torsion) == (group.free_rank, group.torsion)
 
     def test_degree_0_free_of_rank_m_orbifold(self, corpus_rack):
         spec, rack = corpus_rack

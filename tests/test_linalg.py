@@ -3,7 +3,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rackoh
+from rackoh.cochains import differential
 from rackoh.cohomology import _parse_coefficient
 from rackoh.errors import InputError, PreconditionError, ResourceError
 from rackoh.linalg import (GF, MODULAR_RANK_THRESHOLD, QQ, ZZ, AbelianGroup,
@@ -18,6 +19,10 @@ from rackoh.linalg import (GF, MODULAR_RANK_THRESHOLD, QQ, ZZ, AbelianGroup,
                            _IncrementalRREF, _is_prime_power, _modular_primes,
                            _rank_mod_p, _rank_modular_crosscheck, is_prime,
                            lattice_quotient)
+from rackoh.modules import jordan_module, trivial_module
+from rackoh.racks import dihedral_rack
+
+from conftest import relabelled
 
 
 # --- independent oracle: invariant factors from gcds of k x k minors -------
@@ -177,6 +182,51 @@ class TestRank:
             for row in rows:
                 rref.feed(enumerate(row))
             assert _rank_mod_p(m, n, coo, p) == len(rref.pivot_cols)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=6, deadline=None)
+    def test_rank_mod_p_ignores_row_and_column_order(self, seed):
+        # the columns are eliminated last to first and the first nonzero
+        # row pivots, so the work depends on where the entries sit; the
+        # rank must not: sparse matrices at and above the modular
+        # threshold, with dependent rows, under row and column shuffles
+        rng = random.Random(seed)
+        n = rng.randrange(60, 120)
+        m = -(-MODULAR_RANK_THRESHOLD // n) + rng.randrange(0, 60)
+        density = rng.choice((0.01, 0.03))
+        rows = [[rng.choice((-2, -1, 1, 2)) if rng.random() < density else 0
+                 for _ in range(n)] for _ in range(m)]
+        for _ in range(m // 10):
+            i, k, l = rng.sample(range(m), 3)
+            rows[i] = rows[k][:]
+            rows[l] = [a + b for a, b in zip(rows[l], rows[k])]
+        for p in (7, _modular_primes(m, n)[0]):
+            rref = _IncrementalRREF(n, p)
+            for row in rows:
+                rref.feed(enumerate(row))
+            for _ in range(2):
+                rperm, cperm = rng.sample(range(m), m), rng.sample(range(n), n)
+                coo = ExactMatrix.from_rows([[rows[i][j] for j in cperm]
+                                             for i in rperm], ZZ)._int_entries()
+                assert _rank_mod_p(m, n, coo, p) == len(rref.pivot_cols)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_differential_ranks_under_relabelling(self, seed):
+        # the largest field_rank matrices, whose tuple order sets the pivot
+        # order: dihedral:5 d_4 (3125 x 625) and Jordan t=1, k=3 d_3
+        rack = relabelled(dihedral_rack(5), seed)
+        for ring in (QQ, GF(7)):
+            assert differential(rack, trivial_module(rack, ring), 4).rank() == 520
+            assert differential(rack, jordan_module(rack, 1, 3, ring),
+                                3).rank() == 312
+
+    def test_residue_array_is_charged_to_the_budget(self, monkeypatch):
+        # 8 bytes per cell of the m x n array, however few entries are stored
+        monkeypatch.setenv("RACKOH_BUDGET_MB", "1")
+        entries = {(i, i): 1 for i in range(0, 300, 30)}
+        with pytest.raises(ResourceError, match="budget"):
+            ExactMatrix.from_entries(400, 400, ZZ, entries).rank()
+        assert ExactMatrix.from_entries(300, 400, ZZ, entries).rank() == 10
 
 
 class TestKernelSolve:
@@ -537,6 +587,11 @@ class TestSparseAgainstDense:
 
         from_rows = ExactMatrix(m, n, ring, a_rows)
         assert a == from_rows and hash(a) == hash(from_rows)
+        den = lcm(*[Fraction(x).denominator for row in a_rows for x in row])
+        int_rows = [{j: int(x * den) for j, x in enumerate(row)} for row in a_rows]
+        assert ExactMatrix.from_int_rows(m, n, ring, int_rows, den) == a
+        with pytest.raises(InputError):
+            ExactMatrix.from_int_rows(m + 1, n, ring, int_rows + [{n: 1}], den)
         assert a.data == ref and from_rows.data == ref
         for i in range(m):
             assert all(x != 0 for _, x in a.nonzeros(i))
