@@ -537,7 +537,7 @@ def run_corpus(max_degree=3, include_semidirect=True):
         racks = racks + semidirect_examples()
     outcomes = []
     outcomes += criterion_betti(racks, max_degree)
-    outcomes += criterion_torsion(racks, min(max_degree, 2))
+    outcomes += criterion_torsion(racks, max_degree)
     outcomes += criterion_invariant_iso(racks, max_degree)
     outcomes += criterion_twisted(racks, max_degree)
     outcomes += criterion_h2(racks)

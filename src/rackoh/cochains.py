@@ -18,7 +18,7 @@ from math import lcm
 
 from .errors import InputError, PreconditionError, ResourceError
 from .linalg import (QQ, ZZ, ExactMatrix, PrimeField, _IncrementalRREF,
-                     memory_budget_bytes)
+                     charge_budget)
 from .modules import CoeffModule, tensor_with_trivial
 from .racks import RackTable
 
@@ -35,13 +35,8 @@ BYTES_PER_ENTRY = 640
 def _guard(rows, cols, per_row):
     """Refuse a rows x cols matrix whose stored entries, at most `per_row`
     in each row, would take more than the memory budget."""
-    need = rows * min(per_row, cols) * BYTES_PER_ENTRY
-    budget = memory_budget_bytes()
-    if need > budget:
-        raise ResourceError(
-            f"a {rows}x{cols} matrix with up to {per_row} entries per row "
-            f"exceeds the memory budget ({need >> 20} MiB > {budget >> 20} MiB); "
-            f"lower the degree or raise RACKOH_BUDGET_MB")
+    charge_budget(rows * min(per_row, cols) * BYTES_PER_ENTRY,
+                  f"a {rows}x{cols} matrix with up to {per_row} entries per row")
 
 
 @dataclass(frozen=True)

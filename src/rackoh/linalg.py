@@ -5,17 +5,18 @@ computation.  All arithmetic is arbitrary precision; no floats anywhere.
 Matrices store only their nonzero entries, row by row, as integers over
 one denominator per row (the lcm of the row's denominators; 1 over Z and
 F_p).  Products with a vector or a matrix cost O(nnz) integer operations.
-Rank takes the stored integers as COO triplets, and the Smith form removes
-unit pivots on a sparse copy and runs its dense loop only on the core that
-remains.  Large integer matrices get their rank from elimination modulo
-two independent ~30-bit primes, cross-checked against each other, with an
-exact fraction-free fallback on disagreement.  Every F_p rank runs one
-numpy elimination whose pivot steps update only the rows that meet the
-pivot column, and in them only the pivot row's support: on int64 entries
-below 2^31, on Python ints above.  It eliminates the columns from last to
-first, pivoting on the first row that meets each, which on a rack
-differential picks pivots that share few columns with the other rows (see
-_rank_mod_p), so fill-in stays small.
+Rank takes the stored integers as COO triplets.  Large integer matrices
+get their rank from elimination modulo two independent ~30-bit primes,
+cross-checked against each other, with an exact fraction-free fallback on
+disagreement.  Every F_p rank runs one numpy elimination whose pivot steps
+update only the rows that meet the pivot column, and in them only the
+pivot row's support: on int64 entries below 2^31, on Python ints above.
+The Smith form removes +-1 pivots on a sparse copy in one sweep and runs
+its dense loop only on the core that remains.  Both eliminate the columns
+from last to first, pivoting on the first row that meets each (with a +-1
+entry, for the Smith form), which on a rack differential picks pivots
+that share few columns with the other rows (see _rank_mod_p), so fill-in
+stays small.
 """
 
 from __future__ import annotations
@@ -38,14 +39,26 @@ MODULAR_RANK_THRESHOLD = 10_000
 
 DEFAULT_SNF_BIT_CAP = 200_000
 
+# What _smith charges per stored entry of its input: the tracemalloc peak
+# of a Smith form (the sparse working copy with its fill-in) per entry is
+# at most 1061 bytes on the corpus differentials, on sd:dihedral3:F3neg d_3
+SMITH_BYTES_PER_ENTRY = 1100
 
-def memory_budget_bytes() -> int:
-    """The memory budget RACKOH_BUDGET_MB (default 512), in bytes."""
+
+def charge_budget(need: int, what: str) -> None:
+    """Refuse `what`, which takes `need` bytes, if that passes the memory
+    budget RACKOH_BUDGET_MB (a positive number of MiB, default 512)."""
     mb = os.environ.get("RACKOH_BUDGET_MB", "512")
     try:
-        return max(1, int(mb)) * 1024 * 1024
+        budget = int(mb) << 20
     except ValueError:
-        raise InputError(f"RACKOH_BUDGET_MB must be an integer, got {mb!r}")
+        budget = 0
+    if budget <= 0:
+        raise InputError(f"RACKOH_BUDGET_MB must be a positive integer, got {mb!r}")
+    if need > budget:
+        raise ResourceError(
+            f"{what} exceeds the memory budget ({need >> 20} MiB > "
+            f"{budget >> 20} MiB); lower the degree or raise RACKOH_BUDGET_MB")
 
 
 def is_prime(n: int) -> bool:
@@ -650,9 +663,9 @@ def _rank_mod_p(m, n, coo, p):
     Faugere-Lachartre), and the updates stay small: on dihedral:5 d_4
     they touch 1.1 M cells, against 7.3 M going first to last.
 
-    The m x n array takes 8 * m * n bytes, charged to
-    memory_budget_bytes() before it exists.  Residue products fit
-    int64 for p < 2^31; larger primes run the same loop on Python ints.
+    The m x n array takes 8 * m * n bytes, charged to the memory budget
+    before it exists.  Residue products fit int64 for p < 2^31; larger
+    primes run the same loop on Python ints.
     The int64 array gets an anonymous mapping of its own, unmapped when
     the array dies: a large array from the malloc heap stays resident
     after it is freed, and whether the next one reuses it depends on the
@@ -660,12 +673,7 @@ def _rank_mod_p(m, n, coo, p):
     """
     ii, jj, vals = coo
     need = 8 * m * n
-    budget = memory_budget_bytes()
-    if need > budget:
-        raise ResourceError(
-            f"the {m}x{n} residue array of a modular rank exceeds the memory "
-            f"budget ({need >> 20} MiB > {budget >> 20} MiB); lower the "
-            f"degree or raise RACKOH_BUDGET_MB")
+    charge_budget(need, f"the {m}x{n} residue array of a modular rank")
     if p < 2**31:
         a = np.frombuffer(mmap.mmap(-1, need), dtype=np.int64).reshape(m, n)
     else:
@@ -743,12 +751,22 @@ def _smith(matrix: ExactMatrix, bit_cap: int) -> SmithForm:
     """Invariant factors: unit pivots first on a sparse copy, then a dense
     loop on the core they leave.
 
-    A +-1 pivot clears its column by row operations; its row is then
-    cleared by column operations that touch nothing else, so it splits off
-    a factor 1.  Pivots go in Markowitz order (least (row nnz - 1) *
-    (col nnz - 1) first) to limit fill-in; see the elimination phase of
-    Dumas, Saunders and Villard, JSC 2001.
+    One sweep visits the columns from last to first and pivots each on
+    the lowest-index remaining row whose entry there is +-1; a column with
+    no such entry is left to the core.  A +-1 pivot clears its column by
+    row operations; its row is then cleared by column operations that
+    touch nothing else, so it splits off a factor 1.  On a lex-ordered
+    differential this is the structural order of _rank_mod_p (see there
+    why its pivots share few columns with the rows below them), so
+    fill-in stays small.
+
+    The sparse copy is charged SMITH_BYTES_PER_ENTRY per stored entry to
+    the memory budget before it is built.
     """
+    charge_budget(sum(len(cols) for cols, _, _ in matrix._rows)
+                  * SMITH_BYTES_PER_ENTRY,
+                  f"the Smith form working copy of a {matrix.rows}x"
+                  f"{matrix.cols} matrix")
     rows = {i: dict(zip(cols, nums))
             for i, (cols, nums, _) in enumerate(matrix._rows) if cols}
     cols: dict = {}
@@ -757,23 +775,14 @@ def _smith(matrix: ExactMatrix, bit_cap: int) -> SmithForm:
             cols.setdefault(j, set()).add(i)
 
     units = 0
-    while True:
-        best = None
-        for i, entries in rows.items():
-            width = len(entries) - 1
-            for j, a in entries.items():
-                if a == 1 or a == -1:
-                    cost = width * (len(cols[j]) - 1)
-                    if best is None or cost < best[0]:
-                        best = (cost, i, j)
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
-            break
-        _, i, j = best
+    for j in sorted(cols, reverse=True):
+        others = cols[j]
+        i = min((k for k in others if abs(rows[k][j]) == 1), default=None)
+        if i is None:
+            continue
         prow = rows.pop(i)
         sign = prow.pop(j)
-        others = cols.pop(j)
+        del cols[j]
         others.discard(i)
         for l in prow:
             cols[l].discard(i)

@@ -242,6 +242,24 @@ class TestBudgets:
         assert code == 3
         assert "residue array" in err and "budget" in err
 
+    def test_smith_working_copy_budget_exit_3(self, capsys, monkeypatch):
+        # with the builder's charge waived, the sparse copy a Smith form
+        # makes of a differential is what passes the budget
+        monkeypatch.setenv("RACKOH_BUDGET_MB", "1")
+        monkeypatch.setattr(cochains, "BYTES_PER_ENTRY", 1)
+        code, _, err = run_cli(capsys, "cohomology", "--rack", "dihedral:5",
+                               "--ring", "Z", "--max-degree", "4")
+        assert code == 3
+        assert "Smith form working copy" in err and "budget" in err
+
+    @pytest.mark.parametrize("mb", ["0", "-5", "abc"])
+    def test_budget_must_be_a_positive_integer(self, capsys, monkeypatch, mb):
+        monkeypatch.setenv("RACKOH_BUDGET_MB", mb)
+        code, _, err = run_cli(capsys, "cohomology", "--rack", "trivial:2",
+                               "--max-degree", "2")
+        assert code == EXIT_INPUT
+        assert err.startswith("input error:") and "RACKOH_BUDGET_MB" in err
+
     def test_budget_env_restored(self, capsys, monkeypatch):
         monkeypatch.delenv("RACKOH_BUDGET_MB", raising=False)
         code, _, _ = run_cli(capsys, "cohomology", "--rack", "trivial:2",

@@ -45,6 +45,22 @@ def test_criteria_pass_on_small_racks():
         assert outcomes and all(o.passed for o in outcomes)
 
 
+def test_corpus_runs_torsion_through_degree_3(monkeypatch):
+    # run_corpus runs criterion 2 to its full degree, 3, where these two
+    # racks have their first integral torsion (other criteria stubbed out)
+    racks = [(spec, rack) for spec, rack in corpus_racks()
+             if spec in ("dihedral:4", "conj:S3")]
+    monkeypatch.setattr(rackoh.cli, "corpus_racks", lambda: racks)
+    for name in ("criterion_betti", "criterion_invariant_iso",
+                 "criterion_twisted", "criterion_h2", "criterion_structural",
+                 "criterion_semidirect_lemma", "criterion_nonabelian"):
+        monkeypatch.setattr(rackoh.cli, name, lambda *args: [])
+    outcomes = rackoh.cli.run_corpus(include_semidirect=False)
+    assert [o.details for o in outcomes] == [
+        "torsion=[[], [], [], [2, 2]] N=4", "torsion=[[], [], [], [3]] N=6"]
+    assert all(o.passed for o in outcomes)
+
+
 def test_structural_outcomes_shape():
     outcomes = criterion_structural([("trivial:2", trivial_rack(2)),
                                      ("dihedral:3", dihedral_rack(3))],

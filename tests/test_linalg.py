@@ -14,7 +14,8 @@ import rackoh
 from rackoh.cochains import differential
 from rackoh.cohomology import _parse_coefficient
 from rackoh.errors import InputError, PreconditionError, ResourceError
-from rackoh.linalg import (GF, MODULAR_RANK_THRESHOLD, QQ, ZZ, AbelianGroup,
+from rackoh.linalg import (GF, MODULAR_RANK_THRESHOLD, QQ,
+                           SMITH_BYTES_PER_ENTRY, ZZ, AbelianGroup,
                            ExactMatrix, _bareiss_rank, _dense_rows,
                            _IncrementalRREF, _is_prime_power, _modular_primes,
                            _rank_mod_p, _rank_modular_crosscheck, is_prime,
@@ -22,7 +23,7 @@ from rackoh.linalg import (GF, MODULAR_RANK_THRESHOLD, QQ, ZZ, AbelianGroup,
 from rackoh.modules import jordan_module, trivial_module
 from rackoh.racks import dihedral_rack
 
-from conftest import relabelled
+from conftest import corpus, relabelled
 
 
 # --- independent oracle: invariant factors from gcds of k x k minors -------
@@ -335,6 +336,39 @@ class TestSmithNormalForm:
         scrambled = _random_unimodular_scramble(rows, random.Random(seed))
         sf = ExactMatrix.from_rows(scrambled, ZZ).smith_normal_form()
         assert list(sf.invariant_factors) == chain
+
+    @pytest.mark.parametrize("spec, n, torsion, rank", [
+        ("conj:S3", 3, (3, 3, 3, 3, 3, 9), 165),
+        ("dihedral:4", 3, (2,) * 6, 46),
+        ("dihedral:6", 2, (), 28),
+    ])
+    def test_pivot_order_cannot_change_factors(self, spec, n, torsion, rank):
+        # seeded row and column permutations and row sign flips move the
+        # unit pivots off the coboundary order, so the sweep leaves larger
+        # cores to the dense loop; the invariant factors must not move
+        rack = dict(corpus())[spec]
+        d = differential(rack, trivial_module(rack, ZZ), n)
+        want = (1,) * (rank - len(torsion)) + torsion
+        assert d.smith_normal_form().invariant_factors == want
+        for seed in range(4):
+            rng = random.Random(seed)
+            rperm = rng.sample(range(d.rows), d.rows)
+            cperm = rng.sample(range(d.cols), d.cols)
+            entries = {}
+            for r, i in enumerate(rperm):
+                sign = rng.choice((1, -1))
+                for j, x in d.nonzeros(i):
+                    entries[r, cperm[j]] = sign * x
+            shuffled = ExactMatrix.from_entries(d.rows, d.cols, ZZ, entries)
+            assert shuffled.smith_normal_form().invariant_factors == want
+
+    def test_working_copy_is_charged_to_the_budget(self, monkeypatch):
+        monkeypatch.setenv("RACKOH_BUDGET_MB", "1")
+        budget_entries = (1 << 20) // SMITH_BYTES_PER_ENTRY
+        fits = ExactMatrix.identity(budget_entries, ZZ)
+        assert fits.smith_normal_form().rank == budget_entries
+        with pytest.raises(ResourceError, match="Smith form .* budget"):
+            ExactMatrix.identity(budget_entries + 1, ZZ).smith_normal_form()
 
 
 class TestInverse:
