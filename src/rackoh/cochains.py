@@ -17,8 +17,8 @@ from itertools import product
 from math import lcm
 
 from .errors import InputError, PreconditionError, ResourceError
-from .linalg import (QQ, ZZ, ExactMatrix, PrimeField, _IncrementalRREF,
-                     charge_budget)
+from .linalg import (QQ, ZZ, ExactMatrix, PrimeField, charge_budget,
+                     int_vector, ring_vector)
 from .modules import CoeffModule, tensor_with_trivial
 from .racks import RackTable
 
@@ -223,26 +223,25 @@ def group_action_on_cochains(rack: RackTable, module: CoeffModule,
     return ExactMatrix.from_entries(dim, dim, module.ring, entries)
 
 
+def _check_length(rack, module, n, vec):
+    dim = rack.size ** n * module.dim
+    if len(vec) != dim:
+        raise InputError(f"a degree-{n} cochain has {dim} entries, got {len(vec)}")
+
+
 def apply_group_action(rack, module, n, perm_images, mat, vec):
-    """f -> f.g for a closure pair g = (permutation, matrix), vector form."""
+    """f -> f.g for a closure pair g = (permutation, matrix), vector form.
+
+    Entry (x.., l) is sum_j mat[j, l] f(perm(x)..)_j, summed as integers
+    over the denominators of f and of mat."""
+    _check_length(rack, module, n, vec)
     k = module.dim
-    coerce = module.ring.coerce
-    terms = [[] for _ in range(k)]  # terms[l]: the (j, mat[j, l]) with mat[j, l] != 0
-    for j in range(k):
-        for l, a in mat.nonzeros(j):
-            terms[l].append((j, a))
-    out = [coerce(0)] * len(vec)
-    for idx, tgt in enumerate(_permuted_index(perm_images, n)):
-        tgt *= k
-        base = idx * k
-        for l, column in enumerate(terms):
-            s = 0
-            for j, a in column:
-                v = vec[tgt + j]
-                if v:
-                    s += a * v
-            out[base + l] = coerce(s)
-    return out
+    ints, den = int_vector(vec)
+    flat, mat_den = int_vector([x for l in range(k) for x in mat.column(l)])
+    terms = [[(j, a) for j in range(k) if (a := flat[l * k + j])] for l in range(k)]
+    out = [sum([a * ints[t * k + j] for j, a in column])
+           for t in _permuted_index(perm_images, n) for column in terms]
+    return ring_vector(module.ring, out, den * mat_den)
 
 
 def apply_rack_element(rack, module, n, y, vec):
@@ -254,8 +253,8 @@ def slice_first(rack: RackTable, module: CoeffModule, n: int, y: int, vec):
     """f -> f_y with f_y(x_2..x_n) = f(y, x_2..x_n); degree drops by one."""
     if n < 1:
         raise InputError("slice_first needs degree >= 1")
-    size, k = rack.size, module.dim
-    tail = size ** (n - 1) * k
+    _check_length(rack, module, n, vec)
+    tail = rack.size ** (n - 1) * module.dim
     base = y * tail
     return list(vec[base:base + tail])
 
@@ -387,13 +386,7 @@ def invariant_basis(rack: RackTable, module: CoeffModule, n: int,
         via == "auto" and ring.is_field and
         (not isinstance(ring, PrimeField) or group.order % ring.p))
     if use_projector:
-        proj = averaging_projector(rack, module, n, group)
-        p = ring.p if isinstance(ring, PrimeField) else None
-        rref = _IncrementalRREF(dim, p)
-        for i in range(dim):
-            rref.feed(proj.nonzeros(i))
-        return ExactMatrix.from_columns(
-            [proj.column(c) for c in rref.pivot_cols], dim, ring)
+        return averaging_projector(rack, module, n, group).column_basis()
 
     # simultaneous fixed space of the generator actions
     if not ring.is_field:
@@ -433,6 +426,8 @@ def cochain_product(rack: RackTable, module_a: CoeffModule, a: int, f,
         raise PreconditionError("the left factor needs trivial coefficients")
     if module_a.ring != module_n.ring:
         raise InputError("both factors must share a coefficient ring")
+    _check_length(rack, module_a, a, f)
+    _check_length(rack, module_n, b, g)
     if require_invariant and not is_invariant_cochain(rack, module_n, b, g):
         raise PreconditionError(
             "the right factor must be an invariant cochain; the Leibniz "
@@ -440,21 +435,12 @@ def cochain_product(rack: RackTable, module_a: CoeffModule, a: int, f,
     size = rack.size
     ka, kn = module_a.dim, module_n.dim
     tensor = tensor_with_trivial(module_n, ka)
-    dim = size ** (a + b) * tensor.dim
-    out = [tensor.ring.coerce(0)] * dim
-    back_count = size ** b
-    for fa in range(size ** a):
-        for i in range(ka):
-            fv = f[fa * ka + i]
-            if not fv:
-                continue
-            for gb in range(back_count):
-                for j in range(kn):
-                    gv = g[gb * kn + j]
-                    if gv:
-                        flat = ((fa * back_count + gb) * tensor.dim) + i * kn + j
-                        out[flat] = tensor.ring.coerce(fv * gv)
-    return out, tensor
+    fi, fden = int_vector(f)
+    gi, gden = int_vector(g)
+    backs = [gi[t * kn:(t + 1) * kn] for t in range(size ** b)]
+    out = [x * y for s in range(size ** a) for back in backs
+           for x in fi[s * ka:(s + 1) * ka] for y in back]
+    return ring_vector(tensor.ring, out, fden * gden), tensor
 
 
 def orbit_indicator_cocycle(rack: RackTable, ring, orbit_index: int):

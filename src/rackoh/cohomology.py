@@ -567,13 +567,47 @@ def _group_inverse_table(table):
     return ident, inv
 
 
+def _nonabelian_cocycles(rack: RackTable, group_table) -> list:
+    """The degree-2 cocycles f: X x X -> A, as tuples of the values
+    f(x, y) at x * |X| + y, in lex order."""
+    n = rack.size
+    a_size = len(group_table)
+    # f(x|>y, x|>z) f(x, z) = f(x, y|>z) f(y, z), as four flat indices,
+    # each tested as soon as the last of its four values is set
+    op = rack.op
+    checks = [[] for _ in range(n * n)]
+    for x, y, z in product(range(n), repeat=3):
+        cond = (op(x, y) * n + op(x, z), x * n + z, x * n + op(y, z), y * n + z)
+        checks[max(cond)].append(cond)
+
+    # depth-first in lex order, without recursion: f holds the values set
+    # so far and v is the next value to try at position len(f)
+    cocycles = []
+    f, v = [], 0
+    while True:
+        if len(f) == n * n:
+            cocycles.append(tuple(f))
+            v = a_size
+        if v < a_size:
+            f.append(v)
+            if all(group_table[f[a]][f[b]] == group_table[f[c]][f[d]]
+                   for a, b, c, d in checks[len(f) - 1]):
+                v = 0
+                continue
+        if not f:
+            break
+        v = f.pop() + 1
+    return cocycles
+
+
 def nonabelian_h2(rack: RackTable, group_table,
                   budget: int = 2_000_000) -> NonabelianH2:
     """Enumerate degree-2 cocycles valued in a finite (possibly nonabelian)
     group and partition them by the gauge equivalence
     f'(x,y) = gamma(x|>y) f(x,y) gamma(y)^-1.
 
-    Exponential in |X|^2; guarded by `budget` on the function count.
+    The cocycle search prunes, but its worst case is exponential in
+    |X|^2; guarded by `budget` on the function count.
     """
     n = rack.size
     a_size = len(group_table)
@@ -584,20 +618,10 @@ def nonabelian_h2(rack: RackTable, group_table,
             f"{a_size}^{n * n} functions exceed the enumeration budget "
             f"{budget}; use a smaller rack or coefficient group")
 
-    # f(x|>y, x|>z) f(x, z) = f(x, y|>z) f(y, z), as four flat indices
-    op = rack.op
-    conditions = [(op(x, y) * n + op(x, z), x * n + z, x * n + op(y, z), y * n + z)
-                  for x in range(n) for y in range(n) for z in range(n)]
-
-    def cocycle_ok(f):
-        for a, b, c, d in conditions:
-            if group_table[f[a]][f[b]] != group_table[f[c]][f[d]]:
-                return False
-        return True
-
-    cocycles = [f for f in product(range(a_size), repeat=n * n) if cocycle_ok(f)]
+    cocycles = _nonabelian_cocycles(rack, group_table)
     cocycle_set = set(cocycles)
     gammas = list(product(range(a_size), repeat=n))
+    op = rack.op
     # gauge action f'(x, y) = gamma(x|>y) f(x, y) gamma(y)^-1, per pair (x, y)
     gauge = [(op(x, y), x * n + y, y) for x in range(n) for y in range(n)]
     seen = set()

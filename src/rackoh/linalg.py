@@ -128,6 +128,8 @@ class RationalRing(Ring):
     is_field = True
 
     def coerce(self, x):
+        if type(x) is Fraction:
+            return x
         if isinstance(x, (int, Fraction)):
             return Fraction(x)
         raise InputError(f"cannot coerce {x!r} into Q")
@@ -178,6 +180,28 @@ QQ = RationalRing()
 
 def GF(p: int) -> PrimeField:
     return PrimeField(p)
+
+
+def int_vector(vec):
+    """(ints, den) with vec[i] = ints[i] / den, den the lcm of the entries'
+    denominators, so exact arithmetic on a vector over Q runs on integers."""
+    try:
+        den = lcm(*[x.denominator for x in vec])
+        return [x.numerator * (den // x.denominator) for x in vec], den
+    except AttributeError:
+        raise InputError("vector entries must be integers or Fractions") from None
+
+
+def ring_vector(ring, ints, den=1):
+    """The ring elements ints[i] / den, each built once: Fractions over Q
+    (Fraction(s) when den is 1), residues over F_p."""
+    if ring == QQ:
+        if den == 1:
+            return list(map(Fraction, ints))
+        return [Fraction(s, den) for s in ints]
+    if den != 1:
+        return [ring.coerce(Fraction(s, den)) for s in ints]
+    return ints if ring == ZZ else list(map(ring.coerce, ints))
 
 
 # ---------------------------------------------------------------------------
@@ -361,24 +385,17 @@ class ExactMatrix:
     def matvec(self, vec):
         """self @ vec as a list, in O(nnz) integer operations.
 
-        Over Q the vector is scaled by the lcm L of its denominators, so
-        each output entry is one integer dot product over (den * L).
+        The vector is scaled to integers over the lcm L of its denominators,
+        so each output entry is one integer dot product over (den * L).
         """
         if len(vec) != self.cols:
             raise InputError("vector length mismatch")
-        scale = self.ring == QQ
-        if scale:
-            big = lcm(*[x.denominator for x in vec])
-            vec = [x.numerator * (big // x.denominator) for x in vec]
-        else:
-            big = 1
-        coerce = self.ring.coerce
-        get = vec.__getitem__
-        out = []
-        for cols, nums, den in self._rows:
-            s = sum(map(mul, nums, map(get, cols)))
-            out.append(Fraction(s, den * big) if scale else coerce(s))
-        return out
+        ints, big = int_vector(vec)
+        get = ints.__getitem__
+        out = [sum(map(mul, nums, map(get, cols))) for cols, nums, _ in self._rows]
+        if self.ring == QQ and any(den != 1 for _, _, den in self._rows):
+            return [Fraction(s, den * big) for s, (_, _, den) in zip(out, self._rows)]
+        return ring_vector(self.ring, out, big)
 
     # -- integer normalisation ----------------------------------------------
 
@@ -415,18 +432,41 @@ class ExactMatrix:
 
     # -- field elimination ----------------------------------------------------
 
+    def _rref(self):
+        """The reduced row echelon form of the stored rows (over Q for Z)."""
+        rref = _IncrementalRREF(self.cols, getattr(self.ring, "p", None))
+        for cols, nums, _ in self._rows:
+            rref.feed(zip(cols, nums))
+        return rref
+
     def kernel_basis(self):
         """Basis of the right kernel; field rings only."""
-        if not self.ring.is_field:
-            raise PreconditionError("kernel_basis needs a field ring (Q or Fp)")
-        p = self.ring.p if isinstance(self.ring, PrimeField) else None
-        rref = _IncrementalRREF(self.cols, p)
-        for i in range(self.rows):
-            rref.feed(self.nonzeros(i))
-        return rref.kernel_basis(self.ring)
+        k = self.kernel_matrix()
+        return [k.column(t) for t in range(k.cols)]
 
     def kernel_matrix(self):
-        return ExactMatrix.from_columns(self.kernel_basis(), self.cols, self.ring)
+        """Columns spanning the right kernel, one per free column f of the
+        reduced row echelon form: 1 at f, minus column f of the reduced
+        pivot rows at the pivot columns."""
+        if not self.ring.is_field:
+            raise PreconditionError("kernel_basis needs a field ring (Q or Fp)")
+        rref = self._rref()
+        pivots = set(rref.pivot_cols)
+        free = [j for j in range(self.cols) if j not in pivots]
+        stored = rref.stored_rows(self.ring, free, -1)
+        for t, j in enumerate(free):
+            stored[j] = ((t,), (1,), 1)
+        return ExactMatrix._of(self.cols, len(free), self.ring, stored)
+
+    def column_basis(self):
+        """The columns at the pivots of the reduced row echelon form (the
+        first columns that span the column space), as a matrix."""
+        where = {c: t for t, c in enumerate(self._rref().pivot_cols)}
+        return ExactMatrix._of(
+            self.rows, len(where), self.ring,
+            [_int_row(self.ring, {where[j]: a for j, a in zip(cols, nums)
+                                  if j in where}, den)
+             for cols, nums, den in self._rows])
 
     def solve(self, rhs):
         """Some solution x of self @ x = rhs, or None; field rings only."""
@@ -440,28 +480,23 @@ class ExactMatrix:
             raise PreconditionError("solve needs a field ring (Q or Fp)")
         if rhs.rows != self.rows:
             raise InputError("rhs row count mismatch")
-        p = self.ring.p if isinstance(self.ring, PrimeField) else None
+        rref = self.hstack(rhs)._rref()
         width = self.cols
-        rref = _IncrementalRREF(width + rhs.cols, p)
-        for i in range(self.rows):
-            rref.feed(self.nonzeros(i)
-                      + [(width + k, x) for k, x in rhs.nonzeros(i)])
         if any(c >= width for c in rref.pivot_cols):
             return None
-        return ExactMatrix.from_entries(
-            width, rhs.cols, self.ring,
-            {(c, k): row[width + k] for row, c in zip(rref.pivot_rows, rref.pivot_cols)
-             for k in range(rhs.cols)})
+        stored = rref.stored_rows(self.ring, range(width, width + rhs.cols))
+        return ExactMatrix._of(width, rhs.cols, self.ring, stored[:width])
 
     def inverse(self):
         """Inverse matrix; InputError when singular (Z needs a unimodular input)."""
         if self.rows != self.cols:
             raise InputError("only square matrices can be inverted")
         if self.ring == ZZ:
-            inv_q = self.to_ring(QQ).inverse()
+            # a stored Z row is the stored form of the same row over Q
+            inv_q = ExactMatrix._of(self.rows, self.cols, QQ, self._rows).inverse()
             if any(den != 1 for _, _, den in inv_q._rows):
                 raise InputError("matrix is not invertible over Z")
-            return inv_q.to_ring(ZZ)
+            return ExactMatrix._of(self.rows, self.cols, ZZ, inv_q._rows)
         sol = self.solve_columns(ExactMatrix.identity(self.rows, self.ring))
         if sol is None:
             raise InputError("matrix is singular")
@@ -539,8 +574,12 @@ class _IncrementalRREF:
 
     Pivot rows are kept mutually reduced, so feeding a row costs one pass
     over the current pivots; well suited to the tall thin matrices that
-    show up as restricted differentials.  Entries are Fractions (p=None)
-    or ints mod p.
+    show up as restricted differentials.  Over F_p entries are residues
+    and each pivot entry is 1.  Over Q (p=None) rows are integers: each
+    pivot row is stored primitive with a positive pivot entry, which is
+    its denominator (the reduced row is row / row[pivot]).  Rows are
+    reduced by cross-multiplication and divided by their gcd, so no
+    Fraction is made.
     """
 
     def __init__(self, width, p=None):
@@ -549,60 +588,54 @@ class _IncrementalRREF:
         self.pivot_rows = []
         self.pivot_cols = []
 
-    def _reduce(self, row, other, factor):
-        if self.p is None:
-            return [a - factor * b for a, b in zip(row, other)]
-        return [(a - factor * b) % self.p for a, b in zip(row, other)]
+    def _reduce(self, row, other, c):
+        """row with its column-c entry cleared by `other`, the pivot row of c."""
+        f, p = row[c], self.p
+        if p is not None:
+            return [(a - f * b) % p for a, b in zip(row, other)]
+        g = gcd(f, other[c])
+        f, h = f // g, other[c] // g
+        row = [h * a - f * b for a, b in zip(row, other)]
+        g = gcd(*row)
+        return [a // g for a in row] if g > 1 else row
 
     def feed(self, items):
-        """Add the row given by its (column, value) pairs; True if it was
-        independent of the rows fed so far."""
+        """Add the row given by its (column, integer) pairs (over Q any
+        nonzero multiple of the row will do); True if it was independent
+        of the rows fed so far."""
         p = self.p
-        if p is None:
-            row = [Fraction(0)] * self.width
-            for j, x in items:
-                row[j] = Fraction(x)
-        else:
-            row = [0] * self.width
-            for j, x in items:
-                row[j] = int(x) % p
+        row = [0] * self.width
+        for j, x in items:
+            row[j] = x if p is None else int(x) % p
         for r, c in zip(self.pivot_rows, self.pivot_cols):
-            f = row[c]
-            if f:
-                row = self._reduce(row, r, f)
+            if row[c]:
+                row = self._reduce(row, r, c)
         lead = next((j for j in range(self.width) if row[j]), None)
         if lead is None:
             return False
-        head = row[lead]
         if p is None:
-            row = [a / head for a in row]
+            g = gcd(*row) if row[lead] > 0 else -gcd(*row)
+            row = [a // g for a in row]
         else:
-            inv = pow(head, -1, p)
+            inv = pow(row[lead], -1, p)
             row = [a * inv % p for a in row]
         for i, r in enumerate(self.pivot_rows):
-            f = r[lead]
-            if f:
-                self.pivot_rows[i] = self._reduce(r, row, f)
-        pos = 0
-        while pos < len(self.pivot_cols) and self.pivot_cols[pos] < lead:
-            pos += 1
+            if r[lead]:
+                self.pivot_rows[i] = self._reduce(r, row, lead)
+        pos = bisect_left(self.pivot_cols, lead)
         self.pivot_rows.insert(pos, row)
         self.pivot_cols.insert(pos, lead)
         return True
 
-    def kernel_basis(self, ring):
-        pivot_set = set(self.pivot_cols)
-        free_cols = [j for j in range(self.width) if j not in pivot_set]
-        basis = []
-        for f in free_cols:
-            vec = [ring.coerce(0)] * self.width
-            vec[f] = ring.coerce(1)
-            for r, c in zip(self.pivot_rows, self.pivot_cols):
-                v = r[f]
-                if v:
-                    vec[c] = ring.coerce(-v if self.p is None else (-v) % self.p)
-            basis.append(vec)
-        return basis
+    def stored_rows(self, ring, cols, sign=1):
+        """One stored row per column of the input: the row of pivot column
+        c holds sign times the reduced pivot row of c, its t-th entry read
+        from column cols[t]; the rows of the other columns are empty."""
+        out = [_EMPTY_ROW] * self.width
+        for r, c in zip(self.pivot_rows, self.pivot_cols):
+            out[c] = _int_row(ring, {t: sign * r[j] for t, j in enumerate(cols)
+                                     if r[j]}, r[c])
+        return out
 
 
 def _bareiss_rank(rows):

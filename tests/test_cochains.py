@@ -13,7 +13,7 @@ from rackoh.cochains import (apply_rack_element, averaging_projector,
                              finite_action_group, group_action_on_cochains,
                              invariant_basis, is_invariant_cochain,
                              slice_first)
-from rackoh.errors import PreconditionError, ResourceError
+from rackoh.errors import InputError, PreconditionError, ResourceError
 from rackoh.linalg import GF, QQ, ZZ, ExactMatrix
 from rackoh.modules import (check_module, constant_module, custom_module,
                             function_module, jordan_module, trivial_module)
@@ -330,7 +330,7 @@ class TestGroupAction:
         fun = function_module(d3, QQ)
         rng = random.Random(5)
         for n in (1, 2):
-            dim = 3 ** n * 6
+            dim = 3 ** n * fun.dim
             f = rand_vec(rng, dim, QQ)
             for y in range(3):
                 for z in range(3):
@@ -351,6 +351,87 @@ class TestGroupAction:
             act1 = group_action_on_cochains(rack, fun, 1, y)
             act2 = group_action_on_cochains(rack, fun, 2, y)
             assert (d1 @ act1) == (act2 @ d1)
+
+
+class TestCochainLengths:
+    """A cochain vector of the wrong length is refused, as matvec does."""
+
+    def _setup(self):
+        d3 = dihedral_rack(3)
+        return d3, trivial_module(d3, QQ), function_module(d3, QQ)
+
+    def test_product_refuses_long_and_short_factors(self):
+        d3, qm, fun = self._setup()
+        f = [Fraction(1)] * 3
+        for g in ([Fraction(1)] * 10, [Fraction(1)] * 8):
+            # a 10-entry g once gave a 27-entry product
+            with pytest.raises(InputError):
+                cochain_product(d3, qm, 1, f, fun, 1, g, require_invariant=False)
+            with pytest.raises(InputError):
+                cochain_product(d3, qm, 1, f, fun, 1, g)
+        with pytest.raises(InputError):
+            cochain_product(d3, qm, 1, f + f, fun, 1, [Fraction(1)] * 9,
+                            require_invariant=False)
+
+    def test_action_refuses_long_and_short_vectors(self):
+        d3, _, fun = self._setup()
+        for dim in (10, 8):
+            # a 10-entry vector in the 9-dimensional space once came back whole
+            with pytest.raises(InputError):
+                apply_rack_element(d3, fun, 1, 0, [Fraction(1)] * dim)
+            with pytest.raises(InputError):
+                cochains.apply_group_action(d3, fun, 1, d3.translation(1),
+                                            fun.action(1), [Fraction(1)] * dim)
+
+    def test_slice_refuses_long_and_short_vectors(self):
+        d3, _, fun = self._setup()
+        assert slice_first(d3, fun, 1, 2, list(range(9))) == [6, 7, 8]
+        for dim in (10, 8):
+            with pytest.raises(InputError):
+                slice_first(d3, fun, 1, 2, list(range(dim)))
+
+
+class TestFractionFormulas:
+    """Over Q with fractional inputs the integer paths give the per-entry
+    Fraction formula, and every entry is a Fraction."""
+
+    def test_cochain_product(self):
+        rng = random.Random(17)
+        d3 = dihedral_rack(3)
+        qm2 = trivial_module(d3, QQ, 2)
+        fun = function_module(d3, QQ)
+        for a, b in ((1, 1), (2, 1), (0, 2)):
+            f = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
+                 for _ in range(3 ** a * 2)]
+            g = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
+                 for _ in range(3 ** b * 3)]
+            out, tensor = cochain_product(d3, qm2, a, f, fun, b, g,
+                                          require_invariant=False)
+            expect = [Fraction(0)] * (3 ** (a + b) * 6)
+            for fa, i, gb, j in product(range(3 ** a), range(2), range(3 ** b), range(3)):
+                expect[(fa * 3 ** b + gb) * 6 + i * 3 + j] = f[fa * 2 + i] * g[gb * 3 + j]
+            assert out == expect and tensor.dim == 6
+            assert all(type(x) is Fraction for x in out)
+
+    def test_apply_rack_element(self):
+        rng = random.Random(19)
+        d3 = dihedral_rack(3)
+        jm = jordan_module(d3, Fraction(2, 3), 2)
+        mat = jm.action(0)
+        for n in (1, 2):
+            f = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
+                 for _ in range(3 ** n * 2)]
+            for y in range(3):
+                expect = []
+                for xs in product(range(3), repeat=n):
+                    tgt = 0
+                    for x in xs:
+                        tgt = tgt * 3 + d3.op(y, x)
+                    expect += [sum((mat[j, l] * f[tgt * 2 + j] for j in range(2)),
+                                   Fraction(0)) for l in range(2)]
+                out = apply_rack_element(d3, jm, n, y, f)
+                assert out == expect
+                assert all(type(x) is Fraction for x in out)
 
 
 class TestSliceIdentity:
@@ -510,3 +591,19 @@ class TestCochainProduct:
         assert not is_invariant_cochain(d3, fun, 1, g_bad)
         with pytest.raises(PreconditionError):
             cochain_product(d3, qm, 1, [Fraction(1)] * 3, fun, 1, g_bad)
+
+    def test_leibniz_check_tests_each_invariant_factor_once(self, monkeypatch):
+        # the Leibniz check of criterion_structural forms f (x) g and
+        # df (x) g from the same g; only the first tests g for invariance
+        from rackoh.cli import criterion_structural
+        calls = []
+        check = cochains.is_invariant_cochain
+
+        def counted(rack, module, n, vec):
+            calls.append(n)
+            return check(rack, module, n, vec)
+
+        monkeypatch.setattr(cochains, "is_invariant_cochain", counted)
+        outcomes = criterion_structural([("dihedral:3", dihedral_rack(3))], trials=3)
+        assert all(o.passed for o in outcomes if o.name == "leibniz_rule")
+        assert calls == [1, 1, 1]

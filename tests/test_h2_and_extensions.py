@@ -2,12 +2,13 @@ from itertools import product
 
 import pytest
 
-from rackoh.cohomology import (RackComplex, direct_h2, h2_via_group,
-                               nonabelian_h2, semidirect_cocycle_check)
+from rackoh.cohomology import (RackComplex, _nonabelian_cocycles, direct_h2,
+                               h2_via_group, nonabelian_h2,
+                               semidirect_cocycle_check)
 from rackoh.errors import InputError, ResourceError
 from rackoh.linalg import GF, AbelianGroup, ExactMatrix
 from rackoh.modules import constant_module, trivial_module
-from rackoh.racks import (cyclic_group_table, dihedral_rack,
+from rackoh.racks import (cyclic_group_table, cyclic_rack, dihedral_rack,
                           symmetric_group_table, trivial_rack)
 
 from conftest import ORBITS
@@ -53,7 +54,44 @@ class TestH2ViaGroup:
             h2_via_group(dihedral_rack(3), "R")
 
 
+def _brute_force_cocycles(rack, table):
+    """Every function X x X -> A, in lex order, filtered by the cocycle law."""
+    n, op = rack.size, rack.op
+    return [f for f in product(range(len(table)), repeat=n * n)
+            if all(table[f[op(x, y) * n + op(x, z)]][f[x * n + z]]
+                   == table[f[x * n + op(y, z)]][f[y * n + z]]
+                   for x, y, z in product(range(n), repeat=3))]
+
+
+def _class_minima(rack, table, cocycles):
+    """The least element of each gauge orbit, gamma(x|>y) f(x,y) gamma(y)^-1."""
+    n, op, size = rack.size, rack.op, len(table)
+    e = next(e for e in range(size) if all(table[e][x] == x for x in range(size)))
+    inv = [next(b for b in range(size) if table[a][b] == e) for a in range(size)]
+    return sorted({min(tuple(table[table[g[op(x, y)]][f[x * n + y]]][inv[g[y]]]
+                             for x in range(n) for y in range(n))
+                       for g in product(range(size), repeat=n))
+                   for f in cocycles})
+
+
 class TestNonabelianH2:
+    @pytest.mark.parametrize("rack, table", [
+        (dihedral_rack(3), cyclic_group_table(4)),
+        (cyclic_rack(3), cyclic_group_table(4)),
+        (trivial_rack(2), symmetric_group_table(3)),
+        (trivial_rack(1), symmetric_group_table(3))])
+    def test_search_matches_brute_force(self, rack, table):
+        cocycles = _brute_force_cocycles(rack, table)
+        assert _nonabelian_cocycles(rack, table) == cocycles
+        result = nonabelian_h2(rack, table)
+        assert result.cocycle_count == len(cocycles)
+        assert list(result.representatives) == _class_minima(rack, table, cocycles)
+
+    def test_deep_search_needs_no_recursion(self):
+        # the trivial group passes the budget for any rack: 1600 positions
+        result = nonabelian_h2(dihedral_rack(40), [[0]])
+        assert (result.cocycle_count, result.class_count) == (1, 1)
+
     def test_one_element_rack_s3_conjugacy_classes(self):
         result = nonabelian_h2(trivial_rack(1), symmetric_group_table(3))
         assert result.cocycle_count == 6

@@ -393,6 +393,142 @@ class TestInverse:
         assert (m @ m.inverse()) == ExactMatrix.identity(2, GF(3))
 
 
+# --- elimination against a textbook Gauss-Jordan oracle --------------------
+# The reduced row echelon form is canonical, so the kernel basis (one vector
+# per free column), the solution with free unknowns 0 and the inverse that
+# it gives are unique: the results must be equal to the oracle's, entry for
+# entry, not merely span the same space.
+
+
+def _gauss_jordan(rows, p=None):
+    """Nonzero rows of the reduced row echelon form, by Fraction arithmetic
+    (reduced mod p when p is given), and their pivot columns."""
+    def norm(x):
+        return x if p is None else Fraction(x.numerator * pow(x.denominator, -1, p) % p)
+
+    rows = [[norm(Fraction(x)) for x in row] for row in rows]
+    width = len(rows[0]) if rows else 0
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        head = rows[r][c]
+        rows[r] = [norm(x / head) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [norm(a - f * b) for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
+def _oracle_kernel(rows, width, p=None):
+    reduced, pivots = _gauss_jordan(rows, p)
+    basis = []
+    for f in (j for j in range(width) if j not in pivots):
+        vec = [Fraction(0)] * width
+        vec[f] = Fraction(1)
+        for row, c in zip(reduced, pivots):
+            vec[c] = -row[f] if p is None else -row[f] % p
+        basis.append(vec)
+    return basis
+
+
+def _oracle_solve(rows, rhs, p=None):
+    width = len(rows[0])
+    reduced, pivots = _gauss_jordan([a + b for a, b in zip(rows, rhs)], p)
+    if any(c >= width for c in pivots):
+        return None
+    sol = [[Fraction(0)] * len(rhs[0]) for _ in range(width)]
+    for row, c in zip(reduced, pivots):
+        sol[c] = row[width:]
+    return sol
+
+
+def _q_rows(rng, m, n, rank):
+    """m x n rows over Q with denominators 2-7; the rows past `rank` are
+    combinations of the first ones, so the rank is at most `rank`."""
+    rows = [[Fraction(rng.randrange(-6, 7), rng.randrange(2, 8))
+             if rng.random() < 0.7 else Fraction(0) for _ in range(n)]
+            for _ in range(rank)]
+    for _ in range(m - rank):
+        coeffs = [Fraction(rng.randrange(-3, 4), rng.randrange(2, 8)) for _ in range(rank)]
+        rows.append([sum((c * row[j] for c, row in zip(coeffs, rows)), Fraction(0))
+                     for j in range(n)])
+    rng.shuffle(rows)
+    return rows
+
+
+class TestEliminationOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_kernel_basis_over_q(self, seed):
+        rng = random.Random(seed)
+        m, n = rng.randrange(2, 7), rng.randrange(2, 8)
+        rows = _q_rows(rng, m, n, rng.randrange(1, min(m, n) + 1))
+        basis = ExactMatrix.from_rows(rows, QQ).kernel_basis()
+        assert basis == _oracle_kernel(rows, n)
+        assert all(type(x) is Fraction for vec in basis for x in vec)
+        kernel = ExactMatrix.from_rows(rows, QQ).kernel_matrix()
+        assert [kernel.column(t) for t in range(kernel.cols)] == basis
+
+    def test_rank_deficient_kernel(self):
+        rows = _q_rows(random.Random(11), 6, 5, 2)
+        basis = ExactMatrix.from_rows(rows, QQ).kernel_basis()
+        assert len(basis) == 3
+        assert basis == _oracle_kernel(rows, 5)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_solve_columns_over_q(self, seed):
+        rng = random.Random(100 + seed)
+        m, n = rng.randrange(2, 7), rng.randrange(2, 7)
+        rows = _q_rows(rng, m, n, rng.randrange(1, min(m, n) + 1))
+        a = ExactMatrix.from_rows(rows, QQ)
+        # a consistent right-hand side: a times some fractional X
+        x = _q_rows(rng, n, 2, 2)
+        rhs = ExactMatrix.from_rows(x, QQ)
+        sol = a.solve_columns(a @ rhs)
+        assert sol.data == _oracle_solve(rows, (a @ rhs).data)
+        assert (a @ sol) == (a @ rhs)
+
+    def test_inconsistent_system(self):
+        rows = _q_rows(random.Random(7), 4, 3, 2)
+        rhs = [[Fraction(1, 3)], [Fraction(0)], [Fraction(-2, 5)], [Fraction(4, 7)]]
+        assert _oracle_solve(rows, rhs) is None
+        a = ExactMatrix.from_rows(rows, QQ)
+        assert a.solve_columns(ExactMatrix.from_rows(rhs, QQ)) is None
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_inverse_over_q(self, seed):
+        rng = random.Random(200 + seed)
+        n = rng.randrange(2, 6)
+        rows = _q_rows(rng, n, n, n)
+        while len(_gauss_jordan(rows)[1]) < n:
+            rows = _q_rows(rng, n, n, n)
+        ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        inv = ExactMatrix.from_rows(rows, QQ).inverse()
+        assert inv.data == _oracle_solve(rows, ident)
+        assert all(type(x) is Fraction for row in inv.data for x in row)
+
+    @pytest.mark.parametrize("p", [2, 7])
+    def test_over_prime_field(self, p):
+        rng = random.Random(p)
+        rows = [[rng.randrange(p) for _ in range(6)] for _ in range(4)]
+        rows.append([(a + 2 * b) % p for a, b in zip(rows[0], rows[1])])
+        a = ExactMatrix.from_rows(rows, GF(p))
+        assert a.kernel_basis() == _oracle_kernel(rows, 6, p)
+        rhs = [[rng.randrange(p)] for _ in range(5)]
+        sol = a.solve_columns(ExactMatrix.from_rows(rhs, GF(p)))
+        expect = _oracle_solve(rows, rhs, p)
+        assert (sol is None and expect is None) or sol.data == expect
+        square = ExactMatrix.from_rows([[1, 2, 0], [0, 1, 3], [4, 0, 1]], GF(p))
+        if len(_gauss_jordan(square.data, p)[1]) == 3:
+            ident = [[int(i == j) for j in range(3)] for i in range(3)]
+            assert square.inverse().data == _oracle_solve(square.data, ident, p)
+
+
 class TestLatticeQuotient:
     def test_plain_cokernel(self):
         zero = ExactMatrix.zeros(0, 2, ZZ)
@@ -558,6 +694,22 @@ class TestRings:
     def test_entries_normalised(self):
         m = ExactMatrix.from_rows([[7, -1]], GF(5))
         assert m.data[0] == [2, 4]
+
+    def test_q_coerce_keeps_fractions(self):
+        x = Fraction(3, 4)
+        assert QQ.coerce(x) is x
+        assert type(QQ.coerce(2)) is Fraction and QQ.coerce(True) == 1
+        with pytest.raises(InputError):
+            QQ.coerce(0.5)
+
+    def test_matvec_over_q_matches_fraction_formula(self):
+        rng = random.Random(3)
+        rows = _q_rows(rng, 5, 4, 4)
+        vec = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 8)) for _ in range(4)]
+        out = ExactMatrix.from_rows(rows, QQ).matvec(vec)
+        assert out == [sum((a * v for a, v in zip(row, vec)), Fraction(0))
+                       for row in rows]
+        assert all(type(x) is Fraction for x in out)
 
 
 # --- sparse storage against dense Fraction arithmetic ----------------------
