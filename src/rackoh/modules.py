@@ -128,6 +128,8 @@ def custom_module(rack: RackTable, ring: Ring, matrices) -> CoeffModule:
 
 def tensor_with_trivial(module: CoeffModule, trivial_dim: int) -> CoeffModule:
     """Tensor A (x) N for trivial A: the action is I_A (x) A_x^N."""
+    if trivial_dim == 1:
+        return CoeffModule(module.ring, module.dim, module.matrices, TAG_CUSTOM)
     k = module.dim
     dim = trivial_dim * k
     mats = []

@@ -14,9 +14,10 @@ from rackoh.cochains import (apply_rack_element, averaging_projector,
                              invariant_basis, is_invariant_cochain,
                              slice_first)
 from rackoh.errors import InputError, PreconditionError, ResourceError
-from rackoh.linalg import GF, QQ, ZZ, ExactMatrix
+from rackoh.linalg import GF, QQ, ZZ, ExactMatrix, int_vector
 from rackoh.modules import (check_module, constant_module, custom_module,
-                            function_module, jordan_module, trivial_module)
+                            function_module, jordan_module,
+                            tensor_with_trivial, trivial_module)
 from rackoh.racks import (conjugation_rack, cyclic_rack, dihedral_rack,
                           symmetric_group_table, trivial_rack)
 
@@ -47,16 +48,16 @@ class TestModules:
         for y in range(3):
             m = fun.action(y)
             for x in range(3):
-                col = [m.data[z][x] for z in range(3)]
+                col = [m[z, x] for z in range(3)]
                 assert col == [1 if z == d3.op(y, x) else 0 for z in range(3)]
 
     def test_jordan_shape(self):
         d3 = dihedral_rack(3)
         j = jordan_module(d3, Fraction(1, 2), 3)
         m = j.action(0)
-        assert m.data[0][0] == Fraction(1, 2)
-        assert m.data[1][0] == 1 and m.data[2][1] == 1
-        assert m.data[0][1] == 0
+        assert m[0, 0] == Fraction(1, 2)
+        assert m[1, 0] == 1 and m[2, 1] == 1
+        assert m[0, 1] == 0
 
 
 class TestCochainSpace:
@@ -127,7 +128,7 @@ class TestDifferential:
         assert (d1.rows, d1.cols) == (9, 3)
         for x1 in range(3):
             for x2 in range(3):
-                row = d1.data[x1 * 3 + x2]
+                row = [d1[x1 * 3 + x2, j] for j in range(3)]
                 expect = [0, 0, 0]
                 expect[x2] += 1
                 expect[(2 * x1 - x2) % 3] -= 1
@@ -156,8 +157,8 @@ class TestDifferential:
         j2 = jordan_module(d3, 2, 2)
         n = 2
         d = differential(d3, j2, n)
-        for row in d.data:
-            blocks = {j // 2 for j, v in enumerate(row) if v}
+        for i in range(d.rows):
+            blocks = {j // 2 for j, _ in d.nonzeros(i)}
             assert len(blocks) <= 2 * (n + 1)
 
 
@@ -253,8 +254,9 @@ class TestDifferentialPrime:
         j1 = jordan_module(d3, 2, 1)
         dp = differential_prime(d3, j1, 0)
         inv = Fraction(1, 2)
+        assert dp.cols == 1
         for x1 in range(3):
-            assert dp.data[x1] == [inv - 1]
+            assert dp[x1, 0] == inv - 1
 
     def test_jordan_1_1_matches_d(self):
         d3 = dihedral_rack(3)
@@ -289,7 +291,7 @@ class TestChainIsomorphism:
         j = jordan_module(d3, 2, 1)
         iso = chain_isomorphism(d3, j, 2)
         for i in range(9):
-            assert iso.data[i][i] == Fraction(1, 4)
+            assert iso[i, i] == Fraction(1, 4)
 
     def test_intertwines_differentials(self, corpus_rack):
         spec, rack = corpus_rack
@@ -591,6 +593,67 @@ class TestCochainProduct:
         assert not is_invariant_cochain(d3, fun, 1, g_bad)
         with pytest.raises(PreconditionError):
             cochain_product(d3, qm, 1, [Fraction(1)] * 3, fun, 1, g_bad)
+
+    def test_tensor_with_one_dimensional_trivial_keeps_matrices(self):
+        d3 = dihedral_rack(3)
+        fun = function_module(d3, QQ)
+        tensor = tensor_with_trivial(fun, 1)
+        assert tensor.matrices == fun.matrices
+        assert tensor.dim == fun.dim and tensor.tag == "custom"
+
+    def test_product_tensor_dimension(self):
+        d3 = dihedral_rack(3)
+        fun = function_module(d3, QQ)
+        g = [Fraction(1)] * 9  # constant, hence invariant
+        for ka in (1, 2):
+            f = [Fraction(1)] * (3 * ka)
+            _, tensor = cochain_product(d3, trivial_module(d3, QQ, ka), 1, f,
+                                        fun, 1, g)
+            assert tensor.dim == ka * fun.dim
+            assert tensor.matrices == tensor_with_trivial(fun, ka).matrices
+
+    @staticmethod
+    def _leibniz(rack, ring, f, g):
+        """d(f g) == df g - f dg for degree-1 f, g with g in Fun(X, ring)."""
+        triv, fun = trivial_module(rack, ring), function_module(rack, ring)
+        fg, tensor = cochain_product(rack, triv, 1, f, fun, 1, g,
+                                     require_invariant=False)
+        dfg, _ = cochain_product(rack, triv, 2,
+                                 differential(rack, triv, 1).matvec(f),
+                                 fun, 1, g, require_invariant=False)
+        fdg, _ = cochain_product(rack, triv, 1, f, fun, 2,
+                                 differential(rack, fun, 1).matvec(g),
+                                 require_invariant=False)
+        lhs = differential(rack, tensor, 2).matvec(fg)
+        return lhs == [a - b for a, b in zip(dfg, fdg)]
+
+    def test_leibniz_over_q_and_its_integer_scaling(self):
+        # criterion_structural runs Leibniz over Z on int_vector-scaled g;
+        # the unscaled fractional g must satisfy it over Q as well
+        from rackoh.cli import _leibniz_holds
+        from rackoh.cohomology import RackComplex
+        d3 = dihedral_rack(3)
+        gbasis = invariant_basis(d3, function_module(d3, QQ), 1,
+                                 via="fixed_space")
+        coeffs = [Fraction(1 + i, 2 + 3 * i) for i in range(gbasis.cols)]
+        g = gbasis.matvec(coeffs)
+        assert any(x.denominator > 1 for x in g)
+        f = [Fraction(1, 2), Fraction(-2, 3), Fraction(5)]
+        assert is_invariant_cochain(d3, function_module(d3, QQ), 1, g)
+        assert self._leibniz(d3, QQ, f, g)
+        gi, den = int_vector(g)
+        assert den > 1 and all(type(x) is int for x in gi)
+        fi = [3, -4, 30]
+        assert self._leibniz(d3, ZZ, fi, gi)
+        g_bad = list(range(9))
+        assert not is_invariant_cochain(d3, function_module(d3, ZZ), 1, g_bad)
+        assert not self._leibniz(d3, ZZ, fi, g_bad)
+        for ring, ff, gg, holds in ((QQ, f, g, True), (ZZ, fi, gi, True),
+                                    (ZZ, fi, g_bad, False)):
+            triv, fun = trivial_module(d3, ring), function_module(d3, ring)
+            assert _leibniz_holds(d3, triv, RackComplex(d3, triv), fun,
+                                  RackComplex(d3, fun), ff, gg,
+                                  require_invariant=False) == holds
 
     def test_leibniz_check_tests_each_invariant_factor_once(self, monkeypatch):
         # the Leibniz check of criterion_structural forms f (x) g and
