@@ -198,6 +198,8 @@ def cmd_cohomology(config: RunConfig) -> tuple:
     else:
         ring = _parse_ring(config.ring)
         module = trivial_module(rack, ring)
+    if config.invariant and not module.ring.is_field:
+        raise InputError("--invariant needs Q or Fp coefficients")
     cx = RackComplex(rack, module, spec, closure_cap=config.closure_cap)
     if module.ring == ZZ:
         report = cohomology_integral(rack, config.max_degree, spec, complex_=cx)

@@ -20,16 +20,17 @@ from .errors import InputError, PreconditionError, ResourceError
 from .linalg import (QQ, ZZ, ExactMatrix, PrimeField, charge_budget,
                      int_vector, ring_vector)
 from .modules import CoeffModule, tensor_with_trivial
-from .racks import RackTable
+from .racks import RackTable, orbit_labels
 
 DEFAULT_ACTION_GROUP_CAP = 1_000_000
 
-# What _guard charges per entry a matrix may store: the tracemalloc peak of
-# building one per charged entry stays below this for every builder here;
-# tests/test_cochains.py measures it.  The builders that sum an entry dict
-# (chain_isomorphism, the actions, the projector) set it; a differential,
-# built row by row, peaks near 80 bytes per stored entry.
-BYTES_PER_ENTRY = 640
+# What _block_rows charges per entry a matrix may store: the tracemalloc
+# peak of building one per charged entry stays below this for every
+# operator here; tests/test_cochains.py measures it.  Operators of
+# one-entry rows set it (chain_isomorphism of a trivial module peaks at
+# about 207 bytes per entry, the stored row's tuples); a differential
+# peaks at 24-37, the projector near 9.
+BYTES_PER_ENTRY = 230
 
 
 def _guard(rows, cols, per_row):
@@ -89,26 +90,48 @@ def _permuted_index(perm, n) -> list:
     return out
 
 
-def _block(mat):
-    """The nonzeros of mat, row by row, in the form _add_block takes."""
-    return [mat.nonzeros(j) for j in range(mat.rows)]
-
-
-def _add_block(entries, row, col, block):
-    """Add mat transposed at (row, col), for block = _block(mat)."""
-    for j, mrow in enumerate(block):
-        for l, a in mrow:
-            key = (row + l, col + j)
-            entries[key] = entries.get(key, 0) + a
-
-
-def _columns(mat, den):
-    """Column l of mat, for each l, as (j, den * mat[j, l]) pairs."""
+def _columns(mat, den, num):
+    """Column l of mat, for each l, as (j, num * den * mat[j, l]) pairs,
+    integers when den is a multiple of the denominators of mat."""
     out = [[] for _ in range(mat.cols)]
     for j in range(mat.rows):
         for l, x in mat.nonzeros(j):
-            out[l].append((j, x.numerator * (den // x.denominator)))
+            out[l].append((j, num * x.numerator * (den // x.denominator)))
     return out
+
+
+def _block_rows(ring, rows, cols, k, mats, terms, width, scale=1):
+    """The rows x cols matrix whose row (r, l) is scale times the sum, over
+    (offset, weight, b) in terms[r], of weight times column l of mats[b]
+    (the k x k identity when b is None) placed from column offset on.
+
+    Every operator on cochains is such a sum of signed, permuted copies of
+    the module matrices: row (r, l) is the value at coordinate l of the
+    image at tuple r, and the right action puts the matrices transposed.
+    scale is an integer, or over Q a Fraction.  Entries are integers over
+    den, the lcm of the denominators of mats and of scale, so each row is
+    summed as integers and handed to ExactMatrix.from_int_rows as soon as
+    it is complete; `terms` may be a generator, of rows / k lists of at
+    most `width` terms each, and no entry outside the current row is held.
+    """
+    _guard(rows, cols, width * k)
+    den = lcm(*[x.denominator for m in mats for j in range(m.rows)
+                for _, x in m.nonzeros(j)])
+    num = scale.numerator
+    blocks = {b: _columns(m, den, num) for b, m in enumerate(mats)}
+    blocks[None] = [[(l, num * den)] for l in range(k)]
+
+    def int_rows():
+        for row in terms:
+            for l in range(k):
+                acc = {}
+                for offset, weight, b in row:
+                    for j, a in blocks[b][l]:
+                        acc[offset + j] = acc.get(offset + j, 0) + weight * a
+                yield acc
+
+    return ExactMatrix.from_int_rows(rows, cols, ring, int_rows(),
+                                     den * scale.denominator)
 
 
 def _coboundary(rack, module, n, deleted, twisted) -> ExactMatrix:
@@ -119,49 +142,31 @@ def _coboundary(rack, module, n, deleted, twisted) -> ExactMatrix:
     where w_i = y_1 |> (y_2 |> (.. y_i)), and subtracts the block
     twisted[y_i] at the tuple that twists the later arguments by y_i.
     Either list may be None, meaning identity blocks.
-
-    Every entry is an integer over den, the lcm of the denominators of
-    the blocks, so a row (ys, l) is summed as integers from column l of
-    its 2(n+1) blocks and handed to ExactMatrix.from_int_rows as soon as
-    it is complete; no entry outside the current row is held.
     """
     if n < 0:
         raise InputError("differential degree must be >= 0")
     size, k = rack.size, module.dim
-    rows = size ** (n + 1) * k
-    cols = size ** n * k
-    _guard(rows, cols, 2 * (n + 1) * k)
     mats = list(deleted or ()) + list(twisted or ())
-    den = lcm(*[x.denominator for m in mats for j in range(m.rows)
-                for _, x in m.nonzeros(j)])
-    ident = [[(l, den)] for l in range(k)]
-    deleted = ([ident] * size if deleted is None
-               else [_columns(m, den) for m in deleted])
-    twisted = ([ident] * size if twisted is None
-               else [_columns(m, den) for m in twisted])
+    dl = [None] * size if deleted is None else range(size)
+    tw = [None] * size if twisted is None else range(len(mats) - size, len(mats))
     table = rack.table
 
-    def int_rows():
+    def terms():
         for ys in product(range(size), repeat=n + 1):
-            terms = []
+            row = []
             for i in range(n + 1):
                 sign = 1 if i % 2 == 0 else -1
                 yi = ys[i]
                 w = yi
                 for j in range(i - 1, -1, -1):
                     w = table[ys[j]][w]
-                terms.append((_index(ys[:i] + ys[i + 1:], size) * k, sign,
-                              deleted[w]))
+                row.append((_index(ys[:i] + ys[i + 1:], size) * k, sign, dl[w]))
                 twist = ys[:i] + tuple(table[yi][y] for y in ys[i + 1:])
-                terms.append((_index(twist, size) * k, -sign, twisted[yi]))
-            for l in range(k):
-                acc = {}
-                for base, weight, block in terms:
-                    for j, a in block[l]:
-                        acc[base + j] = acc.get(base + j, 0) + weight * a
-                yield acc
+                row.append((_index(twist, size) * k, -sign, tw[yi]))
+            yield row
 
-    return ExactMatrix.from_int_rows(rows, cols, module.ring, int_rows(), den)
+    return _block_rows(module.ring, size ** (n + 1) * k, size ** n * k, k,
+                       mats, terms(), 2 * (n + 1))
 
 
 def differential(rack: RackTable, module: CoeffModule, n: int) -> ExactMatrix:
@@ -188,27 +193,22 @@ def chain_isomorphism(rack: RackTable, module: CoeffModule, n: int) -> ExactMatr
     two differentials: chain_isomorphism . d == d' . chain_isomorphism."""
     size, k = rack.size, module.dim
     dim = size ** n * k
-    _guard(dim, dim, k)
-    entries: dict = {}
-    for idx, xs in enumerate(product(range(size), repeat=n)):
-        prod_mat = ExactMatrix.identity(k, module.ring)
-        for x in xs:
-            prod_mat = prod_mat @ module.action(x)
-        _add_block(entries, idx * k, idx * k, _block(prod_mat.inverse()))
-    return ExactMatrix.from_entries(dim, dim, module.ring, entries)
+    # prods: the distinct products x_1 ... x_i; ids: each i-tuple's product
+    prods, ids = [ExactMatrix.identity(k, module.ring)], [0]
+    for _ in range(n):
+        seen, step = {}, {}
+        for b in dict.fromkeys(ids):
+            for x in range(size):
+                step[b, x] = seen.setdefault(prods[b] @ module.action(x), len(seen))
+        prods = list(seen)
+        ids = [step[b, x] for b in ids for x in range(size)]
+    terms = ([(idx * k, 1, b)] for idx, b in enumerate(ids))
+    return _block_rows(module.ring, dim, dim, k, [p.inverse() for p in prods],
+                       terms, 1)
 
 
 # ---------------------------------------------------------------------------
 # the diagonal action on cochains
-
-
-def _action_entries(module, n, perm_images, mat, entries):
-    """Add the entries of the cochain action of one (permutation, matrix) pair."""
-    k = module.dim
-    block = _block(mat)
-    for idx, tgt in enumerate(_permuted_index(perm_images, n)):
-        _add_block(entries, idx * k, tgt * k, block)
-    return entries
 
 
 def group_action_on_cochains(rack: RackTable, module: CoeffModule,
@@ -216,11 +216,10 @@ def group_action_on_cochains(rack: RackTable, module: CoeffModule,
     """Matrix of f -> f.y, (f.y)(x_1..x_n) = f(y|>x_1 .. y|>x_n).y."""
     if not 0 <= y < rack.size:
         raise InputError(f"rack element {y} out of range")
-    size, k = rack.size, module.dim
-    dim = size ** n * k
-    _guard(dim, dim, k)
-    entries = _action_entries(module, n, rack.translation(y), module.action(y), {})
-    return ExactMatrix.from_entries(dim, dim, module.ring, entries)
+    k = module.dim
+    dim = rack.size ** n * k
+    terms = ([(tgt * k, 1, 0)] for tgt in _permuted_index(rack.translation(y), n))
+    return _block_rows(module.ring, dim, dim, k, [module.action(y)], terms, 1)
 
 
 def _check_length(rack, module, n, vec):
@@ -324,18 +323,13 @@ def averaging_projector(rack: RackTable, module: CoeffModule, n: int,
             f"|G| = {order} is not invertible in characteristic {ring.p}")
     size, k = rack.size, module.dim
     dim = size ** n * k
-    _guard(dim, dim, order * k)
-    entries: dict = {}
-    for perm, mat in group.elements:
-        _action_entries(module, n, perm, mat, entries)
-    if ring == QQ:
-        scale = Fraction(1, order)
-    elif ring == ZZ:
-        scale = 1
-    else:
-        scale = ring.inv(order)
-    return ExactMatrix.from_entries(
-        dim, dim, ring, {key: v * scale for key, v in entries.items()})
+    targets = [_permuted_index(perm, n) for perm, _ in group.elements]
+    terms = ([(tgt[idx] * k, 1, g) for g, tgt in enumerate(targets)]
+             for idx in range(size ** n))
+    scale = (Fraction(1, order) if ring == QQ else 1 if ring == ZZ
+             else ring.inv(order))
+    return _block_rows(ring, dim, dim, k, [mat for _, mat in group.elements],
+                       terms, order, scale)
 
 
 def invariant_basis(rack: RackTable, module: CoeffModule, n: int,
@@ -352,33 +346,11 @@ def invariant_basis(rack: RackTable, module: CoeffModule, n: int,
     ring = module.ring
 
     if via == "auto" and module.is_trivial:
-        count = size ** n
-        parent = list(range(count))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for y in range(size):
-            for idx, tgt in enumerate(_permuted_index(rack.translation(y), n)):
-                ra, rb = find(idx), find(tgt)
-                if ra != rb:
-                    parent[rb] = ra
-        roots = {}
-        for idx in range(count):
-            r = find(idx)
-            roots.setdefault(r, []).append(idx)
-        cols = []
-        one = ring.coerce(1)
-        for r in sorted(roots):
-            for j in range(k):
-                col = [ring.coerce(0)] * dim
-                for idx in roots[r]:
-                    col[idx * k + j] = one
-                cols.append(col)
-        return ExactMatrix.from_columns(cols, dim, ring)
+        # column (orbit, j) is the indicator of the orbit's n-tuples at j
+        labels, count = orbit_labels(size ** n, (
+            _permuted_index(rack.translation(y), n) for y in range(size)))
+        terms = ([(label * k, 1, None)] for label in labels)
+        return _block_rows(ring, dim, count * k, k, [], terms, 1)
 
     if group is None:
         group = finite_action_group(rack, module)
@@ -388,17 +360,19 @@ def invariant_basis(rack: RackTable, module: CoeffModule, n: int,
     if use_projector:
         return averaging_projector(rack, module, n, group).column_basis()
 
-    # simultaneous fixed space of the generator actions
     if not ring.is_field:
         raise PreconditionError("fixed-space computation needs a field ring")
-    ident = ExactMatrix.identity(dim, ring)
-    entries = {}
-    for y in range(size):
-        diff = group_action_on_cochains(rack, module, n, y) - ident
-        for i in range(dim):
-            for j, x in diff.nonzeros(i):
-                entries[(y * dim + i, j)] = x
-    return ExactMatrix.from_entries(size * dim, dim, ring, entries).kernel_matrix()
+    return _fixed_space_stack(rack, module, n).kernel_matrix()
+
+
+def _fixed_space_stack(rack, module, n) -> ExactMatrix:
+    """The actions of the rack elements on degree-n cochains, each minus
+    the identity, stacked; its kernel is the invariant cochains."""
+    size, k = rack.size, module.dim
+    dim = size ** n * k
+    terms = ([(tgt * k, 1, y), (idx * k, -1, None)] for y in range(size)
+             for idx, tgt in enumerate(_permuted_index(rack.translation(y), n)))
+    return _block_rows(module.ring, size * dim, dim, k, module.matrices, terms, 2)
 
 
 # ---------------------------------------------------------------------------

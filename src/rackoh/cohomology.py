@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .cochains import (DEFAULT_ACTION_GROUP_CAP, differential,
-                       finite_action_group, invariant_basis)
+from .cochains import (DEFAULT_ACTION_GROUP_CAP, _block_rows,
+                       _fixed_space_stack, differential, finite_action_group,
+                       invariant_basis)
 from .errors import InputError, PreconditionError, ResourceError
 from .linalg import (QQ, ZZ, AbelianGroup, ExactMatrix, PrimeField, SmithForm,
                      _is_prime_power, _quotient_invariants, lattice_quotient)
@@ -178,17 +179,10 @@ class RackComplex:
 
     def fixed_space_dim(self) -> int:
         """dim of the invariants of the module itself (= expected betti 0)."""
-        k = self.module.dim
-        ring = self.module.ring
-        rows = []
-        for x in range(self.rack.size):
-            a = self.module.action(x)
-            for l in range(k):
-                rows.append([a[j, l] - (1 if j == l else 0) for j in range(k)])
-        if not rows:
-            return k
-        work = ExactMatrix.from_rows(rows, ring if ring.is_field else QQ)
-        return k - work.rank()
+        stack = _fixed_space_stack(self.rack, self.module, 0)
+        if not self.module.ring.is_field:
+            stack = stack.to_ring(QQ)
+        return self.module.dim - stack.rank()
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +241,14 @@ def integral_degree(cx: RackComplex, n: int) -> AbelianGroup:
 def cohomology_integral(rack: RackTable, max_degree: int,
                         rack_spec: str = "custom",
                         complex_: RackComplex | None = None) -> CohomologyReport:
-    """Integral cohomology: free rank plus invariant-factor torsion per degree."""
+    """Integral cohomology: free rank plus invariant-factor torsion per degree.
+
+    The coefficients are those of `complex_`, trivial Z when it is omitted;
+    the torsion-primes theorem is checked only for trivial coefficients.
+    """
     if max_degree < 0:
         raise InputError("max_degree must be >= 0")
-    module = trivial_module(rack, ZZ)
-    cx = complex_ or RackComplex(rack, module, rack_spec)
+    cx = complex_ or RackComplex(rack, trivial_module(rack, ZZ), rack_spec)
     degrees = []
     consistent = True
     for n in range(max_degree + 1):
@@ -259,16 +256,17 @@ def cohomology_integral(rack: RackTable, max_degree: int,
         if group.free_rank != cx.betti(n):
             consistent = False
         degrees.append(DegreeData(n, group.free_rank, group.torsion))
-    report = CohomologyReport(rack_spec, rack, module.describe(), degrees)
+    report = CohomologyReport(rack_spec, rack, cx.module.describe(), degrees)
     report.checks.append(TheoremCheck(
         CHECK_UNIV_COEFF, consistent,
         "free rank from the lattice quotient matches the rational betti"))
-    bigN = cx.inner_order
-    bad = [d for deg in degrees for d in deg.torsion
-           if any(bigN % p for p in prime_factors(d))]
-    report.checks.append(TheoremCheck(
-        CHECK_TORSION_PRIMES, not bad,
-        f"N={bigN}; offending factors {bad}" if bad else f"N={bigN}"))
+    if cx.module.is_trivial:
+        bigN = cx.inner_order
+        bad = [d for deg in degrees for d in deg.torsion
+               if any(bigN % p for p in prime_factors(d))]
+        report.checks.append(TheoremCheck(
+            CHECK_TORSION_PRIMES, not bad,
+            f"N={bigN}; offending factors {bad}" if bad else f"N={bigN}"))
     report.checks.append(_betti0_check(cx, degrees[0].betti))
     if is_quandle(rack):
         report.notes.append(QUANDLE_NOTE)
@@ -420,35 +418,15 @@ def _h1_matrices(presentation: RackPresentation, module: CoeffModule):
     """Cocycle constraints and coboundary generators for degree-1 group
     cohomology; a cocycle is its value vector on the rack generators."""
     n, k = presentation.size, module.dim
-    ring = module.ring
-    constraints: dict = {}
-    for ridx, (x, y, xy) in enumerate(presentation.relations):
-        ax = module.action(x)
-        ay = module.action(y)
-        base = ridx * k
-        for j in range(k):
-            for l, a in ay.nonzeros(j):
-                key = (base + l, x * k + j)
-                constraints[key] = constraints.get(key, 0) + a
-            for l, a in ax.nonzeros(j):
-                key = (base + l, xy * k + j)
-                constraints[key] = constraints.get(key, 0) - a
-        for l in range(k):
-            key = (base + l, y * k + l)
-            constraints[key] = constraints.get(key, 0) + 1
-            key = (base + l, x * k + l)
-            constraints[key] = constraints.get(key, 0) - 1
-    cmat = ExactMatrix.from_entries(len(presentation.relations) * k, n * k,
-                                    ring, constraints)
-    cob: dict = {}
-    for x in range(n):
-        ax = module.action(x)
-        for l in range(k):
-            for j in range(k):
-                v = ax[j, l] - (1 if j == l else 0)
-                if v:
-                    cob[(x * k + l, j)] = v
-    bmat = ExactMatrix.from_entries(n * k, k, ring, cob)
+    # relation x.y = (x|>y).x: c(y) + c(x) A_y - c(x|>y) A_x - c(x) = 0
+    cmat = _block_rows(module.ring, len(presentation.relations) * k, n * k, k,
+                       module.matrices,
+                       ([(x * k, 1, y), (xy * k, -1, x), (y * k, 1, None),
+                         (x * k, -1, None)] for x, y, xy in presentation.relations),
+                       4)
+    # the coboundary of v is x -> v A_x - v
+    bmat = _block_rows(module.ring, n * k, k, k, module.matrices,
+                       ([(0, 1, x), (0, -1, None)] for x in range(n)), 2)
     return cmat, bmat
 
 

@@ -288,12 +288,6 @@ class ExactMatrix:
             raise InputError(f"rows do not fit a {rows}x{cols} matrix")
         return cls._of(rows, cols, ring, stored)
 
-    @classmethod
-    def from_columns(cls, columns, rows, ring):
-        return cls.from_entries(rows, len(columns), ring,
-                                {(i, j): x for j, col in enumerate(columns)
-                                 for i, x in enumerate(col)})
-
     # -- entry access --------------------------------------------------------
 
     def __getitem__(self, ij):

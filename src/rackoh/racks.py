@@ -305,10 +305,11 @@ class OrbitPartition:
         return out
 
 
-def orbits(rack: RackTable) -> OrbitPartition:
-    """Orbit decomposition by union-find over the edges {y, x |> y}."""
-    n = rack.size
-    parent = list(range(n))
+def orbit_labels(count, maps):
+    """Orbits of range(count) under the maps, each a list of images, by
+    union-find over the edges {a, m[a]}: each point's orbit label, the
+    labels numbered in order of their first point, and the orbit count."""
+    parent = list(range(count))
 
     def find(a):
         while parent[a] != a:
@@ -316,20 +317,20 @@ def orbits(rack: RackTable) -> OrbitPartition:
             a = parent[a]
         return a
 
-    for x in range(n):
-        row = rack.table[x]
-        for y in range(n):
-            ra, rb = find(y), find(row[y])
+    for m in maps:
+        for a, b in enumerate(m):
+            ra, rb = find(a), find(b)
             if ra != rb:
                 parent[rb] = ra
     labels = {}
-    orbit_of = []
-    for x in range(n):
-        root = find(x)
-        if root not in labels:
-            labels[root] = len(labels)
-        orbit_of.append(labels[root])
-    return OrbitPartition(n, tuple(orbit_of), len(labels))
+    orbit_of = [labels.setdefault(find(a), len(labels)) for a in range(count)]
+    return orbit_of, len(labels)
+
+
+def orbits(rack: RackTable) -> OrbitPartition:
+    """Orbit decomposition: the orbits under the left translations."""
+    orbit_of, count = orbit_labels(rack.size, rack.table)
+    return OrbitPartition(rack.size, tuple(orbit_of), count)
 
 
 # ---------------------------------------------------------------------------

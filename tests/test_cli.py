@@ -137,6 +137,51 @@ class TestCohomologyCommand:
                              "--module", str(path), "--max-degree", "2")
         assert code == EXIT_OK
 
+    @staticmethod
+    def _integral_json(capsys, tmp_path, module, *flags):
+        path = tmp_path / "module.json"
+        path.write_text(json.dumps(module))
+        code, out, err = run_cli(capsys, "cohomology", "--rack", "dihedral:3",
+                                 "--module", str(path), "--max-degree", "2",
+                                 "--json", *flags)
+        return code, (json.loads(out) if code == EXIT_OK else err)
+
+    def test_integral_sign_module_reported_as_given(self, capsys, tmp_path):
+        sign = {"ring": "Z", "dim": 1,
+                "action": {"type": "custom", "matrices": [[[-1]]] * 3}}
+        code, doc = self._integral_json(capsys, tmp_path, sign)
+        assert code == EXIT_OK
+        assert doc["module"] == {"action": {"type": "custom"}, "dim": 1,
+                                 "ring": "Z"}
+        assert [d["torsion"] for d in doc["degrees"]] == [[], [2], [3]]
+        # torsion primes dividing N is a theorem about trivial coefficients
+        names = [c["name"] for c in doc["checks"]]
+        assert "torsion_primes_divide_N" not in names
+        assert all(c["pass"] for c in doc["checks"])
+
+    def test_integral_jordan_module_reported_as_given(self, capsys, tmp_path):
+        jordan = {"ring": "Z", "dim": 2, "action": {"type": "jordan", "t": "1"}}
+        code, doc = self._integral_json(capsys, tmp_path, jordan)
+        assert code == EXIT_OK
+        assert doc["module"] == {"action": {"type": "jordan", "t": "1"},
+                                 "dim": 2, "ring": "Z"}
+        assert "torsion_primes_divide_N" not in [c["name"] for c in doc["checks"]]
+
+    def test_integral_trivial_module_keeps_torsion_check(self, capsys, tmp_path):
+        code, doc = self._integral_json(capsys, tmp_path,
+                                        {"ring": "Z", "dim": 2})
+        assert code == EXIT_OK
+        assert doc["module"]["dim"] == 2
+        assert "torsion_primes_divide_N" in [c["name"] for c in doc["checks"]]
+
+    def test_invariant_over_z_exit_2(self, capsys, tmp_path):
+        code, err = self._integral_json(capsys, tmp_path,
+                                        {"ring": "Z", "dim": 1}, "--invariant")
+        assert code == EXIT_INPUT and "--invariant" in err
+        code, _, err = run_cli(capsys, "cohomology", "--rack", "dihedral:3",
+                               "--ring", "Z", "--invariant")
+        assert code == EXIT_INPUT and "--invariant" in err
+
     def test_incompatible_custom_module_rejected(self, capsys, tmp_path):
         path = tmp_path / "module.json"
         path.write_text(json.dumps(

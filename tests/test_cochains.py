@@ -13,6 +13,7 @@ from rackoh.cochains import (apply_rack_element, averaging_projector,
                              finite_action_group, group_action_on_cochains,
                              invariant_basis, is_invariant_cochain,
                              slice_first)
+from rackoh.cohomology import RackComplex, RackPresentation, _h1_matrices
 from rackoh.errors import InputError, PreconditionError, ResourceError
 from rackoh.linalg import GF, QQ, ZZ, ExactMatrix, int_vector
 from rackoh.modules import (check_module, constant_module, custom_module,
@@ -75,9 +76,10 @@ class TestCochainSpace:
 
     def test_guard_charge_covers_measured_bytes(self, monkeypatch):
         # the tracemalloc peak of building each kind of guarded matrix (the
-        # builder's entry dict plus the stored rows), per entry the guard
-        # charges, must stay within BYTES_PER_ENTRY; and the constant
-        # must be near the worst case, not padded far above it
+        # builder's current row plus the stored rows), per entry the guard
+        # charges (summed over the matrices one build makes), must stay
+        # within BYTES_PER_ENTRY; and the constant must be near the worst
+        # case, not padded far above it
         charged = []
         guard = cochains._guard
         monkeypatch.setattr(cochains, "_guard", lambda rows, cols, per_row: (
@@ -86,6 +88,8 @@ class TestCochainSpace:
         jordan = jordan_module(d5, Fraction(1, 2), 2)
         fun = function_module(d5, QQ)
         group = finite_action_group(d5, fun)
+        fun7 = function_module(d5, GF(7))
+        group7 = finite_action_group(d5, fun7)
         builds = [lambda ring=ring: differential(d6, trivial_module(d6, ring), 3)
                   for ring in (ZZ, QQ, GF(7))]
         builds += [lambda: differential(d5, jordan, 2),
@@ -94,9 +98,17 @@ class TestCochainSpace:
                    lambda: chain_isomorphism(d6, trivial_module(d6, QQ), 3),
                    lambda: group_action_on_cochains(d6, trivial_module(d6, QQ), 3, 1),
                    lambda: group_action_on_cochains(d5, fun, 2, 1),
-                   lambda: averaging_projector(d5, fun, 2, group)]
+                   lambda: averaging_projector(d5, fun, 2, group),
+                   lambda: averaging_projector(d5, fun7, 2, group7),
+                   lambda: cochains._fixed_space_stack(d5, jordan, 2),
+                   lambda: cochains._fixed_space_stack(d6, trivial_module(d6, QQ), 3),
+                   lambda: invariant_basis(d6, trivial_module(d6, QQ), 3),
+                   lambda: _h1_matrices(RackPresentation.of(d6),
+                                        trivial_module(d6, ZZ)),
+                   lambda: _h1_matrices(RackPresentation.of(d5), fun)]
         per_entry = []
         for build in builds:
+            before = len(charged)
             gc.collect()
             tracemalloc.start()
             try:
@@ -104,7 +116,7 @@ class TestCochainSpace:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            per_entry.append(peak / charged[-1])
+            per_entry.append(peak / sum(charged[before:]))
         assert max(per_entry) <= cochains.BYTES_PER_ENTRY
         assert max(per_entry) >= 0.8 * cochains.BYTES_PER_ENTRY
 
@@ -201,6 +213,122 @@ def _reference_coboundary(rack, module, n, deleted, twisted):
                                     module.ring, entries)
 
 
+def _lex(xs, size):
+    idx = 0
+    for x in xs:
+        idx = idx * size + x
+    return idx
+
+
+def _add_matrix(entries, row, col, mat, weight=1):
+    """Add weight * mat transposed at (row, col), entry by entry, into a
+    {(i, j): value} mapping (how the operators below were summed before
+    their rows were built as integers)."""
+    for j in range(mat.rows):
+        for l, a in mat.nonzeros(j):
+            key = (row + l, col + j)
+            entries[key] = entries.get(key, 0) + weight * a
+
+
+def _reference_chain_isomorphism(rack, module, n):
+    k = module.dim
+    dim = rack.size ** n * k
+    entries = {}
+    for idx, xs in enumerate(product(range(rack.size), repeat=n)):
+        prod_mat = ExactMatrix.identity(k, module.ring)
+        for x in xs:
+            prod_mat = prod_mat @ module.action(x)
+        _add_matrix(entries, idx * k, idx * k, prod_mat.inverse())
+    return ExactMatrix.from_entries(dim, dim, module.ring, entries)
+
+
+def _reference_action(rack, module, n, pairs, scale=1):
+    """scale times the sum of the cochain actions of the (permutation,
+    matrix) pairs."""
+    k = module.dim
+    dim = rack.size ** n * k
+    entries = {}
+    for perm, mat in pairs:
+        for idx, xs in enumerate(product(range(rack.size), repeat=n)):
+            tgt = _lex([perm[x] for x in xs], rack.size)
+            _add_matrix(entries, idx * k, tgt * k, mat)
+    return ExactMatrix.from_entries(
+        dim, dim, module.ring, {key: v * scale for key, v in entries.items()})
+
+
+def _reference_fixed_space_stack(rack, module, n):
+    dim = rack.size ** n * module.dim
+    ident = ExactMatrix.identity(dim, module.ring)
+    entries = {}
+    for y in range(rack.size):
+        diff = _reference_action(rack, module, n, [
+            (rack.translation(y), module.action(y))]) - ident
+        for i in range(dim):
+            for j, x in diff.nonzeros(i):
+                entries[(y * dim + i, j)] = x
+    return ExactMatrix.from_entries(rack.size * dim, dim, module.ring, entries)
+
+
+def _reference_orbit_indicators(rack, ring, n, k):
+    """Column (orbit, j) is the indicator of an orbit of n-tuples at module
+    index j; orbits found by closure, numbered by their first tuple."""
+    tuples = list(product(range(rack.size), repeat=n))
+    labels, count = {}, 0
+    for xs in tuples:
+        if xs in labels:
+            continue
+        labels[xs] = count
+        frontier = [xs]
+        while frontier:
+            ys = frontier.pop()
+            for y in range(rack.size):
+                zs = tuple(rack.op(y, z) for z in ys)
+                if zs not in labels:
+                    labels[zs] = count
+                    frontier.append(zs)
+        count += 1
+    return ExactMatrix.from_entries(
+        len(tuples) * k, count * k, ring,
+        {(idx * k + j, labels[xs] * k + j): 1
+         for idx, xs in enumerate(tuples) for j in range(k)})
+
+
+def _reference_h1_matrices(presentation, module):
+    n, k = presentation.size, module.dim
+    ring = module.ring
+    constraints = {}
+    for ridx, (x, y, xy) in enumerate(presentation.relations):
+        base = ridx * k
+        _add_matrix(constraints, base, x * k, module.action(y))
+        _add_matrix(constraints, base, xy * k, module.action(x), -1)
+        for l in range(k):
+            key = (base + l, y * k + l)
+            constraints[key] = constraints.get(key, 0) + 1
+            key = (base + l, x * k + l)
+            constraints[key] = constraints.get(key, 0) - 1
+    cmat = ExactMatrix.from_entries(len(presentation.relations) * k, n * k,
+                                    ring, constraints)
+    cob = {}
+    for x in range(n):
+        ax = module.action(x)
+        for l in range(k):
+            for j in range(k):
+                v = ax[j, l] - (1 if j == l else 0)
+                if v:
+                    cob[(x * k + l, j)] = v
+    return cmat, ExactMatrix.from_entries(n * k, k, ring, cob)
+
+
+def _reference_fixed_space_dim(rack, module):
+    k, ring = module.dim, module.ring
+    rows = []
+    for x in range(rack.size):
+        a = module.action(x)
+        for l in range(k):
+            rows.append([a[j, l] - (1 if j == l else 0) for j in range(k)])
+    return k - ExactMatrix.from_rows(rows, ring if ring.is_field else QQ).rank()
+
+
 def _sign_module(rack, spec):
     """The sign character on conj:S3 (its elements are the permutations of
     range(3) in lex order), -1 for every element elsewhere."""
@@ -239,6 +367,70 @@ class TestBuilderOracle:
                     rack, module, n, None, module.matrices)
                 assert differential_prime(rack, module, n) == \
                     _reference_coboundary(rack, module, n, inverses, None)
+
+
+    @staticmethod
+    def _modules(rack, spec):
+        # modules with denominators (t = 1/2) and of dimension above 1
+        return [trivial_module(rack, ZZ), trivial_module(rack, GF(7), 2),
+                jordan_module(rack, Fraction(1, 2), 2), jordan_module(rack, 2, 3),
+                function_module(rack, QQ), _sign_module(rack, spec)]
+
+    @staticmethod
+    def _finite_modules(rack, spec, ring):
+        # modules whose action group is finite, one of them with matrices
+        # that have denominators over Q
+        swap = [[0, Fraction(1, 2)], [2, 0]]
+        return [trivial_module(rack, ring), function_module(rack, ring),
+                constant_module(rack, ExactMatrix.from_rows(swap, ring))] + (
+            [_sign_module(rack, spec)] if ring == QQ else [])
+
+    @pytest.mark.parametrize("spec", sorted(ORACLE_RACKS))
+    def test_chain_isomorphism_and_action_match_dict_builder(self, spec):
+        rack = ORACLE_RACKS[spec]()
+        for module in self._modules(rack, spec):
+            for n in range(4 if module.dim == 1 else 3):
+                assert chain_isomorphism(rack, module, n) == \
+                    _reference_chain_isomorphism(rack, module, n)
+                for y in range(rack.size):
+                    assert group_action_on_cochains(rack, module, n, y) == \
+                        _reference_action(rack, module, n, [
+                            (rack.translation(y), module.action(y))])
+                assert cochains._fixed_space_stack(rack, module, n) == \
+                    _reference_fixed_space_stack(rack, module, n)
+
+    @pytest.mark.parametrize("ring", [QQ, GF(7)], ids=["Q", "F7"])
+    @pytest.mark.parametrize("spec", sorted(ORACLE_RACKS))
+    def test_projector_and_fixed_space_basis_match_dict_builder(self, spec, ring):
+        rack = ORACLE_RACKS[spec]()
+        for module in self._finite_modules(rack, spec, ring):
+            group = finite_action_group(rack, module)
+            scale = (Fraction(1, group.order) if ring == QQ
+                     else ring.inv(group.order))
+            for n in range(3):
+                assert averaging_projector(rack, module, n, group) == \
+                    _reference_action(rack, module, n, group.elements, scale)
+                assert invariant_basis(rack, module, n, group,
+                                       via="fixed_space") == \
+                    _reference_fixed_space_stack(rack, module, n).kernel_matrix()
+
+    @pytest.mark.parametrize("spec", sorted(ORACLE_RACKS))
+    def test_orbit_indicators_match_closure(self, spec):
+        rack = ORACLE_RACKS[spec]()
+        for ring, k in ((QQ, 1), (GF(7), 2)):
+            for n in range(4):
+                assert invariant_basis(rack, trivial_module(rack, ring, k), n) \
+                    == _reference_orbit_indicators(rack, ring, n, k)
+
+    @pytest.mark.parametrize("spec", sorted(ORACLE_RACKS))
+    def test_h1_matrices_and_fixed_space_dim_match_dict_builder(self, spec):
+        rack = ORACLE_RACKS[spec]()
+        pres = RackPresentation.of(rack)
+        for module in self._modules(rack, spec) + [trivial_module(rack, QQ, 2)]:
+            assert _h1_matrices(pres, module) == \
+                _reference_h1_matrices(pres, module)
+            assert RackComplex(rack, module).fixed_space_dim() == \
+                _reference_fixed_space_dim(rack, module)
 
 
 class TestDifferentialPrime:

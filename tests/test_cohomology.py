@@ -318,8 +318,7 @@ class TestProductSpansCohomology:
                         out.extend(v * w for w in indicators[i])
                     vec = out
                 products.append(vec)
-            prod_matrix = ExactMatrix.from_columns(
-                products, rack.size ** n, QQ)
+            prod_matrix = ExactMatrix.from_rows(list(zip(*products)), QQ)
             boundaries = cx.diff(n - 1)
             stacked = prod_matrix.hstack(boundaries)
             span_in_h = stacked.rank() - boundaries.rank()
