@@ -189,6 +189,11 @@ def _report_exit(report: CohomologyReport) -> int:
 def cmd_cohomology(config: RunConfig) -> tuple:
     spec, rack, _ = parse_rack_spec(config.rack_spec)
     if config.twisted is not None:
+        # a twisted run always uses the Jordan module over Q
+        if config.module_path is not None or config.invariant or \
+                _parse_ring(config.ring) != QQ:
+            raise InputError("--twisted cannot be combined with --module, "
+                             "--invariant or a --ring other than Q")
         t, k = _parse_twisted(config.twisted)
         report = twisted_cohomology(rack, t, k, config.max_degree, spec)
         return _report_exit(report), report.to_json_dict()

@@ -5,16 +5,19 @@ per pair (tuple, module index), flattened as lex(x_1..x_n) * dim + j with
 the module index innermost.  Cochain values are column vectors and every
 operator is a matrix acting by left multiplication; since the module
 action is a right action on row vectors, action matrices enter operator
-blocks transposed.  _index and _permuted_index own the lex order of the
-tuples.
+blocks transposed.  Every operator is built by _block_rows from integer
+arrays that give, for all tuples at once, the lex indices of the tuples
+each image is read from (np.indices and the rack table as an array, or
+_permuted_index) and the module blocks it is read through.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import lcm
+
+import numpy as np
 
 from .errors import InputError, PreconditionError, ResourceError
 from .linalg import (QQ, ZZ, ExactMatrix, PrimeField, charge_budget,
@@ -28,9 +31,10 @@ DEFAULT_ACTION_GROUP_CAP = 1_000_000
 # peak of building one per charged entry stays below this for every
 # operator here; tests/test_cochains.py measures it.  Operators of
 # one-entry rows set it (chain_isomorphism of a trivial module peaks at
-# about 207 bytes per entry, the stored row's tuples); a differential
-# peaks at 24-37, the projector near 9.
-BYTES_PER_ENTRY = 230
+# about 248 bytes per entry: the stored row's tuples, and the summed
+# triplet arrays while the rows are made); a differential peaks at 37-65,
+# the projector near 15.
+BYTES_PER_ENTRY = 270
 
 
 def _guard(rows, cols, per_row):
@@ -51,7 +55,10 @@ class CochainSpace:
         return self.rack.size ** self.degree * self.module.dim
 
     def flat(self, xs, j=0):
-        return _index(xs, self.rack.size) * self.module.dim + j
+        idx = 0
+        for x in xs:
+            idx = idx * self.rack.size + x
+        return idx * self.module.dim + j
 
     def unflat(self, flat):
         j = flat % self.module.dim
@@ -73,65 +80,89 @@ def cochain_space(rack, module, degree) -> CochainSpace:
 # differentials
 
 
-def _index(xs, size) -> int:
-    """Lex index of the tuple xs over an alphabet of `size` elements."""
-    idx = 0
-    for x in xs:
-        idx = idx * size + x
-    return idx
-
-
-def _permuted_index(perm, n) -> list:
-    """Lex index of (perm[x_1], .., perm[x_n]) for every n-tuple, in lex order."""
-    size = len(perm)
-    out = [0]
-    for _ in range(n):
-        out = [t * size + p for t in out for p in perm]
+def _permuted_index(perm, n):
+    """Lex index of (perm[x_1], .., perm[x_n]) for every n-tuple, in lex
+    order, as an integer array."""
+    perm = np.asarray(perm, dtype=np.int64)
+    out = perm if n else np.zeros(1, dtype=np.int64)
+    for _ in range(n - 1):
+        out = (out[:, None] * len(perm) + perm).ravel()
     return out
 
 
-def _columns(mat, den, num):
-    """Column l of mat, for each l, as (j, num * den * mat[j, l]) pairs,
-    integers when den is a multiple of the denominators of mat."""
-    out = [[] for _ in range(mat.cols)]
-    for j in range(mat.rows):
-        for l, x in mat.nonzeros(j):
-            out[l].append((j, num * x.numerator * (den // x.denominator)))
-    return out
+def _int_dtype(bound):
+    """int64 when integers of absolute value up to `bound` fit it with room
+    to spare, else object (Python ints, exact at any size)."""
+    return np.int64 if bound < 2**62 else object
 
 
-def _block_rows(ring, rows, cols, k, mats, terms, width, scale=1):
+def _block_rows(ring, rows, cols, k, mats, width, terms, scale=1):
     """The rows x cols matrix whose row (r, l) is scale times the sum, over
-    (offset, weight, b) in terms[r], of weight times column l of mats[b]
-    (the k x k identity when b is None) placed from column offset on.
+    the terms t < width of row r, of weights[r, t] times column l of
+    mats[blocks[r, t]] placed from column offsets[r, t] on.
 
     Every operator on cochains is such a sum of signed, permuted copies of
     the module matrices: row (r, l) is the value at coordinate l of the
     image at tuple r, and the right action puts the matrices transposed.
-    scale is an integer, or over Q a Fraction.  Entries are integers over
-    den, the lcm of the denominators of mats and of scale, so each row is
-    summed as integers and handed to ExactMatrix.from_int_rows as soon as
-    it is complete; `terms` may be a generator, of rows / k lists of at
-    most `width` terms each, and no entry outside the current row is held.
+    `terms()` returns the integer arrays (offsets, weights, blocks), each
+    of shape (rows // k, width) or broadcast to it; block id len(mats) is
+    the k x k identity.  It is called after the memory guard, so nothing
+    is allocated for a matrix the guard refuses.
+
+    Each term is expanded by its block's nonzero pattern with np.repeat;
+    the keys row * cols + col are sorted once and duplicates summed with
+    np.add.reduceat.  Entries are integers over den, the lcm of the
+    denominators of mats and of scale (an integer, or over Q a Fraction).
+    They are int64 when the largest scaled block entry times the largest
+    weight times width (the terms one entry can sum) stays below 2^62, and
+    Python ints in object arrays otherwise.
     """
     _guard(rows, cols, width * k)
+    if rows * cols == 0:  # a zero-dimensional module
+        return ExactMatrix.zeros(rows, cols, ring)
     den = lcm(*[x.denominator for m in mats for j in range(m.rows)
                 for _, x in m.nonzeros(j)])
     num = scale.numerator
-    blocks = {b: _columns(m, den, num) for b, m in enumerate(mats)}
-    blocks[None] = [[(l, num * den)] for l in range(k)]
+    # pattern[b]: entry (l, j) of block b, transposed, as the key offset
+    # l * cols + j and the integer value num * den * mats[b][j, l]
+    pattern = [[(l * cols + j, num * x.numerator * (den // x.denominator))
+                for j in range(m.rows) for l, x in m.nonzeros(j)] for m in mats]
+    pattern.append([(l * cols + l, num * den) for l in range(k)])
+    flat = [e for block in pattern for e in block]
+    sizes = np.array([len(block) for block in pattern])
+    start = np.cumsum(sizes) - sizes
+    offsets, weights, blocks = (np.broadcast_to(a, (rows // k, width)).ravel()
+                                for a in terms())
+    bound = max(abs(a) for _, a in flat) * int(np.abs(weights).max(initial=0))
+    keys = np.array([key for key, _ in flat], dtype=np.int64)
+    vals = np.array([a for _, a in flat],
+                    dtype=_int_dtype(max(bound * width, den * scale.denominator)))
 
-    def int_rows():
-        for row in terms:
-            for l in range(k):
-                acc = {}
-                for offset, weight, b in row:
-                    for j, a in blocks[b][l]:
-                        acc[offset + j] = acc.get(offset + j, 0) + weight * a
-                yield acc
-
-    return ExactMatrix.from_int_rows(rows, cols, ring, int_rows(),
-                                     den * scale.denominator)
+    # expand: term t contributes the counts[t] = sizes[blocks[t]] pattern
+    # entries of its block, from start[blocks[t]] on
+    counts = sizes[blocks]
+    pos = np.repeat(start[blocks] - (np.cumsum(counts) - counts), counts)
+    pos += np.arange(pos.size)
+    base = np.arange(offsets.size) // width * (k * cols)
+    base += offsets
+    key = keys[pos]
+    key += np.repeat(base, counts)
+    val = vals[pos]
+    del pos, base, offsets, blocks
+    val *= np.repeat(weights, counts)
+    del weights, counts
+    # the keys come grouped by row block, so a merge sort is fast
+    order = np.argsort(key, kind="stable")
+    key, val = key[order], val[order]
+    del order
+    new = np.ones(key.size, dtype=bool)
+    new[1:] = key[1:] != key[:-1]
+    first = np.flatnonzero(new)
+    sums = np.add.reduceat(val, first)
+    key = key[first]
+    del val, first, new
+    return ExactMatrix.from_triplets(rows, cols, ring, key // cols, key % cols,
+                                     sums, den * scale.denominator)
 
 
 def _coboundary(rack, module, n, deleted, twisted) -> ExactMatrix:
@@ -147,26 +178,32 @@ def _coboundary(rack, module, n, deleted, twisted) -> ExactMatrix:
         raise InputError("differential degree must be >= 0")
     size, k = rack.size, module.dim
     mats = list(deleted or ()) + list(twisted or ())
-    dl = [None] * size if deleted is None else range(size)
-    tw = [None] * size if twisted is None else range(len(mats) - size, len(mats))
-    table = rack.table
+    ident = len(mats)
 
     def terms():
-        for ys in product(range(size), repeat=n + 1):
-            row = []
-            for i in range(n + 1):
-                sign = 1 if i % 2 == 0 else -1
-                yi = ys[i]
-                w = yi
+        table = np.array(rack.table, dtype=np.int64)
+        # ys[i]: argument y_(i+1) of every (n+1)-tuple, tuples in lex order
+        ys = np.indices((size,) * (n + 1)).reshape(n + 1, -1)
+        lex = size ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        offsets = np.empty((ys.shape[1], 2 * (n + 1)), dtype=np.int64)
+        blocks = np.full_like(offsets, ident)
+        for i in range(n + 1):
+            rest = ys[[j for j in range(n + 1) if j != i]]
+            offsets[:, 2 * i] = lex @ rest
+            rest[i:] = table[ys[i], rest[i:]]
+            offsets[:, 2 * i + 1] = lex @ rest
+            if deleted is not None:
+                w = ys[i]
                 for j in range(i - 1, -1, -1):
-                    w = table[ys[j]][w]
-                row.append((_index(ys[:i] + ys[i + 1:], size) * k, sign, dl[w]))
-                twist = ys[:i] + tuple(table[yi][y] for y in ys[i + 1:])
-                row.append((_index(twist, size) * k, -sign, tw[yi]))
-            yield row
+                    w = table[ys[j], w]
+                blocks[:, 2 * i] = w
+            if twisted is not None:
+                blocks[:, 2 * i + 1] = ident - size + ys[i]
+        signs = [s for i in range(n + 1) for s in ((-1) ** i, -(-1) ** i)]
+        return offsets * k, signs, blocks
 
     return _block_rows(module.ring, size ** (n + 1) * k, size ** n * k, k,
-                       mats, terms(), 2 * (n + 1))
+                       mats, 2 * (n + 1), terms)
 
 
 def differential(rack: RackTable, module: CoeffModule, n: int) -> ExactMatrix:
@@ -194,17 +231,15 @@ def chain_isomorphism(rack: RackTable, module: CoeffModule, n: int) -> ExactMatr
     size, k = rack.size, module.dim
     dim = size ** n * k
     # prods: the distinct products x_1 ... x_i; ids: each i-tuple's product
-    prods, ids = [ExactMatrix.identity(k, module.ring)], [0]
+    prods, ids = [ExactMatrix.identity(k, module.ring)], np.zeros(1, np.int64)
     for _ in range(n):
-        seen, step = {}, {}
-        for b in dict.fromkeys(ids):
-            for x in range(size):
-                step[b, x] = seen.setdefault(prods[b] @ module.action(x), len(seen))
+        seen = {}
+        step = np.array([[seen.setdefault(p @ module.action(x), len(seen))
+                          for x in range(size)] for p in prods])
         prods = list(seen)
-        ids = [step[b, x] for b in ids for x in range(size)]
-    terms = ([(idx * k, 1, b)] for idx, b in enumerate(ids))
-    return _block_rows(module.ring, dim, dim, k, [p.inverse() for p in prods],
-                       terms, 1)
+        ids = step[ids].ravel()
+    return _block_rows(module.ring, dim, dim, k, [p.inverse() for p in prods], 1,
+                       lambda: (np.arange(size ** n)[:, None] * k, 1, ids[:, None]))
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +253,8 @@ def group_action_on_cochains(rack: RackTable, module: CoeffModule,
         raise InputError(f"rack element {y} out of range")
     k = module.dim
     dim = rack.size ** n * k
-    terms = ([(tgt * k, 1, 0)] for tgt in _permuted_index(rack.translation(y), n))
-    return _block_rows(module.ring, dim, dim, k, [module.action(y)], terms, 1)
+    return _block_rows(module.ring, dim, dim, k, [module.action(y)], 1, lambda: (
+        _permuted_index(rack.translation(y), n)[:, None] * k, 1, 0))
 
 
 def _check_length(rack, module, n, vec):
@@ -236,11 +271,19 @@ def apply_group_action(rack, module, n, perm_images, mat, vec):
     _check_length(rack, module, n, vec)
     k = module.dim
     ints, den = int_vector(vec)
-    flat, mat_den = int_vector([x for l in range(k) for x in mat.column(l)])
-    terms = [[(j, a) for j in range(k) if (a := flat[l * k + j])] for l in range(k)]
-    out = [sum([a * ints[t * k + j] for j, a in column])
-           for t in _permuted_index(perm_images, n) for column in terms]
-    return ring_vector(module.ring, out, den * mat_den)
+    entries = [(j, l, x) for j in range(k) for l, x in mat.nonzeros(j)]
+    nums, mat_den = int_vector([x for _, _, x in entries])
+    dtype = _int_dtype(max(map(abs, ints), default=0) *
+                       max(map(abs, nums), default=0) * k)
+    scaled = np.zeros((k, k), dtype=dtype)
+    for (j, l, _), a in zip(entries, nums):
+        scaled[j, l] = a
+    # row t of src: f at the image of the t-th tuple, so out[t, l] is
+    # sum_j src[t, j] mat[j, l]
+    src = np.array(ints, dtype=dtype).reshape(rack.size ** n, k)[
+        _permuted_index(perm_images, n)]
+    out = src @ scaled
+    return ring_vector(module.ring, out.ravel().tolist(), den * mat_den)
 
 
 def apply_rack_element(rack, module, n, y, vec):
@@ -323,13 +366,13 @@ def averaging_projector(rack: RackTable, module: CoeffModule, n: int,
             f"|G| = {order} is not invertible in characteristic {ring.p}")
     size, k = rack.size, module.dim
     dim = size ** n * k
-    targets = [_permuted_index(perm, n) for perm, _ in group.elements]
-    terms = ([(tgt[idx] * k, 1, g) for g, tgt in enumerate(targets)]
-             for idx in range(size ** n))
     scale = (Fraction(1, order) if ring == QQ else 1 if ring == ZZ
              else ring.inv(order))
     return _block_rows(ring, dim, dim, k, [mat for _, mat in group.elements],
-                       terms, order, scale)
+                       order, lambda: (
+                           np.stack([_permuted_index(perm, n)
+                                     for perm, _ in group.elements], axis=1) * k,
+                           1, np.arange(order)), scale)
 
 
 def invariant_basis(rack: RackTable, module: CoeffModule, n: int,
@@ -348,9 +391,9 @@ def invariant_basis(rack: RackTable, module: CoeffModule, n: int,
     if via == "auto" and module.is_trivial:
         # column (orbit, j) is the indicator of the orbit's n-tuples at j
         labels, count = orbit_labels(size ** n, (
-            _permuted_index(rack.translation(y), n) for y in range(size)))
-        terms = ([(label * k, 1, None)] for label in labels)
-        return _block_rows(ring, dim, count * k, k, [], terms, 1)
+            _permuted_index(rack.translation(y), n).tolist() for y in range(size)))
+        return _block_rows(ring, dim, count * k, k, [], 1, lambda: (
+            np.array(labels)[:, None] * k, 1, 0))
 
     if group is None:
         group = finite_action_group(rack, module)
@@ -370,9 +413,15 @@ def _fixed_space_stack(rack, module, n) -> ExactMatrix:
     the identity, stacked; its kernel is the invariant cochains."""
     size, k = rack.size, module.dim
     dim = size ** n * k
-    terms = ([(tgt * k, 1, y), (idx * k, -1, None)] for y in range(size)
-             for idx, tgt in enumerate(_permuted_index(rack.translation(y), n)))
-    return _block_rows(module.ring, size * dim, dim, k, module.matrices, terms, 2)
+
+    def terms():
+        targets = np.concatenate([_permuted_index(rack.translation(y), n)
+                                  for y in range(size)])
+        ys = np.repeat(np.arange(size), size ** n)
+        return (np.stack([targets, np.tile(np.arange(size ** n), size)], axis=1) * k,
+                np.array([[1, -1]]), np.stack([ys, np.full_like(ys, size)], axis=1))
+
+    return _block_rows(module.ring, size * dim, dim, k, module.matrices, 2, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from .cochains import (DEFAULT_ACTION_GROUP_CAP, _block_rows,
                        _fixed_space_stack, differential, finite_action_group,
                        invariant_basis)
@@ -418,15 +420,18 @@ def _h1_matrices(presentation: RackPresentation, module: CoeffModule):
     """Cocycle constraints and coboundary generators for degree-1 group
     cohomology; a cocycle is its value vector on the rack generators."""
     n, k = presentation.size, module.dim
-    # relation x.y = (x|>y).x: c(y) + c(x) A_y - c(x|>y) A_x - c(x) = 0
+
+    def constraints():
+        # relation x.y = (x|>y).x: c(y) + c(x) A_y - c(x|>y) A_x - c(x) = 0
+        x, y, xy = np.array(presentation.relations, dtype=np.int64).reshape(-1, 3).T
+        return (np.stack([x, xy, y, x], axis=1) * k, np.array([[1, -1, 1, -1]]),
+                np.stack([y, x, np.full_like(x, n), np.full_like(x, n)], axis=1))
+
     cmat = _block_rows(module.ring, len(presentation.relations) * k, n * k, k,
-                       module.matrices,
-                       ([(x * k, 1, y), (xy * k, -1, x), (y * k, 1, None),
-                         (x * k, -1, None)] for x, y, xy in presentation.relations),
-                       4)
+                       module.matrices, 4, constraints)
     # the coboundary of v is x -> v A_x - v
-    bmat = _block_rows(module.ring, n * k, k, k, module.matrices,
-                       ([(0, 1, x), (0, -1, None)] for x in range(n)), 2)
+    bmat = _block_rows(module.ring, n * k, k, k, module.matrices, 2, lambda: (
+        0, np.array([[1, -1]]), np.stack([np.arange(n), np.full(n, n)], axis=1)))
     return cmat, bmat
 
 

@@ -4,7 +4,10 @@ Rank, kernel, solve, and Smith normal form back every cohomology
 computation.  All arithmetic is arbitrary precision; no floats anywhere.
 Matrices store only their nonzero entries, row by row, as integers over
 one denominator per row (the lcm of the row's denominators; 1 over Z and
-F_p).  Products with a vector or a matrix cost O(nnz) integer operations.
+F_p).  Built operators arrive as sorted COO triplets of numpy integers,
+which from_triplets reduces mod p, strips of zeros and brings row by row
+to lowest terms in whole-array operations before it makes the stored
+rows.  Products with a vector or a matrix cost O(nnz) integer operations.
 Rank takes the stored integers as COO triplets.  Large integer matrices
 get their rank from elimination modulo two independent ~30-bit primes,
 cross-checked against each other, with an exact fraction-free fallback on
@@ -27,6 +30,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -274,19 +278,45 @@ class ExactMatrix:
         return cls._of(rows, cols, ring, [_row(ring, items) for items in by_row])
 
     @classmethod
-    def from_int_rows(cls, rows, cols, ring, int_rows, den=1):
-        """Build from one {column: integer} mapping per row, each entry
-        read over the common denominator `den` (1 unless the ring is Q).
+    def from_triplets(cls, rows, cols, ring, ii, jj, nums, den=1):
+        """Build from COO triplets: entry (ii[t], jj[t]) is nums[t] / den,
+        over one common denominator `den` (1 unless the ring is Q).
 
+        ii and jj are integer arrays, nums an int64 array (den then below
+        2^62) or an object array of integers, sorted by (row, column) with
+        no position repeated.
         Entries are reduced mod p over F_p and those that are 0 are not
-        stored; a Q row is brought to lowest terms.  `int_rows` may be a
-        generator, so a builder need not hold all its rows as mappings.
+        stored; a Q row is brought to lowest terms.
         """
-        stored = [_int_row(ring, acc, den) for acc in int_rows]
-        if len(stored) != rows or any(c and (c[0] < 0 or c[-1] >= cols)
-                                      for c, _, _ in stored):
-            raise InputError(f"rows do not fit a {rows}x{cols} matrix")
-        return cls._of(rows, cols, ring, stored)
+        ii, jj = np.asarray(ii, np.int64), np.asarray(jj, np.int64)
+        nums = np.asarray(nums)
+        keys = ii * cols + jj
+        if ii.size and (ii.min() < 0 or ii.max() >= rows or jj.min() < 0 or
+                        jj.max() >= cols or (keys[1:] <= keys[:-1]).any()):
+            raise InputError(f"entries do not fit a {rows}x{cols} matrix, "
+                             "sorted by row and column without repeats")
+        if ring.characteristic:
+            nums = nums % ring.characteristic
+        keep = nums != 0
+        if not keep.all():
+            ii, jj, nums = ii[keep], jj[keep], nums[keep]
+        counts = np.bincount(ii, minlength=rows)
+        dens = repeat(1)
+        if den != 1 and nums.size:
+            present = np.flatnonzero(counts)
+            first = (np.cumsum(counts) - counts)[present]
+            g = np.gcd(np.gcd.reduceat(nums, first), den)
+            nums = nums // np.repeat(g, counts[present])
+            dens = np.ones(rows, dtype=g.dtype)
+            dens[present] = den // g
+            dens = dens.tolist()
+        del ii, keys, keep
+        cols_t, nums_t = tuple(jj.tolist()), tuple(nums.tolist())
+        del jj, nums
+        counts = counts.tolist()
+        return cls._of(rows, cols, ring, [
+            (cols_t[a:b], nums_t[a:b], d) if a < b else _EMPTY_ROW for a, b, d in
+            zip(accumulate(counts, initial=0), accumulate(counts), dens)])
 
     # -- entry access --------------------------------------------------------
 

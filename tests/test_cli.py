@@ -232,6 +232,29 @@ class TestCohomologyCommand:
         assert code == EXIT_INPUT
         assert err.startswith("input error:")
 
+    @pytest.mark.parametrize("flags", [
+        ("--invariant",), ("--ring", "Z"), ("--ring", "F7"), ("--module", None),
+        ("--invariant", "--ring", "Z")],
+        ids=["invariant", "ring_Z", "ring_F7", "module", "invariant_ring_Z"])
+    def test_twisted_with_flags_it_ignores_exit_2(self, capsys, tmp_path, flags):
+        # --twisted always runs the Jordan module over Q, so these flags
+        # would be dropped without a word
+        path = tmp_path / "module.json"
+        path.write_text(json.dumps({"ring": "Z", "dim": 1}))
+        flags = [str(path) if f is None else f for f in flags]
+        code, out, err = run_cli(capsys, "cohomology", "--rack", "dihedral:3",
+                                 "--twisted", "t=2,k=1", *flags,
+                                 "--max-degree", "1", "--json")
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("input error:") and "--twisted" in err
+
+    def test_twisted_with_default_ring_spelled_out(self, capsys):
+        code, out, _ = run_cli(capsys, "cohomology", "--rack", "dihedral:3",
+                               "--twisted", "t=2,k=1", "--ring", "Q",
+                               "--max-degree", "1", "--json")
+        assert code == EXIT_OK
+        assert json.loads(out)["module"]["ring"] == "Q"
+
 
 class TestH2Command:
     def test_group_comparison(self, capsys):

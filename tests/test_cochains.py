@@ -4,7 +4,10 @@ import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rackoh import cochains
 from rackoh.cochains import (apply_rack_element, averaging_projector,
@@ -22,7 +25,7 @@ from rackoh.modules import (check_module, constant_module, custom_module,
 from rackoh.racks import (conjugation_rack, cyclic_rack, dihedral_rack,
                           symmetric_group_table, trivial_rack)
 
-from conftest import INNER_ORDERS, relabelled
+from conftest import INNER_ORDERS, corpus, relabelled
 
 
 def rand_vec(rng, dim, ring=None, lo=-6, hi=6):
@@ -431,6 +434,79 @@ class TestBuilderOracle:
                 _reference_h1_matrices(pres, module)
             assert RackComplex(rack, module).fixed_space_dim() == \
                 _reference_fixed_space_dim(rack, module)
+
+
+# constant actions whose scaled entries, or their sums in an operator, pass
+# int64; numpy's int64 arithmetic would wrap without an error
+BIG_ENTRIES = {"2^61+1": [[2**61 + 1]], "2^40/3": [[Fraction(2**40, 3)]],
+               "2^62 triangular": [[3, 2**62], [0, Fraction(1, 5)]]}
+
+
+class TestEntriesPastInt64:
+    @pytest.mark.parametrize("name", sorted(BIG_ENTRIES))
+    def test_operators_match_dict_oracles(self, name):
+        rack = dihedral_rack(3)
+        module = constant_module(rack, ExactMatrix.from_rows(BIG_ENTRIES[name], QQ))
+        inverses = [module.action_inverse(x) for x in range(rack.size)]
+        rng = random.Random(name)
+        for n in range(3):
+            assert differential(rack, module, n) == _reference_coboundary(
+                rack, module, n, None, module.matrices)
+            assert differential_prime(rack, module, n) == _reference_coboundary(
+                rack, module, n, inverses, None)
+            assert chain_isomorphism(rack, module, n) == \
+                _reference_chain_isomorphism(rack, module, n)
+            vec = [Fraction(rng.randrange(-2**63, 2**63), rng.randrange(1, 9))
+                   for _ in range(3 ** n * module.dim)]
+            for y in range(rack.size):
+                action = group_action_on_cochains(rack, module, n, y)
+                assert action == _reference_action(
+                    rack, module, n, [(rack.translation(y), module.action(y))])
+                assert apply_rack_element(rack, module, n, y, vec) == \
+                    action.matvec(vec)
+
+    def test_sums_of_entries_below_the_bound_pass_int64(self):
+        # each entry alone fits int64 with room to spare, but the terms that
+        # meet in one entry sum to 2^63 or more: the dtype bound must count
+        # the terms per entry and the weights, not only the largest entry
+        big = ExactMatrix.from_rows([[2**60]], ZZ)
+        m = cochains._block_rows(ZZ, 2, 1, 1, [big], 3, lambda: (0, 3, 0))
+        assert [m[0, 0], m[1, 0]] == [9 * 2**60, 9 * 2**60]
+        rack = dihedral_rack(3)
+        unipotent = constant_module(rack, ExactMatrix.from_rows(
+            [[1, 1, 1], [0, 1, 1], [0, 0, 1]], ZZ))
+        vec = [2**62 - 1] * 9
+        assert apply_rack_element(rack, unipotent, 1, 0, vec) == \
+            group_action_on_cochains(rack, unipotent, 1, 0).matvec(vec)
+
+
+SMALL_CORPUS = [(spec, rack) for spec, rack in corpus() if rack.size <= 5]
+
+
+@st.composite
+def small_constant_modules(draw):
+    """A relabelled corpus rack of at most 5 elements and a constant module
+    acting by a random invertible 2 x 2 rational matrix."""
+    _, rack = draw(st.sampled_from(SMALL_CORPUS))
+    rack = relabelled(rack, draw(st.integers(0, 2**16)))
+    entry = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+    rows = draw(st.lists(st.lists(entry, min_size=2, max_size=2),
+                         min_size=2, max_size=2).filter(
+        lambda r: r[0][0] * r[1][1] != r[0][1] * r[1][0]))
+    return rack, constant_module(rack, ExactMatrix.from_rows(rows, QQ))
+
+
+class TestBuilderProperty:
+    @given(small_constant_modules())
+    @settings(max_examples=25, deadline=None)
+    def test_differentials_match_dict_builder(self, case):
+        rack, module = case
+        inverses = [module.action_inverse(x) for x in range(rack.size)]
+        for n in range(3):
+            assert differential(rack, module, n) == _reference_coboundary(
+                rack, module, n, None, module.matrices)
+            assert differential_prime(rack, module, n) == _reference_coboundary(
+                rack, module, n, inverses, None)
 
 
 class TestDifferentialPrime:

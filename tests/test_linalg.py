@@ -6,6 +6,7 @@ from itertools import combinations
 from math import gcd, lcm
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -774,10 +775,12 @@ class TestSparseAgainstDense:
         from_rows = ExactMatrix(m, n, ring, a_rows)
         assert a == from_rows and hash(a) == hash(from_rows)
         den = lcm(*[Fraction(x).denominator for row in a_rows for x in row])
-        int_rows = [{j: int(x * den) for j, x in enumerate(row)} for row in a_rows]
-        assert ExactMatrix.from_int_rows(m, n, ring, int_rows, den) == a
+        ii, jj = [i for i in range(m) for _ in range(n)], list(range(n)) * m
+        nums = np.array([int(x * den) for row in a_rows for x in row], dtype=object)
+        assert ExactMatrix.from_triplets(m, n, ring, ii, jj, nums, den) == a
         with pytest.raises(InputError):
-            ExactMatrix.from_int_rows(m + 1, n, ring, int_rows + [{n: 1}], den)
+            ExactMatrix.from_triplets(m + 1, n, ring, ii + [m], jj + [n],
+                                      np.append(nums, 1), den)
         assert a.data == ref and from_rows.data == ref
         for i in range(m):
             assert all(x != 0 for _, x in a.nonzeros(i))
