@@ -234,6 +234,8 @@ def cmd_cohomology(config: RunConfig) -> tuple:
 def cmd_h2(config: RunConfig) -> tuple:
     spec, rack, _ = parse_rack_spec(config.rack_spec)
     if config.nonabelian is not None:
+        if config.coeff is not None:
+            raise InputError("--nonabelian cannot be combined with --coeff")
         abelian = config.nonabelian.startswith("Z")
         if abelian:
             _parse_coefficient(config.nonabelian)
@@ -467,8 +469,7 @@ def criterion_structural(racks, trials=20):
         out.append(CheckOutcome(spec, "chain_iso_intertwines", ok,
                                 f"{trials} instances"))
 
-        gbasis = invariant_basis(rack, function_module(rack, QQ), 1,
-                                 via="fixed_space")
+        gbasis = invariant_basis(rack, function_module(rack, QQ), 1)
         fun = function_module(rack, ZZ)
         fcx = RackComplex(rack, fun, spec)
         ok = True
@@ -640,19 +641,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact cohomology workbench for finite racks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_rack=True):
+    def common(p, needs_rack=True, closes_groups=False):
         if needs_rack:
             p.add_argument("--rack", required=True,
                            help="rack spec: trivial:n, dihedral:n, cyclic:n, "
                                 "conj:S3, file:path.json")
         p.add_argument("--json", action="store_true", help="canonical JSON output")
-        p.add_argument("--closure-cap", type=int, default=DEFAULT_CLOSURE_CAP)
+        if closes_groups:
+            p.add_argument("--closure-cap", type=int, default=DEFAULT_CLOSURE_CAP)
 
     p = sub.add_parser("verify", help="check the rack axioms and invariants")
-    common(p)
+    common(p, closes_groups=True)
 
     p = sub.add_parser("cohomology", help="betti numbers and torsion")
-    common(p)
+    common(p, closes_groups=True)
     p.add_argument("--ring", default="Q", help="Q, Z, or F<p>")
     p.add_argument("--max-degree", type=int, default=3)
     p.add_argument("--twisted", help="t=<rational>,k=<block size> over Q")
@@ -688,7 +690,7 @@ def main(argv=None) -> int:
             nonabelian=getattr(args, "nonabelian", None),
             invariant=getattr(args, "invariant", False),
             as_json=args.json,
-            closure_cap=args.closure_cap,
+            closure_cap=getattr(args, "closure_cap", DEFAULT_CLOSURE_CAP),
         )
         code, doc = handlers[args.command](config)
     except ResourceError as exc:

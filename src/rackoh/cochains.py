@@ -376,19 +376,17 @@ def averaging_projector(rack: RackTable, module: CoeffModule, n: int,
 
 
 def invariant_basis(rack: RackTable, module: CoeffModule, n: int,
-                    group: FiniteActionGroup | None = None,
-                    via: str = "auto") -> ExactMatrix:
-    """Columns spanning the invariant cochains in degree n.
-
-    via="auto": orbit indicators for trivial modules (the image of the
-    averaging projector, computed combinatorially), the projector image
-    when |G| is invertible, the simultaneous fixed space otherwise.
+                    group: FiniteActionGroup | None = None) -> ExactMatrix:
+    """Columns spanning the invariant cochains in degree n: orbit
+    indicators for trivial modules (the image of the averaging projector,
+    computed combinatorially), the projector image when |G| is
+    invertible, the simultaneous fixed space otherwise.
     """
     size, k = rack.size, module.dim
     dim = size ** n * k
     ring = module.ring
 
-    if via == "auto" and module.is_trivial:
+    if module.is_trivial:
         # column (orbit, j) is the indicator of the orbit's n-tuples at j
         labels, count = orbit_labels(size ** n, (
             _permuted_index(rack.translation(y), n).tolist() for y in range(size)))
@@ -397,14 +395,10 @@ def invariant_basis(rack: RackTable, module: CoeffModule, n: int,
 
     if group is None:
         group = finite_action_group(rack, module)
-    use_projector = via == "projector" or (
-        via == "auto" and ring.is_field and
-        (not isinstance(ring, PrimeField) or group.order % ring.p))
-    if use_projector:
-        return averaging_projector(rack, module, n, group).column_basis()
-
     if not ring.is_field:
         raise PreconditionError("fixed-space computation needs a field ring")
+    if not isinstance(ring, PrimeField) or group.order % ring.p:
+        return averaging_projector(rack, module, n, group).column_basis()
     return _fixed_space_stack(rack, module, n).kernel_matrix()
 
 

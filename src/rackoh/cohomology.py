@@ -23,7 +23,7 @@ from .linalg import (QQ, ZZ, AbelianGroup, ExactMatrix, PrimeField, SmithForm,
                      _is_prime_power, _quotient_invariants, lattice_quotient)
 from .modules import (CoeffModule, constant_module, function_module,
                       jordan_module, trivial_module)
-from .permutations import inner_group
+from .permutations import DEFAULT_CLOSURE_CAP, inner_group
 from .racks import RackTable, is_quandle, make_semidirect, orbits
 
 CHECK_BETTI_MN = "betti_equals_m_pow_n"
@@ -123,7 +123,7 @@ class RackComplex:
     """Differentials and ranks of one (rack, module) pair, cached by degree."""
 
     def __init__(self, rack: RackTable, module: CoeffModule, rack_spec="custom",
-                 closure_cap: int | None = None):
+                 closure_cap: int = DEFAULT_CLOSURE_CAP):
         self.rack = rack
         self.module = module
         self.rack_spec = rack_spec
@@ -143,11 +143,8 @@ class RackComplex:
     @property
     def inner_order(self):
         if self._group_order is None:
-            if self.closure_cap is None:
-                self._group_order = inner_group(self.rack).order
-            else:
-                self._group_order = inner_group(self.rack,
-                                                cap=self.closure_cap).order
+            self._group_order = inner_group(self.rack,
+                                            cap=self.closure_cap).order
         return self._group_order
 
     def space_dim(self, n):
@@ -181,10 +178,8 @@ class RackComplex:
 
     def fixed_space_dim(self) -> int:
         """dim of the invariants of the module itself (= expected betti 0)."""
-        stack = _fixed_space_stack(self.rack, self.module, 0)
-        if not self.module.ring.is_field:
-            stack = stack.to_ring(QQ)
-        return self.module.dim - stack.rank()
+        return self.module.dim - _fixed_space_stack(self.rack, self.module,
+                                                    0).rank()
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +304,8 @@ def invariant_cohomology(rack: RackTable, module: CoeffModule, max_degree: int,
     if not module.ring.is_field:
         raise PreconditionError("invariant cohomology needs field coefficients")
     cx = complex_ or RackComplex(rack, module, rack_spec)
-    cap = DEFAULT_ACTION_GROUP_CAP
-    if cx.closure_cap is not None:
-        cap = min(cap, cx.closure_cap)
-    group = finite_action_group(rack, module, cap)
+    group = finite_action_group(rack, module,
+                                min(DEFAULT_ACTION_GROUP_CAP, cx.closure_cap))
     ring = module.ring
     invertible = not isinstance(ring, PrimeField) or group.order % ring.p != 0
 

@@ -8,12 +8,14 @@ F_p).  Built operators arrive as sorted COO triplets of numpy integers,
 which from_triplets reduces mod p, strips of zeros and brings row by row
 to lowest terms in whole-array operations before it makes the stored
 rows.  Products with a vector or a matrix cost O(nnz) integer operations.
-Rank takes the stored integers as COO triplets.  Large integer matrices
-get their rank from elimination modulo two independent ~30-bit primes,
-cross-checked against each other, with an exact fraction-free fallback on
-disagreement.  Every F_p rank runs one numpy elimination whose pivot steps
-update only the rows that meet the pivot column, and in them only the
-pivot row's support: on int64 entries below 2^31, on Python ints above.
+Over Z and Q one exact elimination, a reduced row echelon form on integer
+rows, serves rank, kernels, solves and inverses.  Large matrices first try
+elimination modulo two independent ~30-bit primes, cross-checked against
+each other, and fall back to that echelon form on disagreement or on an
+entry of 2^31 or more.  Every F_p rank runs one numpy elimination whose
+pivot steps update only the rows that meet the pivot column, and in them
+only the pivot row's support: on int64 entries below 2^31, on Python ints
+above.
 The Smith form removes +-1 pivots on a sparse copy in one sweep and runs
 its dense loop only on the core that remains.  Both eliminate the columns
 from last to first, pivoting on the first row that meets each (with a +-1
@@ -443,16 +445,19 @@ class ExactMatrix:
 
         F_p matrices run one modular elimination.  Z/Q matrices with at
         least MODULAR_RANK_THRESHOLD entries take the cross-checked modular
-        path, smaller ones exact fraction-free elimination.
+        path; smaller ones, and those the cross-check cannot certify, count
+        the pivots of the exact reduced row echelon form.
         """
         if self.rows == 0 or self.cols == 0:
             return 0
-        coo = self._int_entries()
         if isinstance(self.ring, PrimeField):
-            return _rank_mod_p(self.rows, self.cols, coo, self.ring.p)
+            return _rank_mod_p(self.rows, self.cols, self._int_entries(),
+                               self.ring.p)
         if self.rows * self.cols >= MODULAR_RANK_THRESHOLD:
-            return _rank_modular_crosscheck(self.rows, self.cols, coo)
-        return _bareiss_rank(_dense_rows(self.rows, self.cols, coo))
+            r = _rank_modular_crosscheck(self.rows, self.cols, self._int_entries())
+            if r is not None:
+                return r
+        return len(self._rref().pivot_cols)
 
     # -- field elimination ----------------------------------------------------
 
@@ -662,48 +667,6 @@ class _IncrementalRREF:
         return out
 
 
-def _bareiss_rank(rows):
-    """Fraction-free (Bareiss) row echelon rank of integer rows; destructive."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    r = 0
-    prev = 1
-    for c in range(n):
-        if r == m:
-            break
-        piv, best = None, None
-        for i in range(r, m):
-            v = rows[i][c]
-            if v:
-                a = abs(v)
-                if best is None or a < best:
-                    piv, best = i, a
-                    if a == 1:
-                        break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        pv = prow[c]
-        for i in range(r + 1, m):
-            ri = rows[i]
-            fv = ri[c]
-            for j in range(c + 1, n):
-                ri[j] = (pv * ri[j] - fv * prow[j]) // prev
-            ri[c] = 0
-        prev = pv
-        r += 1
-    return r
-
-
-def _dense_rows(m, n, coo):
-    """Dense integer rows of an m x n matrix given by COO triplets."""
-    rows = [[0] * n for _ in range(m)]
-    for i, j, v in zip(*coo):
-        rows[i][j] = v
-    return rows
-
-
 def _rank_mod_p(m, n, coo, p):
     """Rank mod p of the m x n integer matrix given by COO triplets.
 
@@ -769,17 +732,17 @@ def _modular_primes(rows, cols):
 
 
 def _rank_modular_crosscheck(m, n, coo):
-    """Rank mod two independent primes; exact fallback on disagreement.
+    """Rank mod two independent primes, or None when they disagree or an
+    entry is too large for the int64 residue path.
 
     rank_Q >= rank mod p always, so two agreeing residue ranks pin the
     rational rank unless both primes divide the same maximal minor.
     """
-    if max(map(abs, coo[2]), default=0) < 2**31:
-        p1, p2 = _modular_primes(m, n)
-        r1 = _rank_mod_p(m, n, coo, p1)
-        if r1 == _rank_mod_p(m, n, coo, p2):
-            return r1
-    return _bareiss_rank(_dense_rows(m, n, coo))
+    if max(map(abs, coo[2]), default=0) >= 2**31:
+        return None
+    p1, p2 = _modular_primes(m, n)
+    r1 = _rank_mod_p(m, n, coo, p1)
+    return r1 if r1 == _rank_mod_p(m, n, coo, p2) else None
 
 
 # ---------------------------------------------------------------------------

@@ -102,21 +102,17 @@ def constant_module(rack: RackTable, matrix: ExactMatrix) -> CoeffModule:
     return check_module(rack, mod)
 
 
-def function_module(rack: RackTable, ring: Ring, base_dim: int = 1) -> CoeffModule:
-    """Functions X -> ring^base_dim with the action (h.y)(x) = h(y |> x).
+def function_module(rack: RackTable, ring: Ring) -> CoeffModule:
+    """Functions X -> ring with the action (h.y)(x) = h(y |> x).
 
-    The matrices are block permutation matrices of the translations, so
-    the compatibility relation is exactly self-distributivity.
+    The matrices are the permutation matrices of the translations, so the
+    compatibility relation is exactly self-distributivity.
     """
     n = rack.size
-    dim = n * base_dim
-    mats = []
-    for y in range(n):
-        # row index z = phi_y(x), column index x
-        mats.append(ExactMatrix.from_entries(dim, dim, ring, {
-            (rack.op(y, x) * base_dim + b, x * base_dim + b): 1
-            for x in range(n) for b in range(base_dim)}))
-    return CoeffModule(ring, dim, tuple(mats), TAG_FUNCTIONS, (base_dim,))
+    # row index z = phi_y(x), column index x
+    mats = tuple(ExactMatrix.from_entries(n, n, ring, {
+        (rack.op(y, x), x): 1 for x in range(n)}) for y in range(n))
+    return CoeffModule(ring, n, mats, TAG_FUNCTIONS)
 
 
 def custom_module(rack: RackTable, ring: Ring, matrices) -> CoeffModule:

@@ -283,6 +283,13 @@ class TestH2Command:
             assert code == EXIT_INPUT, rack
             assert "prime power" in err
 
+    def test_nonabelian_refuses_coeff(self, capsys):
+        # --coeff picks the abelian comparison, which --nonabelian skips
+        code, _, err = run_cli(capsys, "h2", "--rack", "trivial:1",
+                               "--coeff", "Q", "--nonabelian", "S3")
+        assert code == EXIT_INPUT
+        assert "error:" in err and "--coeff" in err
+
     def test_rational_dimension(self, capsys):
         code, out, _ = run_cli(capsys, "h2", "--rack", "trivial:2",
                                "--coeff", "Q", "--json")
@@ -352,6 +359,18 @@ class TestBudgets:
                                "--closure-cap", "1")
         assert code == 3
         assert "exceeded cap 1" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["corpus"], ["h2", "--rack", "dihedral:3", "--coeff", "Z3"]],
+        ids=["corpus", "h2"])
+    def test_closure_cap_only_where_groups_close(self, capsys, argv):
+        # corpus and h2 close their groups at the default cap, so they
+        # do not take the flag
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--closure-cap", "1"])
+        assert exc.value.code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "error:" in err and "--closure-cap" in err
 
     def test_snf_bit_cap_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -17,8 +17,7 @@ from rackoh.cohomology import _parse_coefficient
 from rackoh.errors import InputError, PreconditionError, ResourceError
 from rackoh.linalg import (GF, MODULAR_RANK_THRESHOLD, QQ,
                            SMITH_BYTES_PER_ENTRY, ZZ, AbelianGroup,
-                           ExactMatrix, _bareiss_rank, _dense_rows,
-                           _IncrementalRREF, _is_prime_power, _modular_primes,
+                           ExactMatrix, _IncrementalRREF, _is_prime_power, _modular_primes,
                            _rank_mod_p, _rank_modular_crosscheck, is_prime,
                            lattice_quotient)
 from rackoh.modules import jordan_module, trivial_module
@@ -112,9 +111,21 @@ class TestRank:
     @settings(max_examples=60, deadline=None)
     def test_exact_equals_modular(self, rows):
         m = ExactMatrix.from_rows(rows, ZZ)
-        coo = m._int_entries()
-        assert (_bareiss_rank(_dense_rows(m.rows, m.cols, coo))
-                == _rank_modular_crosscheck(m.rows, m.cols, coo))
+        assert (_rank_modular_crosscheck(m.rows, m.cols, m._int_entries())
+                == len(_gauss_jordan(rows)[1]))
+
+    @given(st.sampled_from([ZZ, QQ]), int_matrices(max_dim=8),
+           st.integers(1, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_small_rank_equals_oracle(self, ring, rows, den):
+        # below the modular threshold rank() counts the pivots of the
+        # integer-row echelon form; over Q the entries get denominators
+        if ring == QQ:
+            rows = [[Fraction(x, den + j) for j, x in enumerate(row)]
+                    for row in rows]
+        m = ExactMatrix.from_rows(rows, ring)
+        assert m.rows * m.cols < MODULAR_RANK_THRESHOLD
+        assert m.rank() == len(_gauss_jordan(rows)[1])
 
     @given(int_matrices())
     @settings(max_examples=60, deadline=None)
@@ -141,20 +152,56 @@ class TestRank:
         assert m.to_ring(GF(p)).rank() == m.to_ring(QQ).rank()
         assert ExactMatrix.from_rows([[p, 0], [0, 1]], GF(p)).rank() == 1
 
-    def test_modular_path_falls_back_on_bad_prime(self):
-        # a diagonal of one of the scheduled primes drops rank mod that
-        # prime; the cross-check must disagree and fall back to exact
-        p1, p2 = _modular_primes(2, 2)
-        m = ExactMatrix.from_rows([[p1, 0], [0, 1]], ZZ)
-        assert _rank_modular_crosscheck(m.rows, m.cols, m._int_entries()) == 2
+    @staticmethod
+    def _rank_via_rref(monkeypatch, rows):
+        """rank() of the Z matrix `rows`, which must reach the exact echelon
+        form, and the oracle's rank."""
+        m = ExactMatrix.from_rows(rows, ZZ)
+        assert m.rows * m.cols >= MODULAR_RANK_THRESHOLD
+        assert _rank_modular_crosscheck(m.rows, m.cols, m._int_entries()) is None
+        calls = []
+        rref = ExactMatrix._rref
+        monkeypatch.setattr(ExactMatrix, "_rref",
+                            lambda self: calls.append(self) or rref(self))
+        rank = m.rank()
+        assert calls == [m]
+        return rank, len(_gauss_jordan(rows)[1])
+
+    def test_modular_path_falls_back_on_bad_prime(self, monkeypatch):
+        # a diagonal entry equal to one of the scheduled primes drops the
+        # rank mod that prime only, so the cross-check disagrees
+        n = 100
+        p1, _ = _modular_primes(n, n)
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        rows[0][0] = p1
+        rank, expected = self._rank_via_rref(monkeypatch, rows)
+        assert rank == expected == n
+
+    def test_large_entry_above_threshold_falls_back(self, monkeypatch):
+        # one entry of 2^31 leaves the int64 residue path; a copy of its
+        # row and a sum with it carry the large entry through elimination
+        rng = random.Random(31)
+        rows = [[rng.choice((-2, -1, 1, 2)) if rng.random() < 0.03 else 0
+                 for _ in range(90)] for _ in range(120)]
+        rows[0][7] = 2**31
+        rows[1] = rows[0][:]
+        rows[2] = [a + b for a, b in zip(rows[0], rows[3])]
+        rank, expected = self._rank_via_rref(monkeypatch, rows)
+        assert rank == expected
 
     def test_auto_threshold_large_matrix(self):
+        # rows a + c * b over 40 dense base rows, so the rank is 40, not
+        # full (and the Fraction oracle stays quick)
         rng = random.Random(7)
-        rows = [[rng.randrange(-2, 3) for _ in range(80)] for _ in range(150)]
+        base = [[rng.randrange(-2, 3) for _ in range(80)] for _ in range(40)]
+        rows = []
+        for _ in range(150):
+            a, b = rng.sample(base, 2)
+            c = rng.randrange(-2, 3)
+            rows.append([x + c * y for x, y in zip(a, b)])
         m = ExactMatrix.from_rows(rows, ZZ)
         assert m.rows * m.cols >= 10_000
-        assert m.rank() == _bareiss_rank(
-            _dense_rows(m.rows, m.cols, m._int_entries()))
+        assert m.rank() == len(_gauss_jordan(rows)[1]) == 40
 
     def test_rational_rows_scaled_by_their_own_denominators(self):
         m = ExactMatrix.from_rows([[Fraction(1, 2), 0, Fraction(1, 3)],
