@@ -9,13 +9,14 @@ which from_triplets reduces mod p, strips of zeros and brings row by row
 to lowest terms in whole-array operations before it makes the stored
 rows.  Products with a vector or a matrix cost O(nnz) integer operations.
 Over Z and Q one exact elimination, a reduced row echelon form on integer
-rows, serves rank, kernels, solves and inverses.  Large matrices first try
-elimination modulo two independent ~30-bit primes, cross-checked against
-each other, and fall back to that echelon form on disagreement or on an
-entry of 2^31 or more.  Every F_p rank runs one numpy elimination whose
-pivot steps update only the rows that meet the pivot column, and in them
-only the pivot row's support: on int64 entries below 2^31, on Python ints
-above.
+rows, serves rank, kernels, solves and inverses.  The rank of a large
+matrix first comes from one elimination modulo a ~30-bit prime, proven
+by an exact certificate: its kernel mod p, lifted to integer vectors that
+the matrix annihilates over Z.  When the certificate refuses, the rank
+falls back to that echelon form.  Every F_p rank runs the same numpy
+elimination, with no certificate; its pivot steps update only the rows
+that meet the pivot column, and in them only the pivot row's support: on
+int64 entries below 2^31, on Python ints above.
 The Smith form removes +-1 pivots on a sparse copy in one sweep and runs
 its dense loop only on the core that remains.  Both eliminate the columns
 from last to first, pivoting on the first row that meets each (with a +-1
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import mmap
 import os
-import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,6 +42,14 @@ from .errors import InputError, PreconditionError, ResourceError
 
 # matrices with at least this many entries use the modular rank path
 MODULAR_RANK_THRESHOLD = 10_000
+
+# the prime of that path: the largest below 2^30, so that products of
+# residues fit int64
+MODULAR_PRIME = 2**30 - 35
+
+# the products that the exact check of a modular rank's kernel holds at
+# once: larger blocks stay resident in the malloc heap after they are freed
+CHECK_BLOCK_BYTES = 1 << 20
 
 DEFAULT_SNF_BIT_CAP = 200_000
 
@@ -444,17 +452,18 @@ class ExactMatrix:
         """Rank over the matrix ring.
 
         F_p matrices run one modular elimination.  Z/Q matrices with at
-        least MODULAR_RANK_THRESHOLD entries take the cross-checked modular
-        path; smaller ones, and those the cross-check cannot certify, count
-        the pivots of the exact reduced row echelon form.
+        least MODULAR_RANK_THRESHOLD entries run it mod MODULAR_PRIME and
+        prove the rank by an exact kernel certificate (see
+        _rank_certified); smaller ones, and those whose certificate
+        refuses, count the pivots of the exact reduced row echelon form.
         """
         if self.rows == 0 or self.cols == 0:
             return 0
         if isinstance(self.ring, PrimeField):
-            return _rank_mod_p(self.rows, self.cols, self._int_entries(),
-                               self.ring.p)
+            return len(_rank_mod_p(self.rows, self.cols, self._int_entries(),
+                                   self.ring.p))
         if self.rows * self.cols >= MODULAR_RANK_THRESHOLD:
-            r = _rank_modular_crosscheck(self.rows, self.cols, self._int_entries())
+            r = _rank_certified(self.rows, self.cols, self._int_entries())
             if r is not None:
                 return r
         return len(self._rref().pivot_cols)
@@ -668,24 +677,32 @@ class _IncrementalRREF:
 
 
 def _rank_mod_p(m, n, coo, p):
-    """Rank mod p of the m x n integer matrix given by COO triplets.
+    """The pivot rows mod p of the m x n integer matrix given by COO
+    triplets, one (support, residues) pair of arrays per pivot; their
+    number is the rank mod p.  Each row is normalised so that its pivot
+    entry, at the last column of its support, is 1.
 
     One numpy elimination over the columns from last to first, each
-    pivoting on the first remaining row with a nonzero in it: a pivot
-    step updates only the rows with a nonzero in the pivot column, and
-    in them only the pivot row's nonzero columns.  The order suits the
-    lex-ordered differentials: the rows whose first argument y_1 is
-    element 0 come first, and each column z meets an invertible block
-    in row (0, z), from the term that deletes y_1.  All but one of that
-    row's other blocks sit in columns (0, ...), which come first and so
-    are eliminated last; the pivots therefore share few columns with the
-    rows below them (structural pivots, as in LaMacchia-Odlyzko and
+    pivoting on the first row, in the original order, that has a nonzero
+    in it and has not pivoted yet.  No rows are swapped: the pivot row is
+    copied out and zeroed in the array.  A pivot step updates only the
+    rows with a nonzero in the pivot column, and in them only the pivot
+    row's nonzero columns, through flat indices.  Every column right of
+    the pivot is zero by then in the rows that have not pivoted, so each
+    pivot row's support lies in the columns up to its pivot.  The order
+    suits the lex-ordered differentials: the rows whose first argument
+    y_1 is element 0 come first, and each column z meets an invertible
+    block in row (0, z), from the term that deletes y_1.  All but one of
+    that row's other blocks sit in columns (0, ...), which come first and
+    so are eliminated last; the pivots therefore share few columns with
+    the rows below them (structural pivots, as in LaMacchia-Odlyzko and
     Faugere-Lachartre), and the updates stay small: on dihedral:5 d_4
-    they touch 1.1 M cells, against 7.3 M going first to last.
+    they touch 1.2 M cells, against 7.6 M going first to last.
 
-    The m x n array takes 8 * m * n bytes, charged to the memory budget
-    before it exists.  Residue products fit int64 for p < 2^31; larger
-    primes run the same loop on Python ints.
+    The array is stored column by column, so that finding a column's
+    nonzeros reads contiguous memory.  It takes 8 * m * n bytes, charged
+    to the memory budget before it exists.  Residue products fit int64
+    for p < 2^31; larger primes run the same loop on Python ints.
     The int64 array gets an anonymous mapping of its own, unmapped when
     the array dies: a large array from the malloc heap stays resident
     after it is freed, and whether the next one reuses it depends on the
@@ -695,54 +712,179 @@ def _rank_mod_p(m, n, coo, p):
     need = 8 * m * n
     charge_budget(need, f"the {m}x{n} residue array of a modular rank")
     if p < 2**31:
-        a = np.frombuffer(mmap.mmap(-1, need), dtype=np.int64).reshape(m, n)
+        at = np.frombuffer(mmap.mmap(-1, need), dtype=np.int64).reshape(n, m)
     else:
-        a = np.zeros((m, n), dtype=object)
-    a[ii, jj] = [v % p for v in vals]
-    r = 0
+        at = np.zeros((n, m), dtype=object)
+    at[jj, ii] = [v % p for v in vals]
+    flat = at.reshape(-1)
+    pivots = []
     for c in range(n - 1, -1, -1):
-        if r == m:
+        if len(pivots) == m:
             break
-        nz = np.flatnonzero(a[r:, c])
+        nz = at[c].nonzero()[0]
         if nz.size == 0:
             continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv], :] = a[[piv, r], :]
-        support = np.flatnonzero(a[r, :c + 1])
-        inv = pow(int(a[r, c]), -1, p)
-        a[r, support] = a[r, support] * inv % p
-        below = nz[1:] + r
+        row = at[:c + 1, nz[0]]
+        support = row.nonzero()[0]
+        residues = row[support] * pow(int(row[c]), -1, p) % p
+        row[support] = 0
+        pivots.append((support, residues))
+        below = nz[1:]
         if below.size:
-            block = np.ix_(below, support)
-            a[block] = (a[block] - a[below, c, None] * a[r, support]) % p
-        r += 1
-    return r
+            cells = (support[:, None] * m + below).ravel()
+            f = flat.take(below + c * m)
+            flat.put(cells, (flat.take(cells)
+                             - (residues[:, None] * f).ravel()) % p)
+    return pivots
 
 
-def _modular_primes(rows, cols):
-    """Two distinct ~30-bit primes, chosen deterministically from the shape."""
-    rng = random.Random(0x5ACC0 ^ (rows * 2654435761) ^ cols)
-    primes = []
-    while len(primes) < 2:
-        cand = rng.randrange(2**29, 2**30) | 1
-        if is_prime(cand) and cand not in primes:
-            primes.append(cand)
-    return primes
+def _rank_certified(m, n, coo):
+    """Rank of the m x n integer matrix given by COO triplets, from one
+    elimination mod MODULAR_PRIME, or None when its certificate refuses.
 
-
-def _rank_modular_crosscheck(m, n, coo):
-    """Rank mod two independent primes, or None when they disagree or an
-    entry is too large for the int64 residue path.
-
-    rank_Q >= rank mod p always, so two agreeing residue ranks pin the
-    rational rank unless both primes divide the same maximal minor.
+    The rank r mod p is at most the rank over Q.  The n - r kernel
+    vectors mod p that are the identity on the free (non-pivot) columns
+    are lifted to integer vectors and checked exactly: they are
+    independent, so a lift that A annihilates over Z proves the rank is
+    at most r.  A prime that divides a maximal minor, a kernel that
+    needs a denominator of 2^15 or more, or an entry of 2^31 or more
+    (the check runs on int64) makes the certificate refuse.  A wide
+    matrix is ranked as its transpose, whose kernel is the smaller.
     """
-    if max(map(abs, coo[2]), default=0) >= 2**31:
+    ii, jj, vals = coo
+    if max(map(abs, vals), default=0) >= 2**31:
         return None
-    p1, p2 = _modular_primes(m, n)
-    r1 = _rank_mod_p(m, n, coo, p1)
-    return r1 if r1 == _rank_mod_p(m, n, coo, p2) else None
+    if m < n:
+        order = np.lexsort((ii, jj)).tolist()
+        m, n, coo = n, m, tuple([x[t] for t in order] for x in (jj, ii, vals))
+    pivots = _rank_mod_p(m, n, coo, MODULAR_PRIME)
+    return (len(pivots) if _kernel_certifies(m, n, coo, pivots, MODULAR_PRIME)
+            else None)
+
+
+def _kernel_certifies(m, n, coo, pivots, p):
+    """Whether the kernel mod p of the pivot rows `pivots` of the matrix
+    A given by COO triplets lifts to integer vectors that A annihilates.
+
+    The free columns are taken in chunks, so that the kernel mod p, its
+    lift and the back-substitution's products stay below half the
+    8 * m * n bytes of the residue array; the check takes A's rows in
+    blocks whose products fill at most CHECK_BLOCK_BYTES.  These arrays
+    and A's entries as int64 arrays are charged to the memory budget
+    before they exist.
+    """
+    nnz = len(coo[1])
+    if not nnz:
+        return True
+    steps = _back_substitution(n, pivots)
+    per_column = 8 * (4 * n + 2 * max((c.size for _, c, _, _ in steps), default=0))
+    free = np.setdiff1d(np.arange(n), [support[-1] for support, _ in pivots])
+    width = max(1, min(free.size, 4 * m * n // per_column))
+    charge_budget(24 * nnz + width * per_column
+                  + min(8 * nnz * width, CHECK_BLOCK_BYTES),
+                  f"the kernel certificate of a {m}x{n} modular rank")
+    ii, jj, vals = (np.asarray(x, dtype=np.int64) for x in coo)
+    starts = np.flatnonzero(np.diff(ii, prepend=-1))
+    row_nnz = int(np.diff(starts, append=nnz).max())
+    bound = int(np.abs(vals).max()) * row_nnz
+    for lo in range(0, free.size, width):
+        lift = _lift_kernel(_kernel_mod_p(n, steps, free[lo:lo + width], p), p)
+        if lift is None or bound * int(np.abs(lift).max()) >= 2**62:
+            return False
+        block = max(1, CHECK_BLOCK_BYTES // (8 * lift.shape[1] * row_nnz))
+        if not _annihilates(starts, jj, vals, lift, block):
+            return False
+    return True
+
+
+def _back_substitution(n, pivots):
+    """The pivot rows with entries off their pivot, grouped into steps of
+    a back-substitution: a row joins the step after the latest step of
+    the pivot columns in its support, so each step depends only on the
+    ones before it.  A step is (its rows' pivot columns, their other
+    columns, the residues there, the offsets where each row's entries
+    begin)."""
+    level = np.zeros(n, dtype=np.int64)
+    steps = {}
+    for support, residues in reversed(pivots):
+        if support.size > 1:
+            k = level[support[-1]] = level[support[:-1]].max() + 1
+            steps.setdefault(int(k), []).append((support, residues))
+    out = []
+    for _, rows in sorted(steps.items()):
+        sizes = np.array([s.size - 1 for s, _ in rows])
+        out.append((np.array([s[-1] for s, _ in rows]),
+                    np.concatenate([s[:-1] for s, _ in rows]),
+                    np.concatenate([v[:-1] for _, v in rows]),
+                    np.cumsum(sizes) - sizes))
+    return out
+
+
+def _kernel_mod_p(n, steps, free, p):
+    """The kernel vectors mod p of the pivot rows that are 1 at one column
+    of `free` and 0 at the other free columns, as the columns of an
+    n x len(free) array, from the back-substitution `steps`."""
+    x = np.zeros((n, free.size), dtype=np.int64)
+    x[free, np.arange(free.size)] = 1
+    for targets, cols, residues, starts in steps:
+        x[targets] = -np.add.reduceat(residues[:, None] * x[cols] % p,
+                                      starts, axis=0) % p
+    return x
+
+
+def _lift_kernel(x, p):
+    """Integer vectors d * x: each column of the residue array x times its
+    denominator d < 2^15, lifted to residues in (-p/2, p/2); None when a
+    column needs d >= 2^15.  d is the lcm of the rational reconstructions'
+    denominators of the column's residues that are not small integers."""
+    rows, cols = np.nonzero((x >= 2**15) & (x <= p - 2**15))
+    dens = _reconstruction_denominators(x[rows, cols], p)
+    d = np.ones(x.shape[1], dtype=np.int64)
+    keep = dens > 1
+    pairs = np.unique(cols[keep] * 2**15 + dens[keep])
+    for col, den in zip((pairs >> 15).tolist(), (pairs & 0x7FFF).tolist()):
+        d[col] = lcm(int(d[col]), den)
+        if d[col] >= 2**15:
+            return None
+    x *= d
+    x %= p
+    x[x > p // 2] -= p
+    return x
+
+
+def _reconstruction_denominators(x, p):
+    """For each residue x, the denominator b of the fraction a / b = x mod
+    p that Euclid's algorithm on p and x reaches at the first remainder
+    |a| < 2^15 (the rational reconstruction of x); b <= p / 2^15 < 2^15
+    for p < 2^30."""
+    out = np.empty_like(x)
+    where = np.arange(x.size)
+    r0, r1 = np.full_like(x, p), x.copy()
+    t0, t1 = np.zeros_like(x), np.ones_like(x)
+    while where.size:
+        done = r1 < 2**15
+        out[where[done]] = np.abs(t1[done])
+        go = ~done
+        where, r0, r1, t0, t1 = where[go], r0[go], r1[go], t0[go], t1[go]
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return out
+
+
+def _annihilates(starts, jj, vals, lift, block):
+    """Whether A @ lift == 0 exactly, for the integer matrix A whose
+    stored entries vals sit in columns jj and in rows that begin at the
+    offsets `starts`: each entry times its column's row of lift, summed
+    by row, `block` rows at a time.  The caller keeps every sum below
+    2^62."""
+    for a in range(0, starts.size, block):
+        lo = starts[a]
+        hi = starts[a + block] if a + block < starts.size else jj.size
+        products = lift[jj[lo:hi]]
+        products *= vals[lo:hi, None]
+        if np.add.reduceat(products, starts[a:a + block] - lo, axis=0).any():
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

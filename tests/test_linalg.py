@@ -1,6 +1,7 @@
 import ast
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -15,12 +16,14 @@ import rackoh
 from rackoh.cochains import differential
 from rackoh.cohomology import _parse_coefficient
 from rackoh.errors import InputError, PreconditionError, ResourceError
-from rackoh.linalg import (GF, MODULAR_RANK_THRESHOLD, QQ,
+from rackoh.linalg import (GF, MODULAR_PRIME, MODULAR_RANK_THRESHOLD, QQ,
                            SMITH_BYTES_PER_ENTRY, ZZ, AbelianGroup,
-                           ExactMatrix, _IncrementalRREF, _is_prime_power, _modular_primes,
-                           _rank_mod_p, _rank_modular_crosscheck, is_prime,
+                           ExactMatrix, _annihilates, _back_substitution,
+                           _IncrementalRREF, _is_prime_power,
+                           _kernel_certifies, _kernel_mod_p, _lift_kernel,
+                           _rank_certified, _rank_mod_p, is_prime,
                            lattice_quotient)
-from rackoh.modules import jordan_module, trivial_module
+from rackoh.modules import constant_module, jordan_module, trivial_module
 from rackoh.racks import dihedral_rack
 
 from conftest import corpus, relabelled
@@ -111,7 +114,7 @@ class TestRank:
     @settings(max_examples=60, deadline=None)
     def test_exact_equals_modular(self, rows):
         m = ExactMatrix.from_rows(rows, ZZ)
-        assert (_rank_modular_crosscheck(m.rows, m.cols, m._int_entries())
+        assert (_rank_certified(m.rows, m.cols, m._int_entries())
                 == len(_gauss_jordan(rows)[1]))
 
     @given(st.sampled_from([ZZ, QQ]), int_matrices(max_dim=8),
@@ -158,7 +161,7 @@ class TestRank:
         form, and the oracle's rank."""
         m = ExactMatrix.from_rows(rows, ZZ)
         assert m.rows * m.cols >= MODULAR_RANK_THRESHOLD
-        assert _rank_modular_crosscheck(m.rows, m.cols, m._int_entries()) is None
+        assert _rank_certified(m.rows, m.cols, m._int_entries()) is None
         calls = []
         rref = ExactMatrix._rref
         monkeypatch.setattr(ExactMatrix, "_rref",
@@ -168,12 +171,12 @@ class TestRank:
         return rank, len(_gauss_jordan(rows)[1])
 
     def test_modular_path_falls_back_on_bad_prime(self, monkeypatch):
-        # a diagonal entry equal to one of the scheduled primes drops the
-        # rank mod that prime only, so the cross-check disagrees
+        # a diagonal entry equal to the scheduled prime drops the rank mod
+        # p, and the kernel vector mod p it leaves is no kernel vector
+        # over Z, so the certificate refuses
         n = 100
-        p1, _ = _modular_primes(n, n)
         rows = [[int(i == j) for j in range(n)] for i in range(n)]
-        rows[0][0] = p1
+        rows[0][0] = MODULAR_PRIME
         rank, expected = self._rank_via_rref(monkeypatch, rows)
         assert rank == expected == n
 
@@ -226,11 +229,11 @@ class TestRank:
             rows[l] = [a + b for a, b in zip(rows[l], rows[k])]
         matrix = ExactMatrix.from_rows(rows, ZZ)
         coo = matrix._int_entries()
-        for p in (2, 7, _modular_primes(m, n)[0], 2**61 - 1):
+        for p in (2, 7, MODULAR_PRIME, 2**61 - 1):
             rref = _IncrementalRREF(n, p)
             for row in rows:
                 rref.feed(enumerate(row))
-            assert _rank_mod_p(m, n, coo, p) == len(rref.pivot_cols)
+            assert len(_rank_mod_p(m, n, coo, p)) == len(rref.pivot_cols)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=6, deadline=None)
@@ -249,7 +252,7 @@ class TestRank:
             i, k, l = rng.sample(range(m), 3)
             rows[i] = rows[k][:]
             rows[l] = [a + b for a, b in zip(rows[l], rows[k])]
-        for p in (7, _modular_primes(m, n)[0]):
+        for p in (7, MODULAR_PRIME):
             rref = _IncrementalRREF(n, p)
             for row in rows:
                 rref.feed(enumerate(row))
@@ -257,7 +260,7 @@ class TestRank:
                 rperm, cperm = rng.sample(range(m), m), rng.sample(range(n), n)
                 coo = ExactMatrix.from_rows([[rows[i][j] for j in cperm]
                                              for i in rperm], ZZ)._int_entries()
-                assert _rank_mod_p(m, n, coo, p) == len(rref.pivot_cols)
+                assert len(_rank_mod_p(m, n, coo, p)) == len(rref.pivot_cols)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_differential_ranks_under_relabelling(self, seed):
@@ -276,6 +279,110 @@ class TestRank:
         with pytest.raises(ResourceError, match="budget"):
             ExactMatrix.from_entries(400, 400, ZZ, entries).rank()
         assert ExactMatrix.from_entries(300, 400, ZZ, entries).rank() == 10
+
+
+def _fails_to_rref(self):
+    raise AssertionError("the rank fell back to the exact echelon form")
+
+
+class TestRankCertificate:
+    @staticmethod
+    def _kernel(matrix):
+        """The stored entries of `matrix`, the free columns of its pivot
+        rows mod MODULAR_PRIME and their kernel mod p (one column per free
+        column)."""
+        n = matrix.cols
+        coo = matrix._int_entries()
+        pivots = _rank_mod_p(matrix.rows, n, coo, MODULAR_PRIME)
+        free = np.setdiff1d(np.arange(n), [support[-1] for support, _ in pivots])
+        x = _kernel_mod_p(n, _back_substitution(n, pivots), free, MODULAR_PRIME)
+        return coo, free, x
+
+    def test_kernel_with_denominators_certifies(self, monkeypatch):
+        # the Q kernel of Jordan t=1, k=3 d_2 on dihedral:5 (375 x 75)
+        # needs denominators 2 and 4
+        rack = dihedral_rack(5)
+        m = differential(rack, jordan_module(rack, 1, 3, QQ), 2)
+        assert m.rows * m.cols >= MODULAR_RANK_THRESHOLD
+        _, free, x = self._kernel(m)
+        lift = _lift_kernel(x, MODULAR_PRIME)
+        assert {2, 4} <= set(lift[free, np.arange(free.size)].tolist())
+        expected = len(m._rref().pivot_cols)
+        monkeypatch.setattr(ExactMatrix, "_rref", _fails_to_rref)
+        assert m.rank() == expected == 62
+
+    def test_exact_check_rejects_a_perturbed_kernel(self):
+        rack = dihedral_rack(5)
+        m = differential(rack, trivial_module(rack, ZZ), 3)
+        coo, _, x = self._kernel(m)
+        lift = _lift_kernel(x, MODULAR_PRIME)
+        ii, jj, vals = (np.asarray(v, dtype=np.int64) for v in coo)
+        starts = np.flatnonzero(np.diff(ii, prepend=-1))
+        for block in (1, 7, m.rows):
+            assert _annihilates(starts, jj, vals, lift, block)
+        lift[jj[-1], 0] += 1
+        for block in (1, 7, m.rows):
+            assert not _annihilates(starts, jj, vals, lift, block)
+
+    def test_denominator_past_2_15_refuses(self, monkeypatch):
+        # each block's kernel vector is (1, -1/181, -1/182): its
+        # denominator 181 * 182 = 32942 passes 2^15
+        rows = [[0] * 100 for _ in range(120)]
+        for b in range(33):
+            rows[2 * b][3 * b] = rows[2 * b + 1][3 * b] = 1
+            rows[2 * b][3 * b + 1] = 181
+            rows[2 * b + 1][3 * b + 2] = 182
+        _, _, x = self._kernel(ExactMatrix.from_rows(rows, ZZ))
+        assert _lift_kernel(x, MODULAR_PRIME) is None
+        rank, expected = TestRank._rank_via_rref(monkeypatch, rows)
+        assert rank == expected == 66
+
+    def test_wide_matrix_ranks_as_its_transpose(self, monkeypatch):
+        # the kernel of a 40 x 5000 matrix has at least 4960 dimensions,
+        # its transpose's at most 40; the last row repeats the first
+        rng = random.Random(3)
+        rows = [[0] * 5000 for _ in range(39)]
+        for row in rows:
+            for _ in range(20):
+                row[rng.randrange(5000)] = rng.choice((-2, -1, 1, 2))
+        m = ExactMatrix.from_rows(rows + [rows[0]], ZZ)
+        expected = len(m._rref().pivot_cols)
+        monkeypatch.setattr(ExactMatrix, "_rref", _fails_to_rref)
+        assert m.rank() == expected == 39
+
+    def test_certificate_stays_below_the_residue_array(self):
+        # dihedral:5 trivial Q d_4 (3125 x 625): the certificate's arrays
+        # peak below the 8 * m * n bytes of the elimination's array
+        rack = dihedral_rack(5)
+        m = differential(rack, trivial_module(rack, QQ), 4)
+        coo = m._int_entries()
+        pivots = _rank_mod_p(m.rows, m.cols, coo, MODULAR_PRIME)
+        tracemalloc.start()
+        try:
+            assert _kernel_certifies(m.rows, m.cols, coo, pivots, MODULAR_PRIME)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m.rows * m.cols
+
+    def test_no_corpus_differential_falls_back(self, monkeypatch):
+        # every Z/Q differential of the corpus up to degree 3 at or above
+        # the modular threshold: trivial coefficients, the Jordan blocks
+        # and diag(1, 2) of criterion 4
+        diag = ExactMatrix.from_rows([[1, 0], [0, 2]], QQ)
+        modules = [(rack, module) for _, rack in corpus() for module in (
+            trivial_module(rack, ZZ), trivial_module(rack, QQ),
+            jordan_module(rack, 1, 2, QQ), jordan_module(rack, 1, 3, QQ),
+            jordan_module(rack, 2, 1, QQ), constant_module(rack, diag))]
+        monkeypatch.setattr(ExactMatrix, "_rref", _fails_to_rref)
+        certified = 0
+        for rack, module in modules:
+            for n in range(4):
+                m = differential(rack, module, n)
+                if m.rows * m.cols >= MODULAR_RANK_THRESHOLD:
+                    m.rank()
+                    certified += 1
+        assert certified == 57
 
 
 class TestKernelSolve:
