@@ -20,8 +20,8 @@ from math import lcm
 import numpy as np
 
 from .errors import InputError, PreconditionError, ResourceError
-from .linalg import (QQ, ZZ, ExactMatrix, PrimeField, charge_budget,
-                     int_vector, ring_vector)
+from .linalg import (QQ, ZZ, ExactMatrix, PrimeField, _int_dtype,
+                     charge_budget, int_vector, ring_vector)
 from .modules import CoeffModule, tensor_with_trivial
 from .racks import RackTable, orbit_labels
 
@@ -88,12 +88,6 @@ def _permuted_index(perm, n):
     for _ in range(n - 1):
         out = (out[:, None] * len(perm) + perm).ravel()
     return out
-
-
-def _int_dtype(bound):
-    """int64 when integers of absolute value up to `bound` fit it with room
-    to spare, else object (Python ints, exact at any size)."""
-    return np.int64 if bound < 2**62 else object
 
 
 def _block_rows(ring, rows, cols, k, mats, width, terms, scale=1):

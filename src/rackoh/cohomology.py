@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -19,8 +18,9 @@ from .cochains import (DEFAULT_ACTION_GROUP_CAP, _block_rows,
                        _fixed_space_stack, differential, finite_action_group,
                        invariant_basis)
 from .errors import InputError, PreconditionError, ResourceError
-from .linalg import (QQ, ZZ, AbelianGroup, ExactMatrix, PrimeField, SmithForm,
-                     _is_prime_power, _quotient_invariants, lattice_quotient)
+from .linalg import (CHECK_BLOCK_BYTES, QQ, ZZ, AbelianGroup, ExactMatrix,
+                     PrimeField, SmithForm, _is_prime_power, _quotient_invariants,
+                     charge_budget, lattice_quotient)
 from .modules import (CoeffModule, constant_module, function_module,
                       jordan_module, trivial_module)
 from .permutations import DEFAULT_CLOSURE_CAP, inner_group
@@ -131,6 +131,7 @@ class RackComplex:
         self._diff: dict = {}
         self._rank: dict = {}
         self._smith: dict = {}
+        self._semidirect = None
         self._orbits = None
         self._group_order = None
 
@@ -154,6 +155,12 @@ class RackComplex:
         if n not in self._diff:
             self._diff[n] = differential(self.rack, self.module, n)
         return self._diff[n]
+
+    def semidirect(self) -> RackTable:
+        """The extension rack on X x N of make_semidirect."""
+        if self._semidirect is None:
+            self._semidirect = make_semidirect(self.rack, self.module)
+        return self._semidirect
 
     def rank(self, n) -> int:
         if n < 0:
@@ -533,47 +540,86 @@ class NonabelianH2:
     representatives: tuple
 
 
-def _group_inverse_table(table):
+def _group_arrays(table):
+    """The multiplication table as an array of the smallest unsigned dtype
+    that holds its entries, and the inverse of each element; InputError
+    unless `table` is a group's.  Associativity is Light's test: it holds
+    once (x g) y = x (g y) for every x, y and every g of a generating set,
+    here the elements picked greedily until their left-nested products
+    reach every element."""
     n = len(table)
-    ident = next(e for e in range(n)
-                 if all(table[e][x] == x and table[x][e] == x for x in range(n)))
-    inv = [0] * n
-    for a in range(n):
-        inv[a] = next(b for b in range(n) if table[a][b] == ident)
-    return ident, inv
+    if not n or any(len(row) != n for row in table):
+        raise InputError("a group table must be a non-empty square table")
+    t = np.array(table)
+    if t.dtype.kind not in "iu" or t.min() < 0 or t.max() >= n:
+        raise InputError(f"group table entries must be integers in [0, {n})")
+    t = t.astype(np.min_scalar_type(n - 1))
+    elems = np.arange(n)
+    ident = np.flatnonzero((t == elems).all(axis=1) & (t.T == elems).all(axis=1))
+    if not ident.size:
+        raise InputError("the group table has no identity")
+    inv = (t == ident[0]).argmax(axis=1)
+    if (t[elems, inv] != ident[0]).any():
+        raise InputError("an element of the group table has no inverse")
+    gens, reached = [], np.zeros(n, dtype=bool)
+    while not reached.all():
+        gens.append(int(reached.argmin()))
+        new = np.array(gens)
+        reached[:] = False
+        while new.size:
+            reached[new] = True
+            new = np.unique(t[np.ix_(new, gens)])
+            new = new[~reached[new]]
+    if any((t[t[:, g]] != t[:, t[g]]).any() for g in gens):
+        raise InputError("the group table is not associative")
+    return t, inv
+
+
+def _cocycle_array(rack: RackTable, t) -> np.ndarray:
+    """The degree-2 cocycles f: X x X -> A for the group table array t, one
+    row each of the values f(x, y) at x * |X| + y, in lex order.
+
+    The search runs position by position: every surviving partial function
+    is extended by every value (np.repeat and np.tile keep lex order), and
+    the conditions f(x|>y, x|>z) f(x, z) = f(x, y|>z) f(y, z), as four flat
+    positions, whose last position is the new one are tested at once.
+    Each level's arrays are charged to the memory budget before they exist.
+    """
+    n, size = rack.size, len(t)
+    op = np.array(rack.table, dtype=np.int64)
+    x, y, z = np.indices((n,) * 3).reshape(3, -1)
+    # rows (x|>y, x|>z), (x, y|>z) and columns (x, z), (y, z) of the products
+    conds = np.stack([op[x, y] * n + op[x, z], x * n + op[y, z],
+                      x * n + z, y * n + z], axis=1)
+    conds = conds[(conds[:, ::2] != conds[:, 1::2]).any(axis=1)]
+    last = conds.max(axis=1)
+    order = np.argsort(last, kind="stable")
+    by_position = np.split(conds[order].T, np.searchsorted(
+        last[order], np.arange(1, n * n)), axis=1)
+    values = np.arange(size, dtype=t.dtype)
+    f = np.zeros((1, 0), dtype=t.dtype)
+    for pos, cond in enumerate(by_position):
+        count = len(f) * size
+        # the new frontier, the rows it keeps and their indices, and per
+        # condition the four values, the two products and their comparison
+        charge_budget(count * (t.itemsize * (2 * pos + 2 + 8 * cond.shape[1]) + 8),
+                      f"the {count} partial cocycles of a nonabelian search")
+        nxt = np.empty((count, pos + 1), dtype=t.dtype)
+        nxt[:, :pos] = np.repeat(f, size, axis=0)
+        nxt[:, pos] = np.tile(values, len(f))
+        if cond.size:
+            v = nxt[:, cond]
+            sides = t[v[:, :2], v[:, 2:]]
+            nxt = nxt[(sides[:, 0] == sides[:, 1]).all(axis=1)]
+        f = nxt
+    return f
 
 
 def _nonabelian_cocycles(rack: RackTable, group_table) -> list:
     """The degree-2 cocycles f: X x X -> A, as tuples of the values
-    f(x, y) at x * |X| + y, in lex order."""
-    n = rack.size
-    a_size = len(group_table)
-    # f(x|>y, x|>z) f(x, z) = f(x, y|>z) f(y, z), as four flat indices,
-    # each tested as soon as the last of its four values is set
-    op = rack.op
-    checks = [[] for _ in range(n * n)]
-    for x, y, z in product(range(n), repeat=3):
-        cond = (op(x, y) * n + op(x, z), x * n + z, x * n + op(y, z), y * n + z)
-        checks[max(cond)].append(cond)
-
-    # depth-first in lex order, without recursion: f holds the values set
-    # so far and v is the next value to try at position len(f)
-    cocycles = []
-    f, v = [], 0
-    while True:
-        if len(f) == n * n:
-            cocycles.append(tuple(f))
-            v = a_size
-        if v < a_size:
-            f.append(v)
-            if all(group_table[f[a]][f[b]] == group_table[f[c]][f[d]]
-                   for a, b, c, d in checks[len(f) - 1]):
-                v = 0
-                continue
-        if not f:
-            break
-        v = f.pop() + 1
-    return cocycles
+    f(x, y) at x * |X| + y, in lex order (see _cocycle_array)."""
+    t, _ = _group_arrays(group_table)
+    return list(map(tuple, _cocycle_array(rack, t).tolist()))
 
 
 def nonabelian_h2(rack: RackTable, group_table,
@@ -583,42 +629,50 @@ def nonabelian_h2(rack: RackTable, group_table,
     f'(x,y) = gamma(x|>y) f(x,y) gamma(y)^-1.
 
     The cocycle search prunes, but its worst case is exponential in
-    |X|^2; guarded by `budget` on the function count.
+    |X|^2; guarded by `budget` on the function count.  A cocycle's key is
+    its base-|A| digits, which fit int64 because |A|^(|X|^2) is at most
+    the budget; keys sort like the cocycles.  The gauges form a group
+    acting on the cocycles, so one cocycle's images under all |A|^|X|
+    gauges are its class, and the least image is its class's lex-first
+    member.  The cocycles are expanded by all gauges at once, in chunks
+    whose images fill about CHECK_BLOCK_BYTES, each charged to the memory
+    budget first.
     """
     n = rack.size
-    a_size = len(group_table)
-    _, inv = _group_inverse_table(group_table)
-    total = a_size ** (n * n)
-    if total > budget:
+    t, inv = _group_arrays(group_table)
+    size = len(t)
+    if size ** (n * n) > budget:
         raise ResourceError(
-            f"{a_size}^{n * n} functions exceed the enumeration budget "
+            f"{size}^{n * n} functions exceed the enumeration budget "
             f"{budget}; use a smaller rack or coefficient group")
 
-    cocycles = _nonabelian_cocycles(rack, group_table)
-    cocycle_set = set(cocycles)
-    gammas = list(product(range(a_size), repeat=n))
-    op = rack.op
-    # gauge action f'(x, y) = gamma(x|>y) f(x, y) gamma(y)^-1, per pair (x, y)
-    gauge = [(op(x, y), x * n + y, y) for x in range(n) for y in range(n)]
-    seen = set()
-    reps = []
-    for f in cocycles:  # lexicographic order: first unseen is the class minimum
-        if f in seen:
-            continue
-        reps.append(f)
-        stack = [f]
-        seen.add(f)
-        while stack:
-            cur = stack.pop()
-            for gamma in gammas:
-                nxt = tuple(group_table[group_table[gamma[xy]][cur[i]]][inv[gamma[y]]]
-                            for xy, i, y in gauge)
-                if nxt not in seen:
-                    if nxt not in cocycle_set:
-                        raise ArithmeticError("gauge action left the cocycle set")
-                    seen.add(nxt)
-                    stack.append(nxt)
-    return NonabelianH2(len(cocycles), len(reps), tuple(reps))
+    cocycles = _cocycle_array(rack, t)
+    digits = size ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
+    keys = cocycles @ digits
+    gammas = (np.arange(size ** n)[:, None]
+              // size ** np.arange(n - 1, -1, -1) % size)
+    op = np.array(rack.table, dtype=np.int64).ravel()
+    ys = np.tile(np.arange(n), n)
+    left = gammas[:, op].astype(t.dtype)[:, None]
+    right = inv[gammas[:, ys]].astype(t.dtype)[:, None]
+    # per image: its two table lookups, the intp copy of the first and the
+    # int64 copy of the second; its key, position and comparison
+    per_cocycle = len(gammas) * (n * n * (2 * t.itemsize + 16) + 40)
+    chunk = max(1, CHECK_BLOCK_BYTES // per_cocycle)
+    least = np.empty_like(keys)
+    for lo in range(0, len(keys), chunk):
+        charge_budget(per_cocycle * min(chunk, len(keys) - lo),
+                      "the gauge images of a nonabelian class search")
+        images = t[t[left, cocycles[None, lo:lo + chunk]], right] @ digits
+        at = np.searchsorted(keys, images).clip(max=len(keys) - 1)
+        if (keys[at] != images).any():
+            raise ArithmeticError("gauge action left the cocycle set")
+        least[lo:lo + chunk] = images.min(axis=0)
+    reps = cocycles[np.searchsorted(keys, np.unique(least))]
+    # a tuple of small ints per representative, and the list it is made from
+    charge_budget(len(reps) * (120 + 16 * n * n),
+                  f"the {len(reps)} class representatives of a nonabelian H^2")
+    return NonabelianH2(len(keys), len(reps), tuple(map(tuple, reps.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -642,21 +696,19 @@ def semidirect_cocycle_check(cx: RackComplex, omega):
         raise InputError("omega must assign a module vector to every element")
     omega = [tuple(ring.coerce(c) for c in vec) for vec in omega]
 
-    sd = make_semidirect(rack, module)
-    count = p ** k
-    vec_index = {}
-    for i, vec in enumerate(product(range(p), repeat=k)):
-        vec_index[vec] = i
+    sd = cx.semidirect()
 
     def hat(x):
+        # the lex index of omega(x).x^-1 among the vectors of N, after x's
         ainv = module.action_inverse(x)
-        val = tuple(sum(omega[x][i] * ainv[i, j] for i in range(k)) % p
-                    for j in range(k))
-        return x * count + vec_index[val]
+        index = 0
+        for j in range(k):
+            index = index * p + sum(omega[x][i] * ainv[i, j] for i in range(k)) % p
+        return x * p ** k + index
 
-    is_hom = all(
-        sd.op(hat(x), hat(y)) == hat(rack.op(x, y))
-        for x in range(n) for y in range(n))
+    hats = [hat(x) for x in range(n)]
+    is_hom = all(sd.op(hats[x], hats[y]) == hats[rack.op(x, y)]
+                 for x in range(n) for y in range(n))
 
     flat = [omega[x][j] for x in range(n) for j in range(k)]
     is_cocycle = all(v == 0 for v in cx.diff(1).matvec(flat))

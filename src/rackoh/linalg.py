@@ -7,7 +7,11 @@ one denominator per row (the lcm of the row's denominators; 1 over Z and
 F_p).  Built operators arrive as sorted COO triplets of numpy integers,
 which from_triplets reduces mod p, strips of zeros and brings row by row
 to lowest terms in whole-array operations before it makes the stored
-rows.  Products with a vector or a matrix cost O(nnz) integer operations.
+rows.  Products with a matrix cost O(nnz) integer operations; a product
+with a vector runs on numpy over the stored entries as flat arrays, kept
+with the matrix from its first product, on int64 when a bound proves the
+row sums fit and on Python ints otherwise (_row_sums, which the rank
+certificate's exact check shares).
 Over Z and Q one exact elimination, a reduced row echelon form on integer
 rows, serves rank, kernels, solves and inverses.  The rank of a large
 matrix first comes from one elimination modulo a ~30-bit prime, proven
@@ -34,7 +38,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import gcd, lcm, prod
-from operator import mul
 
 import numpy as np
 
@@ -47,8 +50,9 @@ MODULAR_RANK_THRESHOLD = 10_000
 # residues fit int64
 MODULAR_PRIME = 2**30 - 35
 
-# the products that the exact check of a modular rank's kernel holds at
-# once: larger blocks stay resident in the malloc heap after they are freed
+# the products that the exact check of a modular rank's kernel, and the
+# gauge images of a nonabelian class search, hold at once: larger blocks
+# stay resident in the malloc heap after they are freed
 CHECK_BLOCK_BYTES = 1 << 20
 
 DEFAULT_SNF_BIT_CAP = 200_000
@@ -206,6 +210,12 @@ def int_vector(vec):
         raise InputError("vector entries must be integers or Fractions") from None
 
 
+def _int_dtype(bound):
+    """int64 when integers of absolute value up to `bound` fit it with room
+    to spare, else object (Python ints, exact at any size)."""
+    return np.int64 if bound < 2**62 else object
+
+
 def ring_vector(ring, ints, den=1):
     """The ring elements ints[i] / den, each built once: Fractions over Q
     (Fraction(s) when den is 1), residues over F_p."""
@@ -234,7 +244,7 @@ class ExactMatrix:
     `m[i, j]` and `m.nonzeros(i)`.  Instances are immutable.
     """
 
-    __slots__ = ("rows", "cols", "ring", "_rows")
+    __slots__ = ("rows", "cols", "ring", "_rows", "_flat")
 
     def __init__(self, rows: int, cols: int, ring: Ring, data=None):
         """A rows x cols matrix from dense rows `data`; zero when omitted."""
@@ -243,6 +253,7 @@ class ExactMatrix:
         self.rows = rows
         self.cols = cols
         self.ring = ring
+        self._flat = None
         if data is None:
             self._rows = [_EMPTY_ROW] * rows
         else:
@@ -254,6 +265,7 @@ class ExactMatrix:
     def _of(cls, rows, cols, ring, stored):
         m = cls.__new__(cls)
         m.rows, m.cols, m.ring, m._rows = rows, cols, ring, stored
+        m._flat = None
         return m
 
     # -- construction ------------------------------------------------------
@@ -417,16 +429,28 @@ class ExactMatrix:
         return self.matvec(other)
 
     def matvec(self, vec):
-        """self @ vec as a list, in O(nnz) integer operations.
+        """self @ vec as a list, in O(nnz) integer operations on numpy.
 
         The vector is scaled to integers over the lcm L of its denominators,
-        so each output entry is one integer dot product over (den * L).
+        so each output entry is one integer dot product over (den * L): the
+        stored numerators times the vector's entries at their columns,
+        summed by row, on int64 when a bound proves the sums fit, on Python
+        ints otherwise.  The stored entries' arrays (_flat_rows) are built
+        on the first call and kept.
         """
         if len(vec) != self.cols:
             raise InputError("vector length mismatch")
         ints, big = int_vector(vec)
-        get = ints.__getitem__
-        out = [sum(map(mul, nums, map(get, cols))) for cols, nums, _ in self._rows]
+        ints = list(map(int, ints))  # numpy integers would wrap around
+        if self._flat is None:
+            self._flat = _flat_rows(*self._int_entries())
+        jj, vals, starts, present, row_nnz, top = self._flat
+        # at least 1 on each side, so the entries and the vector fit as well
+        dtype = _int_dtype(max(top * row_nnz, 1)
+                           * max(max(map(abs, ints), default=0), 1))
+        out = np.zeros(self.rows, dtype=dtype)
+        out[present] = _row_sums(np.array(ints, dtype=dtype), jj, vals, starts)
+        out = out.tolist()
         if self.ring == QQ and any(den != 1 for _, _, den in self._rows):
             return [Fraction(s, den * big) for s, (_, _, den) in zip(out, self._rows)]
         return ring_vector(self.ring, out, big)
@@ -783,10 +807,8 @@ def _kernel_certifies(m, n, coo, pivots, p):
     charge_budget(24 * nnz + width * per_column
                   + min(8 * nnz * width, CHECK_BLOCK_BYTES),
                   f"the kernel certificate of a {m}x{n} modular rank")
-    ii, jj, vals = (np.asarray(x, dtype=np.int64) for x in coo)
-    starts = np.flatnonzero(np.diff(ii, prepend=-1))
-    row_nnz = int(np.diff(starts, append=nnz).max())
-    bound = int(np.abs(vals).max()) * row_nnz
+    jj, vals, starts, _, row_nnz, top = _flat_rows(*coo)
+    bound = top * row_nnz
     for lo in range(0, free.size, width):
         lift = _lift_kernel(_kernel_mod_p(n, steps, free[lo:lo + width], p), p)
         if lift is None or bound * int(np.abs(lift).max()) >= 2**62:
@@ -874,17 +896,39 @@ def _reconstruction_denominators(x, p):
 def _annihilates(starts, jj, vals, lift, block):
     """Whether A @ lift == 0 exactly, for the integer matrix A whose
     stored entries vals sit in columns jj and in rows that begin at the
-    offsets `starts`: each entry times its column's row of lift, summed
-    by row, `block` rows at a time.  The caller keeps every sum below
-    2^62."""
+    offsets `starts`, `block` rows at a time.  The caller keeps every sum
+    below 2^62."""
     for a in range(0, starts.size, block):
         lo = starts[a]
         hi = starts[a + block] if a + block < starts.size else jj.size
-        products = lift[jj[lo:hi]]
-        products *= vals[lo:hi, None]
-        if np.add.reduceat(products, starts[a:a + block] - lo, axis=0).any():
+        if _row_sums(lift, jj[lo:hi], vals[lo:hi], starts[a:a + block] - lo).any():
             return False
     return True
+
+
+def _flat_rows(ii, jj, vals):
+    """The integer matrix given by COO triplets sorted by row, as arrays:
+    the entries' columns and values (int64 when they fit, else Python
+    ints), the offsets where the non-empty rows begin and those rows'
+    indices, then the most entries in a row and the largest |value|, whose
+    product times max |x| bounds every sum of _row_sums."""
+    top = max(map(abs, vals), default=0)
+    ii = np.asarray(ii, dtype=np.int64)
+    starts = np.flatnonzero(np.diff(ii, prepend=-1))
+    return (np.asarray(jj, dtype=np.int64), np.array(vals, dtype=_int_dtype(top)),
+            starts, ii[starts], int(np.diff(starts, append=ii.size).max(initial=0)),
+            top)
+
+
+def _row_sums(x, jj, vals, starts):
+    """A @ x for the matrix A whose stored entries vals sit in columns jj
+    and in non-empty rows that begin at the offsets `starts`, and for x a
+    vector or the columns of a 2-d array: each entry times its column's
+    entry (or row) of x, summed by row with np.add.reduceat, which would
+    misread an empty row.  The products take the dtype of x."""
+    products = x[jj]
+    products *= vals.reshape((-1,) + (1,) * (x.ndim - 1))
+    return np.add.reduceat(products, starts, axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -346,6 +346,15 @@ class TestBudgets:
                                "--nonabelian", "S3")
         assert code == 3
 
+    def test_nonabelian_frontier_budget_exit_3(self, capsys, monkeypatch):
+        # 37^4 functions pass the 2 M function budget, but the search's
+        # last frontier (every one of them is a cocycle) does not fit 1 MiB
+        monkeypatch.setenv("RACKOH_BUDGET_MB", "1")
+        code, _, err = run_cli(capsys, "h2", "--rack", "trivial:2",
+                               "--nonabelian", "Z37")
+        assert code == 3
+        assert "partial cocycles" in err and "budget" in err
+
     def test_caps_must_be_positive(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--rack", "dihedral:3",
                                "--closure-cap", "0")

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from rackoh import cohomology
 from rackoh.cohomology import (RackComplex, _nonabelian_cocycles, direct_h2,
                                h2_via_group, nonabelian_h2,
                                semidirect_cocycle_check)
@@ -9,9 +10,9 @@ from rackoh.errors import InputError, ResourceError
 from rackoh.linalg import GF, AbelianGroup, ExactMatrix
 from rackoh.modules import constant_module, trivial_module
 from rackoh.racks import (cyclic_group_table, cyclic_rack, dihedral_rack,
-                          symmetric_group_table, trivial_rack)
+                          make_semidirect, symmetric_group_table, trivial_rack)
 
-from conftest import ORBITS
+from conftest import ORBITS, relabelled
 
 
 class TestH2ViaGroup:
@@ -75,11 +76,18 @@ def _class_minima(rack, table, cocycles):
 
 
 class TestNonabelianH2:
+    # relabelling moves the conditions between positions and changes the
+    # lex order of the cocycles
     @pytest.mark.parametrize("rack, table", [
         (dihedral_rack(3), cyclic_group_table(4)),
         (cyclic_rack(3), cyclic_group_table(4)),
         (trivial_rack(2), symmetric_group_table(3)),
-        (trivial_rack(1), symmetric_group_table(3))])
+        (trivial_rack(1), symmetric_group_table(3)),
+        (dihedral_rack(4), cyclic_group_table(2)),
+        *((relabelled(rack, seed), table) for seed in (1, 2, 3)
+          for rack, table in ((dihedral_rack(3), cyclic_group_table(3)),
+                              (cyclic_rack(3), cyclic_group_table(3)),
+                              (dihedral_rack(4), cyclic_group_table(2))))])
     def test_search_matches_brute_force(self, rack, table):
         cocycles = _brute_force_cocycles(rack, table)
         assert _nonabelian_cocycles(rack, table) == cocycles
@@ -127,6 +135,34 @@ class TestNonabelianH2:
             nonabelian_h2(dihedral_rack(3), symmetric_group_table(3),
                           budget=1000)
 
+    @pytest.mark.parametrize("table", [
+        [[0, 0], [0, 0]],  # no identity
+        [[0, 1], [1, 1]],  # 1 has no inverse
+        # a loop of order 5 with x x = 0 for every x: no group of order 5
+        # has that, so it is not associative
+        [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+         [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+        [[0, 1], [1]],  # not square
+        [],
+        [[0, 2], [2, 0]],  # an entry out of range
+        [[0.0]],
+    ], ids=["no-identity", "no-inverse", "not-associative", "ragged", "empty",
+            "out-of-range", "float"])
+    def test_rejects_tables_that_are_not_groups(self, table):
+        with pytest.raises(InputError):
+            nonabelian_h2(trivial_rack(1), table)
+
+    def test_accepts_relabelled_groups(self):
+        # S3 with its elements renamed keeps 3 classes on one element
+        sigma = [3, 5, 0, 1, 4, 2]
+        s3 = symmetric_group_table(3)
+        table = [[0] * 6 for _ in range(6)]
+        for a in range(6):
+            for b in range(6):
+                table[sigma[a]][sigma[b]] = sigma[s3[a][b]]
+        result = nonabelian_h2(trivial_rack(1), table)
+        assert (result.cocycle_count, result.class_count) == (6, 3)
+
 
 class TestSemidirectLemma:
     def _sign_module(self):
@@ -155,6 +191,16 @@ class TestSemidirectLemma:
             results[is_cocycle] += 1
         assert results[True] + results[False] == 27
         assert results[False] > 0  # non-cocycles exist and are detected
+
+    def test_extension_rack_built_once_per_complex(self, monkeypatch):
+        d3, module = self._sign_module()
+        cx = RackComplex(d3, module)
+        built = []
+        monkeypatch.setattr(cohomology, "make_semidirect",
+                            lambda *args: built.append(args) or make_semidirect(*args))
+        for vals in product(range(3), repeat=3):
+            semidirect_cocycle_check(cx, [(v,) for v in vals])
+        assert len(built) == 1
 
     def test_trivial_action_version(self):
         d3 = dihedral_rack(3)

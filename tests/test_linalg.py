@@ -958,6 +958,53 @@ class TestSparseAgainstDense:
             assert a.to_ring(target).data == _ref_rows(target, ref)
 
 
+@st.composite
+def matvec_cases(draw):
+    """A matrix with empty rows, entries past 2^62 and 0 columns among the
+    shapes drawn, with a small vector and a huge one for it."""
+    ring = draw(st.sampled_from(SPARSE_RINGS))
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    huge = st.integers(2**62, 2**70) | st.integers(-2**70, -2**62)
+    values = st.one_of(_ring_values(ring), huge)
+    if ring == QQ:
+        values = st.one_of(values, st.builds(Fraction, huge, st.integers(1, 2**64)))
+    rows = [draw(st.lists(values, min_size=n, max_size=n))
+            if draw(st.booleans()) else [0] * n for _ in range(m)]
+    small = _dense(ring, draw, 1, n)[0]
+    big = list(small)
+    if n:
+        big[draw(st.integers(0, n - 1))] = draw(huge)
+    return ring, m, n, rows, small, big
+
+
+class TestMatvec:
+    @given(matvec_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_fraction_oracle(self, case):
+        # the same matrix, so the same cached arrays, meets a small vector
+        # (int64 sums) and then a huge one (Python ints)
+        ring, m, n, rows, small, big = case
+        a = ExactMatrix(m, n, ring, rows)
+        vectors = [(small, small), (big, big)]
+        if ring != QQ:
+            vectors.append(([np.int64(v) for v in small], small))
+        for vec, values in vectors:
+            out = a.matvec(vec)
+            assert out == [_ref(ring, sum((Fraction(x) * Fraction(v)
+                                           for x, v in zip(row, values)), Fraction(0)))
+                           for row in rows]
+            assert all(type(x) is (Fraction if ring == QQ else int) for x in out)
+            p = ring.characteristic
+            assert not p or all(0 <= x < p for x in out)
+
+    def test_reused_matrix_picks_the_dtype_per_call(self):
+        a = ExactMatrix.from_rows([[3, 0, -2], [0, 0, 0], [1, 1, 1]], ZZ)
+        assert a.matvec([1, 2, 3]) == [-3, 0, 6]
+        assert a.matvec([2**80, 0, 1]) == [3 * 2**80 - 2, 0, 2**80 + 1]
+        assert a.matvec([1, 2, 3]) == [-3, 0, 6]
+        assert ExactMatrix(2, 0, QQ).matvec([]) == [Fraction(0)] * 2
+
+
 def test_package_reads_no_dense_rows():
     """Outside linalg, ExactMatrix entries are read only through m[i, j]
     and m.nonzeros(i), so the storage can change without touching callers."""
