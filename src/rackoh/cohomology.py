@@ -235,11 +235,13 @@ def _betti_mn_check(cx, betti) -> TheoremCheck:
 
 def integral_degree(cx: RackComplex, n: int) -> AbelianGroup:
     """H^n with integer coefficients: ker d_n / im d_(n-1) as a lattice
-    quotient, from the invariant factors the complex caches, so each d_n
-    is Smith-formed once however many degrees are asked for."""
-    if n >= 1 and not (cx.diff(n) @ cx.diff(n - 1)).is_zero():
+    quotient, from what the complex caches: the certified rank of d_n,
+    which is all the kernel side needs, and the invariant factors of
+    d_(n-1).  So each d_n is Smith-formed at most once, and the top one
+    not at all."""
+    if n >= 1 and not cx.diff(n).annihilates(cx.diff(n - 1)):
         raise ArithmeticError("image does not lie in the kernel")
-    return _quotient_invariants(cx.space_dim(n), cx.smith(n), cx.smith(n - 1))
+    return _quotient_invariants(cx.space_dim(n), cx.rank(n), cx.smith(n - 1))
 
 
 def cohomology_integral(rack: RackTable, max_degree: int,
@@ -257,6 +259,7 @@ def cohomology_integral(rack: RackTable, max_degree: int,
     consistent = True
     for n in range(max_degree + 1):
         group = integral_degree(cx, n)
+        # free rank - betti = rank d_(n-1) - Smith rank d_(n-1)
         if group.free_rank != cx.betti(n):
             consistent = False
         degrees.append(DegreeData(n, group.free_rank, group.torsion))

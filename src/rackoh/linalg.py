@@ -11,7 +11,7 @@ rows.  Products with a matrix cost O(nnz) integer operations; a product
 with a vector runs on numpy over the stored entries as flat arrays, kept
 with the matrix from its first product, on int64 when a bound proves the
 row sums fit and on Python ints otherwise (_row_sums, which the rank
-certificate's exact check shares).
+certificate's exact check and the integer zero-product test share).
 Over Z and Q one exact elimination, a reduced row echelon form on integer
 rows, serves rank, kernels, solves and inverses.  The rank of a large
 matrix first comes from one elimination modulo a ~30-bit prime, proven
@@ -21,12 +21,12 @@ falls back to that echelon form.  Every F_p rank runs the same numpy
 elimination, with no certificate; its pivot steps update only the rows
 that meet the pivot column, and in them only the pivot row's support: on
 int64 entries below 2^31, on Python ints above.
-The Smith form removes +-1 pivots on a sparse copy in one sweep and runs
-its dense loop only on the core that remains.  Both eliminate the columns
-from last to first, pivoting on the first row that meets each (with a +-1
-entry, for the Smith form), which on a rack differential picks pivots
-that share few columns with the other rows (see _rank_mod_p), so fill-in
-stays small.
+The Smith form removes +-1 pivots in one sweep on the rank's array layout
+and runs its dense loop only on the core that remains.  Both eliminate the
+columns from last to first, pivoting on the first row that meets each
+(with a +-1 entry, for the Smith form), which on a rack differential picks
+pivots that share few columns with the other rows (see _rank_mod_p), so
+fill-in stays small.
 """
 
 from __future__ import annotations
@@ -56,11 +56,6 @@ MODULAR_PRIME = 2**30 - 35
 CHECK_BLOCK_BYTES = 1 << 20
 
 DEFAULT_SNF_BIT_CAP = 200_000
-
-# What _smith charges per stored entry of its input: the tracemalloc peak
-# of a Smith form (the sparse working copy with its fill-in) per entry is
-# at most 1061 bytes on the corpus differentials, on sd:dihedral3:F3neg d_3
-SMITH_BYTES_PER_ENTRY = 1100
 
 
 def charge_budget(need: int, what: str) -> None:
@@ -435,16 +430,14 @@ class ExactMatrix:
         so each output entry is one integer dot product over (den * L): the
         stored numerators times the vector's entries at their columns,
         summed by row, on int64 when a bound proves the sums fit, on Python
-        ints otherwise.  The stored entries' arrays (_flat_rows) are built
-        on the first call and kept.
+        ints otherwise.  The stored entries' arrays (_flat_entries) are
+        built on the first call and kept.
         """
         if len(vec) != self.cols:
             raise InputError("vector length mismatch")
         ints, big = int_vector(vec)
         ints = list(map(int, ints))  # numpy integers would wrap around
-        if self._flat is None:
-            self._flat = _flat_rows(*self._int_entries())
-        jj, vals, starts, present, row_nnz, top = self._flat
+        jj, vals, starts, present, row_nnz, top = self._flat_entries()
         # at least 1 on each side, so the entries and the vector fit as well
         dtype = _int_dtype(max(top * row_nnz, 1)
                            * max(max(map(abs, ints), default=0), 1))
@@ -455,7 +448,47 @@ class ExactMatrix:
             return [Fraction(s, den * big) for s, (_, _, den) in zip(out, self._rows)]
         return ring_vector(self.ring, out, big)
 
+    def annihilates(self, other: "ExactMatrix") -> bool:
+        """Whether self @ other is zero, for integer matrices, exactly.
+
+        `other` is made a dense array, and each block of self's rows
+        multiplies it through the kernel of matvec: its stored entries
+        times the rows of the array at their columns, summed by row, on
+        int64 when a bound proves the sums fit, on Python ints otherwise.
+        The array and one block's products, at most CHECK_BLOCK_BYTES,
+        are charged to the memory budget before they exist.
+        """
+        if self.ring != ZZ or other.ring != ZZ:
+            raise PreconditionError("annihilates works on integer matrices")
+        if self.cols != other.rows:
+            raise InputError("product shape mismatch")
+        jj, vals, starts, _, row_nnz, top = self._flat_entries()
+        bi, bj, bvals, btop = other._entry_arrays()
+        if not jj.size or not bj.size:
+            return True
+        charge_budget(8 * other.rows * other.cols
+                      + min(8 * jj.size * other.cols, CHECK_BLOCK_BYTES),
+                      f"the dense {other.rows}x{other.cols} factor of a zero "
+                      "product check")
+        x = np.zeros((other.rows, other.cols), dtype=_int_dtype(top * row_nnz * btop))
+        x[bi, bj] = bvals
+        block = max(1, CHECK_BLOCK_BYTES // (8 * other.cols * row_nnz))
+        return _annihilates(starts, jj, vals, x, block)
+
     # -- integer normalisation ----------------------------------------------
+
+    def _flat_entries(self):
+        """The stored entries as the arrays of _flat_rows, built on the
+        first call and kept."""
+        if self._flat is None:
+            self._flat = _flat_rows(*self._int_entries())
+        return self._flat
+
+    def _entry_arrays(self):
+        """The stored entries' row indices, columns and values as arrays,
+        and the largest |value|, from _flat_entries."""
+        jj, vals, starts, present, _, top = self._flat_entries()
+        return np.repeat(present, np.diff(starts, append=jj.size)), jj, vals, top
 
     def _int_entries(self):
         """Nonzero entries as COO triplets (row indices, column indices, ints).
@@ -953,65 +986,69 @@ class SmithForm:
         return tuple(d for d in self.invariant_factors if d != 1)
 
 
-def _smith(matrix: ExactMatrix, bit_cap: int) -> SmithForm:
-    """Invariant factors: unit pivots first on a sparse copy, then a dense
-    loop on the core they leave.
+def _unit_sweep(matrix: ExactMatrix):
+    """(u, core): the number u of +-1 pivots swept off the integer matrix
+    and, as lists of ints, the rows of what remains on its nonzero rows
+    and columns.  The invariant factors are u ones, then the core's.
 
-    One sweep visits the columns from last to first and pivots each on
-    the lowest-index remaining row whose entry there is +-1; a column with
-    no such entry is left to the core.  A +-1 pivot clears its column by
-    row operations; its row is then cleared by column operations that
-    touch nothing else, so it splits off a factor 1.  On a lex-ordered
-    differential this is the structural order of _rank_mod_p (see there
-    why its pivots share few columns with the rows below them), so
-    fill-in stays small.
-
-    The sparse copy is charged SMITH_BYTES_PER_ENTRY per stored entry to
-    the memory budget before it is built.
+    The loop of _rank_mod_p, on its column-major array (8 * m * n bytes,
+    charged to the memory budget, mapped on its own): the columns from
+    last to first, each pivoting on the first row whose entry there is
+    +-1, or left to the core when none is.  Row operations clear the
+    column, updating the pivot row's support in the rows that meet it;
+    column operations then clear the pivot row and touch nothing else, so
+    it is zeroed and splits off a factor 1.  Entries start on int64 below
+    2^31, so every update's products fit; an update that reaches 2^31
+    moves the array to Python ints, and the loop goes on there.
     """
-    charge_budget(sum(len(cols) for cols, _, _ in matrix._rows)
-                  * SMITH_BYTES_PER_ENTRY,
-                  f"the Smith form working copy of a {matrix.rows}x"
-                  f"{matrix.cols} matrix")
-    rows = {i: dict(zip(cols, nums))
-            for i, (cols, nums, _) in enumerate(matrix._rows) if cols}
-    cols: dict = {}
-    for i, entries in rows.items():
-        for j in entries:
-            cols.setdefault(j, set()).add(i)
-
+    m, n = matrix.rows, matrix.cols
+    ii, jj, vals, top = matrix._entry_arrays()
+    if not jj.size:
+        return 0, []
+    need = 8 * m * n
+    what = f"the Smith form working array of a {m}x{n} matrix"
+    charge_budget(need, what)
+    if top < 2**31:
+        at = np.frombuffer(mmap.mmap(-1, need), dtype=np.int64).reshape(n, m)
+    else:
+        at = np.zeros((n, m), dtype=object)
+    at[jj, ii] = vals
+    flat = at.reshape(-1)
     units = 0
-    for j in sorted(cols, reverse=True):
-        others = cols[j]
-        i = min((k for k in others if abs(rows[k][j]) == 1), default=None)
-        if i is None:
+    for c in range(n - 1, -1, -1):
+        col = at[c]
+        nz = col.nonzero()[0]
+        if nz.size == 0:
             continue
-        prow = rows.pop(i)
-        sign = prow.pop(j)
-        del cols[j]
-        others.discard(i)
-        for l in prow:
-            cols[l].discard(i)
-        for k in others:
-            row = rows[k]
-            q = row.pop(j) * sign
-            for l, b in prow.items():
-                old = row.get(l)
-                new = (old or 0) - q * b
-                if new:
-                    row[l] = new
-                    if old is None:
-                        cols[l].add(k)
-                elif old is not None:
-                    del row[l]
-                    cols[l].discard(k)
-            if not row:
-                del rows[k]
+        unit = nz[np.abs(col[nz]) == 1]
+        if unit.size == 0:
+            continue
+        i = unit[0]
+        row = at[:, i]
+        support = row.nonzero()[0]
+        pivot_row = row[support] * col[i]
+        row[support] = 0
         units += 1
+        below = nz[nz != i]
+        if below.size == 0:
+            continue
+        cells = (support[:, None] * m + below).ravel()
+        f = flat.take(below + c * m)
+        new = flat.take(cells) - (pivot_row[:, None] * f).ravel()
+        flat.put(cells, new)
+        if at.dtype == np.int64 and np.abs(new).max() >= 2**31:
+            charge_budget(2 * need, what)
+            at = at.astype(object)
+            flat = at.reshape(-1)
+    core = at[np.ix_(np.flatnonzero(at.any(axis=1)), np.flatnonzero(at.any(axis=0)))]
+    return units, core.T.tolist()
 
-    core_cols = sorted(j for j, members in cols.items() if members)
-    d = [[entries.get(j, 0) for j in core_cols] for entries in rows.values()]
-    m, n = len(d), len(core_cols)
+
+def _smith(matrix: ExactMatrix, bit_cap: int) -> SmithForm:
+    """Invariant factors: the unit pivots of _unit_sweep, then a dense loop
+    on the core they leave."""
+    units, d = _unit_sweep(matrix)
+    m, n = len(d), len(d[0]) if d else 0
 
     s = 0
     while s < min(m, n):
@@ -1115,19 +1152,21 @@ def lattice_quotient(kernel_of: ExactMatrix, image_of: ExactMatrix,
         raise InputError("image generators live in the wrong ambient space")
     if modulus and not _is_prime_power(modulus):
         raise InputError(f"modulus {modulus} is not a prime power")
-    if not (kernel_of @ image_of).is_zero():
+    if not kernel_of.annihilates(image_of):
         raise ArithmeticError("image does not lie in the kernel")
-    return _quotient_invariants(kernel_of.cols, kernel_of.smith_normal_form(),
-                                image_of.smith_normal_form(), modulus)
+    a = kernel_of.smith_normal_form()
+    return _quotient_invariants(kernel_of.cols, a.rank, image_of.smith_normal_form(),
+                                modulus, a.torsion)
 
 
-def _quotient_invariants(cols, a, b, modulus=0):
-    """The lattice_quotient formula, from the Smith forms a of kernel_of and
-    b of image_of and the ambient rank cols."""
-    free = cols - a.rank - b.rank
+def _quotient_invariants(cols, rank, b, modulus=0, torsion=()):
+    """The lattice_quotient formula, from the rank and, with a modulus, the
+    torsion of kernel_of, the Smith form b of image_of and the ambient
+    rank cols."""
+    free = cols - rank - b.rank
     if not modulus:
         return AbelianGroup(free, b.torsion)
-    orders = [gcd(d, modulus) for d in b.torsion + a.torsion]
+    orders = [gcd(d, modulus) for d in b.torsion + torsion]
     return AbelianGroup(0, tuple(sorted([modulus] * free
                                         + [d for d in orders if d != 1])))
 

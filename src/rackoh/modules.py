@@ -9,7 +9,7 @@ invertibility of every matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError
@@ -29,12 +29,19 @@ class CoeffModule:
     matrices: tuple  # one invertible dim x dim ExactMatrix per rack element
     tag: str = TAG_CUSTOM
     params: tuple = ()
+    # element -> inverse of its matrix, filled on demand; not part of the
+    # module's identity, so equality and hashing ignore it
+    _inverses: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def action(self, x: int) -> ExactMatrix:
         return self.matrices[x]
 
     def action_inverse(self, x: int) -> ExactMatrix:
-        return self.matrices[x].inverse()
+        """The inverse of element x's matrix, computed once per module."""
+        if x not in self._inverses:
+            self._inverses[x] = self.matrices[x].inverse()
+        return self._inverses[x]
 
     @property
     def is_trivial(self) -> bool:
@@ -59,7 +66,7 @@ def check_module(rack: RackTable, module: CoeffModule):
     for x, m in enumerate(module.matrices):
         if m.rows != module.dim or m.cols != module.dim or m.ring != module.ring:
             raise InputError(f"action matrix for element {x} has the wrong shape or ring")
-        m.inverse()  # raises InputError when singular
+        module.action_inverse(x)  # raises InputError when singular
     for x in range(n):
         ax = module.matrices[x]
         for y in range(n):

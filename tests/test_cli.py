@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 from rackoh import cochains
 from rackoh.cli import (EXIT_CHECK_FAILED, EXIT_INPUT, EXIT_OK, canonical_json,
                         main, parse_rack_spec)
-from rackoh.errors import InputError
+from rackoh.errors import InputError, ResourceError
+from rackoh.linalg import ZZ
+from rackoh.modules import trivial_module
+from rackoh.racks import dihedral_rack
 
 
 def run_cli(capsys, *argv):
@@ -318,14 +321,22 @@ class TestBudgets:
         assert "residue array" in err and "budget" in err
 
     def test_smith_working_copy_budget_exit_3(self, capsys, monkeypatch):
-        # with the builder's charge waived, the sparse copy a Smith form
-        # makes of a differential is what passes the budget
+        # with the builder's charge waived, integral cohomology of
+        # dihedral:5 to degree 4 never Smith-forms d_4, so the CLI stops at
+        # another refusal; the Smith form of d_4 (a 3125 x 625 working
+        # array, 15 MiB) refuses on its own
         monkeypatch.setenv("RACKOH_BUDGET_MB", "1")
         monkeypatch.setattr(cochains, "BYTES_PER_ENTRY", 1)
         code, _, err = run_cli(capsys, "cohomology", "--rack", "dihedral:5",
                                "--ring", "Z", "--max-degree", "4")
         assert code == 3
-        assert "Smith form working copy" in err and "budget" in err
+        assert "budget" in err and "Smith form" not in err
+        rack = dihedral_rack(5)
+        d4 = cochains.differential(rack, trivial_module(rack, ZZ), 4)
+        with pytest.raises(ResourceError) as refused:
+            d4.smith_normal_form()
+        assert "Smith form working array" in str(refused.value)
+        assert "budget" in str(refused.value)
 
     @pytest.mark.parametrize("mb", ["0", "-5", "abc"])
     def test_budget_must_be_a_positive_integer(self, capsys, monkeypatch, mb):

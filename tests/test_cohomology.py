@@ -9,8 +9,9 @@ from rackoh.cochains import apply_rack_element, differential
 from rackoh.cohomology import (CHECK_TORSION_PRIMES, RackComplex,
                                RackPresentation, cohomology_integral,
                                cohomology_over_field, direct_h2, group_h1,
-                               invariant_cohomology, prime_factors,
-                               same_operator_cohomology, twisted_cohomology)
+                               integral_degree, invariant_cohomology,
+                               prime_factors, same_operator_cohomology,
+                               twisted_cohomology)
 from rackoh.errors import InputError, PreconditionError
 from rackoh.linalg import (GF, QQ, ZZ, AbelianGroup, ExactMatrix,
                            lattice_quotient)
@@ -120,15 +121,20 @@ class TestIntegralCohomology:
         assert report.all_passed
 
     def test_each_differential_smith_formed_once(self, monkeypatch):
-        # the invariant factors cached on the complex give the groups that
-        # lattice_quotient gives on the differentials, one Smith form per d_n
+        # the ranks and invariant factors cached on the complex give the
+        # groups that lattice_quotient gives on the differentials, with one
+        # Smith form for each of d_0 .. d_3; the top differential d_4 only
+        # enters through its kernel, so it is ranked, never Smith-formed
         d3 = dihedral_rack(3)
-        shapes = []
-        smith = ExactMatrix.smith_normal_form
+        shapes, ranked = [], []
+        smith, rank = ExactMatrix.smith_normal_form, ExactMatrix.rank
         monkeypatch.setattr(ExactMatrix, "smith_normal_form", lambda m, *a: (
             shapes.append((m.rows, m.cols)), smith(m, *a))[1])
+        monkeypatch.setattr(ExactMatrix, "rank", lambda m: (
+            ranked.append((m.rows, m.cols)), rank(m))[1])
         report = cohomology_integral(d3, 4)
-        assert sorted(shapes) == [(3 ** (n + 1), 3 ** n) for n in range(5)]
+        assert sorted(shapes) == [(3 ** (n + 1), 3 ** n) for n in range(4)]
+        assert ranked.count((3 ** 5, 3 ** 4)) == 1
         monkeypatch.undo()
         module = trivial_module(d3, ZZ)
         for n, deg in enumerate(report.degrees):
@@ -136,6 +142,28 @@ class TestIntegralCohomology:
                     else ExactMatrix.zeros(1, 0, ZZ))
             group = lattice_quotient(differential(d3, module, n), prev)
             assert (deg.betti, deg.torsion) == (group.free_rank, group.torsion)
+
+    @pytest.mark.parametrize("flip", ["upper", "lower"])
+    def test_flipped_entry_breaks_the_zero_product(self, flip):
+        # negate one entry of d_2 (or of d_1) at an inner index j of
+        # d_2 @ d_1 where column j of d_2 and row j of d_1 are both nonzero:
+        # the product then changes by a nonzero multiple of one of them
+        d3 = dihedral_rack(3)
+        cx = RackComplex(d3, trivial_module(d3, ZZ))
+        upper, lower = cx.diff(2), cx.diff(1)
+        inner = ({j for i in range(upper.rows) for j, _ in upper.nonzeros(i)}
+                 & {j for j in range(lower.rows) if lower.nonzeros(j)})
+        n, m = (2, upper) if flip == "upper" else (1, lower)
+        entries = {(i, j): x for i in range(m.rows) for j, x in m.nonzeros(i)}
+        at = next(k for k in entries if k[1 if flip == "upper" else 0] in inner)
+        entries[at] = -entries[at]
+        cx._diff[n] = flipped = ExactMatrix.from_entries(m.rows, m.cols, ZZ, entries)
+        with pytest.raises(ArithmeticError):
+            integral_degree(cx, 2)
+        pair = (flipped, lower) if flip == "upper" else (upper, flipped)
+        assert not (pair[0] @ pair[1]).is_zero()
+        with pytest.raises(ArithmeticError):
+            lattice_quotient(*pair)
 
     def test_degree_0_free_of_rank_m_orbifold(self, corpus_rack):
         spec, rack = corpus_rack

@@ -4,7 +4,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from pathlib import Path
 
 import numpy as np
@@ -16,13 +16,12 @@ import rackoh
 from rackoh.cochains import differential
 from rackoh.cohomology import _parse_coefficient
 from rackoh.errors import InputError, PreconditionError, ResourceError
-from rackoh.linalg import (GF, MODULAR_PRIME, MODULAR_RANK_THRESHOLD, QQ,
-                           SMITH_BYTES_PER_ENTRY, ZZ, AbelianGroup,
-                           ExactMatrix, _annihilates, _back_substitution,
-                           _IncrementalRREF, _is_prime_power,
-                           _kernel_certifies, _kernel_mod_p, _lift_kernel,
-                           _rank_certified, _rank_mod_p, is_prime,
-                           lattice_quotient)
+from rackoh.linalg import (GF, MODULAR_PRIME, MODULAR_RANK_THRESHOLD, QQ, ZZ,
+                           AbelianGroup, ExactMatrix, _annihilates,
+                           _back_substitution, _IncrementalRREF,
+                           _is_prime_power, _kernel_certifies, _kernel_mod_p,
+                           _lift_kernel, _rank_certified, _rank_mod_p,
+                           _unit_sweep, is_prime, lattice_quotient)
 from rackoh.modules import constant_module, jordan_module, trivial_module
 from rackoh.racks import dihedral_rack
 
@@ -82,11 +81,17 @@ def _random_unimodular_scramble(rows, rng, steps=12):
 small_int = st.integers(min_value=-9, max_value=9)
 
 
-def int_matrices(max_dim=4):
+def int_matrices(max_dim=4, entries=small_int):
     return st.integers(1, max_dim).flatmap(
         lambda m: st.integers(1, max_dim).flatmap(
-            lambda n: st.lists(st.lists(small_int, min_size=n, max_size=n),
+            lambda n: st.lists(st.lists(entries, min_size=n, max_size=n),
                                min_size=m, max_size=m)))
+
+
+# mostly zeros and units, with some entries near 2^30: one unit pivot
+# update by such a row takes the fill-in past 2^31
+sweep_entry = st.one_of(st.sampled_from((0, 0, 0, 1, -1, 2, -3)),
+                        st.integers(-2**30, 2**30))
 
 
 class TestRank:
@@ -478,6 +483,26 @@ class TestSmithNormalForm:
         for a, b in zip(sf.invariant_factors, sf.invariant_factors[1:]):
             assert b % a == 0
 
+    @given(int_matrices(5, sweep_entry))
+    @settings(max_examples=100, deadline=None)
+    def test_unit_sweep_against_minors_oracle(self, rows):
+        # the sweep's units and the core it leaves, each checked by the
+        # oracle, without the dense loop
+        units, core = _unit_sweep(ExactMatrix.from_rows(rows, ZZ))
+        core_factors = snf_by_minor_gcds(core) if core else ()
+        assert (1,) * units + core_factors == snf_by_minor_gcds(rows)
+
+    def test_fill_in_past_2_31_moves_to_python_ints(self):
+        # the unit sweep's updates here take entries past 2^31 and their
+        # products past 2^63, where int64 arithmetic would wrap around
+        rows = [[-1, -536870917, 1, -536870917],
+                [-536870917, 0, 0, -1],
+                [1073741821, 1, 1073741821, 1],
+                [-1, 0, -1, 3145729]]
+        want = (1, 1, 1, 973555985874099137163311462743996)
+        assert snf_by_minor_gcds(rows) == want
+        assert ExactMatrix.from_rows(rows, ZZ).smith_normal_form().invariant_factors == want
+
     @given(st.lists(st.integers(1, 6), min_size=1, max_size=4),
            st.integers(0, 10**6))
     @settings(max_examples=50, deadline=None)
@@ -518,12 +543,13 @@ class TestSmithNormalForm:
             assert shuffled.smith_normal_form().invariant_factors == want
 
     def test_working_copy_is_charged_to_the_budget(self, monkeypatch):
+        # the working array takes 8 bytes per matrix cell
         monkeypatch.setenv("RACKOH_BUDGET_MB", "1")
-        budget_entries = (1 << 20) // SMITH_BYTES_PER_ENTRY
-        fits = ExactMatrix.identity(budget_entries, ZZ)
-        assert fits.smith_normal_form().rank == budget_entries
+        side = isqrt((1 << 20) // 8)
+        fits = ExactMatrix.identity(side, ZZ)
+        assert fits.smith_normal_form().rank == side
         with pytest.raises(ResourceError, match="Smith form .* budget"):
-            ExactMatrix.identity(budget_entries + 1, ZZ).smith_normal_form()
+            ExactMatrix.identity(side + 1, ZZ).smith_normal_form()
 
 
 class TestInverse:
@@ -791,6 +817,50 @@ class TestLatticeQuotient:
             orders = sorted([q] * free + [gcd(x, q) for x in e + f])
             assert lattice_quotient(kernel_of, image, q) == AbelianGroup(
                 0, tuple(x for x in orders if x != 1))
+
+
+class TestZeroProduct:
+    def test_agrees_with_product(self):
+        a = ExactMatrix.from_rows([[1, 1, 0], [0, 2, -2]], ZZ)
+        assert a.annihilates(ExactMatrix.from_rows([[1], [-1], [-1]], ZZ))
+        assert not a.annihilates(ExactMatrix.from_rows([[1], [1], [1]], ZZ))
+        assert a.annihilates(ExactMatrix.zeros(3, 2, ZZ))
+        assert ExactMatrix.zeros(2, 3, ZZ).annihilates(ExactMatrix.identity(3, ZZ))
+
+    def test_sums_past_2_63_do_not_wrap(self):
+        # 2^32 * 2^32 is 0 mod 2^64, so int64 products would miss it
+        a = ExactMatrix.from_rows([[2**32, 1]], ZZ)
+        b = ExactMatrix.from_rows([[2**32], [0]], ZZ)
+        assert not (a @ b).is_zero()
+        assert not a.annihilates(b)
+
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_past_the_int64_bound(self, r, t, c, data):
+        # A = [P | -P] and B = [Q ; Q] multiply to PQ - PQ = 0; every entry
+        # has |x| >= 2^31, so the bound on the sums passes 2^62 and the check
+        # runs on Python ints.  Bumping one entry of B may break the zero.
+        big = st.integers(2**31, 2**40) | st.integers(-2**40, -2**31)
+
+        def block(rows, cols):
+            return data.draw(st.lists(st.lists(big, min_size=cols, max_size=cols),
+                                      min_size=rows, max_size=rows))
+
+        p, q = block(r, t), block(t, c)
+        a = ExactMatrix.from_rows([row + [-x for x in row] for row in p], ZZ)
+        b = ExactMatrix.from_rows(q + q, ZZ)
+        assert a.annihilates(b) and (a @ b).is_zero()
+        i, j = data.draw(st.integers(0, 2 * t - 1)), data.draw(st.integers(0, c - 1))
+        rows = [row[:] for row in q + q]
+        rows[i][j] += data.draw(st.sampled_from((1, -1, 2**33)))
+        bumped = ExactMatrix.from_rows(rows, ZZ)
+        assert a.annihilates(bumped) == (a @ bumped).is_zero()
+
+    def test_needs_integer_matrices(self):
+        with pytest.raises(PreconditionError):
+            ExactMatrix.identity(2, QQ).annihilates(ExactMatrix.identity(2, QQ))
+        with pytest.raises(InputError):
+            ExactMatrix.identity(2, ZZ).annihilates(ExactMatrix.identity(3, ZZ))
 
 
 def _is_prime_power_by_trial_division(q):
