@@ -20,7 +20,7 @@ from math import lcm
 import numpy as np
 
 from .errors import InputError, PreconditionError, ResourceError
-from .linalg import (QQ, ZZ, ExactMatrix, PrimeField, _int_dtype,
+from .linalg import (QQ, ZZ, ExactMatrix, PrimeField, _int_dtype, _summed,
                      charge_budget, int_vector, ring_vector)
 from .modules import CoeffModule, tensor_with_trivial
 from .racks import RackTable, orbit_labels
@@ -29,12 +29,13 @@ DEFAULT_ACTION_GROUP_CAP = 1_000_000
 
 # What _block_rows charges per entry a matrix may store: the tracemalloc
 # peak of building one per charged entry stays below this for every
-# operator here; tests/test_cochains.py measures it.  Operators of
-# one-entry rows set it (chain_isomorphism of a trivial module peaks at
-# about 248 bytes per entry: the stored row's tuples, and the summed
-# triplet arrays while the rows are made); a differential peaks at 37-65,
-# the projector near 15.
-BYTES_PER_ENTRY = 270
+# operator here; tests/test_cochains.py measures it.  A stored entry takes
+# 16 bytes of CSR arrays and each row 16 more; the expanded, sorted and
+# summed entry arrays of the build come on top.  Small operators of
+# one-entry rows set it through the fixed cost of a build (chain_isomorphism
+# of a trivial module on 216 rows peaks at about 130 bytes per entry); a
+# differential peaks at 38-65, the projector near 15.
+BYTES_PER_ENTRY = 145
 
 
 def _guard(rows, cols, per_row):
@@ -59,15 +60,6 @@ class CochainSpace:
         for x in xs:
             idx = idx * self.rack.size + x
         return idx * self.module.dim + j
-
-    def unflat(self, flat):
-        j = flat % self.module.dim
-        idx = flat // self.module.dim
-        xs = []
-        for _ in range(self.degree):
-            xs.append(idx % self.rack.size)
-            idx //= self.rack.size
-        return tuple(reversed(xs)), j
 
 
 def cochain_space(rack, module, degree) -> CochainSpace:
@@ -103,34 +95,34 @@ def _block_rows(ring, rows, cols, k, mats, width, terms, scale=1):
     the k x k identity.  It is called after the memory guard, so nothing
     is allocated for a matrix the guard refuses.
 
-    Each term is expanded by its block's nonzero pattern with np.repeat;
-    the keys row * cols + col are sorted once and duplicates summed with
-    np.add.reduceat.  Entries are integers over den, the lcm of the
-    denominators of mats and of scale (an integer, or over Q a Fraction).
-    They are int64 when the largest scaled block entry times the largest
-    weight times width (the terms one entry can sum) stays below 2^62, and
-    Python ints in object arrays otherwise.
+    Each term is expanded by its block's stored entries with np.repeat;
+    _summed sorts the keys row * cols + col and sums repeats.  Entries are
+    integers over den, the lcm of the denominators of mats and of scale
+    (an integer, or over Q a Fraction), on int64 when the largest scaled
+    block entry times the largest weight times width (the terms one entry
+    can sum) stays below 2^62, on Python ints otherwise.
     """
     _guard(rows, cols, width * k)
     if rows * cols == 0:  # a zero-dimensional module
         return ExactMatrix.zeros(rows, cols, ring)
-    den = lcm(*[x.denominator for m in mats for j in range(m.rows)
-                for _, x in m.nonzeros(j)])
-    num = scale.numerator
-    # pattern[b]: entry (l, j) of block b, transposed, as the key offset
-    # l * cols + j and the integer value num * den * mats[b][j, l]
-    pattern = [[(l * cols + j, num * x.numerator * (den // x.denominator))
-                for j in range(m.rows) for l, x in m.nonzeros(j)] for m in mats]
-    pattern.append([(l * cols + l, num * den) for l in range(k)])
-    flat = [e for block in pattern for e in block]
-    sizes = np.array([len(block) for block in pattern])
+    # pattern: entry (j, l) of each block's stored arrays, the identity
+    # last, transposed, as the key offset l * cols + j and the integer
+    # value num * den * block[j, l]
+    csrs = [m.csr for m in mats] + [ExactMatrix.identity(k, ring).csr]
+    row_dens = np.concatenate([c.dens for c in csrs])
+    den, num = lcm(*set(row_dens.tolist())), scale.numerator
+    row_counts = np.diff(np.stack([c.indptr for c in csrs]), axis=1).ravel()
+    keys = (np.concatenate([c.indices for c in csrs]) * cols
+            + np.repeat(np.tile(np.arange(k), len(csrs)), row_counts))
+    sizes = np.array([c.nums.size for c in csrs])
     start = np.cumsum(sizes) - sizes
     offsets, weights, blocks = (np.broadcast_to(a, (rows // k, width)).ravel()
                                 for a in terms())
-    bound = max(abs(a) for _, a in flat) * int(np.abs(weights).max(initial=0))
-    keys = np.array([key for key, _ in flat], dtype=np.int64)
-    vals = np.array([a for _, a in flat],
-                    dtype=_int_dtype(max(bound * width, den * scale.denominator)))
+    top = abs(num) * den * max(c.top for c in csrs)
+    dtype = _int_dtype(max(top * max(int(np.abs(weights).max(initial=0)), 1) * width,
+                           den * scale.denominator))
+    vals = np.concatenate([c.nums for c in csrs]).astype(dtype)
+    vals *= np.repeat(num * (den // row_dens.astype(dtype)), row_counts)
 
     # expand: term t contributes the counts[t] = sizes[blocks[t]] pattern
     # entries of its block, from start[blocks[t]] on
@@ -145,18 +137,7 @@ def _block_rows(ring, rows, cols, k, mats, width, terms, scale=1):
     del pos, base, offsets, blocks
     val *= np.repeat(weights, counts)
     del weights, counts
-    # the keys come grouped by row block, so a merge sort is fast
-    order = np.argsort(key, kind="stable")
-    key, val = key[order], val[order]
-    del order
-    new = np.ones(key.size, dtype=bool)
-    new[1:] = key[1:] != key[:-1]
-    first = np.flatnonzero(new)
-    sums = np.add.reduceat(val, first)
-    key = key[first]
-    del val, first, new
-    return ExactMatrix.from_triplets(rows, cols, ring, key // cols, key % cols,
-                                     sums, den * scale.denominator)
+    return _summed(rows, cols, ring, key, val, den * scale.denominator)
 
 
 def _coboundary(rack, module, n, deleted, twisted) -> ExactMatrix:
@@ -452,13 +433,3 @@ def cochain_product(rack: RackTable, module_a: CoeffModule, a: int, f,
     out = [x * y for s in range(size ** a) for back in backs
            for x in fi[s * ka:(s + 1) * ka] for y in back]
     return ring_vector(tensor.ring, out, fden * gden), tensor
-
-
-def orbit_indicator_cocycle(rack: RackTable, ring, orbit_index: int):
-    """The degree-1 characteristic function of an orbit (always a cocycle)."""
-    from .racks import orbits as rack_orbits
-    part = rack_orbits(rack)
-    if not 0 <= orbit_index < part.orbit_count:
-        raise InputError(f"orbit index {orbit_index} out of range")
-    return [ring.coerce(1 if part.orbit_of[x] == orbit_index else 0)
-            for x in range(rack.size)]

@@ -2,16 +2,14 @@
 
 Rank, kernel, solve, and Smith normal form back every cohomology
 computation.  All arithmetic is arbitrary precision; no floats anywhere.
-Matrices store only their nonzero entries, row by row, as integers over
-one denominator per row (the lcm of the row's denominators; 1 over Z and
-F_p).  Built operators arrive as sorted COO triplets of numpy integers,
-which from_triplets reduces mod p, strips of zeros and brings row by row
-to lowest terms in whole-array operations before it makes the stored
-rows.  Products with a matrix cost O(nnz) integer operations; a product
-with a vector runs on numpy over the stored entries as flat arrays, kept
-with the matrix from its first product, on int64 when a bound proves the
-row sums fit and on Python ints otherwise (_row_sums, which the rank
+Matrices store their nonzero entries as compressed sparse rows: numpy
+arrays of row offsets, columns and integer numerators, and one
+denominator per row, made canonical by one normaliser.  Products with a
+matrix sort and sum expanded entries (Gustavson); products with a vector
+gather, multiply and sum by row, on int64 when a bound proves the row
+sums fit and on Python ints otherwise (_row_sums, which the rank
 certificate's exact check and the integer zero-product test share).
+Rank, the certificate and the Smith sweep read the stored arrays.
 Over Z and Q one exact elimination, a reduced row echelon form on integer
 rows, serves rank, kernels, solves and inverses.  The rank of a large
 matrix first comes from one elimination modulo a ~30-bit prime, proven
@@ -36,8 +34,8 @@ import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
 from math import gcd, lcm, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,9 +66,9 @@ def charge_budget(need: int, what: str) -> None:
         budget = 0
     if budget <= 0:
         raise InputError(f"RACKOH_BUDGET_MB must be a positive integer, got {mb!r}")
-    if need > budget:
+    if need > budget:  # the need rounded up to 0.1 MiB reads above the budget
         raise ResourceError(
-            f"{what} exceeds the memory budget ({need >> 20} MiB > "
+            f"{what} exceeds the memory budget ({-(-10 * need >> 20) / 10} MiB > "
             f"{budget >> 20} MiB); lower the degree or raise RACKOH_BUDGET_MB")
 
 
@@ -227,40 +225,70 @@ def ring_vector(ring, ints, den=1):
 # matrices
 
 
-class ExactMatrix:
-    """Sparse matrix with exact, ring-normalised entries.
+class CSR(NamedTuple):
+    """Stored entries: row i holds nums[t] / dens[i] at column indices[t]
+    for indptr[i] <= t < indptr[i + 1]; top is the largest |nums[t]|."""
 
-    Each row stores only its nonzero entries, as a triple (cols, nums,
-    den): ascending column indices, integer numerators and one positive
-    denominator, so entry (i, cols[t]) is nums[t] / den.  Z and F_p rows
-    have den = 1 (F_p numerators are residues in [1, p)); a Q row's den is
-    the lcm of its entries' denominators, which makes the triple canonical
-    and is the row scaling that rank works with.  Read entries through
-    `m[i, j]` and `m.nonzeros(i)`.  Instances are immutable.
+    indptr: np.ndarray
+    indices: np.ndarray
+    nums: np.ndarray
+    dens: np.ndarray
+    top: int
+
+
+class ExactMatrix:
+    """Sparse matrix with exact, ring-normalised entries, immutable.
+
+    The nonzero entries are stored as compressed sparse rows (CSR):
+    ascending columns and integer numerators (int64 below 2^62, Python ints
+    above) and one denominator per row: 1 over Z and F_p (numerators are
+    residues in [1, p)), over Q the lcm of the row's denominators, the row
+    in lowest terms.  _normalised, which ends every constructor and
+    operation, makes that canonical.  Read entries through `m[i, j]` and
+    `m.nonzeros(i)`, or as arrays through `m.csr`.
     """
 
-    __slots__ = ("rows", "cols", "ring", "_rows", "_flat")
+    __slots__ = ("rows", "cols", "ring", "_csr")
 
     def __init__(self, rows: int, cols: int, ring: Ring, data=None):
         """A rows x cols matrix from dense rows `data`; zero when omitted."""
         if rows < 0 or cols < 0:
             raise InputError("matrix dimensions must be non-negative")
-        self.rows = rows
-        self.cols = cols
-        self.ring = ring
-        self._flat = None
-        if data is None:
-            self._rows = [_EMPTY_ROW] * rows
-        else:
-            if len(data) != rows or any(len(r) != cols for r in data):
-                raise InputError("matrix data does not match declared shape")
-            self._rows = [_row(ring, enumerate(r)) for r in data]
+        if data is not None and (len(data) != rows or any(len(r) != cols for r in data)):
+            raise InputError("matrix data does not match declared shape")
+        self.rows, self.cols, self.ring = rows, cols, ring
+        self._csr = ExactMatrix.from_entries(rows, cols, ring, {
+            (i, j): v for i, row in enumerate(() if data is None else data)
+            for j, v in enumerate(row)})._csr
 
     @classmethod
-    def _of(cls, rows, cols, ring, stored):
+    def _normalised(cls, rows, cols, ring, key, nums, den=1):
+        """The matrix with entry nums[t] / den at position key[t] = i * cols
+        + j, keys ascending, for one denominator `den` or one per row (1
+        unless the ring is Q): entries reduced mod p over F_p, zeros
+        dropped and each Q row brought to lowest terms, on whole arrays."""
+        nums = np.asarray(nums)
+        if nums.dtype.kind != "O" and nums.dtype != np.int64:  # exactly, as Python ints
+            nums = nums.astype(object)
+        if ring.characteristic:
+            nums = nums % ring.characteristic
+        keep = nums.nonzero()[0]
+        if keep.size < nums.size:
+            key, nums = key[keep], nums[keep]
+        indptr = key.searchsorted(np.arange(rows + 1) * cols)
+        dens, per_row = np.ones(rows, dtype=np.int64), isinstance(den, np.ndarray)
+        if nums.size and ((den != 1).any() if per_row else den != 1):
+            counts = indptr[1:] - indptr[:-1]
+            present = counts.nonzero()[0]
+            den = den[present] if per_row else np.asarray(den, dtype=_int_dtype(den))
+            g = np.gcd(np.gcd.reduceat(nums, indptr[present]), den)
+            nums = nums // g.repeat(counts[present])
+            dens = dens.astype(g.dtype)
+            dens[present] = den // g
+            dens = _canonical(dens)[0]
+        nums, top = _canonical(nums)
         m = cls.__new__(cls)
-        m.rows, m.cols, m.ring, m._rows = rows, cols, ring, stored
-        m._flat = None
+        m.rows, m.cols, m.ring, m._csr = rows, cols, ring, CSR(indptr, key % cols, nums, dens, top)
         return m
 
     # -- construction ------------------------------------------------------
@@ -271,7 +299,7 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n, ring):
-        return cls._of(n, n, ring, [_row(ring, [(i, 1)]) for i in range(n)])
+        return cls._normalised(n, n, ring, np.arange(0, n * n, n + 1), np.ones(n, dtype=np.int64))
 
     @classmethod
     def from_rows(cls, rows, ring):
@@ -286,99 +314,92 @@ class ExactMatrix:
         Values are coerced into the ring, and those that become 0 (sums
         that cancelled, multiples of p over F_p) are not stored.
         """
-        by_row = [[] for _ in range(rows)]
-        for (i, j), v in entries.items():
+        for i, j in entries:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise InputError(f"entry ({i}, {j}) lies outside a "
                                  f"{rows}x{cols} matrix")
-            by_row[i].append((j, v))
-        return cls._of(rows, cols, ring, [_row(ring, items) for items in by_row])
+        kept = sorted((i * cols + j, x) for (i, j), v in entries.items()
+                      if (x := ring.coerce(v)))
+        nums, den = int_vector([x for _, x in kept])
+        return cls._normalised(rows, cols, ring, np.array([k for k, _ in kept], dtype=np.int64),
+                               np.array(nums, dtype=object), den)
 
     @classmethod
     def from_triplets(cls, rows, cols, ring, ii, jj, nums, den=1):
         """Build from COO triplets: entry (ii[t], jj[t]) is nums[t] / den,
-        over one common denominator `den` (1 unless the ring is Q).
+        for one denominator `den` or one per row (1 unless the ring is Q).
 
-        ii and jj are integer arrays, nums an int64 array (den then below
-        2^62) or an object array of integers, sorted by (row, column) with
-        no position repeated.
-        Entries are reduced mod p over F_p and those that are 0 are not
-        stored; a Q row is brought to lowest terms.
+        ii and jj are integer arrays, nums an int64 array or an object
+        array of integers, sorted by (row, column) with no position
+        repeated.
         """
         ii, jj = np.asarray(ii, np.int64), np.asarray(jj, np.int64)
-        nums = np.asarray(nums)
         keys = ii * cols + jj
         if ii.size and (ii.min() < 0 or ii.max() >= rows or jj.min() < 0 or
                         jj.max() >= cols or (keys[1:] <= keys[:-1]).any()):
             raise InputError(f"entries do not fit a {rows}x{cols} matrix, "
                              "sorted by row and column without repeats")
-        if ring.characteristic:
-            nums = nums % ring.characteristic
-        keep = nums != 0
-        if not keep.all():
-            ii, jj, nums = ii[keep], jj[keep], nums[keep]
-        counts = np.bincount(ii, minlength=rows)
-        dens = repeat(1)
-        if den != 1 and nums.size:
-            present = np.flatnonzero(counts)
-            first = (np.cumsum(counts) - counts)[present]
-            g = np.gcd(np.gcd.reduceat(nums, first), den)
-            nums = nums // np.repeat(g, counts[present])
-            dens = np.ones(rows, dtype=g.dtype)
-            dens[present] = den // g
-            dens = dens.tolist()
-        del ii, keys, keep
-        cols_t, nums_t = tuple(jj.tolist()), tuple(nums.tolist())
-        del jj, nums
-        counts = counts.tolist()
-        return cls._of(rows, cols, ring, [
-            (cols_t[a:b], nums_t[a:b], d) if a < b else _EMPTY_ROW for a, b, d in
-            zip(accumulate(counts, initial=0), accumulate(counts), dens)])
+        if ring != QQ and np.any(np.asarray(den) != 1):
+            raise InputError(f"a matrix over {ring} takes no denominator")
+        return cls._normalised(rows, cols, ring, keys, nums, den)
 
     # -- entry access --------------------------------------------------------
+
+    @property
+    def csr(self) -> CSR:
+        """The stored arrays, for reading only."""
+        return self._csr
 
     def __getitem__(self, ij):
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i}, {j}) lies outside a "
                              f"{self.rows}x{self.cols} matrix")
-        cols, nums, den = self._rows[i]
+        c = self._csr
+        a, b = c.indptr[i:i + 2].tolist()
+        cols = c.indices[a:b].tolist()
         t = bisect_left(cols, j)
         if t == len(cols) or cols[t] != j:
             return self.ring.coerce(0)
-        return Fraction(nums[t], den) if self.ring == QQ else nums[t]
+        num = int(c.nums[a + t])
+        return Fraction(num, int(c.dens[i])) if self.ring == QQ else num
 
     def nonzeros(self, i):
         """The (column, value) pairs of row i's nonzero entries, by column."""
-        cols, nums, den = self._rows[i]
+        c = self._csr
+        a, b = c.indptr[i:i + 2].tolist()
+        cols, nums = c.indices[a:b].tolist(), c.nums[a:b].tolist()
         if self.ring == QQ:
-            return [(j, Fraction(a, den)) for j, a in zip(cols, nums)]
+            den = int(c.dens[i])
+            return [(j, Fraction(x, den)) for j, x in zip(cols, nums)]
         return list(zip(cols, nums))
 
     @property
     def data(self):
         """Fresh dense rows, zeros included (for code outside the package)."""
-        zero = self.ring.coerce(0)
-        out = []
-        for i in range(self.rows):
-            row = [zero] * self.cols
+        out = [[self.ring.coerce(0)] * self.cols for _ in range(self.rows)]
+        for i, row in enumerate(out):
             for j, x in self.nonzeros(i):
                 row[j] = x
-            out.append(row)
         return out
 
     # -- basic queries -----------------------------------------------------
 
+    def _key(self):
+        # the storage is canonical: int64 arrays by their bytes, object
+        # arrays by their Python ints
+        return [tuple(a.tolist()) if a.dtype.hasobject else a.tobytes() for a in self._csr[:4]]
+
     def __eq__(self, other):
-        return (isinstance(other, ExactMatrix)
-                and self.rows == other.rows and self.cols == other.cols
-                and self.ring == other.ring and self._rows == other._rows)
+        return (isinstance(other, ExactMatrix) and self.rows == other.rows
+                and self.cols == other.cols and self.ring == other.ring
+                and self._key() == other._key())
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.ring, tuple(self._rows)))
+        return hash((self.rows, self.cols, self.ring, *self._key()))
 
     def is_zero(self):
-        return not any(cols for cols, _, _ in self._rows)
+        return not self._csr.nums.size
 
     def column(self, j):
         return [self[i, j] for i in range(self.rows)]
@@ -386,42 +407,56 @@ class ExactMatrix:
     def hstack(self, other):
         if other.rows != self.rows or other.ring != self.ring:
             raise InputError("hstack needs matching row count and ring")
-        shift = self.cols
-        return ExactMatrix._of(
-            self.rows, self.cols + other.cols, self.ring,
-            [_combine(self.ring, [(1, a, 0), (1, b, shift)])
-             for a, b in zip(self._rows, other._rows)])
-
-    def to_ring(self, ring: Ring) -> "ExactMatrix":
-        return ExactMatrix._of(self.rows, self.cols, ring,
-                               [_row(ring, self.nonzeros(i))
-                                for i in range(self.rows)])
+        return self._add(other, 1, self.cols, self.cols + other.cols)
 
     # -- arithmetic --------------------------------------------------------
 
     def __sub__(self, other):
-        self._check_same_shape(other)
-        return ExactMatrix._of(self.rows, self.cols, self.ring,
-                               [_combine(self.ring, [(1, a, 0), (-1, b, 0)])
-                                for a, b in zip(self._rows, other._rows)])
-
-    def _check_same_shape(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols) or self.ring != other.ring:
             raise InputError("shape or ring mismatch")
+        return self._add(other, -1, 0, self.cols)
+
+    def _add(self, other, sign, shift, cols):
+        """The rows x cols matrix whose row i is row i of self plus sign
+        times row i of other moved right by `shift` columns, as integers
+        over the lcm of the two rows' denominators."""
+        a, b = self._csr, other._csr
+        a_nums, b_nums, den = a.nums, b.nums, 1
+        if self.ring == QQ:
+            bound = max(a.top, b.top) * int(a.dens.max(initial=1)) * int(b.dens.max(initial=1))
+            den = np.lcm(_exact(a.dens, bound), b.dens)
+            a_nums = a_nums * (den // a.dens).repeat(np.diff(a.indptr))
+            b_nums = b_nums * (den // b.dens).repeat(np.diff(b.indptr))
+        key = np.concatenate([_row_ids(a.indptr) * cols + a.indices,
+                              _row_ids(b.indptr) * cols + (b.indices + shift)])
+        return _summed(self.rows, cols, self.ring, key,
+                       np.concatenate([a_nums, sign * b_nums]), den)
 
     def __matmul__(self, other):
-        """Matrix product (row i of A @ B is sum_j a_ij * row j of B), or
-        matvec for a vector."""
-        if isinstance(other, ExactMatrix):
-            if self.cols != other.rows or self.ring != other.ring:
-                raise InputError("matmul shape or ring mismatch")
-            brows = other._rows
-            return ExactMatrix._of(
-                self.rows, other.cols, self.ring,
-                [_combine(self.ring, [(a, brows[j], 0) for j, a in zip(cols, nums)],
-                          den)
-                 for cols, nums, den in self._rows])
-        return self.matvec(other)
+        """Matrix product, or matvec for a vector.  Gustavson's sort and sum:
+        a_ij expands to a_ij times row j of other (over Q put over the lcm
+        L of its rows' denominators, so row i of A @ B is over dens[i] * L)."""
+        if not isinstance(other, ExactMatrix):
+            return self.matvec(other)
+        if self.cols != other.rows or self.ring != other.ring:
+            raise InputError("matmul shape or ring mismatch")
+        a, b = self._csr, other._csr
+        b_counts = b.indptr[1:] - b.indptr[:-1]
+        b_nums, b_top, den = b.nums, b.top, 1
+        if self.ring == QQ:
+            scale, den = lcm(*set(b.dens.tolist())), a.dens
+            if scale != 1:
+                den = _exact(den, int(den.max(initial=1)) * scale) * scale
+                b_top *= scale
+                b_nums = _exact(b_nums, b_top) * (scale // _exact(b.dens, scale)).repeat(b_counts)
+        counts = b_counts[a.indices]
+        pos = (b.indptr[a.indices] - counts.cumsum() + counts).repeat(counts)
+        pos += np.arange(pos.size)
+        key = (_row_ids(a.indptr) * other.cols).repeat(counts)
+        key += b.indices[pos]
+        # a row of the product sums at most other.rows products
+        a_nums = _exact(a.nums, a.top * b_top * other.rows).repeat(counts)
+        return _summed(self.rows, other.cols, self.ring, key, a_nums * b_nums[pos], den)
 
     def matvec(self, vec):
         """self @ vec as a list, in O(nnz) integer operations on numpy.
@@ -430,22 +465,22 @@ class ExactMatrix:
         so each output entry is one integer dot product over (den * L): the
         stored numerators times the vector's entries at their columns,
         summed by row, on int64 when a bound proves the sums fit, on Python
-        ints otherwise.  The stored entries' arrays (_flat_entries) are
-        built on the first call and kept.
+        ints otherwise.
         """
         if len(vec) != self.cols:
             raise InputError("vector length mismatch")
         ints, big = int_vector(vec)
         ints = list(map(int, ints))  # numpy integers would wrap around
-        jj, vals, starts, present, row_nnz, top = self._flat_entries()
+        c = self._csr
+        present, starts, most = _row_starts(c.indptr)
         # at least 1 on each side, so the entries and the vector fit as well
-        dtype = _int_dtype(max(top * row_nnz, 1)
+        dtype = _int_dtype(max(c.top * most, 1)
                            * max(max(map(abs, ints), default=0), 1))
         out = np.zeros(self.rows, dtype=dtype)
-        out[present] = _row_sums(np.array(ints, dtype=dtype), jj, vals, starts)
+        out[present] = _row_sums(np.array(ints, dtype=dtype), c.indices, c.nums, starts)
         out = out.tolist()
-        if self.ring == QQ and any(den != 1 for _, _, den in self._rows):
-            return [Fraction(s, den * big) for s, (_, _, den) in zip(out, self._rows)]
+        if self.ring == QQ and (c.dens != 1).any():
+            return [Fraction(s, den * big) for s, den in zip(out, c.dens.tolist())]
         return ring_vector(self.ring, out, big)
 
     def annihilates(self, other: "ExactMatrix") -> bool:
@@ -462,46 +497,18 @@ class ExactMatrix:
             raise PreconditionError("annihilates works on integer matrices")
         if self.cols != other.rows:
             raise InputError("product shape mismatch")
-        jj, vals, starts, _, row_nnz, top = self._flat_entries()
-        bi, bj, bvals, btop = other._entry_arrays()
-        if not jj.size or not bj.size:
+        a, b = self._csr, other._csr
+        if not a.nums.size or not b.nums.size:
             return True
+        _, starts, most = _row_starts(a.indptr)
         charge_budget(8 * other.rows * other.cols
-                      + min(8 * jj.size * other.cols, CHECK_BLOCK_BYTES),
+                      + min(8 * a.nums.size * other.cols, CHECK_BLOCK_BYTES),
                       f"the dense {other.rows}x{other.cols} factor of a zero "
                       "product check")
-        x = np.zeros((other.rows, other.cols), dtype=_int_dtype(top * row_nnz * btop))
-        x[bi, bj] = bvals
-        block = max(1, CHECK_BLOCK_BYTES // (8 * other.cols * row_nnz))
-        return _annihilates(starts, jj, vals, x, block)
-
-    # -- integer normalisation ----------------------------------------------
-
-    def _flat_entries(self):
-        """The stored entries as the arrays of _flat_rows, built on the
-        first call and kept."""
-        if self._flat is None:
-            self._flat = _flat_rows(*self._int_entries())
-        return self._flat
-
-    def _entry_arrays(self):
-        """The stored entries' row indices, columns and values as arrays,
-        and the largest |value|, from _flat_entries."""
-        jj, vals, starts, present, _, top = self._flat_entries()
-        return np.repeat(present, np.diff(starts, append=jj.size)), jj, vals, top
-
-    def _int_entries(self):
-        """Nonzero entries as COO triplets (row indices, column indices, ints).
-
-        These are the stored numerators: a Q row comes scaled by the lcm of
-        its denominators (row scaling preserves rank).
-        """
-        ii, jj, vals = [], [], []
-        for i, (cols, nums, _) in enumerate(self._rows):
-            ii += [i] * len(cols)
-            jj += cols
-            vals += nums
-        return ii, jj, vals
+        x = np.zeros((other.rows, other.cols), dtype=_int_dtype(a.top * most * b.top))
+        x[_row_ids(b.indptr), b.indices] = b.nums
+        block = max(1, CHECK_BLOCK_BYTES // (8 * other.cols * most))
+        return _annihilates(starts, a.indices, a.nums, x, block)
 
     # -- rank ----------------------------------------------------------------
 
@@ -517,10 +524,9 @@ class ExactMatrix:
         if self.rows == 0 or self.cols == 0:
             return 0
         if isinstance(self.ring, PrimeField):
-            return len(_rank_mod_p(self.rows, self.cols, self._int_entries(),
-                                   self.ring.p))
+            return len(_rank_mod_p(self.rows, self.cols, self._csr, self.ring.p))
         if self.rows * self.cols >= MODULAR_RANK_THRESHOLD:
-            r = _rank_certified(self.rows, self.cols, self._int_entries())
+            r = _rank_certified(self.rows, self.cols, self._csr)
             if r is not None:
                 return r
         return len(self._rref().pivot_cols)
@@ -530,8 +536,10 @@ class ExactMatrix:
     def _rref(self):
         """The reduced row echelon form of the stored rows (over Q for Z)."""
         rref = _IncrementalRREF(self.cols, getattr(self.ring, "p", None))
-        for cols, nums, _ in self._rows:
-            rref.feed(zip(cols, nums))
+        c = self._csr
+        ptr, cols, nums = c.indptr.tolist(), c.indices.tolist(), c.nums.tolist()
+        for a, b in zip(ptr, ptr[1:]):
+            rref.feed(zip(cols[a:b], nums[a:b]))
         return rref
 
     def kernel_basis(self):
@@ -548,20 +556,16 @@ class ExactMatrix:
         rref = self._rref()
         pivots = set(rref.pivot_cols)
         free = [j for j in range(self.cols) if j not in pivots]
-        stored = rref.stored_rows(self.ring, free, -1)
-        for t, j in enumerate(free):
-            stored[j] = ((t,), (1,), 1)
-        return ExactMatrix._of(self.cols, len(free), self.ring, stored)
+        return rref.matrix(self.ring, self.cols, free, free)
 
     def column_basis(self):
         """The columns at the pivots of the reduced row echelon form (the
         first columns that span the column space), as a matrix."""
-        where = {c: t for t, c in enumerate(self._rref().pivot_cols)}
-        return ExactMatrix._of(
-            self.rows, len(where), self.ring,
-            [_int_row(self.ring, {where[j]: a for j, a in zip(cols, nums)
-                                  if j in where}, den)
-             for cols, nums, den in self._rows])
+        pivots = self._rref().pivot_cols
+        r = len(pivots)
+        return self @ ExactMatrix._normalised(  # the 0/1 matrix picking them
+            self.cols, r, self.ring, np.array(pivots, dtype=np.int64) * r + np.arange(r),
+            np.ones(r, dtype=np.int64))
 
     def solve(self, rhs):
         """Some solution x of self @ x = rhs, or None; field rings only."""
@@ -579,23 +583,24 @@ class ExactMatrix:
         width = self.cols
         if any(c >= width for c in rref.pivot_cols):
             return None
-        stored = rref.stored_rows(self.ring, range(width, width + rhs.cols))
-        return ExactMatrix._of(width, rhs.cols, self.ring, stored[:width])
+        return rref.matrix(self.ring, width, range(width, width + rhs.cols))
 
     def inverse(self):
-        """Inverse matrix; InputError when singular (Z needs a unimodular input)."""
-        if self.rows != self.cols:
+        """Inverse matrix; InputError when singular (Z needs a unimodular
+        input): the right half of the echelon form of rows [A_i | d_i e_i]."""
+        n = self.rows
+        if n != self.cols:
             raise InputError("only square matrices can be inverted")
-        if self.ring == ZZ:
-            # a stored Z row is the stored form of the same row over Q
-            inv_q = ExactMatrix._of(self.rows, self.cols, QQ, self._rows).inverse()
-            if any(den != 1 for _, _, den in inv_q._rows):
-                raise InputError("matrix is not invertible over Z")
-            return ExactMatrix._of(self.rows, self.cols, ZZ, inv_q._rows)
-        sol = self.solve_columns(ExactMatrix.identity(self.rows, self.ring))
-        if sol is None:
+        ptr, cols, nums, dens = (a.tolist() for a in self._csr[:4])
+        rref = _IncrementalRREF(2 * n, getattr(self.ring, "p", None))
+        for i, (a, b) in enumerate(zip(ptr, ptr[1:])):
+            rref.feed([*zip(cols[a:b], nums[a:b]), (n + i, dens[i])])
+        if any(c >= n for c in rref.pivot_cols):
             raise InputError("matrix is singular")
-        return sol
+        inv = rref.matrix(self.ring, n, range(n, 2 * n))
+        if self.ring == ZZ and (inv._csr.dens != 1).any():
+            raise InputError("matrix is not invertible over Z")
+        return inv
 
     # -- Smith normal form ------------------------------------------------------
 
@@ -608,56 +613,52 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols} over {self.ring})"
 
 
-# ---------------------------------------------------------------------------
-# sparse rows
+def _summed(rows, cols, ring, key, vals, den):
+    """The matrix whose entry (i, j) is the sum of vals[t] over the t with
+    key[t] = i * cols + j, over den (one or one per row): the keys are
+    sorted, a merge sort that is fast on keys grouped by row, and repeats
+    summed with np.add.reduceat."""
+    order = key.argsort(kind="stable")
+    key, vals = key[order], vals[order]
+    del order
+    if key.size > 1:
+        first = np.empty(key.size, dtype=bool)
+        first[0] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        first = first.nonzero()[0]
+        if first.size < key.size:
+            key, vals = key[first], np.add.reduceat(vals, first)
+    return ExactMatrix._normalised(rows, cols, ring, key, vals, den)
 
 
-_EMPTY_ROW = ((), (), 1)
+def _exact(a, bound):
+    """The integer array a, as Python ints when products bounded by
+    `bound` could pass 2^62."""
+    return a.astype(object) if bound >= 2**62 else a
 
 
-def _row(ring, items):
-    """Stored form of one row from (column, value) pairs, columns distinct.
-
-    Values are coerced into the ring; those that become 0 are dropped.
-    """
-    coerce = ring.coerce
-    pairs = sorted((j, x) for j, v in items if (x := coerce(v)))
-    if not pairs:
-        return _EMPTY_ROW
-    cols, vals = zip(*pairs)
-    if ring != QQ:
-        return cols, vals, 1
-    den = lcm(*[x.denominator for x in vals])
-    return cols, tuple(x.numerator * (den // x.denominator) for x in vals), den
+def _canonical(a):
+    """(a, top): the integer array a as int64 when every |entry| is below
+    2^62, else as Python ints, and the largest |entry|."""
+    top = int(np.abs(a).max(initial=0))
+    if top < 0:  # the absolute value of -2^63 wraps around
+        top = 2**63
+    want = _int_dtype(top)
+    return (a if a.dtype == want else a.astype(want)), top
 
 
-def _combine(ring, terms, den=1):
-    """Stored form of (1 / den) * sum(c * row, shifted right by `shift`)
-    over the (c, row, shift) terms, for integers c and stored rows."""
-    scale = lcm(*[row[2] for _, row, _ in terms])
-    acc = {}
-    for c, (cols, nums, d), shift in terms:
-        f = c * (scale // d)
-        for j, a in zip(cols, nums):
-            j += shift
-            acc[j] = acc.get(j, 0) + f * a
-    return _int_row(ring, acc, den * scale)
+def _row_ids(indptr):
+    """The row index of each stored entry, from the row offsets."""
+    return np.arange(indptr.size - 1).repeat(indptr[1:] - indptr[:-1])
 
 
-def _int_row(ring, acc, den):
-    """Stored form of the row {column: integer} / den (den = 1 over F_p)."""
-    p = ring.characteristic
-    if p:
-        acc = {j: a % p for j, a in acc.items()}
-    pairs = sorted((j, a) for j, a in acc.items() if a)
-    if not pairs:
-        return _EMPTY_ROW
-    cols, nums = zip(*pairs)
-    g = gcd(den, *nums)
-    if g != 1:
-        den //= g
-        nums = tuple(a // g for a in nums)
-    return cols, nums, den
+def _row_starts(indptr):
+    """(present, starts, most): the non-empty rows, the offsets where they
+    begin (np.add.reduceat would misread an empty row) and the most
+    entries in a row."""
+    counts = indptr[1:] - indptr[:-1]
+    present = counts.nonzero()[0]
+    return present, indptr[present], int(counts.max(initial=0))
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +681,7 @@ class _IncrementalRREF:
     def __init__(self, width, p=None):
         self.width = width
         self.p = p
-        self.pivot_rows = []
+        self.reduced = []
         self.pivot_cols = []
 
     def _reduce(self, row, other, c):
@@ -702,7 +703,7 @@ class _IncrementalRREF:
         row = [0] * self.width
         for j, x in items:
             row[j] = x if p is None else int(x) % p
-        for r, c in zip(self.pivot_rows, self.pivot_cols):
+        for r, c in zip(self.reduced, self.pivot_cols):
             if row[c]:
                 row = self._reduce(row, r, c)
         lead = next((j for j in range(self.width) if row[j]), None)
@@ -714,29 +715,36 @@ class _IncrementalRREF:
         else:
             inv = pow(row[lead], -1, p)
             row = [a * inv % p for a in row]
-        for i, r in enumerate(self.pivot_rows):
+        for i, r in enumerate(self.reduced):
             if r[lead]:
-                self.pivot_rows[i] = self._reduce(r, row, lead)
+                self.reduced[i] = self._reduce(r, row, lead)
         pos = bisect_left(self.pivot_cols, lead)
-        self.pivot_rows.insert(pos, row)
+        self.reduced.insert(pos, row)
         self.pivot_cols.insert(pos, lead)
         return True
 
-    def stored_rows(self, ring, cols, sign=1):
-        """One stored row per column of the input: the row of pivot column
-        c holds sign times the reduced pivot row of c, its t-th entry read
-        from column cols[t]; the rows of the other columns are empty."""
-        out = [_EMPTY_ROW] * self.width
-        for r, c in zip(self.pivot_rows, self.pivot_cols):
-            out[c] = _int_row(ring, {t: sign * r[j] for t, j in enumerate(cols)
-                                     if r[j]}, r[c])
-        return out
+    def matrix(self, ring, rows, cols, free=()):
+        """The rows x len(cols) matrix whose row c, for each pivot column c,
+        is the reduced pivot row of c read at the columns `cols`; the other
+        rows are zero.  With free columns `free` (then also `cols`), the
+        pivot rows are negated and row free[t] is 1 at column t: the kernel
+        basis."""
+        sign, w = (-1 if free else 1), len(cols)
+        pairs = [(j * w + t, 1) for t, j in enumerate(free)]
+        dens = np.ones(rows, dtype=object)
+        for r, c in zip(self.reduced, self.pivot_cols):
+            pairs += [(c * w + t, sign * r[j]) for t, j in enumerate(cols) if r[j]]
+            dens[c] = r[c]
+        pairs = np.array(sorted(pairs), dtype=object).reshape(-1, 2)
+        return ExactMatrix._normalised(rows, w, ring, pairs[:, 0].astype(np.int64),
+                                       pairs[:, 1], dens if self.p is None else 1)
 
 
-def _rank_mod_p(m, n, coo, p):
-    """The pivot rows mod p of the m x n integer matrix given by COO
-    triplets, one (support, residues) pair of arrays per pivot; their
-    number is the rank mod p.  Each row is normalised so that its pivot
+def _rank_mod_p(m, n, csr, p):
+    """The pivot rows mod p of the m x n integer matrix of the numerators
+    stored in `csr` (a CSR; the row denominators do not change the rank),
+    one (support, residues) pair of arrays per pivot; their number is the
+    rank mod p.  Each row is normalised so that its pivot
     entry, at the last column of its support, is 1.
 
     One numpy elimination over the columns from last to first, each
@@ -757,22 +765,24 @@ def _rank_mod_p(m, n, coo, p):
     they touch 1.2 M cells, against 7.6 M going first to last.
 
     The array is stored column by column, so that finding a column's
-    nonzeros reads contiguous memory.  It takes 8 * m * n bytes, charged
-    to the memory budget before it exists.  Residue products fit int64
-    for p < 2^31; larger primes run the same loop on Python ints.
+    nonzeros reads contiguous memory.  Its 8 * m * n bytes are charged to
+    the memory budget before it exists, with the pivot rows: at most
+    n(n + 1)/2 columns and residues and 2n array headers.  Residue
+    products fit int64 for p < 2^31; larger primes run the same loop on
+    Python ints.
     The int64 array gets an anonymous mapping of its own, unmapped when
     the array dies: a large array from the malloc heap stays resident
     after it is freed, and whether the next one reuses it depends on the
     heap's layout, so peak memory would differ from run to run.
     """
-    ii, jj, vals = coo
     need = 8 * m * n
-    charge_budget(need, f"the {m}x{n} residue array of a modular rank")
+    charge_budget(need + 8 * n * (n + 1) + 2 * 112 * n,
+                  f"the {m}x{n} residue array of a modular rank")
     if p < 2**31:
         at = np.frombuffer(mmap.mmap(-1, need), dtype=np.int64).reshape(n, m)
     else:
         at = np.zeros((n, m), dtype=object)
-    at[jj, ii] = [v % p for v in vals]
+    at[csr.indices, _row_ids(csr.indptr)] = csr.nums % p
     flat = at.reshape(-1)
     pivots = []
     for c in range(n - 1, -1, -1):
@@ -795,9 +805,10 @@ def _rank_mod_p(m, n, coo, p):
     return pivots
 
 
-def _rank_certified(m, n, coo):
-    """Rank of the m x n integer matrix given by COO triplets, from one
-    elimination mod MODULAR_PRIME, or None when its certificate refuses.
+def _rank_certified(m, n, csr):
+    """Rank of the m x n integer matrix of the numerators stored in `csr`,
+    from one elimination mod MODULAR_PRIME, or None when its certificate
+    refuses.
 
     The rank r mod p is at most the rank over Q.  The n - r kernel
     vectors mod p that are the identity on the free (non-pivot) columns
@@ -806,31 +817,35 @@ def _rank_certified(m, n, coo):
     at most r.  A prime that divides a maximal minor, a kernel that
     needs a denominator of 2^15 or more, or an entry of 2^31 or more
     (the check runs on int64) makes the certificate refuse.  A wide
-    matrix is ranked as its transpose, whose kernel is the smaller.
+    matrix is ranked as its transpose, whose kernel is the smaller: the
+    entries sorted by column, then row, with np.lexsort and read by fancy
+    indexing.
     """
-    ii, jj, vals = coo
-    if max(map(abs, vals), default=0) >= 2**31:
+    if csr.top >= 2**31:
         return None
     if m < n:
-        order = np.lexsort((ii, jj)).tolist()
-        m, n, coo = n, m, tuple([x[t] for t in order] for x in (jj, ii, vals))
-    pivots = _rank_mod_p(m, n, coo, MODULAR_PRIME)
-    return (len(pivots) if _kernel_certifies(m, n, coo, pivots, MODULAR_PRIME)
+        rows = _row_ids(csr.indptr)
+        order = np.lexsort((rows, csr.indices))
+        m, n, csr = n, m, ExactMatrix._normalised(
+            n, m, ZZ, csr.indices[order] * m + rows[order], csr.nums[order])._csr
+    pivots = _rank_mod_p(m, n, csr, MODULAR_PRIME)
+    return (len(pivots) if _kernel_certifies(m, n, csr, pivots, MODULAR_PRIME)
             else None)
 
 
-def _kernel_certifies(m, n, coo, pivots, p):
-    """Whether the kernel mod p of the pivot rows `pivots` of the matrix
-    A given by COO triplets lifts to integer vectors that A annihilates.
+def _kernel_certifies(m, n, csr, pivots, p):
+    """Whether the kernel mod p of the pivot rows `pivots` of the integer
+    matrix A of the numerators stored in `csr` lifts to integer vectors
+    that A annihilates.
 
     The free columns are taken in chunks, so that the kernel mod p, its
     lift and the back-substitution's products stay below half the
     8 * m * n bytes of the residue array; the check takes A's rows in
-    blocks whose products fill at most CHECK_BLOCK_BYTES.  These arrays
-    and A's entries as int64 arrays are charged to the memory budget
-    before they exist.
+    blocks whose products fill at most CHECK_BLOCK_BYTES.  These arrays,
+    and 24 bytes per entry of A (its arrays, copied when a wide matrix is
+    ranked as its transpose), are charged to the memory budget.
     """
-    nnz = len(coo[1])
+    nnz = csr.indices.size
     if not nnz:
         return True
     steps = _back_substitution(n, pivots)
@@ -840,14 +855,14 @@ def _kernel_certifies(m, n, coo, pivots, p):
     charge_budget(24 * nnz + width * per_column
                   + min(8 * nnz * width, CHECK_BLOCK_BYTES),
                   f"the kernel certificate of a {m}x{n} modular rank")
-    jj, vals, starts, _, row_nnz, top = _flat_rows(*coo)
-    bound = top * row_nnz
+    _, starts, row_nnz = _row_starts(csr.indptr)
+    bound = csr.top * row_nnz
     for lo in range(0, free.size, width):
         lift = _lift_kernel(_kernel_mod_p(n, steps, free[lo:lo + width], p), p)
         if lift is None or bound * int(np.abs(lift).max()) >= 2**62:
             return False
         block = max(1, CHECK_BLOCK_BYTES // (8 * lift.shape[1] * row_nnz))
-        if not _annihilates(starts, jj, vals, lift, block):
+        if not _annihilates(starts, csr.indices, csr.nums, lift, block):
             return False
     return True
 
@@ -939,20 +954,6 @@ def _annihilates(starts, jj, vals, lift, block):
     return True
 
 
-def _flat_rows(ii, jj, vals):
-    """The integer matrix given by COO triplets sorted by row, as arrays:
-    the entries' columns and values (int64 when they fit, else Python
-    ints), the offsets where the non-empty rows begin and those rows'
-    indices, then the most entries in a row and the largest |value|, whose
-    product times max |x| bounds every sum of _row_sums."""
-    top = max(map(abs, vals), default=0)
-    ii = np.asarray(ii, dtype=np.int64)
-    starts = np.flatnonzero(np.diff(ii, prepend=-1))
-    return (np.asarray(jj, dtype=np.int64), np.array(vals, dtype=_int_dtype(top)),
-            starts, ii[starts], int(np.diff(starts, append=ii.size).max(initial=0)),
-            top)
-
-
 def _row_sums(x, jj, vals, starts):
     """A @ x for the matrix A whose stored entries vals sit in columns jj
     and in non-empty rows that begin at the offsets `starts`, and for x a
@@ -1002,17 +1003,17 @@ def _unit_sweep(matrix: ExactMatrix):
     moves the array to Python ints, and the loop goes on there.
     """
     m, n = matrix.rows, matrix.cols
-    ii, jj, vals, top = matrix._entry_arrays()
-    if not jj.size:
+    c = matrix.csr
+    if not c.nums.size:
         return 0, []
     need = 8 * m * n
     what = f"the Smith form working array of a {m}x{n} matrix"
     charge_budget(need, what)
-    if top < 2**31:
+    if c.top < 2**31:
         at = np.frombuffer(mmap.mmap(-1, need), dtype=np.int64).reshape(n, m)
     else:
         at = np.zeros((n, m), dtype=object)
-    at[jj, ii] = vals
+    at[c.indices, _row_ids(c.indptr)] = c.nums
     flat = at.reshape(-1)
     units = 0
     for c in range(n - 1, -1, -1):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import InputError
@@ -43,7 +44,7 @@ class CoeffModule:
             self._inverses[x] = self.matrices[x].inverse()
         return self._inverses[x]
 
-    @property
+    @cached_property  # the matrices never change
     def is_trivial(self) -> bool:
         ident = ExactMatrix.identity(self.dim, self.ring)
         return all(m == ident for m in self.matrices)

@@ -46,9 +46,6 @@ class Permutation:
             inv[j] = i
         return Permutation(tuple(inv))
 
-    def is_identity(self):
-        return all(i == j for i, j in enumerate(self.images))
-
 
 def group_closure(generators, cap: int = DEFAULT_CLOSURE_CAP, degree=None):
     """Full element list generated by `generators`, BFS order from identity.

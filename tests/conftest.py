@@ -3,7 +3,8 @@ import random
 import pytest
 
 from rackoh.cli import corpus_racks
-from rackoh.racks import RackTable
+from rackoh.errors import InputError
+from rackoh.racks import RackTable, orbits
 
 
 def corpus():
@@ -35,6 +36,15 @@ def corpus_list():
 @pytest.fixture(params=corpus(), ids=[spec for spec, _ in corpus()])
 def corpus_rack(request):
     return request.param
+
+
+def orbit_indicator_cocycle(rack, ring, orbit_index):
+    """The degree-1 characteristic function of an orbit (always a cocycle)."""
+    part = orbits(rack)
+    if not 0 <= orbit_index < part.orbit_count:
+        raise InputError(f"orbit index {orbit_index} out of range")
+    return [ring.coerce(1 if part.orbit_of[x] == orbit_index else 0)
+            for x in range(rack.size)]
 
 
 def relabelled(rack, seed):

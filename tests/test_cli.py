@@ -2,7 +2,11 @@ import contextlib
 import io
 import json
 import os
+import re
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +16,7 @@ from rackoh import cochains
 from rackoh.cli import (EXIT_CHECK_FAILED, EXIT_INPUT, EXIT_OK, canonical_json,
                         main, parse_rack_spec)
 from rackoh.errors import InputError, ResourceError
-from rackoh.linalg import ZZ
+from rackoh.linalg import ZZ, charge_budget
 from rackoh.modules import trivial_module
 from rackoh.racks import dihedral_rack
 
@@ -302,6 +306,35 @@ class TestH2Command:
         assert doc["match"]
 
 
+# Prints the growth of the peak resident set, in KiB, over the import.
+RESIDENT_WORKLOAD = """
+import contextlib, io, resource, sys
+from rackoh.cli import main
+from rackoh.cochains import differential
+from rackoh.errors import ResourceError
+from rackoh.linalg import QQ, ZZ
+from rackoh.modules import trivial_module
+from rackoh.racks import dihedral_rack
+
+def peak_kib():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+base = peak_kib()
+rack = dihedral_rack(5)
+try:
+    differential(rack, trivial_module(rack, QQ), 4).rank()
+    differential(rack, trivial_module(rack, ZZ), 3).smith_normal_form()
+except ResourceError:
+    sys.exit(3)
+with contextlib.redirect_stdout(io.StringIO()):
+    for extra in (["--invariant"], ["--twisted", "t=1,k=3"]):
+        code = main(["cohomology", "--rack", "dihedral:5", "--max-degree", "3", *extra])
+        if code:
+            sys.exit(code)
+print(peak_kib() - base)
+"""
+
+
 class TestBudgets:
     def test_memory_budget_exit_3(self, capsys, monkeypatch):
         monkeypatch.setenv("RACKOH_BUDGET_MB", "1")
@@ -337,6 +370,31 @@ class TestBudgets:
             d4.smith_normal_form()
         assert "Smith form working array" in str(refused.value)
         assert "budget" in str(refused.value)
+
+    def test_refusal_reads_the_need_above_the_budget(self, monkeypatch):
+        # 1.6 MiB against 1 MiB, both rounded down, would read "1 MiB > 1 MiB"
+        monkeypatch.setenv("RACKOH_BUDGET_MB", "1")
+        with pytest.raises(ResourceError) as refused:
+            charge_budget(int(1.6 * 2**20), "a test array")
+        need, budget = re.search(r"\(([\d.]+) MiB > ([\d.]+) MiB\)",
+                                 str(refused.value)).groups()
+        assert need != budget and float(need) > float(budget)
+
+    @pytest.mark.parametrize("mb", [16, 64])
+    def test_resident_growth_stays_within_the_budget(self, mb):
+        # a child process runs a fixed list of calls under the budget: the
+        # growth of its peak resident set over the bare import stays within
+        # the budget, or it exits 3.  At 16 MiB the rank of dihedral:5 d_4
+        # (a 15 MiB residue array and its pivot rows, 18 MiB) refuses; at
+        # 64 MiB everything runs
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "RACKOH_BUDGET_MB": str(mb), "PYTHONPATH": path}
+        child = subprocess.run([sys.executable, "-c", RESIDENT_WORKLOAD], env=env,
+                               capture_output=True, text=True, timeout=300)
+        assert child.returncode in (0, 3), child.stderr
+        if child.returncode == 0:
+            assert int(child.stdout.split()[-1]) <= mb * 1024
 
     @pytest.mark.parametrize("mb", ["0", "-5", "abc"])
     def test_budget_must_be_a_positive_integer(self, capsys, monkeypatch, mb):

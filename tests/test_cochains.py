@@ -25,7 +25,7 @@ from rackoh.modules import (check_module, constant_module, custom_module,
 from rackoh.racks import (conjugation_rack, cyclic_rack, dihedral_rack,
                           symmetric_group_table, trivial_rack)
 
-from conftest import INNER_ORDERS, corpus, relabelled
+from conftest import INNER_ORDERS, corpus, orbit_indicator_cocycle, relabelled
 
 
 def rand_vec(rng, dim, ring=None, lo=-6, hi=6):
@@ -62,6 +62,18 @@ class TestModules:
         assert m[0, 0] == Fraction(1, 2)
         assert m[1, 0] == 1 and m[2, 1] == 1
         assert m[0, 1] == 0
+
+
+def _unflat(space, flat):
+    """The (tuple, module index) of a flat cochain coordinate: the inverse
+    of CochainSpace.flat."""
+    j = flat % space.module.dim
+    idx = flat // space.module.dim
+    xs = []
+    for _ in range(space.degree):
+        xs.append(idx % space.rack.size)
+        idx //= space.rack.size
+    return tuple(reversed(xs)), j
 
 
 class TestCochainSpace:
@@ -128,7 +140,7 @@ class TestCochainSpace:
         j2 = jordan_module(d3, 1, 2)
         space = cochain_space(d3, j2, 3)
         flat = space.flat((2, 0, 1), 1)
-        assert space.unflat(flat) == ((2, 0, 1), 1)
+        assert _unflat(space, flat) == ((2, 0, 1), 1)
 
 
 class TestDifferential:
@@ -836,7 +848,6 @@ class TestCochainProduct:
 
     def test_orbit_indicator_product(self):
         # indicators of orbits s, t multiply to the indicator of s x t
-        from rackoh.cochains import orbit_indicator_cocycle
         t2 = trivial_rack(2)
         qm = trivial_module(t2, QQ)
         one_s = orbit_indicator_cocycle(t2, QQ, 0)

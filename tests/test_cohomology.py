@@ -19,7 +19,7 @@ from rackoh.modules import function_module, jordan_module, trivial_module
 from rackoh.racks import (conjugation_rack, cyclic_rack, dihedral_rack,
                           symmetric_group_table, trivial_rack)
 
-from conftest import INNER_ORDERS, ORBITS
+from conftest import INNER_ORDERS, ORBITS, orbit_indicator_cocycle
 
 
 # --- independent order oracle -----------------------------------------------
@@ -330,7 +330,6 @@ class TestProductSpansCohomology:
     def test_degree1_orbit_indicators_span(self, corpus_rack):
         # products of degree-1 orbit indicators span H^n over Q: the span of
         # all n-fold products has rank m^n modulo coboundaries
-        from rackoh.cochains import orbit_indicator_cocycle
         spec, rack = corpus_rack
         m = ORBITS[spec]
         module = trivial_module(rack, QQ)

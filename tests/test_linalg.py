@@ -119,7 +119,7 @@ class TestRank:
     @settings(max_examples=60, deadline=None)
     def test_exact_equals_modular(self, rows):
         m = ExactMatrix.from_rows(rows, ZZ)
-        assert (_rank_certified(m.rows, m.cols, m._int_entries())
+        assert (_rank_certified(m.rows, m.cols, m.csr)
                 == len(_gauss_jordan(rows)[1]))
 
     @given(st.sampled_from([ZZ, QQ]), int_matrices(max_dim=8),
@@ -149,7 +149,7 @@ class TestRank:
         factors = m.smith_normal_form().invariant_factors
         for p in (2, 3, 5, 7, 11):
             expected = sum(1 for d in factors if d % p)
-            assert m.to_ring(GF(p)).rank() == expected
+            assert _to_ring(m, GF(p)).rank() == expected
 
     @given(int_matrices())
     @settings(max_examples=40, deadline=None)
@@ -157,7 +157,7 @@ class TestRank:
         # p >= 2^31 takes the Python-int elimination
         p = 2**61 - 1
         m = ExactMatrix.from_rows(rows, ZZ)
-        assert m.to_ring(GF(p)).rank() == m.to_ring(QQ).rank()
+        assert _to_ring(m, GF(p)).rank() == _to_ring(m, QQ).rank()
         assert ExactMatrix.from_rows([[p, 0], [0, 1]], GF(p)).rank() == 1
 
     @staticmethod
@@ -166,7 +166,7 @@ class TestRank:
         form, and the oracle's rank."""
         m = ExactMatrix.from_rows(rows, ZZ)
         assert m.rows * m.cols >= MODULAR_RANK_THRESHOLD
-        assert _rank_certified(m.rows, m.cols, m._int_entries()) is None
+        assert _rank_certified(m.rows, m.cols, m.csr) is None
         calls = []
         rref = ExactMatrix._rref
         monkeypatch.setattr(ExactMatrix, "_rref",
@@ -215,7 +215,9 @@ class TestRank:
         m = ExactMatrix.from_rows([[Fraction(1, 2), 0, Fraction(1, 3)],
                                    [0, 0, 0],
                                    [0, Fraction(-5, 4), 0]], QQ)
-        assert m._int_entries() == ([0, 0, 2], [0, 2, 1], [3, 2, -5])
+        csr = m.csr
+        assert [csr.indptr.tolist(), csr.indices.tolist(), csr.nums.tolist(),
+                csr.dens.tolist()] == [[0, 2, 2, 3], [0, 2, 1], [3, 2, -5], [6, 1, 4]]
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=6, deadline=None)
@@ -233,7 +235,7 @@ class TestRank:
             rows[i] = rows[k][:]
             rows[l] = [a + b for a, b in zip(rows[l], rows[k])]
         matrix = ExactMatrix.from_rows(rows, ZZ)
-        coo = matrix._int_entries()
+        coo = matrix.csr
         for p in (2, 7, MODULAR_PRIME, 2**61 - 1):
             rref = _IncrementalRREF(n, p)
             for row in rows:
@@ -264,7 +266,7 @@ class TestRank:
             for _ in range(2):
                 rperm, cperm = rng.sample(range(m), m), rng.sample(range(n), n)
                 coo = ExactMatrix.from_rows([[rows[i][j] for j in cperm]
-                                             for i in rperm], ZZ)._int_entries()
+                                             for i in rperm], ZZ).csr
                 assert len(_rank_mod_p(m, n, coo, p)) == len(rref.pivot_cols)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -278,12 +280,21 @@ class TestRank:
                                 3).rank() == 312
 
     def test_residue_array_is_charged_to_the_budget(self, monkeypatch):
-        # 8 bytes per cell of the m x n array, however few entries are stored
+        # 8 bytes per cell of the m x n array, and 16 for each of the
+        # n(n + 1)/2 entries the pivot rows can hold, however few entries
+        # are stored: 846,400 bytes for 300 x 200 (a 200 x 300 matrix
+        # ranks as its transpose), 2,652,800 for 400 x 400
         monkeypatch.setenv("RACKOH_BUDGET_MB", "1")
-        entries = {(i, i): 1 for i in range(0, 300, 30)}
+        entries = {(i, i): 1 for i in range(0, 200, 20)}
         with pytest.raises(ResourceError, match="budget"):
             ExactMatrix.from_entries(400, 400, ZZ, entries).rank()
-        assert ExactMatrix.from_entries(300, 400, ZZ, entries).rank() == 10
+        assert ExactMatrix.from_entries(200, 300, ZZ, entries).rank() == 10
+
+
+def _to_ring(m, ring):
+    """The matrix m with its entries coerced into `ring`."""
+    return ExactMatrix.from_entries(m.rows, m.cols, ring, {
+        (i, j): x for i in range(m.rows) for j, x in m.nonzeros(i)})
 
 
 def _fails_to_rref(self):
@@ -297,7 +308,7 @@ class TestRankCertificate:
         rows mod MODULAR_PRIME and their kernel mod p (one column per free
         column)."""
         n = matrix.cols
-        coo = matrix._int_entries()
+        coo = matrix.csr
         pivots = _rank_mod_p(matrix.rows, n, coo, MODULAR_PRIME)
         free = np.setdiff1d(np.arange(n), [support[-1] for support, _ in pivots])
         x = _kernel_mod_p(n, _back_substitution(n, pivots), free, MODULAR_PRIME)
@@ -321,8 +332,8 @@ class TestRankCertificate:
         m = differential(rack, trivial_module(rack, ZZ), 3)
         coo, _, x = self._kernel(m)
         lift = _lift_kernel(x, MODULAR_PRIME)
-        ii, jj, vals = (np.asarray(v, dtype=np.int64) for v in coo)
-        starts = np.flatnonzero(np.diff(ii, prepend=-1))
+        jj, vals = coo.indices, coo.nums
+        starts = coo.indptr[:-1][np.diff(coo.indptr) > 0]
         for block in (1, 7, m.rows):
             assert _annihilates(starts, jj, vals, lift, block)
         lift[jj[-1], 0] += 1
@@ -360,7 +371,7 @@ class TestRankCertificate:
         # peak below the 8 * m * n bytes of the elimination's array
         rack = dihedral_rack(5)
         m = differential(rack, trivial_module(rack, QQ), 4)
-        coo = m._int_entries()
+        coo = m.csr
         pivots = _rank_mod_p(m.rows, m.cols, coo, MODULAR_PRIME)
         tracemalloc.start()
         try:
@@ -956,8 +967,18 @@ def _ring_values(ring):
     return st.one_of(st.just(0), cancelled, nonzero)
 
 
-def _dense(ring, draw, m, n):
-    row = st.lists(_ring_values(ring), min_size=n, max_size=n)
+def _huge_values(ring):
+    """Entries of 2^62 or more in absolute value; over Q also fractions
+    with such numerators over powers of 2 up to 2^64 (invertible in F7)."""
+    huge = st.integers(2**62, 2**70) | st.integers(-2**70, -2**62)
+    if ring == QQ:
+        return huge | st.builds(Fraction, huge, st.integers(0, 64).map(lambda e: 2**e))
+    return huge
+
+
+def _dense(ring, draw, m, n, values=None):
+    row = st.lists(_ring_values(ring) if values is None else values,
+                   min_size=n, max_size=n)
     return draw(st.lists(row, min_size=m, max_size=m))
 
 
@@ -978,7 +999,10 @@ def _ref_rows(ring, rows):
 def sparse_cases(draw):
     ring = draw(st.sampled_from(SPARSE_RINGS))
     m, n, q = (draw(st.integers(0, 5)) for _ in range(3))
-    return ring, m, n, q, {name: _dense(ring, draw, *shape) for name, shape in (
+    values = _ring_values(ring)
+    if draw(st.booleans()):
+        values = st.one_of(values, _huge_values(ring))
+    return ring, m, n, q, {name: _dense(ring, draw, *shape, values) for name, shape in (
         ("a", (m, n)), ("b", (n, q)), ("c", (m, q)), ("d", (m, n)),
         ("vec", (1, n)))}
 
@@ -1005,12 +1029,36 @@ class TestSparseAgainstDense:
         with pytest.raises(InputError):
             ExactMatrix.from_triplets(m + 1, n, ring, ii + [m], jj + [n],
                                       np.append(nums, 1), den)
+        # every constructor and operation stores equal matrices alike, so
+        # they compare and hash equal: entries past 2^62 too, int64 and
+        # object numerators, and Q rows over a common denominator that is
+        # not the lowest
+        ident, zero = ExactMatrix.identity(n, ring), ExactMatrix.zeros(m, n, ring)
+        for big in (1, 2**62 + 1):
+            rows_b = [[x * big for x in row] for row in a_rows]
+            nums_b = [int(x * den) * big for row in a_rows for x in row]
+            same = [ExactMatrix(m, n, ring, rows_b),
+                    ExactMatrix.from_entries(m, n, ring, {
+                        (i, j): x for i, row in enumerate(rows_b) for j, x in enumerate(row)}),
+                    ExactMatrix.from_triplets(m, n, ring, ii, jj,
+                                              np.array(nums_b, dtype=object), den)]
+            if all(abs(x) < 2**63 for x in nums_b):
+                same.append(ExactMatrix.from_triplets(
+                    m, n, ring, ii, jj, np.array(nums_b, dtype=np.int64), den))
+            if ring == QQ:
+                same.append(ExactMatrix.from_triplets(
+                    m, n, ring, ii, jj, np.array([6 * x for x in nums_b], dtype=object),
+                    6 * den))
+            same += [same[0] @ ident, same[0] - zero]
+            for other in same:
+                assert other == same[0] and hash(other) == hash(same[0])
+                assert other.data == same[0].data
         assert a.data == ref and from_rows.data == ref
         for i in range(m):
             assert all(x != 0 for _, x in a.nonzeros(i))
             assert a.nonzeros(i) == [(j, x) for j, x in enumerate(ref[i]) if x]
             assert [a[i, j] for j in range(n)] == ref[i]
-        assert all(x != 0 for x in a._int_entries()[2])
+        assert all(x != 0 for x in a.csr.nums.tolist())
         assert [a.column(j) for j in range(n)] == [[row[j] for row in ref]
                                                    for j in range(n)]
         assert a.is_zero() == all(x == 0 for row in ref for x in row)
@@ -1025,7 +1073,7 @@ class TestSparseAgainstDense:
         assert (a - d).data == [[_ref(ring, x - y) for x, y in zip(r1, r2)]
                                 for r1, r2 in zip(ref, ref_d)]
         for target in (QQ, GF(7)) if ring in (ZZ, QQ) else ():
-            assert a.to_ring(target).data == _ref_rows(target, ref)
+            assert _to_ring(a, target).data == _ref_rows(target, ref)
 
 
 @st.composite
@@ -1076,8 +1124,8 @@ class TestMatvec:
 
 
 def test_package_reads_no_dense_rows():
-    """Outside linalg, ExactMatrix entries are read only through m[i, j]
-    and m.nonzeros(i), so the storage can change without touching callers."""
+    """Outside linalg, ExactMatrix entries are read only through m[i, j],
+    m.nonzeros(i) and the m.csr accessor, never the storage attributes."""
     offenders = []
     for path in sorted(Path(rackoh.__file__).parent.glob("*.py")):
         if path.name == "linalg.py":
@@ -1085,5 +1133,5 @@ def test_package_reads_no_dense_rows():
         tree = ast.parse(path.read_text(), filename=str(path))
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Attribute)
-                      and node.attr in ("data", "_rows")]
+                      and node.attr in ("data", "_rows", "_flat", "_csr")]
     assert offenders == []

@@ -12,6 +12,10 @@ from rackoh.racks import cyclic_rack, dihedral_rack, orbits, trivial_rack
 from conftest import INNER_ORDERS
 
 
+def _is_identity(p):
+    return p.images == tuple(range(p.degree))
+
+
 class TestPermutation:
     def test_rejects_non_bijection(self):
         with pytest.raises(InputError):
@@ -24,8 +28,8 @@ class TestPermutation:
 
     def test_inverse(self):
         p = Permutation((2, 0, 3, 1))
-        assert (p * p.inverse()).is_identity()
-        assert (p.inverse() * p).is_identity()
+        assert _is_identity(p * p.inverse())
+        assert _is_identity(p.inverse() * p)
 
 
 class TestClosure:
@@ -38,7 +42,7 @@ class TestClosure:
 
     def test_empty_generators(self):
         elems = group_closure([], degree=3)
-        assert len(elems) == 1 and elems[0].is_identity()
+        assert len(elems) == 1 and _is_identity(elems[0])
 
     def test_deterministic_order(self):
         gens = [Permutation((1, 0, 2)), Permutation((0, 2, 1))]
