@@ -373,11 +373,13 @@ def criterion_twisted(racks, max_degree=3):
 
 
 def criterion_h2(racks, coefficients=("Q", "Z2", "Z3")):
-    """Direct degree-2 cohomology equals degree-1 structure-group cohomology."""
+    """Direct degree-2 cohomology equals degree-1 structure-group cohomology,
+    from one trivial Z complex per rack."""
     out = []
     for spec, rack in racks:
+        cx = RackComplex(rack, trivial_module(rack, ZZ), spec)
         for coeff in coefficients:
-            comparison = h2_via_group(rack, coeff, spec)
+            comparison = h2_via_group(rack, coeff, spec, complex_=cx)
             out.append(CheckOutcome(
                 spec, f"h2_group_match_{coeff}", comparison.match,
                 f"direct={comparison.direct.describe()} "

@@ -120,7 +120,26 @@ class CohomologyReport:
 
 
 class RackComplex:
-    """Differentials and ranks of one (rack, module) pair, cached by degree."""
+    """Differentials and ranks of one (rack, module) pair, cached by degree.
+
+    d_n maps C^n to C^(n+1).  rank(n) ranks d_n cleared by d_(n-1), as the
+    clearing (twist) step of persistent homology does (Chen-Kerber 2011,
+    Bauer-Kerber-Reininghaus 2014): on its columns outside a set R of
+    rank d_(n-1) independent rows of d_(n-1), so the dropped columns take
+    their fill-in and their kernel dimension with them.  The rank is the
+    same, because every column r in R is a combination of the others: the
+    rows R of d_(n-1) have full row rank, so some v in im d_(n-1) has
+    v_R = e_r, and d_n v = 0.  Each rank meets the proof's obligations:
+    - R is independent: its rows are d_(n-1)'s independent_rows(), pivot
+      rows of a modular elimination (independent mod p, so over Q) or of
+      the exact echelon form, found on the cleared d_(n-1), whose
+      independent rows are independent in all of d_(n-1);
+    - |R| = rank d_(n-1), itself certified this way;
+    - d_n @ d_(n-1) = 0, checked exactly by check_zero_product(n), once
+      per degree for field and integral ranks alike.
+    So the cleared matrix's certificate, or its exact fallback, proves
+    rank d_n.
+    """
 
     def __init__(self, rack: RackTable, module: CoeffModule, rack_spec="custom",
                  closure_cap: int = DEFAULT_CLOSURE_CAP):
@@ -130,6 +149,8 @@ class RackComplex:
         self.closure_cap = closure_cap
         self._diff: dict = {}
         self._rank: dict = {}
+        self._independent: dict = {}
+        self._zero_checked: set = set()
         self._smith: dict = {}
         self._semidirect = None
         self._orbits = None
@@ -162,11 +183,27 @@ class RackComplex:
             self._semidirect = make_semidirect(self.rack, self.module)
         return self._semidirect
 
+    def check_zero_product(self, n) -> None:
+        """Raise ArithmeticError unless d_n @ d_(n-1) = 0, computed exactly
+        the first time a degree asks."""
+        if n >= 1 and n not in self._zero_checked:
+            if not (self.diff(n) @ self.diff(n - 1)).is_zero():
+                raise ArithmeticError(f"d_{n} @ d_{n - 1} is not zero")
+            self._zero_checked.add(n)
+
     def rank(self, n) -> int:
+        """rank d_n, on d_n cleared by the independent rows of d_(n-1)."""
         if n < 0:
             return 0
         if n not in self._rank:
-            self._rank[n] = self.diff(n).rank()
+            d = self.diff(n)
+            if n:
+                self.rank(n - 1)
+                self.check_zero_product(n)
+                d = d.select_columns(np.setdiff1d(np.arange(d.cols),
+                                                  self._independent[n - 1]))
+            self._rank[n] = d.rank()
+            self._independent[n] = d.independent_rows()
         return self._rank[n]
 
     def smith(self, n) -> SmithForm:
@@ -235,12 +272,11 @@ def _betti_mn_check(cx, betti) -> TheoremCheck:
 
 def integral_degree(cx: RackComplex, n: int) -> AbelianGroup:
     """H^n with integer coefficients: ker d_n / im d_(n-1) as a lattice
-    quotient, from what the complex caches: the certified rank of d_n,
-    which is all the kernel side needs, and the invariant factors of
-    d_(n-1).  So each d_n is Smith-formed at most once, and the top one
-    not at all."""
-    if n >= 1 and not cx.diff(n).annihilates(cx.diff(n - 1)):
-        raise ArithmeticError("image does not lie in the kernel")
+    quotient, from what the complex caches: its check that d_n @ d_(n-1)
+    = 0, the certified rank of d_n, which is all the kernel side needs,
+    and the invariant factors of d_(n-1).  So each d_n is Smith-formed at
+    most once, and the top one not at all."""
+    cx.check_zero_product(n)
     return _quotient_invariants(cx.space_dim(n), cx.rank(n), cx.smith(n - 1))
 
 
@@ -506,30 +542,34 @@ class H2Comparison:
         }
 
 
-def direct_h2(rack: RackTable, coeff: str) -> AbelianGroup:
-    """H^2 straight from the complex with trivial coefficients."""
+def direct_h2(rack: RackTable, coeff: str,
+              complex_: RackComplex | None = None) -> AbelianGroup:
+    """H^2 straight from the complex with trivial coefficients: `complex_`,
+    or a new one over Q for Q and over Z otherwise.  A complex over Z
+    serves every coefficient, as its ranks are over Q; over Z and Z/q,
+    H^2 is the lattice quotient ker d_2 / im d_1 from the complex's zero
+    product check and the Smith forms of d_1 and d_2 it caches."""
     kind, q = _parse_coefficient(coeff)
+    cx = complex_ or RackComplex(rack, trivial_module(rack, QQ if kind == "Q" else ZZ))
     if kind == "Q":
-        module = trivial_module(rack, QQ)
-        cx = RackComplex(rack, module)
         return AbelianGroup(cx.betti(2), ())
-    module = trivial_module(rack, ZZ)
-    cx = RackComplex(rack, module)
-    prev = cx.diff(1)
-    return lattice_quotient(cx.diff(2), prev, q)
+    cx.check_zero_product(2)
+    a = cx.smith(2)
+    return _quotient_invariants(cx.space_dim(2), a.rank, cx.smith(1), q, a.torsion)
 
 
-def h2_via_group(rack: RackTable, coeff: str,
-                 rack_spec: str = "custom") -> H2Comparison:
+def h2_via_group(rack: RackTable, coeff: str, rack_spec: str = "custom",
+                 complex_: RackComplex | None = None) -> H2Comparison:
     """Compare H^2(X, A) with H^1 of the structure group valued in the
-    function module Fun(X, A); the two must agree as abelian groups."""
+    function module Fun(X, A); the two must agree as abelian groups.
+    `complex_` is passed to direct_h2."""
     kind, q = _parse_coefficient(coeff)
     pres = RackPresentation.of(rack)
     if kind == "Q":
         via = group_h1(pres, function_module(rack, QQ))
     else:
         via = group_h1(pres, function_module(rack, ZZ), modulus=q)
-    return H2Comparison(rack_spec, coeff, direct_h2(rack, coeff), via)
+    return H2Comparison(rack_spec, coeff, direct_h2(rack, coeff, complex_), via)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,15 @@ columns from last to first, pivoting on the first row that meets each
 (with a +-1 entry, for the Smith form), which on a rack differential picks
 pivots that share few columns with the other rows (see _rank_mod_p), so
 fill-in stays small.
+Every rank comes with as many independent rows (independent_rows): the
+modular pivot rows, which are independent mod p and so over Q, a wide
+matrix's transpose's pivot columns, or the rows the echelon form found
+independent.  They let a chain complex clear d_n before ranking it (see
+cohomology.RackComplex): when d_n @ d_(n-1) = 0, checked exactly once per
+degree for field and integral ranks alike, the columns of d_n at
+rank d_(n-1) independent rows of d_(n-1) are combinations of its other
+columns, so d_n has the rank of select_columns of the rest, and that
+smaller matrix's certificate proves it.
 """
 
 from __future__ import annotations
@@ -248,7 +257,7 @@ class ExactMatrix:
     `m.nonzeros(i)`, or as arrays through `m.csr`.
     """
 
-    __slots__ = ("rows", "cols", "ring", "_csr")
+    __slots__ = ("rows", "cols", "ring", "_csr", "_independent")
 
     def __init__(self, rows: int, cols: int, ring: Ring, data=None):
         """A rows x cols matrix from dense rows `data`; zero when omitted."""
@@ -256,7 +265,7 @@ class ExactMatrix:
             raise InputError("matrix dimensions must be non-negative")
         if data is not None and (len(data) != rows or any(len(r) != cols for r in data)):
             raise InputError("matrix data does not match declared shape")
-        self.rows, self.cols, self.ring = rows, cols, ring
+        self.rows, self.cols, self.ring, self._independent = rows, cols, ring, None
         self._csr = ExactMatrix.from_entries(rows, cols, ring, {
             (i, j): v for i, row in enumerate(() if data is None else data)
             for j, v in enumerate(row)})._csr
@@ -289,6 +298,7 @@ class ExactMatrix:
         nums, top = _canonical(nums)
         m = cls.__new__(cls)
         m.rows, m.cols, m.ring, m._csr = rows, cols, ring, CSR(indptr, key % cols, nums, dens, top)
+        m._independent = None
         return m
 
     # -- construction ------------------------------------------------------
@@ -404,6 +414,18 @@ class ExactMatrix:
     def column(self, j):
         return [self[i, j] for i in range(self.rows)]
 
+    def select_columns(self, cols):
+        """The matrix of the columns `cols` (ascending indices), in order."""
+        cols = np.asarray(cols, dtype=np.int64)
+        c = self._csr
+        at = np.full(self.cols, -1, dtype=np.int64)
+        at[cols] = np.arange(cols.size)
+        new = at[c.indices]
+        keep = new >= 0
+        return ExactMatrix._normalised(
+            self.rows, cols.size, self.ring,
+            _row_ids(c.indptr)[keep] * cols.size + new[keep], c.nums[keep], c.dens)
+
     def hstack(self, other):
         if other.rows != self.rows or other.ring != self.ring:
             raise InputError("hstack needs matching row count and ring")
@@ -513,23 +535,35 @@ class ExactMatrix:
     # -- rank ----------------------------------------------------------------
 
     def rank(self) -> int:
-        """Rank over the matrix ring.
+        """Rank over the matrix ring (over Q for Z): the number of
+        independent_rows()."""
+        return len(self.independent_rows())
 
-        F_p matrices run one modular elimination.  Z/Q matrices with at
-        least MODULAR_RANK_THRESHOLD entries run it mod MODULAR_PRIME and
-        prove the rank by an exact kernel certificate (see
+    def independent_rows(self) -> np.ndarray:
+        """The ascending indices of rank-many rows that are linearly
+        independent over the ring (over Q for Z), found once per matrix.
+
+        F_p matrices run one modular elimination and give its pivot rows.
+        Z/Q matrices with at least MODULAR_RANK_THRESHOLD entries run it
+        mod MODULAR_PRIME, whose pivot rows are independent mod p and so
+        over Q, and prove the rank by an exact kernel certificate (see
         _rank_certified); smaller ones, and those whose certificate
-        refuses, count the pivots of the exact reduced row echelon form.
+        refuses, give the rows that the exact reduced row echelon form
+        found independent of the rows before them.
         """
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        if isinstance(self.ring, PrimeField):
-            return len(_rank_mod_p(self.rows, self.cols, self._csr, self.ring.p))
-        if self.rows * self.cols >= MODULAR_RANK_THRESHOLD:
-            r = _rank_certified(self.rows, self.cols, self._csr)
-            if r is not None:
-                return r
-        return len(self._rref().pivot_cols)
+        if self._independent is None:
+            m, n, rows = self.rows, self.cols, None
+            if not m or not n:
+                rows = []
+            elif isinstance(self.ring, PrimeField):
+                rows = _rank_mod_p(m, n, self._csr, self.ring.p).rows
+            elif m * n >= MODULAR_RANK_THRESHOLD:
+                rows = _rank_certified(m, n, self._csr)
+            if rows is None:
+                rows = self._rref().independent
+            self._independent = np.sort(np.array(rows, dtype=np.int64))
+            self._independent.flags.writeable = False
+        return self._independent
 
     # -- field elimination ----------------------------------------------------
 
@@ -561,11 +595,7 @@ class ExactMatrix:
     def column_basis(self):
         """The columns at the pivots of the reduced row echelon form (the
         first columns that span the column space), as a matrix."""
-        pivots = self._rref().pivot_cols
-        r = len(pivots)
-        return self @ ExactMatrix._normalised(  # the 0/1 matrix picking them
-            self.cols, r, self.ring, np.array(pivots, dtype=np.int64) * r + np.arange(r),
-            np.ones(r, dtype=np.int64))
+        return self.select_columns(self._rref().pivot_cols)
 
     def solve(self, rhs):
         """Some solution x of self @ x = rhs, or None; field rings only."""
@@ -675,7 +705,8 @@ class _IncrementalRREF:
     pivot row is stored primitive with a positive pivot entry, which is
     its denominator (the reduced row is row / row[pivot]).  Rows are
     reduced by cross-multiplication and divided by their gcd, so no
-    Fraction is made.
+    Fraction is made.  `independent` lists, in feeding order, the indices
+    of the rows that were independent of the rows fed before them.
     """
 
     def __init__(self, width, p=None):
@@ -683,6 +714,8 @@ class _IncrementalRREF:
         self.p = p
         self.reduced = []
         self.pivot_cols = []
+        self.independent = []
+        self.fed = 0
 
     def _reduce(self, row, other, c):
         """row with its column-c entry cleared by `other`, the pivot row of c."""
@@ -700,6 +733,7 @@ class _IncrementalRREF:
         nonzero multiple of the row will do); True if it was independent
         of the rows fed so far."""
         p = self.p
+        self.fed += 1
         row = [0] * self.width
         for j, x in items:
             row[j] = x if p is None else int(x) % p
@@ -721,6 +755,7 @@ class _IncrementalRREF:
         pos = bisect_left(self.pivot_cols, lead)
         self.reduced.insert(pos, row)
         self.pivot_cols.insert(pos, lead)
+        self.independent.append(self.fed - 1)
         return True
 
     def matrix(self, ring, rows, cols, free=()):
@@ -740,12 +775,25 @@ class _IncrementalRREF:
                                        pairs[:, 1], dens if self.p is None else 1)
 
 
+class _Pivots(list):
+    """The pivot rows of a modular elimination, one (support, residues)
+    pair of arrays each, and `rows`: the index of the matrix row that each
+    pivoted on.  Each such row is the matrix row plus a combination of
+    the rows that pivoted before it, so the matrix rows at `rows` are
+    independent mod p."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        super().__init__()
+        self.rows = []
+
+
 def _rank_mod_p(m, n, csr, p):
     """The pivot rows mod p of the m x n integer matrix of the numerators
     stored in `csr` (a CSR; the row denominators do not change the rank),
-    one (support, residues) pair of arrays per pivot; their number is the
-    rank mod p.  Each row is normalised so that its pivot
-    entry, at the last column of its support, is 1.
+    as _Pivots; their number is the rank mod p.  Each row is normalised
+    so that its pivot entry, at the last column of its support, is 1.
 
     One numpy elimination over the columns from last to first, each
     pivoting on the first row, in the original order, that has a nonzero
@@ -784,7 +832,7 @@ def _rank_mod_p(m, n, csr, p):
         at = np.zeros((n, m), dtype=object)
     at[csr.indices, _row_ids(csr.indptr)] = csr.nums % p
     flat = at.reshape(-1)
-    pivots = []
+    pivots = _Pivots()
     for c in range(n - 1, -1, -1):
         if len(pivots) == m:
             break
@@ -796,6 +844,7 @@ def _rank_mod_p(m, n, csr, p):
         residues = row[support] * pow(int(row[c]), -1, p) % p
         row[support] = 0
         pivots.append((support, residues))
+        pivots.rows.append(int(nz[0]))
         below = nz[1:]
         if below.size:
             cells = (support[:, None] * m + below).ravel()
@@ -806,9 +855,9 @@ def _rank_mod_p(m, n, csr, p):
 
 
 def _rank_certified(m, n, csr):
-    """Rank of the m x n integer matrix of the numerators stored in `csr`,
-    from one elimination mod MODULAR_PRIME, or None when its certificate
-    refuses.
+    """Rank-many independent rows of the m x n integer matrix of the
+    numerators stored in `csr`, from one elimination mod MODULAR_PRIME,
+    or None when its certificate refuses.
 
     The rank r mod p is at most the rank over Q.  The n - r kernel
     vectors mod p that are the identity on the free (non-pivot) columns
@@ -819,18 +868,23 @@ def _rank_certified(m, n, csr):
     (the check runs on int64) makes the certificate refuse.  A wide
     matrix is ranked as its transpose, whose kernel is the smaller: the
     entries sorted by column, then row, with np.lexsort and read by fancy
-    indexing.
+    indexing.  Its independent rows are then the transpose's pivot
+    columns: there the pivot rows form a triangular matrix with a unit
+    diagonal, as each clears its pivot column in the rows that pivot
+    after it.
     """
     if csr.top >= 2**31:
         return None
-    if m < n:
+    wide = m < n
+    if wide:
         rows = _row_ids(csr.indptr)
         order = np.lexsort((rows, csr.indices))
         m, n, csr = n, m, ExactMatrix._normalised(
             n, m, ZZ, csr.indices[order] * m + rows[order], csr.nums[order])._csr
     pivots = _rank_mod_p(m, n, csr, MODULAR_PRIME)
-    return (len(pivots) if _kernel_certifies(m, n, csr, pivots, MODULAR_PRIME)
-            else None)
+    if not _kernel_certifies(m, n, csr, pivots, MODULAR_PRIME):
+        return None
+    return [support[-1] for support, _ in pivots] if wide else pivots.rows
 
 
 def _kernel_certifies(m, n, csr, pivots, p):

@@ -19,7 +19,7 @@ from rackoh.modules import function_module, jordan_module, trivial_module
 from rackoh.racks import (conjugation_rack, cyclic_rack, dihedral_rack,
                           symmetric_group_table, trivial_rack)
 
-from conftest import INNER_ORDERS, ORBITS, orbit_indicator_cocycle
+from conftest import INNER_ORDERS, ORBITS, corpus, orbit_indicator_cocycle
 
 
 # --- independent order oracle -----------------------------------------------
@@ -124,7 +124,8 @@ class TestIntegralCohomology:
         # the ranks and invariant factors cached on the complex give the
         # groups that lattice_quotient gives on the differentials, with one
         # Smith form for each of d_0 .. d_3; the top differential d_4 only
-        # enters through its kernel, so it is ranked, never Smith-formed
+        # enters through its kernel, so it is ranked, never Smith-formed,
+        # and ranked once, cleared by the rank d_3 independent rows of d_3
         d3 = dihedral_rack(3)
         shapes, ranked = [], []
         smith, rank = ExactMatrix.smith_normal_form, ExactMatrix.rank
@@ -134,9 +135,10 @@ class TestIntegralCohomology:
             ranked.append((m.rows, m.cols)), rank(m))[1])
         report = cohomology_integral(d3, 4)
         assert sorted(shapes) == [(3 ** (n + 1), 3 ** n) for n in range(4)]
-        assert ranked.count((3 ** 5, 3 ** 4)) == 1
         monkeypatch.undo()
         module = trivial_module(d3, ZZ)
+        cleared = (3 ** 5, 3 ** 4 - differential(d3, module, 3).rank())
+        assert ranked.count(cleared) == 1 and (3 ** 5, 3 ** 4) not in ranked
         for n, deg in enumerate(report.degrees):
             prev = (differential(d3, module, n - 1) if n
                     else ExactMatrix.zeros(1, 0, ZZ))
@@ -202,6 +204,59 @@ class TestIntegralCohomology:
         for deg in report.degrees:
             for d in deg.torsion:
                 assert all(bigN % p == 0 for p in prime_factors(d))
+
+
+def _clearing_cases():
+    """(rack spec, rack, module, top degree): trivial Z, Q and F7 and the
+    Jordan blocks J_2(2), J_3(2) over every corpus rack to degree 3,
+    dihedral:3 over F3 (3 divides |G_X^0| = 6) to degree 4, and the
+    trivial Z, Q and F7 complexes of dihedral:5 to degree 4."""
+    cases = [(spec, rack, module, 3) for spec, rack in corpus() for module in (
+        trivial_module(rack, ZZ), trivial_module(rack, QQ), trivial_module(rack, GF(7)),
+        jordan_module(rack, 2, 2), jordan_module(rack, 2, 3))]
+    d3, d5 = dihedral_rack(3), dihedral_rack(5)
+    cases.append(("dihedral:3", d3, trivial_module(d3, GF(3)), 4))
+    cases += [("dihedral:5", d5, trivial_module(d5, ring), 4) for ring in (ZZ, QQ, GF(7))]
+    return cases
+
+
+class TestClearing:
+    """RackComplex.rank(n) ranks d_n on its columns outside independent rows
+    of d_(n-1); the rank must be the full matrix's."""
+
+    def test_cleared_rank_equals_full_rank(self):
+        for spec, rack, module, top in _clearing_cases():
+            cx = RackComplex(rack, module, spec)
+            cleared = [cx.rank(n) for n in range(top + 1)]
+            full = [differential(rack, module, n).rank() for n in range(top + 1)]
+            assert cleared == full, (spec, module.describe())
+            for n in range(top + 1):
+                # the rows kept for the next degree have full row rank in d_n
+                rows = cx._independent[n]
+                assert len(rows) == cx.rank(n)
+                picked = ExactMatrix.from_entries(len(rows), cx.diff(n).cols, module.ring, {
+                    (t, j): x for t, i in enumerate(rows.tolist())
+                    for j, x in cx.diff(n).nonzeros(i)})
+                assert picked.rank() == len(rows)
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ, GF(7)], ids=str)
+    def test_flipped_lower_differential_raises(self, ring):
+        # d_0 of trivial coefficients is zero, so a flipped entry of d_1
+        # leaves d_1 @ d_0 = 0 and only d_2 @ d_1 can see it: at an inner
+        # index j where column j of d_2 and row j of d_1 are both nonzero
+        d3 = dihedral_rack(3)
+        cx = RackComplex(d3, trivial_module(d3, ring))
+        upper, lower = cx.diff(2), cx.diff(1)
+        assert cx.diff(0).is_zero()
+        inner = {j for i in range(upper.rows) for j, _ in upper.nonzeros(i)}
+        entries = {(i, j): x for i in range(lower.rows) for j, x in lower.nonzeros(i)}
+        at = next(k for k in entries if k[0] in inner)
+        entries[at] = -entries[at]
+        cx._diff[1] = ExactMatrix.from_entries(lower.rows, lower.cols, ring, entries)
+        cx.rank(1)  # d_1 @ d_0 = 0 still holds
+        with pytest.raises(ArithmeticError):
+            cx.rank(2)
+        assert 2 not in cx._rank
 
 
 class TestInvariantCohomology:

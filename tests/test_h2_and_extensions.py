@@ -7,7 +7,8 @@ from rackoh.cohomology import (RackComplex, _nonabelian_cocycles, direct_h2,
                                h2_via_group, nonabelian_h2,
                                semidirect_cocycle_check)
 from rackoh.errors import InputError, ResourceError
-from rackoh.linalg import GF, AbelianGroup, ExactMatrix
+from rackoh.cochains import differential
+from rackoh.linalg import GF, ZZ, AbelianGroup, ExactMatrix, lattice_quotient
 from rackoh.modules import constant_module, trivial_module
 from rackoh.racks import (cyclic_group_table, cyclic_rack, dihedral_rack,
                           make_semidirect, symmetric_group_table, trivial_rack)
@@ -47,6 +48,24 @@ class TestH2ViaGroup:
     def test_prime_power_modulus(self):
         comparison = h2_via_group(dihedral_rack(3), "Z4")
         assert comparison.match
+
+    def test_one_z_complex_serves_every_coefficient(self, corpus_rack, monkeypatch):
+        # direct H^2 from a shared trivial Z complex is lattice_quotient's
+        # on fresh differentials (a fresh Q complex's betti for Q), and the
+        # complex Smith-forms d_1 and d_2 once for all coefficients
+        spec, rack = corpus_rack
+        module = trivial_module(rack, ZZ)
+        d1, d2 = differential(rack, module, 1), differential(rack, module, 2)
+        expected = {"Q": direct_h2(rack, "Q"),
+                    **{f"Z{q or ''}": lattice_quotient(d2, d1, q) for q in (0, 2, 3, 4)}}
+        cx = RackComplex(rack, module, spec)
+        formed, smith = [], ExactMatrix.smith_normal_form
+        monkeypatch.setattr(ExactMatrix, "smith_normal_form", lambda m, *a: (
+            formed.append(m), smith(m, *a))[1])
+        for coeff, group in expected.items():
+            comparison = h2_via_group(rack, coeff, spec, complex_=cx)
+            assert comparison.direct == group and comparison.match, (spec, coeff)
+        assert [sum(m is cx.diff(n) for m in formed) for n in (1, 2)] == [1, 1]
 
     def test_rejects_composite_modulus(self):
         with pytest.raises(InputError):

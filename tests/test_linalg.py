@@ -119,7 +119,7 @@ class TestRank:
     @settings(max_examples=60, deadline=None)
     def test_exact_equals_modular(self, rows):
         m = ExactMatrix.from_rows(rows, ZZ)
-        assert (_rank_certified(m.rows, m.cols, m.csr)
+        assert (len(_rank_certified(m.rows, m.cols, m.csr))
                 == len(_gauss_jordan(rows)[1]))
 
     @given(st.sampled_from([ZZ, QQ]), int_matrices(max_dim=8),
@@ -399,6 +399,72 @@ class TestRankCertificate:
                     m.rank()
                     certified += 1
         assert certified == 57
+
+
+def _sparse_rows(rng, m, n, density, dependent):
+    """m random rows of width n, entries +-1 and +-2 at the given density,
+    `dependent` of them replaced by a copy of one row or a sum of two."""
+    rows = [[rng.choice((-2, -1, 1, 2)) if rng.random() < density else 0
+             for _ in range(n)] for _ in range(m)]
+    for _ in range(dependent):
+        i, k, l = rng.sample(range(m), 3)
+        rows[i] = rows[k][:] if rng.random() < 0.5 else [
+            a + b for a, b in zip(rows[k], rows[l])]
+    return rows
+
+
+class TestIndependentRows:
+    """independent_rows() gives rank-many rows whose submatrix has full row
+    rank, on every path: checked with the Fraction Gauss-Jordan oracle."""
+
+    @staticmethod
+    def _check(m, rows, p=None):
+        picked = m.independent_rows().tolist()
+        assert picked == sorted(set(picked)) and m.rank() == len(picked)
+        assert len(picked) == len(_gauss_jordan(rows, p)[1])
+        assert len(_gauss_jordan([rows[i] for i in picked], p)[1]) == len(picked)
+        assert m.independent_rows() is m.independent_rows()  # found once
+
+    @pytest.mark.parametrize("p", [2, 7, MODULAR_PRIME])
+    def test_modular_elimination(self, p):
+        rows = _sparse_rows(random.Random(p), 70, 50, 0.05, 12)
+        self._check(ExactMatrix.from_rows(rows, GF(p)), rows, p)
+
+    def test_certified_rank(self):
+        rows = _sparse_rows(random.Random(1), 140, 80, 0.03, 20)
+        m = ExactMatrix.from_rows(rows, ZZ)
+        assert m.rows * m.cols >= MODULAR_RANK_THRESHOLD and m.rows > m.cols
+        assert _rank_certified(m.rows, m.cols, m.csr) is not None
+        self._check(m, rows)
+
+    @given(st.sampled_from([ZZ, QQ]), int_matrices(max_dim=8), st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_echelon_form(self, ring, rows, den):
+        if ring == QQ:
+            rows = [[Fraction(x, den + j) for j, x in enumerate(row)] for row in rows]
+        m = ExactMatrix.from_rows(rows, ring)
+        assert m.rows * m.cols < MODULAR_RANK_THRESHOLD
+        self._check(m, rows)
+
+    def test_refused_certificate(self, monkeypatch):
+        rows = _sparse_rows(random.Random(2), 110, 95, 0.03, 15)
+        rows[0][7] = 2**31
+        m = ExactMatrix.from_rows(rows, ZZ)
+        assert m.rows * m.cols >= MODULAR_RANK_THRESHOLD
+        assert _rank_certified(m.rows, m.cols, m.csr) is None
+        self._check(m, rows)
+
+    def test_wide_matrix_gives_its_transpose_pivot_columns(self):
+        rows = _sparse_rows(random.Random(3), 30, 400, 0.05, 6)
+        m = ExactMatrix.from_rows(rows, ZZ)
+        assert m.rows * m.cols >= MODULAR_RANK_THRESHOLD and m.rows < m.cols
+        assert _rank_certified(m.rows, m.cols, m.csr) is not None
+        self._check(m, rows)
+
+    def test_empty_shapes(self):
+        for ring in (ZZ, QQ, GF(5)):
+            for shape in ((0, 3), (3, 0), (0, 0)):
+                assert ExactMatrix.zeros(*shape, ring).independent_rows().tolist() == []
 
 
 class TestKernelSolve:
@@ -1070,6 +1136,9 @@ class TestSparseAgainstDense:
             [_ref(ring, sum(row[j] * ref_b[j][k] for j in range(n))) for k in range(q)]
             for row in ref]
         assert a.hstack(c).data == [r1 + r2 for r1, r2 in zip(ref, ref_c)]
+        for cols in (range(n), range(0, n, 2), range(1, n, 2)):
+            assert a.select_columns(list(cols)) == ExactMatrix(
+                m, len(cols), ring, [[row[j] for j in cols] for row in a_rows])
         assert (a - d).data == [[_ref(ring, x - y) for x, y in zip(r1, r2)]
                                 for r1, r2 in zip(ref, ref_d)]
         for target in (QQ, GF(7)) if ring in (ZZ, QQ) else ():
