@@ -5,26 +5,26 @@ computation.  All arithmetic is arbitrary precision; no floats anywhere.
 Matrices store their nonzero entries as compressed sparse rows: numpy
 arrays of row offsets, columns and integer numerators, and one
 denominator per row, made canonical by one normaliser.  Products with a
-matrix sort and sum expanded entries (Gustavson); products with a vector
+matrix sort and sum expanded entries (Gustavson), charged to the memory
+budget before they are expanded; that A @ B = 0 is tested exactly, over
+every ring, as a product that stores no entry.  Products with a vector
 gather, multiply and sum by row, on int64 when a bound proves the row
 sums fit and on Python ints otherwise (_row_sums, which the rank
-certificate's exact check and the integer zero-product test share).
-Rank, the certificate and the Smith sweep read the stored arrays.
+certificate's exact check shares).
 Over Z and Q one exact elimination, a reduced row echelon form on integer
 rows, serves rank, kernels, solves and inverses.  The rank of a large
 matrix first comes from one elimination modulo a ~30-bit prime, proven
 by an exact certificate: its kernel mod p, lifted to integer vectors that
 the matrix annihilates over Z.  When the certificate refuses, the rank
 falls back to that echelon form.  Every F_p rank runs the same numpy
-elimination, with no certificate; its pivot steps update only the rows
+elimination, with no certificate.  The Smith form runs it over Z, where it
+pivots only on +-1 entries, and runs its dense loop only on the core that
+remains.  That one loop (_eliminate) eliminates the columns of a
+column-major array from last to first, pivoting on the first row that
+meets each; on a rack differential such pivots share few columns with the
+other rows, so fill-in stays small.  A pivot step updates only the rows
 that meet the pivot column, and in them only the pivot row's support: on
 int64 entries below 2^31, on Python ints above.
-The Smith form removes +-1 pivots in one sweep on the rank's array layout
-and runs its dense loop only on the core that remains.  Both eliminate the
-columns from last to first, pivoting on the first row that meets each
-(with a +-1 entry, for the Smith form), which on a rack differential picks
-pivots that share few columns with the other rows (see _rank_mod_p), so
-fill-in stays small.
 Every rank comes with as many independent rows (independent_rows): the
 modular pivot rows, which are independent mod p and so over Q, a wide
 matrix's transpose's pivot columns, or the rows the echelon form found
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import mmap
 import os
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,6 +62,16 @@ MODULAR_PRIME = 2**30 - 35
 # gauge images of a nonabelian class search, hold at once: larger blocks
 # stay resident in the malloc heap after they are freed
 CHECK_BLOCK_BYTES = 1 << 20
+
+# What a matrix product charges per expanded term (one pair of stored
+# entries that meet) before it expands them: its int64 key, position and
+# value arrays, their sort order and sorted copies peak at 58 bytes per
+# term on dihedral:5 d_4 @ d_3 (over Z and Q), and at 66 when no two terms
+# share a position, so that the result keeps them all.  Terms on Python
+# ints add two ints each: the product, and the absolute value that
+# canonicalising the result makes of a negative one.  tests/test_linalg.py
+# measures it.
+BYTES_PER_TERM = 72
 
 DEFAULT_SNF_BIT_CAP = 200_000
 
@@ -457,7 +468,9 @@ class ExactMatrix:
     def __matmul__(self, other):
         """Matrix product, or matvec for a vector.  Gustavson's sort and sum:
         a_ij expands to a_ij times row j of other (over Q put over the lcm
-        L of its rows' denominators, so row i of A @ B is over dens[i] * L)."""
+        L of its rows' denominators, so row i of A @ B is over dens[i] * L).
+        The expanded terms are charged to the memory budget first,
+        BYTES_PER_TERM each, and on Python ints two ints more."""
         if not isinstance(other, ExactMatrix):
             return self.matvec(other)
         if self.cols != other.rows or self.ring != other.ring:
@@ -472,12 +485,17 @@ class ExactMatrix:
                 b_top *= scale
                 b_nums = _exact(b_nums, b_top) * (scale // _exact(b.dens, scale)).repeat(b_counts)
         counts = b_counts[a.indices]
-        pos = (b.indptr[a.indices] - counts.cumsum() + counts).repeat(counts)
+        ends = counts.cumsum()
+        # a row of the product sums at most other.rows products
+        bound = a.top * b_top * other.rows
+        per_term = BYTES_PER_TERM + (2 * sys.getsizeof(bound) if bound >= 2**62 else 0)
+        charge_budget(int(ends[-1]) * per_term if ends.size else 0, f"the expanded terms of a "
+                      f"{self.rows}x{self.cols} by {other.rows}x{other.cols} product")
+        pos = (b.indptr[a.indices] - ends + counts).repeat(counts)
         pos += np.arange(pos.size)
         key = (_row_ids(a.indptr) * other.cols).repeat(counts)
         key += b.indices[pos]
-        # a row of the product sums at most other.rows products
-        a_nums = _exact(a.nums, a.top * b_top * other.rows).repeat(counts)
+        a_nums = _exact(a.nums, bound).repeat(counts)
         return _summed(self.rows, other.cols, self.ring, key, a_nums * b_nums[pos], den)
 
     def matvec(self, vec):
@@ -505,33 +523,6 @@ class ExactMatrix:
             return [Fraction(s, den * big) for s, den in zip(out, c.dens.tolist())]
         return ring_vector(self.ring, out, big)
 
-    def annihilates(self, other: "ExactMatrix") -> bool:
-        """Whether self @ other is zero, for integer matrices, exactly.
-
-        `other` is made a dense array, and each block of self's rows
-        multiplies it through the kernel of matvec: its stored entries
-        times the rows of the array at their columns, summed by row, on
-        int64 when a bound proves the sums fit, on Python ints otherwise.
-        The array and one block's products, at most CHECK_BLOCK_BYTES,
-        are charged to the memory budget before they exist.
-        """
-        if self.ring != ZZ or other.ring != ZZ:
-            raise PreconditionError("annihilates works on integer matrices")
-        if self.cols != other.rows:
-            raise InputError("product shape mismatch")
-        a, b = self._csr, other._csr
-        if not a.nums.size or not b.nums.size:
-            return True
-        _, starts, most = _row_starts(a.indptr)
-        charge_budget(8 * other.rows * other.cols
-                      + min(8 * a.nums.size * other.cols, CHECK_BLOCK_BYTES),
-                      f"the dense {other.rows}x{other.cols} factor of a zero "
-                      "product check")
-        x = np.zeros((other.rows, other.cols), dtype=_int_dtype(a.top * most * b.top))
-        x[_row_ids(b.indptr), b.indices] = b.nums
-        block = max(1, CHECK_BLOCK_BYTES // (8 * other.cols * most))
-        return _annihilates(starts, a.indices, a.nums, x, block)
-
     # -- rank ----------------------------------------------------------------
 
     def rank(self) -> int:
@@ -556,7 +547,7 @@ class ExactMatrix:
             if not m or not n:
                 rows = []
             elif isinstance(self.ring, PrimeField):
-                rows = _rank_mod_p(m, n, self._csr, self.ring.p).rows
+                rows = _eliminate(m, n, self._csr, self.ring.p)[0].rows
             elif m * n >= MODULAR_RANK_THRESHOLD:
                 rows = _rank_certified(m, n, self._csr)
             if rows is None:
@@ -776,11 +767,11 @@ class _IncrementalRREF:
 
 
 class _Pivots(list):
-    """The pivot rows of a modular elimination, one (support, residues)
-    pair of arrays each, and `rows`: the index of the matrix row that each
-    pivoted on.  Each such row is the matrix row plus a combination of
-    the rows that pivoted before it, so the matrix rows at `rows` are
-    independent mod p."""
+    """The pivot rows of an elimination mod p, one (support, residues)
+    pair of arrays each (none over Z), and `rows`: the index of the matrix
+    row that each pivoted on.  Each such row is the matrix row plus a
+    combination of the rows that pivoted before it, so the matrix rows at
+    `rows` are independent mod p."""
 
     __slots__ = ("rows",)
 
@@ -789,69 +780,98 @@ class _Pivots(list):
         self.rows = []
 
 
-def _rank_mod_p(m, n, csr, p):
-    """The pivot rows mod p of the m x n integer matrix of the numerators
-    stored in `csr` (a CSR; the row denominators do not change the rank),
-    as _Pivots; their number is the rank mod p.  Each row is normalised
-    so that its pivot entry, at the last column of its support, is 1.
+def _eliminate(m, n, csr, p):
+    """(pivots, at): the pivots of one elimination of the m x n integer
+    matrix of the numerators stored in `csr` (a CSR; the row denominators
+    do not change the rank), as _Pivots, and the column-major array it
+    leaves.  With a prime p it works mod p: the pivots are the rank mod
+    p, each pivot row normalised so that its pivot entry, at the last
+    column of its support, is 1.  With p = 0 it works over Z, pivots
+    only on +-1 entries and keeps no pivot rows, only `rows`: the
+    invariant factors are len(rows) ones, then those of the array.
 
     One numpy elimination over the columns from last to first, each
-    pivoting on the first row, in the original order, that has a nonzero
-    in it and has not pivoted yet.  No rows are swapped: the pivot row is
-    copied out and zeroed in the array.  A pivot step updates only the
-    rows with a nonzero in the pivot column, and in them only the pivot
-    row's nonzero columns, through flat indices.  Every column right of
+    pivoting on the first row, in the original order, that has not
+    pivoted yet and has a nonzero in it (over Z a +-1; a column with
+    none is left as it is).  No rows are swapped: the pivot row is copied
+    out and zeroed in the array.  A pivot step updates only the rows with
+    a nonzero in the pivot column, and in them only the pivot row's
+    nonzero columns, through flat indices.  Mod p every column right of
     the pivot is zero by then in the rows that have not pivoted, so each
-    pivot row's support lies in the columns up to its pivot.  The order
-    suits the lex-ordered differentials: the rows whose first argument
-    y_1 is element 0 come first, and each column z meets an invertible
-    block in row (0, z), from the term that deletes y_1.  All but one of
-    that row's other blocks sit in columns (0, ...), which come first and
-    so are eliminated last; the pivots therefore share few columns with
-    the rows below them (structural pivots, as in LaMacchia-Odlyzko and
-    Faugere-Lachartre), and the updates stay small: on dihedral:5 d_4
-    they touch 1.2 M cells, against 7.6 M going first to last.
+    pivot row's support lies in the columns up to its pivot; over Z
+    column operations then clear the pivot row and touch nothing else,
+    so zeroing it splits off a factor 1.  The order suits the
+    lex-ordered differentials: the rows whose first argument y_1 is
+    element 0 come first, and each column z meets an invertible (over Z,
+    +-1) block in row (0, z), from the term that deletes y_1.  All but
+    one of that row's other blocks sit in columns (0, ...), which come
+    first and so are eliminated last; the pivots therefore share few
+    columns with the rows below them (structural pivots, as in
+    LaMacchia-Odlyzko and Faugere-Lachartre), and the updates stay
+    small: on dihedral:5 d_4 they touch 1.2 M cells, against 7.6 M going
+    first to last.
 
     The array is stored column by column, so that finding a column's
     nonzeros reads contiguous memory.  Its 8 * m * n bytes are charged to
-    the memory budget before it exists, with the pivot rows: at most
-    n(n + 1)/2 columns and residues and 2n array headers.  Residue
-    products fit int64 for p < 2^31; larger primes run the same loop on
-    Python ints.
+    the memory budget before it exists, mod p with the pivot rows: at
+    most n(n + 1)/2 columns and residues and 2n array headers.  Entries
+    start on int64 below 2^31, so every update's products fit: residues
+    mod p < 2^31, and over Z an update that reaches 2^31 moves the array
+    to Python ints, charged again, and the loop goes on there.  Larger
+    primes and entries run the same loop on Python ints.
     The int64 array gets an anonymous mapping of its own, unmapped when
     the array dies: a large array from the malloc heap stays resident
     after it is freed, and whether the next one reuses it depends on the
     heap's layout, so peak memory would differ from run to run.
     """
     need = 8 * m * n
-    charge_budget(need + 8 * n * (n + 1) + 2 * 112 * n,
-                  f"the {m}x{n} residue array of a modular rank")
-    if p < 2**31:
+    if p:
+        what = f"the {m}x{n} residue array of a modular rank"
+        charge_budget(need + 8 * n * (n + 1) + 2 * 112 * n, what)
+    else:
+        what = f"the Smith form working array of a {m}x{n} matrix"
+        charge_budget(need, what)
+    if (p or csr.top) < 2**31:
         at = np.frombuffer(mmap.mmap(-1, need), dtype=np.int64).reshape(n, m)
     else:
         at = np.zeros((n, m), dtype=object)
-    at[csr.indices, _row_ids(csr.indptr)] = csr.nums % p
+    at[csr.indices, _row_ids(csr.indptr)] = csr.nums % p if p else csr.nums
     flat = at.reshape(-1)
     pivots = _Pivots()
     for c in range(n - 1, -1, -1):
-        if len(pivots) == m:
+        if len(pivots.rows) == m:
             break
-        nz = at[c].nonzero()[0]
+        col = at[c]
+        nz = col.nonzero()[0]
         if nz.size == 0:
             continue
-        row = at[:c + 1, nz[0]]
+        if p:
+            i, below = nz[0], nz[1:]
+            row = at[:c + 1, i]
+        else:
+            unit = nz[np.abs(col[nz]) == 1]
+            if unit.size == 0:
+                continue
+            i = unit[0]
+            below, row = nz[nz != i], at[:, i]
         support = row.nonzero()[0]
-        residues = row[support] * pow(int(row[c]), -1, p) % p
+        if p:
+            residues = row[support] * pow(int(row[c]), -1, p) % p
+            pivots.append((support, residues))
+        else:
+            residues = row[support] * row[c]
         row[support] = 0
-        pivots.append((support, residues))
-        pivots.rows.append(int(nz[0]))
-        below = nz[1:]
+        pivots.rows.append(int(i))
         if below.size:
             cells = (support[:, None] * m + below).ravel()
             f = flat.take(below + c * m)
-            flat.put(cells, (flat.take(cells)
-                             - (residues[:, None] * f).ravel()) % p)
-    return pivots
+            new = flat.take(cells) - (residues[:, None] * f).ravel()
+            flat.put(cells, new % p if p else new)
+            if not p and at.dtype == np.int64 and np.abs(new).max() >= 2**31:
+                charge_budget(2 * need, what)
+                at = at.astype(object)
+                flat = at.reshape(-1)
+    return pivots, at
 
 
 def _rank_certified(m, n, csr):
@@ -881,7 +901,7 @@ def _rank_certified(m, n, csr):
         order = np.lexsort((rows, csr.indices))
         m, n, csr = n, m, ExactMatrix._normalised(
             n, m, ZZ, csr.indices[order] * m + rows[order], csr.nums[order])._csr
-    pivots = _rank_mod_p(m, n, csr, MODULAR_PRIME)
+    pivots = _eliminate(m, n, csr, MODULAR_PRIME)[0]
     if not _kernel_certifies(m, n, csr, pivots, MODULAR_PRIME):
         return None
     return [support[-1] for support, _ in pivots] if wide else pivots.rows
@@ -1042,61 +1062,15 @@ class SmithForm:
 
 
 def _unit_sweep(matrix: ExactMatrix):
-    """(u, core): the number u of +-1 pivots swept off the integer matrix
-    and, as lists of ints, the rows of what remains on its nonzero rows
-    and columns.  The invariant factors are u ones, then the core's.
-
-    The loop of _rank_mod_p, on its column-major array (8 * m * n bytes,
-    charged to the memory budget, mapped on its own): the columns from
-    last to first, each pivoting on the first row whose entry there is
-    +-1, or left to the core when none is.  Row operations clear the
-    column, updating the pivot row's support in the rows that meet it;
-    column operations then clear the pivot row and touch nothing else, so
-    it is zeroed and splits off a factor 1.  Entries start on int64 below
-    2^31, so every update's products fit; an update that reaches 2^31
-    moves the array to Python ints, and the loop goes on there.
-    """
-    m, n = matrix.rows, matrix.cols
-    c = matrix.csr
-    if not c.nums.size:
+    """(u, core): the number u of +-1 pivots that _eliminate sweeps off
+    the integer matrix over Z and, as lists of ints, the rows of what
+    remains on its nonzero rows and columns.  The invariant factors are u
+    ones, then the core's."""
+    if matrix.is_zero():
         return 0, []
-    need = 8 * m * n
-    what = f"the Smith form working array of a {m}x{n} matrix"
-    charge_budget(need, what)
-    if c.top < 2**31:
-        at = np.frombuffer(mmap.mmap(-1, need), dtype=np.int64).reshape(n, m)
-    else:
-        at = np.zeros((n, m), dtype=object)
-    at[c.indices, _row_ids(c.indptr)] = c.nums
-    flat = at.reshape(-1)
-    units = 0
-    for c in range(n - 1, -1, -1):
-        col = at[c]
-        nz = col.nonzero()[0]
-        if nz.size == 0:
-            continue
-        unit = nz[np.abs(col[nz]) == 1]
-        if unit.size == 0:
-            continue
-        i = unit[0]
-        row = at[:, i]
-        support = row.nonzero()[0]
-        pivot_row = row[support] * col[i]
-        row[support] = 0
-        units += 1
-        below = nz[nz != i]
-        if below.size == 0:
-            continue
-        cells = (support[:, None] * m + below).ravel()
-        f = flat.take(below + c * m)
-        new = flat.take(cells) - (pivot_row[:, None] * f).ravel()
-        flat.put(cells, new)
-        if at.dtype == np.int64 and np.abs(new).max() >= 2**31:
-            charge_budget(2 * need, what)
-            at = at.astype(object)
-            flat = at.reshape(-1)
+    pivots, at = _eliminate(matrix.rows, matrix.cols, matrix.csr, 0)
     core = at[np.ix_(np.flatnonzero(at.any(axis=1)), np.flatnonzero(at.any(axis=0)))]
-    return units, core.T.tolist()
+    return len(pivots.rows), core.T.tolist()
 
 
 def _smith(matrix: ExactMatrix, bit_cap: int) -> SmithForm:
@@ -1207,7 +1181,7 @@ def lattice_quotient(kernel_of: ExactMatrix, image_of: ExactMatrix,
         raise InputError("image generators live in the wrong ambient space")
     if modulus and not _is_prime_power(modulus):
         raise InputError(f"modulus {modulus} is not a prime power")
-    if not kernel_of.annihilates(image_of):
+    if not (kernel_of @ image_of).is_zero():
         raise ArithmeticError("image does not lie in the kernel")
     a = kernel_of.smith_normal_form()
     return _quotient_invariants(kernel_of.cols, a.rank, image_of.smith_normal_form(),

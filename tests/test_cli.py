@@ -345,13 +345,25 @@ class TestBudgets:
 
     def test_residue_array_budget_exit_3(self, capsys, monkeypatch):
         # with the builder's charge waived, the rank of dihedral:5 d_4
-        # (a 3125 x 625 residue array, 15 MiB) is what passes the budget
-        monkeypatch.setenv("RACKOH_BUDGET_MB", "1")
+        # (a 3125 x 625 residue array, 15 MiB) is what passes the budget;
+        # the zero check d_4 @ d_3 before it is charged 4.9 MiB
+        monkeypatch.setenv("RACKOH_BUDGET_MB", "8")
         monkeypatch.setattr(cochains, "BYTES_PER_ENTRY", 1)
         code, _, err = run_cli(capsys, "cohomology", "--rack", "dihedral:5",
                                "--ring", "F7", "--max-degree", "4")
         assert code == 3
         assert "residue array" in err and "budget" in err
+
+    def test_product_budget_exit_3(self, capsys, monkeypatch):
+        # with the builder's charge waived, the zero check d_4 @ d_3 of
+        # dihedral:5 (70,880 expanded terms, 4.9 MiB) is what passes the
+        # budget
+        monkeypatch.setenv("RACKOH_BUDGET_MB", "2")
+        monkeypatch.setattr(cochains, "BYTES_PER_ENTRY", 1)
+        code, _, err = run_cli(capsys, "cohomology", "--rack", "dihedral:5",
+                               "--ring", "F7", "--max-degree", "4")
+        assert code == 3
+        assert "3125x625 by 625x125 product" in err and "budget" in err
 
     def test_smith_working_copy_budget_exit_3(self, capsys, monkeypatch):
         # with the builder's charge waived, integral cohomology of

@@ -1,4 +1,5 @@
 import ast
+import gc
 import random
 import time
 import tracemalloc
@@ -13,15 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rackoh
+from rackoh import linalg
 from rackoh.cochains import differential
 from rackoh.cohomology import _parse_coefficient
 from rackoh.errors import InputError, PreconditionError, ResourceError
-from rackoh.linalg import (GF, MODULAR_PRIME, MODULAR_RANK_THRESHOLD, QQ, ZZ,
-                           AbelianGroup, ExactMatrix, _annihilates,
-                           _back_substitution, _IncrementalRREF,
-                           _is_prime_power, _kernel_certifies, _kernel_mod_p,
-                           _lift_kernel, _rank_certified, _rank_mod_p,
-                           _unit_sweep, is_prime, lattice_quotient)
+from rackoh.linalg import (BYTES_PER_TERM, GF, MODULAR_PRIME,
+                           MODULAR_RANK_THRESHOLD, QQ, ZZ, AbelianGroup,
+                           ExactMatrix, _annihilates, _back_substitution,
+                           _eliminate, _IncrementalRREF, _is_prime_power,
+                           _kernel_certifies, _kernel_mod_p, _lift_kernel,
+                           _rank_certified, _unit_sweep, is_prime,
+                           lattice_quotient)
 from rackoh.modules import constant_module, jordan_module, trivial_module
 from rackoh.racks import dihedral_rack
 
@@ -240,7 +243,7 @@ class TestRank:
             rref = _IncrementalRREF(n, p)
             for row in rows:
                 rref.feed(enumerate(row))
-            assert len(_rank_mod_p(m, n, coo, p)) == len(rref.pivot_cols)
+            assert len(_eliminate(m, n, coo, p)[0]) == len(rref.pivot_cols)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=6, deadline=None)
@@ -267,7 +270,7 @@ class TestRank:
                 rperm, cperm = rng.sample(range(m), m), rng.sample(range(n), n)
                 coo = ExactMatrix.from_rows([[rows[i][j] for j in cperm]
                                              for i in rperm], ZZ).csr
-                assert len(_rank_mod_p(m, n, coo, p)) == len(rref.pivot_cols)
+                assert len(_eliminate(m, n, coo, p)[0]) == len(rref.pivot_cols)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_differential_ranks_under_relabelling(self, seed):
@@ -309,7 +312,7 @@ class TestRankCertificate:
         column)."""
         n = matrix.cols
         coo = matrix.csr
-        pivots = _rank_mod_p(matrix.rows, n, coo, MODULAR_PRIME)
+        pivots = _eliminate(matrix.rows, n, coo, MODULAR_PRIME)[0]
         free = np.setdiff1d(np.arange(n), [support[-1] for support, _ in pivots])
         x = _kernel_mod_p(n, _back_substitution(n, pivots), free, MODULAR_PRIME)
         return coo, free, x
@@ -372,7 +375,7 @@ class TestRankCertificate:
         rack = dihedral_rack(5)
         m = differential(rack, trivial_module(rack, QQ), 4)
         coo = m.csr
-        pivots = _rank_mod_p(m.rows, m.cols, coo, MODULAR_PRIME)
+        pivots = _eliminate(m.rows, m.cols, coo, MODULAR_PRIME)[0]
         tracemalloc.start()
         try:
             assert _kernel_certifies(m.rows, m.cols, coo, pivots, MODULAR_PRIME)
@@ -579,6 +582,17 @@ class TestSmithNormalForm:
         want = (1, 1, 1, 973555985874099137163311462743996)
         assert snf_by_minor_gcds(rows) == want
         assert ExactMatrix.from_rows(rows, ZZ).smith_normal_form().invariant_factors == want
+
+    @pytest.mark.parametrize("rows, units, core", [
+        ([[2], [1]], 1, []),
+        ([[2, 4, 3], [1, 0, 1], [0, 1, 2]], 2, [[7]]),
+    ])
+    def test_unit_below_a_non_unit_pivots(self, rows, units, core):
+        # over Z a column pivots on its first +-1, not on its first
+        # nonzero: in each column here a non-unit sits above the +-1
+        assert _unit_sweep(ExactMatrix.from_rows(rows, ZZ)) == (units, core)
+        assert (ExactMatrix.from_rows(rows, ZZ).smith_normal_form().invariant_factors
+                == snf_by_minor_gcds(rows))
 
     @given(st.lists(st.integers(1, 6), min_size=1, max_size=4),
            st.integers(0, 10**6))
@@ -896,27 +910,50 @@ class TestLatticeQuotient:
                 0, tuple(x for x in orders if x != 1))
 
 
+def _product_is_zero(a_rows, b_rows):
+    """Whether the integer matrices a_rows @ b_rows multiply to zero, by
+    Python int arithmetic on the dense rows."""
+    return all(sum(x * b_rows[k][j] for k, x in enumerate(row)) == 0
+               for row in a_rows for j in range(len(b_rows[0])))
+
+
 class TestZeroProduct:
+    # A @ B = 0 is tested as a product that stores no entry; lattice_quotient
+    # refuses an image outside the kernel through that same test
+
     def test_agrees_with_product(self):
         a = ExactMatrix.from_rows([[1, 1, 0], [0, 2, -2]], ZZ)
-        assert a.annihilates(ExactMatrix.from_rows([[1], [-1], [-1]], ZZ))
-        assert not a.annihilates(ExactMatrix.from_rows([[1], [1], [1]], ZZ))
-        assert a.annihilates(ExactMatrix.zeros(3, 2, ZZ))
-        assert ExactMatrix.zeros(2, 3, ZZ).annihilates(ExactMatrix.identity(3, ZZ))
+        inside = ExactMatrix.from_rows([[1], [-1], [-1]], ZZ)
+        outside = ExactMatrix.from_rows([[1], [1], [1]], ZZ)
+        assert (a @ inside).is_zero() and not (a @ outside).is_zero()
+        assert lattice_quotient(a, inside) == AbelianGroup(0, ())
+        with pytest.raises(ArithmeticError):
+            lattice_quotient(a, outside)
+
+    def test_zero_factors(self):
+        a = ExactMatrix.from_rows([[1, 1, 0], [0, 2, -2]], ZZ)
+        assert (a @ ExactMatrix.zeros(3, 2, ZZ)).is_zero()
+        assert lattice_quotient(a, ExactMatrix.zeros(3, 2, ZZ)) == AbelianGroup(1, ())
+        assert (ExactMatrix.zeros(2, 3, ZZ) @ ExactMatrix.identity(3, ZZ)).is_zero()
+        assert lattice_quotient(ExactMatrix.zeros(2, 3, ZZ),
+                                ExactMatrix.identity(3, ZZ)) == AbelianGroup(0, ())
 
     def test_sums_past_2_63_do_not_wrap(self):
         # 2^32 * 2^32 is 0 mod 2^64, so int64 products would miss it
         a = ExactMatrix.from_rows([[2**32, 1]], ZZ)
         b = ExactMatrix.from_rows([[2**32], [0]], ZZ)
         assert not (a @ b).is_zero()
-        assert not a.annihilates(b)
+        with pytest.raises(ArithmeticError):
+            lattice_quotient(a, b)
 
     @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
     @settings(max_examples=40, deadline=None)
     def test_past_the_int64_bound(self, r, t, c, data):
         # A = [P | -P] and B = [Q ; Q] multiply to PQ - PQ = 0; every entry
-        # has |x| >= 2^31, so the bound on the sums passes 2^62 and the check
-        # runs on Python ints.  Bumping one entry of B may break the zero.
+        # has |x| >= 2^31, so the bound on the sums passes 2^62 and the
+        # product runs on Python ints.  Bumping one entry of B may break
+        # the zero, which the dense rows' product decides and which
+        # lattice_quotient must then refuse.
         big = st.integers(2**31, 2**40) | st.integers(-2**40, -2**31)
 
         def block(rows, cols):
@@ -924,20 +961,100 @@ class TestZeroProduct:
                                       min_size=rows, max_size=rows))
 
         p, q = block(r, t), block(t, c)
-        a = ExactMatrix.from_rows([row + [-x for x in row] for row in p], ZZ)
+        a_rows = [row + [-x for x in row] for row in p]
+        a = ExactMatrix.from_rows(a_rows, ZZ)
         b = ExactMatrix.from_rows(q + q, ZZ)
-        assert a.annihilates(b) and (a @ b).is_zero()
+        assert (a @ b).is_zero()
         i, j = data.draw(st.integers(0, 2 * t - 1)), data.draw(st.integers(0, c - 1))
         rows = [row[:] for row in q + q]
         rows[i][j] += data.draw(st.sampled_from((1, -1, 2**33)))
         bumped = ExactMatrix.from_rows(rows, ZZ)
-        assert a.annihilates(bumped) == (a @ bumped).is_zero()
+        zero = _product_is_zero(a_rows, rows)
+        assert (a @ bumped).is_zero() == zero
+        if not zero:
+            with pytest.raises(ArithmeticError):
+                lattice_quotient(a, bumped)
 
     def test_needs_integer_matrices(self):
         with pytest.raises(PreconditionError):
-            ExactMatrix.identity(2, QQ).annihilates(ExactMatrix.identity(2, QQ))
+            lattice_quotient(ExactMatrix.identity(2, QQ), ExactMatrix.identity(2, QQ))
         with pytest.raises(InputError):
-            ExactMatrix.identity(2, ZZ).annihilates(ExactMatrix.identity(3, ZZ))
+            lattice_quotient(ExactMatrix.identity(2, ZZ), ExactMatrix.identity(3, ZZ))
+        with pytest.raises(InputError):
+            ExactMatrix.identity(2, ZZ) @ ExactMatrix.identity(3, ZZ)
+
+
+def _big_entries(rows, cols, bits, sign, rng):
+    """A rows x cols integer matrix with entries +-(2^bits + small), about
+    half of them zero, each nonzero entry negated with probability `sign`."""
+    return ExactMatrix.from_rows(
+        [[0 if rng.random() < 0.5 else (-1 if rng.random() < sign else 1)
+          * ((1 << bits) + rng.randrange(1, 1000)) for _ in range(cols)]
+         for _ in range(rows)], ZZ)
+
+
+class TestProductCharge:
+    @staticmethod
+    def _charged(monkeypatch, product):
+        """(the bytes `product` charged to the budget, its tracemalloc peak)."""
+        charged = []
+        monkeypatch.setattr(linalg, "charge_budget",
+                            lambda need, what: charged.append(need))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            product()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return sum(charged), peak
+
+    def test_charge_covers_measured_bytes(self, monkeypatch):
+        # the tracemalloc peak of a product, per byte it charges, stays
+        # within 1 on int64 terms (dihedral:5 d_4 @ d_3 over Z and Q, whose
+        # terms meet in few positions, and a diagonal times a dense block,
+        # where no two terms share one) and on Python ints (big entries,
+        # products that collide or not, of both signs); and the int64
+        # charge is near the worst case, not padded far above it
+        rack = dihedral_rack(5)
+        rng = random.Random(5)
+        int64, objects = [], []
+        for ring in (ZZ, QQ):
+            d3, d4 = (differential(rack, trivial_module(rack, ring), n) for n in (3, 4))
+            int64.append(lambda d3=d3, d4=d4: d4 @ d3)
+        n = 1000
+        diag = np.arange(n)
+        block = ExactMatrix.from_triplets(n, 20, ZZ, diag.repeat(20), np.tile(np.arange(20), n),
+                                          np.full(20 * n, 5))
+        diagonal = ExactMatrix.from_triplets(n, n, ZZ, diag, diag, np.full(n, -3))
+        int64.append(lambda: diagonal @ block)
+        for bits in (40, 70, 200, 1000):
+            for sign in (0, 0.5, 1):
+                a, b = (_big_entries(40, 40, bits, sign, rng) for _ in range(2))
+                objects.append(lambda a=a, b=b: a @ b)
+            big = ExactMatrix.from_triplets(n, n, ZZ, diag, diag,
+                                            np.full(n, -(1 << bits) - 1, dtype=object))
+            objects.append(lambda big=big: big @ block)
+        ratios = {}
+        for kind, products in (("int64", int64), ("objects", objects)):
+            ratios[kind] = []
+            for product in products:
+                charged, peak = self._charged(monkeypatch, product)
+                ratios[kind].append(peak / charged)
+        assert max(ratios["int64"] + ratios["objects"]) <= 1
+        assert max(ratios["int64"]) >= 0.8
+
+    def test_product_over_the_budget_refuses(self, monkeypatch):
+        # dihedral:5 d_4 @ d_3 expands 70,880 terms: 4.9 MiB
+        rack = dihedral_rack(5)
+        d3, d4 = (differential(rack, trivial_module(rack, ZZ), n) for n in (3, 4))
+        assert int(np.diff(d3.csr.indptr)[d4.csr.indices].sum()) == 70880
+        monkeypatch.setenv("RACKOH_BUDGET_MB", "4")
+        with pytest.raises(ResourceError, match="product exceeds the memory budget"):
+            d4 @ d3
+        monkeypatch.setenv("RACKOH_BUDGET_MB", "5")
+        assert (d4 @ d3).is_zero()
+        assert 70880 * BYTES_PER_TERM <= 5 << 20
 
 
 def _is_prime_power_by_trial_division(q):
