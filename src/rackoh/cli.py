@@ -15,9 +15,10 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cochains import (apply_rack_element, chain_isomorphism,
-                       differential_prime, invariant_basis,
-                       is_invariant_cochain, cochain_product, slice_first)
+from .cochains import (apply_rack_element_columns, chain_isomorphism,
+                       cochain_product_columns, differential_prime,
+                       invariant_basis, is_invariant_cochain,
+                       slice_first_columns)
 from .cohomology import (CHECK_BETTI_MN, CHECK_TORSION_PRIMES, RackComplex,
                          CohomologyReport, _parse_coefficient,
                          cohomology_integral,
@@ -26,7 +27,7 @@ from .cohomology import (CHECK_BETTI_MN, CHECK_TORSION_PRIMES, RackComplex,
                          same_operator_cohomology, semidirect_cocycle_check,
                          twisted_cohomology)
 from .errors import InputError, PreconditionError, RackohError, ResourceError
-from .linalg import GF, QQ, ZZ, ExactMatrix, int_vector
+from .linalg import GF, QQ, ZZ, ExactMatrix
 from .modules import (constant_module, jordan_module, module_from_spec,
                       trivial_module, function_module)
 from .permutations import DEFAULT_CLOSURE_CAP, inner_group
@@ -387,26 +388,52 @@ def criterion_h2(racks, coefficients=("Q", "Z2", "Z3")):
     return out
 
 
-def _leibniz_holds(rack, triv, tcx, fun, fcx, f, g, require_invariant=True):
-    """d(f g) == df g - f dg for a degree-1 f in the 1-dimensional trivial
-    module `triv` and a degree-1 g in `fun`; tcx and fcx are their complexes
-    over one ring.  fun tensored with triv keeps fun's matrices, so
-    fcx.diff(2) is the product's d_2."""
-    fg, _ = cochain_product(rack, triv, 1, f, fun, 1, g,
-                            require_invariant=require_invariant)
+def _leibniz_columns(rack, triv, tcx, fun, fcx, f, g, require_invariant=True):
+    """d(f g) == df g - f dg for every column of the blocks f, of degree-1
+    cochains in the 1-dimensional trivial module `triv`, and g, of
+    degree-1 cochains in `fun`; tcx and fcx are their complexes over one
+    ring.  fun tensored with triv keeps fun's matrices, so fcx.diff(2) is
+    the product's d_2."""
+    fg, _ = cochain_product_columns(rack, triv, 1, f, fun, 1, g,
+                                    require_invariant=require_invariant)
     # fg above tested g for invariance when asked to
-    dfg, _ = cochain_product(rack, triv, 2, tcx.diff(1).matvec(f), fun, 1, g,
-                             require_invariant=False)
-    fdg, _ = cochain_product(rack, triv, 1, f, fun, 2, fcx.diff(1).matvec(g),
-                             require_invariant=False)
-    return fcx.diff(2).matvec(fg) == [a - b for a, b in zip(dfg, fdg)]
+    dfg, _ = cochain_product_columns(rack, triv, 2, tcx.diff(1) @ f, fun, 1, g,
+                                     require_invariant=False)
+    fdg, _ = cochain_product_columns(rack, triv, 1, f, fun, 2, fcx.diff(1) @ g,
+                                     require_invariant=False)
+    return fcx.diff(2) @ fg == dfg - fdg
+
+
+def _leibniz_holds(rack, triv, tcx, fun, fcx, f, g, require_invariant=True):
+    """_leibniz_columns for the vectors f and g."""
+    return _leibniz_columns(rack, triv, tcx, fun, fcx,
+                            ExactMatrix.from_columns([f], triv.ring),
+                            ExactMatrix.from_columns([g], fun.ring),
+                            require_invariant)
+
+
+def _trial_blocks(rng, trials, lo, hi, draw, ring):
+    """{n: (ys, block)}: per trial a degree n drawn in [lo, hi), then
+    draw(n) = (y, column), or None for no column; the columns of each
+    degree, in the order drawn, as one block over the ring."""
+    drawn = {}
+    for _ in range(trials):
+        n = rng.randrange(lo, hi)
+        if (pair := draw(n)) is not None:
+            drawn.setdefault(n, []).append(pair)
+    return {n: ([y for y, _ in pairs],
+                ExactMatrix.from_columns([c for _, c in pairs], ring))
+            for n, pairs in drawn.items()}
 
 
 def criterion_structural(racks, trials=20):
     """Randomised checks of the exact chain-level identities.
 
-    Leibniz and cocycle-class vectors are scaled from Q to Z: the identity
-    is bilinear, invariance and ker/im d linear, so no outcome changes.
+    Each identity draws its `trials` cochains from the rack's seeded
+    stream, trial by trial, and then checks them as one block of columns
+    per degree, with one product per operator.  The invariant Leibniz
+    factors are scaled from Q to Z: the identity is bilinear, so no
+    outcome changes.
     """
     out = []
     leibniz_broken_somewhere = False
@@ -421,92 +448,76 @@ def criterion_structural(racks, trials=20):
         def rand_vec(dim, lo=-9, hi=9):
             return [rng.randrange(lo, hi + 1) for _ in range(dim)]
 
-        ok = True
-        for _ in range(trials):
-            n = rng.randrange(0, 3)
-            f = rand_vec(size ** n)
-            if any(zcx.diff(n + 1).matvec(zcx.diff(n).matvec(f))):
-                ok = False
-        out.append(CheckOutcome(spec, "d_squared_zero", ok, f"{trials} instances"))
+        def blocks(lo, hi, draw, ring=ZZ):
+            return _trial_blocks(rng, trials, lo, hi, draw, ring)
 
-        ok = True
-        for _ in range(trials):
-            n = rng.randrange(0, 3)
-            y = rng.randrange(size)
-            f = rand_vec(size ** n)
-            lhs = zcx.diff(n).matvec(apply_rack_element(rack, zmod, n, y, f))
-            rhs = apply_rack_element(rack, zmod, n + 1, y, zcx.diff(n).matvec(f))
-            if lhs != rhs:
-                ok = False
-        out.append(CheckOutcome(spec, "action_commutes_with_d", ok,
-                                f"{trials} instances"))
+        def record(name, ok):
+            out.append(CheckOutcome(spec, name, ok, f"{trials} instances"))
 
-        ok = True
-        for _ in range(trials):
-            n = rng.randrange(1, 3)
-            y = rng.randrange(size)
-            f = rand_vec(size ** n)
-            fy = slice_first(rack, zmod, n, y, f)
-            lhs = zcx.diff(n - 1).matvec(fy)
-            f_act = apply_rack_element(rack, zmod, n, y, f)
-            df_y = slice_first(rack, zmod, n + 1, y, zcx.diff(n).matvec(f))
-            rhs = [a - b - c for a, b, c in zip(f, f_act, df_y)]
-            if lhs != rhs:
-                ok = False
-        out.append(CheckOutcome(spec, "first_slot_slice_identity", ok,
-                                f"{trials} instances"))
+        def with_y(n):
+            return rng.randrange(size), rand_vec(size ** n)
+
+        def act(n, ys, f, module=zmod):
+            return apply_rack_element_columns(rack, module, n, ys, f)
+
+        record("d_squared_zero", all(
+            (zcx.diff(n + 1) @ (zcx.diff(n) @ f)).is_zero() for n, (_, f)
+            in blocks(0, 3, lambda n: (None, rand_vec(size ** n))).items()))
+
+        record("action_commutes_with_d", all(
+            zcx.diff(n) @ act(n, ys, f) == act(n + 1, ys, zcx.diff(n) @ f)
+            for n, (ys, f) in blocks(0, 3, with_y).items()))
+
+        record("first_slot_slice_identity", all(
+            zcx.diff(n - 1) @ slice_first_columns(rack, zmod, n, ys, f)
+            == f - act(n, ys, f) - slice_first_columns(rack, zmod, n + 1, ys,
+                                                       zcx.diff(n) @ f)
+            for n, (ys, f) in blocks(1, 3, with_y).items()))
 
         jmod = jordan_module(rack, 2, 2)
         jcx = RackComplex(rack, jmod, spec)
         iso = {n: chain_isomorphism(rack, jmod, n) for n in range(3)}
         dprime = {n: differential_prime(rack, jmod, n) for n in range(2)}
-        ok = True
-        for _ in range(trials):
-            n = rng.randrange(0, 2)
-            f = [Fraction(v) for v in rand_vec(size ** n * 2)]
-            lhs = iso[n + 1].matvec(jcx.diff(n).matvec(f))
-            rhs = dprime[n].matvec(iso[n].matvec(f))
-            if lhs != rhs:
-                ok = False
-        out.append(CheckOutcome(spec, "chain_iso_intertwines", ok,
-                                f"{trials} instances"))
+        record("chain_iso_intertwines", all(
+            iso[n + 1] @ (jcx.diff(n) @ f) == dprime[n] @ (iso[n] @ f)
+            for n, (_, f) in blocks(
+                0, 2, lambda n: (None, rand_vec(size ** n * 2)), QQ).items()))
 
         gbasis = invariant_basis(rack, function_module(rack, QQ), 1)
         fun = function_module(rack, ZZ)
         fcx = RackComplex(rack, fun, spec)
-        ok = True
+        fs, coeffs = [], []
         found_violation = False
         for _ in range(trials):
-            f = rand_vec(size)
-            coeffs = [rng.randrange(-3, 4) for _ in range(gbasis.cols)]
-            g, _ = int_vector(gbasis.matvec(coeffs))
-            if not _leibniz_holds(rack, zmod, zcx, fun, fcx, f, g):
-                ok = False
+            fs.append(rand_vec(size))
+            coeffs.append([rng.randrange(-3, 4) for _ in range(gbasis.cols)])
             if not found_violation:
                 g_bad = [rng.randrange(-3, 4) for _ in range(size * size)]
-                if (not is_invariant_cochain(rack, fun, 1, g_bad)
-                        and not _leibniz_holds(rack, zmod, zcx, fun, fcx, f,
-                                               g_bad, require_invariant=False)):
-                    found_violation = True
-        out.append(CheckOutcome(spec, "leibniz_rule", ok, f"{trials} instances"))
+                found_violation = (
+                    not is_invariant_cochain(rack, fun, 1, g_bad)
+                    and not _leibniz_holds(rack, zmod, zcx, fun, fcx, fs[-1],
+                                           g_bad, require_invariant=False))
+        g, _ = (gbasis @ ExactMatrix.from_columns(coeffs, QQ)).dense()
+        record("leibniz_rule", _leibniz_columns(
+            rack, zmod, zcx, fun, fcx, ExactMatrix.from_columns(fs, ZZ),
+            ExactMatrix.from_dense(g, ZZ)))
         leibniz_broken_somewhere = leibniz_broken_somewhere or found_violation
 
         kernels = {n: qcx.kernel_matrix(n) for n in (1, 2)}
-        ok = True
-        for _ in range(trials):
-            n = rng.randrange(1, 3)
-            kb = kernels[n]
-            if kb.cols == 0:
-                continue
-            coeffs = [rng.randrange(-3, 4) for _ in range(kb.cols)]
-            f, _ = int_vector(kb.matvec(coeffs))
-            y = rng.randrange(size)
-            rhs = [a - b for a, b in
-                   zip(apply_rack_element(rack, zmod, n, y, f), f)]
-            if qcx.diff(n - 1).solve(rhs) is None:
-                ok = False
-        out.append(CheckOutcome(spec, "cocycle_class_fixed_by_action", ok,
-                                f"{trials} instances"))
+
+        def kernel_draw(n):
+            if kernels[n].cols == 0:
+                return None
+            c = [rng.randrange(-3, 4) for _ in range(kernels[n].cols)]
+            return rng.randrange(size), c
+
+        def class_fixed(n, ys, c):
+            f = kernels[n] @ c
+            return qcx.diff(n - 1).solve_columns(act(n, ys, f, qmod) - f) is not None
+
+        record("cocycle_class_fixed_by_action", all(
+            class_fixed(n, ys, c)
+            for n, (ys, c) in blocks(1, 3, kernel_draw, QQ).items()))
     out.append(CheckOutcome(
         "corpus", "leibniz_fails_without_invariance", leibniz_broken_somewhere,
         "a non-invariant right factor violated the Leibniz identity"))

@@ -20,8 +20,8 @@ from math import lcm
 import numpy as np
 
 from .errors import InputError, PreconditionError, ResourceError
-from .linalg import (QQ, ZZ, ExactMatrix, PrimeField, _int_dtype, _summed,
-                     charge_budget, int_vector, ring_vector)
+from .linalg import (QQ, ZZ, ExactMatrix, PrimeField, _canonical, _exact,
+                     _int_dtype, _summed, charge_budget)
 from .modules import CoeffModule, tensor_with_trivial
 from .racks import RackTable, orbit_labels
 
@@ -232,33 +232,59 @@ def group_action_on_cochains(rack: RackTable, module: CoeffModule,
         _permuted_index(rack.translation(y), n)[:, None] * k, 1, 0))
 
 
-def _check_length(rack, module, n, vec):
+def _check_block(rack, module, n, block):
     dim = rack.size ** n * module.dim
-    if len(vec) != dim:
-        raise InputError(f"a degree-{n} cochain has {dim} entries, got {len(vec)}")
+    if block.rows != dim:
+        raise InputError(f"a degree-{n} cochain has {dim} entries, got {block.rows}")
+    if block.ring != module.ring:
+        raise InputError("the cochains and the module must share a ring")
+
+
+def _column(module, vec):
+    """A cochain vector as a one-column block over the module's ring."""
+    return ExactMatrix.from_columns([vec], module.ring)
+
+
+def apply_group_action_columns(rack, module, n, elements, which, block):
+    """f -> f.g on a block of cochain columns, column t acted on by the
+    closure pair g = elements[which[t]] = (permutation, matrix).
+
+    Entry (x.., l) of column t is sum_j mat[j, l] f(perm(x)..)_j: a row
+    gather per column, then one stacked product with the matrices, as
+    integers over the denominators of the block and of the matrices, on
+    int64 when a bound proves the sums fit, on Python ints otherwise."""
+    _check_block(rack, module, n, block)
+    k, cols = module.dim, block.cols
+    which = np.asarray(which, dtype=np.int64).reshape(cols)
+    dense = [mat.dense() for _, mat in elements]
+    mat_den = lcm(*(d for _, d in dense))
+    mats, top = _canonical(np.array(
+        [m.astype(object) * (mat_den // d) for m, d in dense], dtype=object)
+        .reshape(len(elements), k, k))
+    a, den = block.dense()
+    a, a_top = _canonical(a)
+    dtype = _int_dtype(a_top * top * k)
+    # src[x, t, j]: column t of f at the image of the x-th tuple under its
+    # permutation, so out[t, x, l] is sum_j src[x, t, j] mat_t[j, l]
+    images = np.stack([_permuted_index(perm, n) for perm, _ in elements])
+    src = a.astype(dtype).reshape(rack.size ** n, k, cols)[
+        images[which].T, :, np.arange(cols)]
+    out = np.matmul(src.transpose(1, 0, 2), mats.astype(dtype)[which])
+    return ExactMatrix.from_dense(out.transpose(1, 2, 0).reshape(block.rows, cols),
+                                  module.ring, den * mat_den)
+
+
+def apply_rack_element_columns(rack, module, n, ys, block):
+    """Column t of block acted on by the rack element ys[t]."""
+    return apply_group_action_columns(
+        rack, module, n, [(rack.translation(y), module.action(y))
+                          for y in range(rack.size)], ys, block)
 
 
 def apply_group_action(rack, module, n, perm_images, mat, vec):
-    """f -> f.g for a closure pair g = (permutation, matrix), vector form.
-
-    Entry (x.., l) is sum_j mat[j, l] f(perm(x)..)_j, summed as integers
-    over the denominators of f and of mat."""
-    _check_length(rack, module, n, vec)
-    k = module.dim
-    ints, den = int_vector(vec)
-    entries = [(j, l, x) for j in range(k) for l, x in mat.nonzeros(j)]
-    nums, mat_den = int_vector([x for _, _, x in entries])
-    dtype = _int_dtype(max(map(abs, ints), default=0) *
-                       max(map(abs, nums), default=0) * k)
-    scaled = np.zeros((k, k), dtype=dtype)
-    for (j, l, _), a in zip(entries, nums):
-        scaled[j, l] = a
-    # row t of src: f at the image of the t-th tuple, so out[t, l] is
-    # sum_j src[t, j] mat[j, l]
-    src = np.array(ints, dtype=dtype).reshape(rack.size ** n, k)[
-        _permuted_index(perm_images, n)]
-    out = src @ scaled
-    return ring_vector(module.ring, out.ravel().tolist(), den * mat_den)
+    """f -> f.g for a closure pair g = (permutation, matrix), vector form."""
+    return apply_group_action_columns(
+        rack, module, n, [(perm_images, mat)], [0], _column(module, vec)).column(0)
 
 
 def apply_rack_element(rack, module, n, y, vec):
@@ -266,14 +292,21 @@ def apply_rack_element(rack, module, n, y, vec):
                               module.action(y), vec)
 
 
-def slice_first(rack: RackTable, module: CoeffModule, n: int, y: int, vec):
-    """f -> f_y with f_y(x_2..x_n) = f(y, x_2..x_n); degree drops by one."""
+def slice_first_columns(rack, module, n, ys, block):
+    """Column t of block sliced at ys[t]: f -> f_y with f_y(x_2..x_n) =
+    f(y, x_2..x_n), a window of rows per column; degree drops by one."""
     if n < 1:
         raise InputError("slice_first needs degree >= 1")
-    _check_length(rack, module, n, vec)
+    _check_block(rack, module, n, block)
     tail = rack.size ** (n - 1) * module.dim
-    base = y * tail
-    return list(vec[base:base + tail])
+    a, den = block.dense()
+    rows = np.asarray(ys, dtype=np.int64)[None, :] * tail + np.arange(tail)[:, None]
+    return ExactMatrix.from_dense(a[rows, np.arange(block.cols)], block.ring, den)
+
+
+def slice_first(rack: RackTable, module: CoeffModule, n: int, y: int, vec):
+    """f -> f_y with f_y(x_2..x_n) = f(y, x_2..x_n); degree drops by one."""
+    return slice_first_columns(rack, module, n, [y], _column(module, vec)).column(0)
 
 
 @dataclass(frozen=True)
@@ -397,39 +430,64 @@ def _fixed_space_stack(rack, module, n) -> ExactMatrix:
 # products
 
 
+def invariant_columns(rack, module, n, block) -> np.ndarray:
+    """Whether each column of block is an invariant cochain, as a boolean
+    array: every rack element acts on every column in one block."""
+    size, cols = rack.size, block.cols
+    a, den = block.dense()
+    tiled = ExactMatrix.from_dense(np.tile(a, size), block.ring, den)
+    moved = apply_rack_element_columns(rack, module, n,
+                                       np.repeat(np.arange(size), cols), tiled)
+    invariant = np.ones(cols, dtype=bool)
+    invariant[(moved - tiled).csr.indices % cols] = False
+    return invariant
+
+
 def is_invariant_cochain(rack, module, n, vec) -> bool:
-    for y in range(rack.size):
-        if apply_rack_element(rack, module, n, y, vec) != list(vec):
-            return False
-    return True
+    return bool(invariant_columns(rack, module, n, _column(module, vec))[0])
 
 
-def cochain_product(rack: RackTable, module_a: CoeffModule, a: int, f,
-                    module_n: CoeffModule, b: int, g,
-                    require_invariant: bool = True):
-    """Concatenation product (f (x) g)(x_1..x_(a+b)) = f(front) (x) g(back).
+def cochain_product_columns(rack: RackTable, module_a: CoeffModule, a: int, f,
+                            module_n: CoeffModule, b: int, g,
+                            require_invariant: bool = True):
+    """Concatenation product (f (x) g)(x_1..x_(a+b)) = f(front) (x) g(back)
+    of the blocks f and g column by column (a column-wise Kronecker
+    product); returns the block and the tensor module.
 
     f lives in degree a with trivial coefficients, g in degree b; for the
-    Leibniz identity to hold g must be an invariant cochain, which is
-    enforced unless require_invariant is False (used to exhibit the
+    Leibniz identity to hold g must be invariant, which is enforced for
+    every column unless require_invariant is False (used to exhibit the
     failure on non-invariant inputs).
     """
     if not module_a.is_trivial:
         raise PreconditionError("the left factor needs trivial coefficients")
     if module_a.ring != module_n.ring:
         raise InputError("both factors must share a coefficient ring")
-    _check_length(rack, module_a, a, f)
-    _check_length(rack, module_n, b, g)
-    if require_invariant and not is_invariant_cochain(rack, module_n, b, g):
+    _check_block(rack, module_a, a, f)
+    _check_block(rack, module_n, b, g)
+    if f.cols != g.cols:
+        raise InputError("both factors need the same number of columns")
+    if require_invariant and not invariant_columns(rack, module_n, b, g).all():
         raise PreconditionError(
             "the right factor must be an invariant cochain; the Leibniz "
             "identity fails otherwise")
-    size = rack.size
-    ka, kn = module_a.dim, module_n.dim
-    tensor = tensor_with_trivial(module_n, ka)
-    fi, fden = int_vector(f)
-    gi, gden = int_vector(g)
-    backs = [gi[t * kn:(t + 1) * kn] for t in range(size ** b)]
-    out = [x * y for s in range(size ** a) for back in backs
-           for x in fi[s * ka:(s + 1) * ka] for y in back]
-    return ring_vector(tensor.ring, out, fden * gden), tensor
+    size, cols = rack.size, f.cols
+    tensor = tensor_with_trivial(module_n, module_a.dim)
+    (fi, fden), (gi, gden) = f.dense(), g.dense()
+    bound = f.csr.top * fden * g.csr.top * gden
+    # entry ((front, back, i), j) of column t is f_t(front)_i g_t(back)_j
+    out = (_exact(fi, bound).reshape(size ** a, 1, module_a.dim, 1, cols)
+           * _exact(gi, bound).reshape(1, size ** b, 1, module_n.dim, cols))
+    return ExactMatrix.from_dense(out.reshape(size ** (a + b) * tensor.dim, cols),
+                                  tensor.ring, fden * gden), tensor
+
+
+def cochain_product(rack: RackTable, module_a: CoeffModule, a: int, f,
+                    module_n: CoeffModule, b: int, g,
+                    require_invariant: bool = True):
+    """The product of two cochain vectors, the one-column case of
+    cochain_product_columns: (f (x) g, tensor module)."""
+    out, tensor = cochain_product_columns(
+        rack, module_a, a, _column(module_a, f), module_n, b,
+        _column(module_n, g), require_invariant)
+    return out.column(0), tensor

@@ -7,10 +7,9 @@ arrays of row offsets, columns and integer numerators, and one
 denominator per row, made canonical by one normaliser.  Products with a
 matrix sort and sum expanded entries (Gustavson), charged to the memory
 budget before they are expanded; that A @ B = 0 is tested exactly, over
-every ring, as a product that stores no entry.  Products with a vector
-gather, multiply and sum by row, on int64 when a bound proves the row
-sums fit and on Python ints otherwise (_row_sums, which the rank
-certificate's exact check shares).
+every ring, as a product that stores no entry.  A product with a vector
+is the one-column case: the vector becomes a column (from_columns), and
+the column of the result a list again (column).
 Over Z and Q one exact elimination, a reduced row echelon form on integer
 rows, serves rank, kernels, solves and inverses.  The rank of a large
 matrix first comes from one elimination modulo a ~30-bit prime, proven
@@ -68,9 +67,8 @@ CHECK_BLOCK_BYTES = 1 << 20
 # value arrays, their sort order and sorted copies peak at 58 bytes per
 # term on dihedral:5 d_4 @ d_3 (over Z and Q), and at 66 when no two terms
 # share a position, so that the result keeps them all.  Terms on Python
-# ints add two ints each: the product, and the absolute value that
-# canonicalising the result makes of a negative one.  tests/test_linalg.py
-# measures it.
+# ints are charged two ints more each, of which the product takes one.
+# tests/test_linalg.py measures it.
 BYTES_PER_TERM = 72
 
 DEFAULT_SNF_BIT_CAP = 200_000
@@ -329,6 +327,28 @@ class ExactMatrix:
         return cls(r, c, ring, rows)
 
     @classmethod
+    def from_columns(cls, columns, ring):
+        """The matrix whose columns are the given vectors of integers or
+        Fractions, each entry coerced into the ring."""
+        rows = len(columns[0]) if columns else 0
+        if any(len(col) != rows for col in columns):
+            raise InputError("columns of different lengths")
+        ints, den = int_vector([x for col in columns for x in col])
+        if den != 1 and ring != QQ:  # raises where an entry has no image
+            ints, den = ring_vector(ring, ints, den), 1
+        top = max(map(abs, ints), default=0)
+        # as Python ints past int64: numpy integers would wrap around
+        a = np.array(ints if top < 2**62 else list(map(int, ints)), dtype=_int_dtype(top))
+        return cls.from_dense(a.reshape(len(columns), rows).T, ring, den)
+
+    @classmethod
+    def from_dense(cls, a, ring, den=1):
+        """The matrix a / den of a 2-D integer array a (int64 or Python
+        ints); den is 1 unless the ring is Q."""
+        key = np.flatnonzero(a)
+        return cls._normalised(*a.shape, ring, key, a.ravel()[key], den)
+
+    @classmethod
     def from_entries(cls, rows, cols, ring, entries):
         """Build from a {(i, j): value} mapping; unmentioned entries are zero.
 
@@ -395,6 +415,18 @@ class ExactMatrix:
             return [(j, Fraction(x, den)) for j, x in zip(cols, nums)]
         return list(zip(cols, nums))
 
+    def dense(self):
+        """(a, den): the matrix is a / den for the 2-D integer array a,
+        int64 when its entries fit with room to spare, and den the lcm of
+        the rows' denominators."""
+        c = self._csr
+        den = lcm(*set(c.dens.tolist()))
+        top = c.top * den
+        a = np.zeros((self.rows, self.cols), dtype=_int_dtype(top))
+        a[_row_ids(c.indptr), c.indices] = _exact(c.nums, top) * (
+            den // _exact(c.dens, den)).repeat(np.diff(c.indptr))
+        return a, den
+
     @property
     def data(self):
         """Fresh dense rows, zeros included (for code outside the package)."""
@@ -423,7 +455,9 @@ class ExactMatrix:
         return not self._csr.nums.size
 
     def column(self, j):
-        return [self[i, j] for i in range(self.rows)]
+        """Column j as a list of ring elements."""
+        a, den = self.select_columns([j]).dense()
+        return ring_vector(self.ring, a[:, 0].tolist(), den)
 
     def select_columns(self, cols):
         """The matrix of the columns `cols` (ascending indices), in order."""
@@ -469,8 +503,12 @@ class ExactMatrix:
         """Matrix product, or matvec for a vector.  Gustavson's sort and sum:
         a_ij expands to a_ij times row j of other (over Q put over the lcm
         L of its rows' denominators, so row i of A @ B is over dens[i] * L).
-        The expanded terms are charged to the memory budget first,
-        BYTES_PER_TERM each, and on Python ints two ints more."""
+        When more than half of other's entries are stored (a block of
+        cochain columns, say) its rows are read dense and added up in
+        place, one entry of each row of self at a time, with no sort and
+        no array of all terms.  The expanded terms are charged to the
+        memory budget first, BYTES_PER_TERM each, and on Python ints two
+        ints more."""
         if not isinstance(other, ExactMatrix):
             return self.matvec(other)
         if self.cols != other.rows or self.ring != other.ring:
@@ -491,6 +529,17 @@ class ExactMatrix:
         per_term = BYTES_PER_TERM + (2 * sys.getsizeof(bound) if bound >= 2**62 else 0)
         charge_budget(int(ends[-1]) * per_term if ends.size else 0, f"the expanded terms of a "
                       f"{self.rows}x{self.cols} by {other.rows}x{other.cols} product")
+        if 2 * b.nums.size > other.rows * other.cols:
+            # mostly dense: add entry t of every row of self, times the
+            # dense row of other it meets, for t = 0, 1, .. in turn
+            x = _exact(other.dense()[0], bound)
+            counts = np.diff(a.indptr)
+            out = np.zeros((self.rows, other.cols), dtype=x.dtype)
+            for t in range(int(counts.max(initial=0))):
+                rows = (counts > t).nonzero()[0]
+                at = a.indptr[rows] + t
+                out[rows] += x[a.indices[at]] * _exact(a.nums[at], bound)[:, None]
+            return ExactMatrix.from_dense(out, self.ring, den)
         pos = (b.indptr[a.indices] - ends + counts).repeat(counts)
         pos += np.arange(pos.size)
         key = (_row_ids(a.indptr) * other.cols).repeat(counts)
@@ -499,29 +548,11 @@ class ExactMatrix:
         return _summed(self.rows, other.cols, self.ring, key, a_nums * b_nums[pos], den)
 
     def matvec(self, vec):
-        """self @ vec as a list, in O(nnz) integer operations on numpy.
-
-        The vector is scaled to integers over the lcm L of its denominators,
-        so each output entry is one integer dot product over (den * L): the
-        stored numerators times the vector's entries at their columns,
-        summed by row, on int64 when a bound proves the sums fit, on Python
-        ints otherwise.
-        """
+        """self @ vec as a list of ring elements: the one-column case of
+        the product."""
         if len(vec) != self.cols:
             raise InputError("vector length mismatch")
-        ints, big = int_vector(vec)
-        ints = list(map(int, ints))  # numpy integers would wrap around
-        c = self._csr
-        present, starts, most = _row_starts(c.indptr)
-        # at least 1 on each side, so the entries and the vector fit as well
-        dtype = _int_dtype(max(c.top * most, 1)
-                           * max(max(map(abs, ints), default=0), 1))
-        out = np.zeros(self.rows, dtype=dtype)
-        out[present] = _row_sums(np.array(ints, dtype=dtype), c.indices, c.nums, starts)
-        out = out.tolist()
-        if self.ring == QQ and (c.dens != 1).any():
-            return [Fraction(s, den * big) for s, den in zip(out, c.dens.tolist())]
-        return ring_vector(self.ring, out, big)
+        return (self @ ExactMatrix.from_columns([vec], self.ring)).column(0)
 
     # -- rank ----------------------------------------------------------------
 
@@ -661,9 +692,8 @@ def _exact(a, bound):
 def _canonical(a):
     """(a, top): the integer array a as int64 when every |entry| is below
     2^62, else as Python ints, and the largest |entry|."""
-    top = int(np.abs(a).max(initial=0))
-    if top < 0:  # the absolute value of -2^63 wraps around
-        top = 2**63
+    # -min as a Python int: np.abs(-2^63) would wrap around on int64
+    top = max(int(a.max(initial=0)), -int(a.min(initial=0)))
     want = _int_dtype(top)
     return (a if a.dtype == want else a.astype(want)), top
 
@@ -674,12 +704,10 @@ def _row_ids(indptr):
 
 
 def _row_starts(indptr):
-    """(present, starts, most): the non-empty rows, the offsets where they
-    begin (np.add.reduceat would misread an empty row) and the most
-    entries in a row."""
+    """(starts, most): the offsets where the non-empty rows begin and the
+    most entries in a row."""
     counts = indptr[1:] - indptr[:-1]
-    present = counts.nonzero()[0]
-    return present, indptr[present], int(counts.max(initial=0))
+    return indptr[counts.nonzero()[0]], int(counts.max(initial=0))
 
 
 # ---------------------------------------------------------------------------
@@ -929,7 +957,7 @@ def _kernel_certifies(m, n, csr, pivots, p):
     charge_budget(24 * nnz + width * per_column
                   + min(8 * nnz * width, CHECK_BLOCK_BYTES),
                   f"the kernel certificate of a {m}x{n} modular rank")
-    _, starts, row_nnz = _row_starts(csr.indptr)
+    starts, row_nnz = _row_starts(csr.indptr)
     bound = csr.top * row_nnz
     for lo in range(0, free.size, width):
         lift = _lift_kernel(_kernel_mod_p(n, steps, free[lo:lo + width], p), p)
@@ -1017,26 +1045,19 @@ def _reconstruction_denominators(x, p):
 
 def _annihilates(starts, jj, vals, lift, block):
     """Whether A @ lift == 0 exactly, for the integer matrix A whose
-    stored entries vals sit in columns jj and in rows that begin at the
-    offsets `starts`, `block` rows at a time.  The caller keeps every sum
-    below 2^62."""
+    stored entries vals sit in columns jj and in non-empty rows that
+    begin at the offsets `starts`, `block` rows at a time: each entry
+    times its column's row of lift, summed by row with np.add.reduceat,
+    which would misread an empty row.  The caller keeps every sum below
+    2^62."""
     for a in range(0, starts.size, block):
         lo = starts[a]
         hi = starts[a + block] if a + block < starts.size else jj.size
-        if _row_sums(lift, jj[lo:hi], vals[lo:hi], starts[a:a + block] - lo).any():
+        products = lift[jj[lo:hi]]
+        products *= vals[lo:hi, None]
+        if np.add.reduceat(products, starts[a:a + block] - lo).any():
             return False
     return True
-
-
-def _row_sums(x, jj, vals, starts):
-    """A @ x for the matrix A whose stored entries vals sit in columns jj
-    and in non-empty rows that begin at the offsets `starts`, and for x a
-    vector or the columns of a 2-d array: each entry times its column's
-    entry (or row) of x, summed by row with np.add.reduceat, which would
-    misread an empty row.  The products take the dtype of x."""
-    products = x[jj]
-    products *= vals.reshape((-1,) + (1,) * (x.ndim - 1))
-    return np.add.reduceat(products, starts, axis=0)
 
 
 # ---------------------------------------------------------------------------

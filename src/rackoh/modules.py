@@ -68,6 +68,8 @@ def check_module(rack: RackTable, module: CoeffModule):
         if m.rows != module.dim or m.cols != module.dim or m.ring != module.ring:
             raise InputError(f"action matrix for element {x} has the wrong shape or ring")
         module.action_inverse(x)  # raises InputError when singular
+    if len(set(module.matrices)) == 1:  # A A = A A: nothing to multiply
+        return module
     for x in range(n):
         ax = module.matrices[x]
         for y in range(n):

@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rackoh import cochains
-from rackoh.cochains import (apply_rack_element, averaging_projector,
-                             chain_isomorphism, cochain_product, cochain_space,
-                             differential, differential_prime,
+from rackoh.cochains import (apply_rack_element, apply_rack_element_columns,
+                             averaging_projector, chain_isomorphism,
+                             cochain_product, cochain_product_columns,
+                             cochain_space, differential, differential_prime,
                              finite_action_group, group_action_on_cochains,
-                             invariant_basis, is_invariant_cochain,
-                             slice_first)
+                             invariant_basis, invariant_columns,
+                             is_invariant_cochain, slice_first,
+                             slice_first_columns)
 from rackoh.cohomology import RackComplex, RackPresentation, _h1_matrices
 from rackoh.errors import InputError, PreconditionError, ResourceError
 from rackoh.linalg import GF, QQ, ZZ, ExactMatrix, int_vector
@@ -45,6 +47,30 @@ class TestModules:
         from rackoh.modules import CoeffModule
         with pytest.raises(InputError):
             check_module(d3, CoeffModule(QQ, 1, tuple(mats)))
+
+    def test_one_matrix_for_every_element_makes_no_relation_products(self, monkeypatch):
+        # with A_x = A for every x the relation reads A A = A A
+        d3 = dihedral_rack(3)
+        products = []
+        matmul = ExactMatrix.__matmul__
+
+        def counted(a, b):
+            products.append((a.rows, b.cols))
+            return matmul(a, b)
+
+        monkeypatch.setattr(ExactMatrix, "__matmul__", counted)
+        constant_module(d3, ExactMatrix.from_rows([[1, 1], [0, 1]], QQ))
+        jordan_module(d3, 2, 2)
+        assert products == []
+        with pytest.raises(InputError):  # the invertibility check stays
+            constant_module(d3, ExactMatrix.from_rows([[1, 1], [1, 1]], QQ))
+
+    def test_two_matrices_that_break_the_relation_are_refused(self):
+        # on the trivial rack the relation says the matrices commute
+        swap, shear = [[0, 1], [1, 0]], [[1, 1], [0, 1]]
+        with pytest.raises(InputError):
+            custom_module(trivial_rack(2), QQ, [swap, shear])
+        custom_module(trivial_rack(2), QQ, [shear, shear])
 
     def test_function_module_matrices_are_translations(self):
         d3 = dihedral_rack(3)
@@ -634,6 +660,91 @@ class TestGroupAction:
             assert (d1 @ act1) == (act2 @ d1)
 
 
+def _block_modules(rack, spec):
+    return [trivial_module(rack, ZZ), trivial_module(rack, QQ),
+            jordan_module(rack, 2, 2), function_module(rack, ZZ),
+            _sign_module(rack, spec)]
+
+
+def _block_columns(rng, ring, dim):
+    """A zero column (invariant for every module), a constant one, two
+    random ones (fractions over Q) and one whose entries pass 2^62."""
+    def entry(lo, hi):
+        x = rng.randrange(lo, hi)
+        return Fraction(x, rng.randrange(1, 7)) if ring == QQ else x
+    return [[0] * dim, [3] * dim, *([entry(-9, 10) for _ in range(dim)] for _ in "ab"),
+            [entry(-2**70, 2**70) for _ in range(dim)]]
+
+
+class TestBlocksMatchVectors:
+    """Each block helper equals its vector form called column by column."""
+
+    @staticmethod
+    def _columns(block):
+        return [block.column(j) for j in range(block.cols)]
+
+    def test_action_slice_and_invariance(self, corpus_rack):
+        spec, rack = corpus_rack
+        rng = random.Random(f"blocks:{spec}")
+        for module in _block_modules(rack, spec):
+            for n in range(3):
+                cols = _block_columns(rng, module.ring, rack.size ** n * module.dim)
+                block = ExactMatrix.from_columns(cols, module.ring)
+                ys = [rng.randrange(rack.size) for _ in cols]
+                assert self._columns(apply_rack_element_columns(
+                    rack, module, n, ys, block)) == [
+                    apply_rack_element(rack, module, n, y, c) for y, c in zip(ys, cols)]
+                if n:
+                    assert self._columns(slice_first_columns(
+                        rack, module, n, ys, block)) == [
+                        slice_first(rack, module, n, y, c) for y, c in zip(ys, cols)]
+                invariant = invariant_columns(rack, module, n, block).tolist()
+                assert invariant == [is_invariant_cochain(rack, module, n, c)
+                                     for c in cols]
+                assert invariant[0]
+
+    def test_product(self, corpus_rack):
+        spec, rack = corpus_rack
+        rng = random.Random(f"block product:{spec}")
+        for module in _block_modules(rack, spec):
+            triv = trivial_module(rack, module.ring, 2)
+            for a, b in ((0, 1), (1, 1), (1, 0)):
+                fs = _block_columns(rng, module.ring, rack.size ** a * 2)
+                gs = _block_columns(rng, module.ring, rack.size ** b * module.dim)
+                gs.reverse()  # the zeros meet the entries past 2^62
+                f, g = (ExactMatrix.from_columns(c, module.ring) for c in (fs, gs))
+                out, tensor = cochain_product_columns(rack, triv, a, f, module, b, g,
+                                                      require_invariant=False)
+                assert tensor.dim == 2 * module.dim
+                assert self._columns(out) == [
+                    cochain_product(rack, triv, a, fc, module, b, gc,
+                                    require_invariant=False)[0]
+                    for fc, gc in zip(fs, gs)]
+                # the invariance test covers every column of g
+                if all(is_invariant_cochain(rack, module, b, gc) for gc in gs):
+                    assert cochain_product_columns(rack, triv, a, f, module, b,
+                                                   g)[0] == out
+                else:
+                    with pytest.raises(PreconditionError):
+                        cochain_product_columns(rack, triv, a, f, module, b, g)
+                zeros = ExactMatrix.zeros(g.rows, g.cols, module.ring)
+                assert cochain_product_columns(rack, triv, a, f, module, b,
+                                               zeros)[0].is_zero()
+
+    def test_blocks_are_checked(self):
+        d3 = dihedral_rack(3)
+        fun, zfun = function_module(d3, QQ), function_module(d3, ZZ)
+        block = ExactMatrix.from_columns([[1] * 9, [2] * 9], QQ)
+        with pytest.raises(InputError):  # a block over another ring
+            apply_rack_element_columns(d3, zfun, 1, [0, 1], block)
+        with pytest.raises(InputError):  # blocks of different widths
+            cochain_product_columns(d3, trivial_module(d3, QQ), 1,
+                                    ExactMatrix.from_columns([[1] * 3], QQ),
+                                    fun, 1, block, require_invariant=False)
+        with pytest.raises(InputError):  # an entry with no image in Z
+            apply_rack_element(d3, zfun, 1, 0, [Fraction(1, 2)] * 9)
+
+
 class TestCochainLengths:
     """A cochain vector of the wrong length is refused, as matvec does."""
 
@@ -935,16 +1046,20 @@ class TestCochainProduct:
 
     def test_leibniz_check_tests_each_invariant_factor_once(self, monkeypatch):
         # the Leibniz check of criterion_structural forms f (x) g and
-        # df (x) g from the same g; only the first tests g for invariance
+        # df (x) g from the same block of g; only the first tests it for
+        # invariance, once for the whole block, and the search for a
+        # non-invariant g tests each of its candidates once
         from rackoh.cli import criterion_structural
-        calls = []
-        check = cochains.is_invariant_cochain
+        widths = []
+        check = cochains.invariant_columns
 
-        def counted(rack, module, n, vec):
-            calls.append(n)
-            return check(rack, module, n, vec)
+        def counted(rack, module, n, block):
+            widths.append((n, block.cols))
+            return check(rack, module, n, block)
 
-        monkeypatch.setattr(cochains, "is_invariant_cochain", counted)
+        monkeypatch.setattr(cochains, "invariant_columns", counted)
         outcomes = criterion_structural([("dihedral:3", dihedral_rack(3))], trials=3)
         assert all(o.passed for o in outcomes if o.name == "leibniz_rule")
-        assert calls == [1, 1, 1]
+        # candidates first, inline, one column each; then the trial block
+        assert widths[-1] == (1, 3)
+        assert widths[:-1] and set(widths[:-1]) == {(1, 1)}

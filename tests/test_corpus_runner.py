@@ -1,10 +1,16 @@
+import random
+
+import numpy as np
+
 import rackoh.cli
 import rackoh.cohomology
-from rackoh.cli import (CORPUS_WORK_CEILING, _degree_cap, corpus_racks,
-                        criterion_betti, criterion_h2,
+from rackoh.cli import (CORPUS_WORK_CEILING, _degree_cap, _trial_blocks,
+                        corpus_racks, criterion_betti, criterion_h2,
                         criterion_semidirect_lemma, criterion_structural,
                         criterion_torsion, semidirect_examples)
 from rackoh.cochains import differential
+from rackoh.cohomology import RackComplex
+from rackoh.linalg import ZZ, ExactMatrix
 from rackoh.racks import dihedral_rack, trivial_rack, verify_yang_baxter
 
 
@@ -112,3 +118,69 @@ def test_semidirect_lemma_builds_d1_once(monkeypatch):
     [outcome] = criterion_semidirect_lemma()
     assert outcome.passed
     assert built == [1]
+
+
+IDENTITIES = ("d_squared_zero", "action_commutes_with_d",
+              "first_slot_slice_identity", "chain_iso_intertwines")
+
+
+def _changed_entry(m, change):
+    """m with its first stored entry x replaced by change(x), x over the
+    matrix's common denominator."""
+    a, den = m.dense()
+    i, j = np.argwhere(a)[0]
+    a[i, j] = change(a[i, j], den)
+    return ExactMatrix.from_dense(a, m.ring, den)
+
+
+def _failing_under(monkeypatch, mutant):
+    with monkeypatch.context() as patch:
+        mutant(patch)
+        outcomes = criterion_structural([("dihedral:3", dihedral_rack(3))])
+    return {o.name for o in outcomes if not o.passed}
+
+
+def test_structural_blocks_catch_a_changed_entry(monkeypatch):
+    # every identity the checks make on blocks of columns still fails when
+    # one entry of d_1 or of the chain isomorphism is wrong
+    diff, iso = RackComplex.diff, rackoh.cli.chain_isomorphism
+
+    def flip_d1(patch):
+        patch.setattr(RackComplex, "diff", lambda cx, n: _changed_entry(
+            diff(cx, n), lambda x, den: -x) if n == 1 else diff(cx, n))
+
+    def change_iso(patch):
+        patch.setattr(rackoh.cli, "chain_isomorphism", lambda rack, module, n:
+                      _changed_entry(iso(rack, module, n), lambda x, den: x + den)
+                      if n == 1 else iso(rack, module, n))
+
+    assert _failing_under(monkeypatch, lambda patch: None) == set()
+    flipped, changed = (_failing_under(monkeypatch, m) for m in (flip_d1, change_iso))
+    assert set(IDENTITIES) <= flipped
+    assert changed == {"chain_iso_intertwines"}
+
+
+def test_trial_blocks_keep_every_draw_in_order():
+    # the blocks hold the cochains of a per-trial loop over the same
+    # stream: every trial, grouped by degree, in the order drawn
+    def draw_from(rng):
+        def draw(n):
+            if n == 2 and rng.random() < 0.3:
+                return None  # a trial that draws no cochain
+            return rng.randrange(5), [rng.randrange(-9, 10) for _ in range(3 ** n)]
+        return draw
+
+    rng = random.Random("blocks")
+    blocks = _trial_blocks(rng, 20, 0, 3, draw_from(rng), ZZ)
+    replay, expect = random.Random("blocks"), {}
+    draw = draw_from(replay)
+    for _ in range(20):
+        n = replay.randrange(0, 3)
+        if (pair := draw(n)) is not None:
+            expect.setdefault(n, []).append(pair)
+    assert sorted(blocks) == sorted(expect)
+    for n, (ys, block) in blocks.items():
+        assert ys == [y for y, _ in expect[n]]
+        assert [block.column(j) for j in range(block.cols)] == [
+            c for _, c in expect[n]]
+    assert rng.random() == replay.random()  # no draw more or less

@@ -1232,11 +1232,18 @@ class TestSparseAgainstDense:
                 same.append(ExactMatrix.from_triplets(
                     m, n, ring, ii, jj, np.array([6 * x for x in nums_b], dtype=object),
                     6 * den))
-            same += [same[0] @ ident, same[0] - zero]
+            if n:
+                same.append(ExactMatrix.from_columns(
+                    [[row[j] for row in rows_b] for j in range(n)], ring))
+            dense, dense_den = same[0].dense()
+            same += [same[0] @ ident, same[0] - zero,
+                     ExactMatrix.from_dense(dense, ring, dense_den)]
             for other in same:
                 assert other == same[0] and hash(other) == hash(same[0])
                 assert other.data == same[0].data
         assert a.data == ref and from_rows.data == ref
+        dense, den = a.dense()
+        assert [[Fraction(int(x), den) for x in row] for row in dense.tolist()] == ref
         for i in range(m):
             assert all(x != 0 for _, x in a.nonzeros(i))
             assert a.nonzeros(i) == [(j, x) for j, x in enumerate(ref[i]) if x]
@@ -1260,6 +1267,18 @@ class TestSparseAgainstDense:
                                 for r1, r2 in zip(ref, ref_d)]
         for target in (QQ, GF(7)) if ring in (ZZ, QQ) else ():
             assert _to_ring(a, target).data == _ref_rows(target, ref)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_canonical_top_of_the_most_negative_int64(dtype):
+    # -2^63 has no int64 absolute value, yet its top is 2^63
+    a, top = linalg._canonical(np.array([5, -2**63, 7], dtype=dtype))
+    assert top == 2**63 and a.dtype == object and a.tolist() == [5, -2**63, 7]
+    a, top = linalg._canonical(np.array([3, 1 - 2**62], dtype=dtype))
+    assert top == 2**62 - 1 and a.dtype == np.int64
+    assert linalg._canonical(np.array([], dtype=dtype))[1] == 0
+    m = ExactMatrix.from_dense(np.array([[0, -2**63]], dtype=dtype), ZZ)
+    assert m.csr.top == 2**63 and m[0, 1] == -2**63
 
 
 @st.composite
