@@ -8,11 +8,11 @@ from .racks import (OrbitPartition, RackTable, conjugation_rack, cyclic_rack,
                     orbits, rack_from_json, rack_to_json,
                     symmetric_group_table, trivial_rack, verify_rack,
                     verify_yang_baxter)
-from .permutations import PermGroup, Permutation, group_closure, inner_group, point_orbit
+from .permutations import FiniteGroup, group_closure, inner_group
 from .modules import (CoeffModule, constant_module, custom_module,
                       function_module, jordan_module, module_from_spec,
                       trivial_module)
-from .cochains import (CochainSpace, FiniteActionGroup, averaging_projector,
+from .cochains import (CochainSpace, averaging_projector,
                        chain_isomorphism, cochain_product, cochain_space,
                        differential, differential_prime, finite_action_group,
                        group_action_on_cochains, invariant_basis, slice_first)

@@ -171,14 +171,13 @@ def cmd_verify(config: RunConfig) -> tuple:
     if report.valid:
         rack = RackTable.from_table(table)
         part = orbits(rack)
-        group = inner_group(rack, cap=config.closure_cap)
         doc.update({
             "rack": rack_to_json(rack, labels),
             "quandle": is_quandle(rack),
             "yang_baxter": verify_yang_baxter(rack),
             "orbit_count": part.orbit_count,
             "orbits": [sorted(c) for c in part.classes()],
-            "inner_group_order": group.order,
+            "inner_group_order": inner_group(rack, cap=config.closure_cap).order,
         })
     return (EXIT_OK if report.valid else EXIT_CHECK_FAILED), doc
 

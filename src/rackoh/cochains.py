@@ -19,13 +19,12 @@ from math import lcm
 
 import numpy as np
 
-from .errors import InputError, PreconditionError, ResourceError
+from .errors import InputError, PreconditionError
 from .linalg import (QQ, ZZ, ExactMatrix, PrimeField, _canonical, _exact,
-                     _int_dtype, _summed, charge_budget)
+                     _int_dtype, _summed, charge_budget, matrix_stack)
 from .modules import CoeffModule, tensor_with_trivial
+from .permutations import DEFAULT_CLOSURE_CAP, FiniteGroup, group_closure
 from .racks import RackTable, orbit_labels
-
-DEFAULT_ACTION_GROUP_CAP = 1_000_000
 
 # What _block_rows charges per entry a matrix may store: the tracemalloc
 # peak of building one per charged entry stays below this for every
@@ -256,11 +255,7 @@ def apply_group_action_columns(rack, module, n, elements, which, block):
     _check_block(rack, module, n, block)
     k, cols = module.dim, block.cols
     which = np.asarray(which, dtype=np.int64).reshape(cols)
-    dense = [mat.dense() for _, mat in elements]
-    mat_den = lcm(*(d for _, d in dense))
-    mats, top = _canonical(np.array(
-        [m.astype(object) * (mat_den // d) for m, d in dense], dtype=object)
-        .reshape(len(elements), k, k))
+    mats, mat_den, top = matrix_stack([mat for _, mat in elements])
     a, den = block.dense()
     a, a_top = _canonical(a)
     dtype = _int_dtype(a_top * top * k)
@@ -309,55 +304,17 @@ def slice_first(rack: RackTable, module: CoeffModule, n: int, y: int, vec):
     return slice_first_columns(rack, module, n, [y], _column(module, vec)).column(0)
 
 
-@dataclass(frozen=True)
-class FiniteActionGroup:
-    """Closure of the pairs (translation of x, action matrix of x)."""
-
-    elements: tuple  # of (perm_images, ExactMatrix)
-
-    @property
-    def order(self):
-        return len(self.elements)
-
-
 def finite_action_group(rack: RackTable, module: CoeffModule,
-                        cap: int = DEFAULT_ACTION_GROUP_CAP) -> FiniteActionGroup:
-    """Materialise the finite group through which the action factors.
-
-    Raises ResourceError when the closure passes `cap`, which means the
-    finiteness hypothesis (the kernel of the action has finite index) is
-    violated or cannot be certified for this module.
-    """
-    size = rack.size
-    gens = [(rack.translation(x), module.action(x)) for x in range(size)]
-    ident = (tuple(range(size)), ExactMatrix.identity(module.dim, module.ring))
-
-    seen = {ident}
-    elements = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for cur_perm, cur_mat in frontier:
-            for g_perm, g_mat in gens:
-                perm = tuple(cur_perm[g_perm[i]] for i in range(size))
-                mat = cur_mat @ g_mat
-                pair = (perm, mat)
-                if pair not in seen:
-                    seen.add(pair)
-                    elements.append(pair)
-                    nxt.append(pair)
-                    if len(elements) > cap:
-                        raise ResourceError(
-                            f"action group closure exceeded cap {cap}: the "
-                            "finiteness hypothesis (finite-index action "
-                            "kernel) is violated or unverifiable for this "
-                            "module")
-        frontier = nxt
-    return FiniteActionGroup(tuple(elements))
+                        cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
+    """The finite group through which the action factors: the closure of
+    the pairs (translation of x, action matrix of x).  A ResourceError past
+    `cap` means that the finiteness hypothesis (the kernel of the action
+    has finite index) is violated or cannot be certified for this module."""
+    return group_closure(rack.size, rack.table, module.matrices, cap)
 
 
 def averaging_projector(rack: RackTable, module: CoeffModule, n: int,
-                        group: FiniteActionGroup | None = None) -> ExactMatrix:
+                        group: FiniteGroup | None = None) -> ExactMatrix:
     """The idempotent (1/|G|) sum of the cochain action over the closure.
 
     Needs |G| invertible in the coefficient ring; its image is the
@@ -376,15 +333,15 @@ def averaging_projector(rack: RackTable, module: CoeffModule, n: int,
     dim = size ** n * k
     scale = (Fraction(1, order) if ring == QQ else 1 if ring == ZZ
              else ring.inv(order))
-    return _block_rows(ring, dim, dim, k, [mat for _, mat in group.elements],
-                       order, lambda: (
-                           np.stack([_permuted_index(perm, n)
-                                     for perm, _ in group.elements], axis=1) * k,
-                           1, np.arange(order)), scale)
+    mats = [ExactMatrix.from_dense(np.array(e[size + 1:], dtype=object).reshape(k, k),
+                                   ring, e[size]) for e in group]
+    return _block_rows(ring, dim, dim, k, mats, order, lambda: (
+        np.stack([_permuted_index(e[:size], n) for e in group], axis=1) * k,
+        1, np.arange(order)), scale)
 
 
 def invariant_basis(rack: RackTable, module: CoeffModule, n: int,
-                    group: FiniteActionGroup | None = None) -> ExactMatrix:
+                    group: FiniteGroup | None = None) -> ExactMatrix:
     """Columns spanning the invariant cochains in degree n: orbit
     indicators for trivial modules (the image of the averaging projector,
     computed combinatorially), the projector image when |G| is

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .cochains import (DEFAULT_ACTION_GROUP_CAP, _block_rows,
-                       _fixed_space_stack, differential, finite_action_group,
-                       invariant_basis)
+from .cochains import (_block_rows, _fixed_space_stack, differential,
+                       finite_action_group, invariant_basis)
 from .errors import InputError, PreconditionError, ResourceError
 from .linalg import (CHECK_BLOCK_BYTES, QQ, ZZ, AbelianGroup, ExactMatrix,
                      PrimeField, SmithForm, _is_prime_power, _quotient_invariants,
@@ -153,21 +153,14 @@ class RackComplex:
         self._zero_checked: set = set()
         self._smith: dict = {}
         self._semidirect = None
-        self._orbits = None
-        self._group_order = None
 
-    @property
+    @cached_property
     def orbit_count(self):
-        if self._orbits is None:
-            self._orbits = orbits(self.rack)
-        return self._orbits.orbit_count
+        return orbits(self.rack).orbit_count
 
-    @property
+    @cached_property
     def inner_order(self):
-        if self._group_order is None:
-            self._group_order = inner_group(self.rack,
-                                            cap=self.closure_cap).order
-        return self._group_order
+        return inner_group(self.rack, cap=self.closure_cap).order
 
     def space_dim(self, n):
         return self.rack.size ** n * self.module.dim
@@ -350,8 +343,7 @@ def invariant_cohomology(rack: RackTable, module: CoeffModule, max_degree: int,
     if not module.ring.is_field:
         raise PreconditionError("invariant cohomology needs field coefficients")
     cx = complex_ or RackComplex(rack, module, rack_spec)
-    group = finite_action_group(rack, module,
-                                min(DEFAULT_ACTION_GROUP_CAP, cx.closure_cap))
+    group = finite_action_group(rack, module, cx.closure_cap)
     ring = module.ring
     invertible = not isinstance(ring, PrimeField) or group.order % ring.p != 0
 
@@ -396,26 +388,16 @@ def invariant_cohomology(rack: RackTable, module: CoeffModule, max_degree: int,
 
 def twisted_cohomology(rack: RackTable, t, k: int, max_degree: int,
                        rack_spec: str = "custom") -> CohomologyReport:
-    """Betti numbers for the Jordan block J_k(t) acting as every element."""
+    """Betti numbers for the Jordan block J_k(t) acting as every element;
+    its fixed space is a line for t = 1 and zero otherwise."""
     t = Fraction(t)
     if t == 0:
         raise InputError("twisted eigenvalue must be nonzero")
-    module = jordan_module(rack, t, k, QQ)
-    cx = RackComplex(rack, module, rack_spec)
-    degrees = [DegreeData(n, cx.betti(n)) for n in range(max_degree + 1)]
-    report = CohomologyReport(rack_spec, rack, module.describe(), degrees)
-    betti = [d.betti for d in degrees]
-    if t != 1:
-        report.checks.append(TheoremCheck(
-            CHECK_TWISTED_VANISH, all(b == 0 for b in betti),
-            f"betti={betti}, expected all zero for eigenvalue {t}"))
-    else:
-        m = cx.orbit_count
-        want = [m ** n for n in range(max_degree + 1)]
-        report.checks.append(TheoremCheck(
-            CHECK_TWISTED_JORDAN, betti == want,
-            f"betti={betti}, expected={want} (jordan size {k})"))
-    return report
+    check, expected = (
+        (CHECK_TWISTED_JORDAN, f"expected={{want}} (jordan size {k})") if t == 1
+        else (CHECK_TWISTED_VANISH, f"expected all zero for eigenvalue {t}"))
+    return _one_matrix_cohomology(rack, jordan_module(rack, t, k, QQ), max_degree,
+                                  rack_spec, int(t == 1), check, expected)
 
 
 def same_operator_cohomology(rack: RackTable, matrix: ExactMatrix,
@@ -423,17 +405,24 @@ def same_operator_cohomology(rack: RackTable, matrix: ExactMatrix,
                              rack_spec: str = "custom") -> CohomologyReport:
     """Betti numbers when every element acts by one invertible matrix,
     checked against m^n times the dimension of the matrix fixed space."""
-    module = constant_module(rack, matrix)
+    return _one_matrix_cohomology(rack, constant_module(rack, matrix), max_degree,
+                                  rack_spec, None, CHECK_SAME_OP,
+                                  "expected={want} (fixed space dim {fixed})")
+
+
+def _one_matrix_cohomology(rack, module, max_degree, rack_spec, fixed, check,
+                           expected) -> CohomologyReport:
+    """Betti numbers when every element acts by one matrix, checked as
+    `check` against m^n times `fixed`, the dimension of its fixed space
+    (computed when None); `expected` words the expectation."""
     cx = RackComplex(rack, module, rack_spec)
-    degrees = [DegreeData(n, cx.betti(n)) for n in range(max_degree + 1)]
-    report = CohomologyReport(rack_spec, rack, module.describe(), degrees)
-    fixed = cx.fixed_space_dim()
-    m = cx.orbit_count
-    betti = [d.betti for d in degrees]
-    want = [m ** n * fixed for n in range(max_degree + 1)]
+    report = CohomologyReport(rack_spec, rack, module.describe(), [
+        DegreeData(n, cx.betti(n)) for n in range(max_degree + 1)])
+    fixed = cx.fixed_space_dim() if fixed is None else fixed
+    want = [cx.orbit_count ** n * fixed for n in range(max_degree + 1)]
     report.checks.append(TheoremCheck(
-        CHECK_SAME_OP, betti == want,
-        f"betti={betti}, expected={want} (fixed space dim {fixed})"))
+        check, report.betti == want,
+        f"betti={report.betti}, " + expected.format(want=want, fixed=fixed)))
     return report
 
 

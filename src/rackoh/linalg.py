@@ -698,6 +698,18 @@ def _canonical(a):
     return (a if a.dtype == want else a.astype(want)), top
 
 
+def matrix_stack(mats):
+    """(stack, den, top): mats[i] = stack[i] / den for one integer array
+    (canonical as _canonical makes it, top its largest |entry|) of shape
+    (len(mats), rows, cols) and den the lcm of the denominators."""
+    dense = [m.dense() for m in mats]
+    den = lcm(*(d for _, d in dense))
+    shape = (len(mats), mats[0].rows, mats[0].cols) if mats else (0, 0, 0)
+    stack, top = _canonical(np.array(
+        [a.astype(object) * (den // d) for a, d in dense], dtype=object).reshape(shape))
+    return stack, den, top
+
+
 def _row_ids(indptr):
     """The row index of each stored entry, from the row offsets."""
     return np.arange(indptr.size - 1).repeat(indptr[1:] - indptr[:-1])

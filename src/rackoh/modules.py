@@ -13,8 +13,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import InputError
-from .linalg import GF, QQ, ZZ, ExactMatrix, Ring
+from .linalg import GF, QQ, ZZ, ExactMatrix, Ring, _int_dtype, matrix_stack
 from .racks import RackTable
 
 TAG_TRIVIAL = "trivial"
@@ -68,16 +70,15 @@ def check_module(rack: RackTable, module: CoeffModule):
         if m.rows != module.dim or m.cols != module.dim or m.ring != module.ring:
             raise InputError(f"action matrix for element {x} has the wrong shape or ring")
         module.action_inverse(x)  # raises InputError when singular
-    if len(set(module.matrices)) == 1:  # A A = A A: nothing to multiply
-        return module
-    for x in range(n):
-        ax = module.matrices[x]
-        for y in range(n):
-            lhs = ax @ module.matrices[y]
-            rhs = module.matrices[rack.op(x, y)] @ ax
-            if lhs != rhs:
-                raise InputError(
-                    f"action matrices violate A_x A_y = A_(x|>y) A_x at ({x},{y})")
+    # A_x A_y - A_(x|>y) A_x for every pair at once, over den^2
+    stack, _, top = matrix_stack(module.matrices)
+    a = stack.astype(_int_dtype(module.dim * top * top))
+    diff = a[:, None] @ a - a[np.array(rack.table)] @ a[:, None]
+    p = module.ring.characteristic
+    bad = np.flatnonzero((diff % p if p else diff).reshape(n * n, -1).any(axis=1))
+    if bad.size:
+        raise InputError("action matrices violate A_x A_y = A_(x|>y) A_x at "
+                         "({},{})".format(*divmod(int(bad[0]), n)))
     return module
 
 

@@ -1,4 +1,4 @@
-"""Finite permutation groups by explicit closure.
+"""Finite groups by explicit closure.
 
 Degrees here are tiny (rack sizes), so the closure is materialised by
 breadth-first multiplication rather than any stabiliser-chain machinery;
@@ -7,113 +7,84 @@ element order is the BFS discovery order and is fully deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from math import gcd
 
-from .errors import InputError, ResourceError
+import numpy as np
+
+from .errors import ResourceError
+from .linalg import _int_dtype, charge_budget, matrix_stack
 from .racks import RackTable
 
 DEFAULT_CLOSURE_CAP = 10_000_000
 
-
-@dataclass(frozen=True)
-class Permutation:
-    images: tuple
-
-    def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
-            raise InputError(f"{self.images} is not a permutation")
-
-    @classmethod
-    def identity(cls, degree):
-        return cls(tuple(range(degree)))
-
-    @property
-    def degree(self):
-        return len(self.images)
-
-    def __call__(self, i):
-        return self.images[i]
-
-    def __mul__(self, other):
-        """(p * q)(i) = p(q(i)): apply q first."""
-        if self.degree != other.degree:
-            raise InputError("degree mismatch")
-        return Permutation(tuple(self.images[j] for j in other.images))
-
-    def inverse(self):
-        inv = [0] * self.degree
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
+# What a closure charges per element besides its tuple's 8-byte slots and
+# ints past the small-int cache (tests/test_permutations.py measures it):
+# tuple header, set and list slots and the products in hand peak at 300 for
+# the function module on the transpositions of S_6, 175 for Inn of S_7.
+BYTES_PER_ELEMENT = 320
 
 
-def group_closure(generators, cap: int = DEFAULT_CLOSURE_CAP, degree=None):
-    """Full element list generated by `generators`, BFS order from identity.
+class FiniteGroup(list):
+    """A closed group's elements in BFS order, identity first: flat tuples of
+    a permutation's images, then (den, *entries) of a k x k matrix entries /
+    den row by row in lowest terms (reduced mod p over F_p), if any."""
 
-    Every generator has finite order, so closing under multiplication alone
-    already yields a group.  Raises ResourceError past `cap` elements.
+    order = property(len)
+
+
+def _element_bytes(e):
+    return BYTES_PER_ELEMENT + 8 * len(e) + sum(
+        sys.getsizeof(x) for x in e if not -5 <= x <= 256)
+
+
+def _times(tail, stack, den, top, p):
+    """The tails (den, *entries) of m @ stack[i] / den for every i, where m
+    is the matrix tail[1:] / tail[0], each in lowest terms (mod p if p)."""
+    s, k = stack.shape[:2]
+    dtype = _int_dtype(k * top * max(map(abs, tail[1:]), default=0))
+    prods = np.array(tail[1:], dtype=dtype).reshape(k, k) @ np.asarray(stack, dtype)
+    d = tail[0] * den  # 1 over Z and F_p
+    return [(d // g, *(x // g for x in row)) if (g := gcd(d, *row)) > 1 else (d, *row)
+            for row in (prods % p if p else prods).reshape(s, k * k).tolist()]
+
+
+def group_closure(degree: int, perms, mats=(),
+                  cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
+    """The group generated by the pairs (perms[i], mats[i]) of the images
+    of a permutation of range(degree) and an invertible ExactMatrix, or by
+    the permutations alone when mats is empty: each element, in BFS order,
+    times each generator, (p, a) (q, b) = (p[q], a @ b), the permutations
+    by indexing and the matrices by one stacked product, exact on int64 or
+    Python ints as _int_dtype decides.  Raises ResourceError past `cap`
+    elements or when the element list, charged before it doubles, would
+    pass the memory budget.
     """
-    if degree is None:
-        if not generators:
-            raise InputError("empty generator list needs an explicit degree")
-        degree = generators[0].degree
-    if any(g.degree != degree for g in generators):
-        raise InputError("generators must share a degree")
-    ident = Permutation.identity(degree)
-    seen = {ident.images}
-    order_list = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for g in generators:
-                prod = cur * g
-                if prod.images not in seen:
-                    seen.add(prod.images)
-                    order_list.append(prod)
-                    nxt.append(prod)
-                    if len(order_list) > cap:
-                        raise ResourceError(
-                            f"permutation closure exceeded cap {cap}")
-        frontier = nxt
-    return order_list
+    ident = tuple(range(degree))
+    if mats:
+        stack, den, top = matrix_stack(mats)
+        ident += (1, *np.eye(mats[0].rows, dtype=np.int64).ravel().tolist())
+    elements, seen, limit = FiniteGroup([ident]), {ident}, 1
+    for cur in elements:  # the element list is the BFS queue
+        tails = (_times(cur[degree:], stack, den, top, mats[0].ring.characteristic)
+                 if mats else [()] * len(perms))
+        for g, tail in zip(perms, tails):
+            prod = (*map(cur.__getitem__, g), *tail)
+            if prod in seen:
+                continue
+            seen.add(prod)
+            elements.append(prod)
+            if len(elements) > cap:
+                raise ResourceError(f"group closure exceeded cap {cap}: the "
+                                    "group is larger, or infinite")
+            if len(elements) > limit:  # charge the doubled list
+                limit *= 2
+                charge_budget(limit * _element_bytes(prod),
+                              f"a group closure of {limit} elements")
+    return elements
 
 
-@dataclass(frozen=True)
-class PermGroup:
-    degree: int
-    generators: tuple
-    elements: tuple
-
-    @property
-    def order(self):
-        return len(self.elements)
-
-    @classmethod
-    def generated_by(cls, generators, degree=None, cap=DEFAULT_CLOSURE_CAP):
-        elems = group_closure(list(generators), cap=cap, degree=degree)
-        return cls(elems[0].degree, tuple(generators), tuple(elems))
-
-
-def inner_group(rack: RackTable, cap: int = DEFAULT_CLOSURE_CAP) -> PermGroup:
-    """The permutation group generated by the rack translations."""
-    gens = tuple(Permutation(rack.translation(x)) for x in range(rack.size))
-    return PermGroup.generated_by(gens, degree=rack.size, cap=cap)
-
-
-def point_orbit(group: PermGroup, point: int) -> set:
-    """Orbit of a point under the group, by BFS over the generators."""
-    if not 0 <= point < group.degree:
-        raise InputError(f"point {point} out of range for degree {group.degree}")
-    seen = {point}
-    frontier = [point]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in group.generators:
-                q = g(p)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return seen
+def inner_group(rack: RackTable, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
+    """The permutation group generated by the rack translations, the rows
+    of its table."""
+    return group_closure(rack.size, rack.table, cap=cap)

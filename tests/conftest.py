@@ -57,3 +57,16 @@ def relabelled(rack, seed):
         for y in range(rack.size):
             table[sigma[x]][sigma[y]] = sigma[rack.op(x, y)]
     return RackTable.from_table(table)
+
+
+def transposition_rack(m):
+    """The conjugation rack of the m(m - 1)/2 transpositions of S_m, whose
+    inner group is S_m."""
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    pos = {p: n for n, p in enumerate(pairs)}
+
+    def conj(a, b):
+        swap = {a[0]: a[1], a[1]: a[0]}
+        return pos[tuple(sorted(swap.get(x, x) for x in b))]
+
+    return RackTable.from_table([[conj(a, b) for b in pairs] for a in pairs])

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,9 @@ from rackoh.cli import (EXIT_CHECK_FAILED, EXIT_INPUT, EXIT_OK, canonical_json,
 from rackoh.errors import InputError, ResourceError
 from rackoh.linalg import ZZ, charge_budget
 from rackoh.modules import trivial_module
-from rackoh.racks import dihedral_rack
+from rackoh.racks import dihedral_rack, rack_to_json
+
+from conftest import transposition_rack
 
 
 def run_cli(capsys, *argv):
@@ -407,6 +410,32 @@ class TestBudgets:
         assert child.returncode in (0, 3), child.stderr
         if child.returncode == 0:
             assert int(child.stdout.split()[-1]) <= mb * 1024
+
+    def test_group_closure_budget_exit_3(self, tmp_path):
+        # the inner group of the transposition rack of S_7 has 5040
+        # elements; its closure is charged before its element list doubles
+        # and refuses at 1 MiB, well before it closes
+        path = tmp_path / "s7.json"
+        path.write_text(json.dumps(rack_to_json(transposition_rack(7))))
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "RACKOH_BUDGET_MB": "1", "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        start = time.perf_counter()
+        child = subprocess.run([sys.executable, "-m", "rackoh", "verify", "--rack",
+                                f"file:{path}"], env=env, capture_output=True,
+                               text=True, timeout=60)
+        assert child.returncode == 3
+        assert "Traceback" not in child.stderr
+        assert "group closure" in child.stderr and "budget" in child.stderr
+        assert time.perf_counter() - start < 10
+
+    def test_group_closure_fits_the_default_budget(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("RACKOH_BUDGET_MB", raising=False)
+        path = tmp_path / "s6.json"
+        path.write_text(json.dumps(rack_to_json(transposition_rack(6))))
+        code, out, _ = run_cli(capsys, "verify", "--rack", f"file:{path}", "--json")
+        assert code == EXIT_OK
+        assert json.loads(out)["inner_group_order"] == 720
 
     @pytest.mark.parametrize("mb", ["0", "-5", "abc"])
     def test_budget_must_be_a_positive_integer(self, capsys, monkeypatch, mb):

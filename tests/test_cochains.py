@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
@@ -21,7 +22,7 @@ from rackoh.cochains import (apply_rack_element, apply_rack_element_columns,
 from rackoh.cohomology import RackComplex, RackPresentation, _h1_matrices
 from rackoh.errors import InputError, PreconditionError, ResourceError
 from rackoh.linalg import GF, QQ, ZZ, ExactMatrix, int_vector
-from rackoh.modules import (check_module, constant_module, custom_module,
+from rackoh.modules import (CoeffModule, check_module, constant_module, custom_module,
                             function_module, jordan_module,
                             tensor_with_trivial, trivial_module)
 from rackoh.racks import (conjugation_rack, cyclic_rack, dihedral_rack,
@@ -71,6 +72,34 @@ class TestModules:
         with pytest.raises(InputError):
             custom_module(trivial_rack(2), QQ, [swap, shear])
         custom_module(trivial_rack(2), QQ, [shear, shear])
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ, GF(5)], ids=["Z", "Q", "F5"])
+    def test_relation_check_matches_pairwise_products(self, ring):
+        # the batched relation check against the product-by-product loop,
+        # first failing pair in row-major order; one triangular matrix for
+        # every element but at most one, entries up to 2^40 past the int64
+        # bound
+        rng = random.Random(11)
+        rack = conjugation_rack(symmetric_group_table(3))
+        unit = (1, -1) if ring == ZZ else (1, 2, Fraction(1, 2))
+
+        def triangular():
+            top = rng.choice([3, 2**40])
+            return ExactMatrix.from_rows([[rng.choice(unit), rng.randint(-top, top)],
+                                          [0, rng.choice(unit)]], ring)
+
+        for _ in range(12):
+            mats = [triangular()] * rack.size
+            if rng.random() < 0.75:
+                mats[rng.randrange(rack.size)] = triangular()
+            bad = next(((x, y) for x in range(rack.size) for y in range(rack.size)
+                        if mats[x] @ mats[y] != mats[rack.op(x, y)] @ mats[x]), None)
+            module = CoeffModule(ring, 2, tuple(mats))
+            if bad is None:
+                assert check_module(rack, module) is module
+            else:
+                with pytest.raises(InputError, match=re.escape(f"at ({bad[0]},{bad[1]})")):
+                    check_module(rack, module)
 
     def test_function_module_matrices_are_translations(self):
         d3 = dihedral_rack(3)
@@ -297,6 +326,15 @@ def _reference_action(rack, module, n, pairs, scale=1):
         dim, dim, module.ring, {key: v * scale for key, v in entries.items()})
 
 
+def _group_pairs(rack, module, group):
+    """The (permutation, matrix) pairs of the closure's flat elements
+    perm + (den,) + entries."""
+    size, k = rack.size, module.dim
+    return [(e[:size], ExactMatrix.from_rows(
+        [[Fraction(x, e[size]) for x in e[size + 1 + i * k:size + 1 + (i + 1) * k]]
+         for i in range(k)], module.ring)) for e in group]
+
+
 def _reference_fixed_space_stack(rack, module, n):
     dim = rack.size ** n * module.dim
     ident = ExactMatrix.identity(dim, module.ring)
@@ -448,9 +486,10 @@ class TestBuilderOracle:
             group = finite_action_group(rack, module)
             scale = (Fraction(1, group.order) if ring == QQ
                      else ring.inv(group.order))
+            pairs = _group_pairs(rack, module, group)
             for n in range(3):
                 assert averaging_projector(rack, module, n, group) == \
-                    _reference_action(rack, module, n, group.elements, scale)
+                    _reference_action(rack, module, n, pairs, scale)
                 assert cochains._fixed_space_stack(rack, module, n) \
                     .kernel_matrix() == _reference_fixed_space_stack(rack, module, n).kernel_matrix()
 
