@@ -243,7 +243,25 @@ class TestRank:
             rref = _IncrementalRREF(n, p)
             for row in rows:
                 rref.feed(enumerate(row))
-            assert len(_eliminate(m, n, coo, p)[0]) == len(rref.pivot_cols)
+            pivots = _eliminate(m, n, coo, p)[0]
+            assert len(pivots) == len(rref.pivot_cols)
+            # the pivot rows are the greedy row basis: the rows independent
+            # of all rows before them
+            assert sorted(pivots.rows) == rref.independent
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_tall_matrices_pivot_as_one_pass(self, seed):
+        # tall matrices (m >= 8n) whose rows past the first 2n mostly lie
+        # in the span of those, and sometimes leave it in one or two
+        # directions: the elimination gives the pivots, residues and rows
+        # of the one-pass loop
+        rng = random.Random(seed)
+        n = rng.randrange(8, 30)
+        m = 8 * n + rng.randrange(0, 3 * n)
+        rows = _tall_rows(rng, m, n)
+        coo = ExactMatrix.from_rows(rows, ZZ).csr
+        for p in (2, 3, 7, MODULAR_PRIME, 2**61 - 1):
+            assert _pivot_lists(_eliminate(m, n, coo, p)[0]) == _one_pass(m, n, coo, p)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=6, deadline=None)
@@ -292,6 +310,63 @@ class TestRank:
         with pytest.raises(ResourceError, match="budget"):
             ExactMatrix.from_entries(400, 400, ZZ, entries).rank()
         assert ExactMatrix.from_entries(200, 300, ZZ, entries).rank() == 10
+
+
+def _tall_rows(rng, m, n):
+    """m rows of width n, each a combination of one to three of r sparse
+    random basis rows with coefficients +-1, +-2; the first 2n rows use
+    only the first r - s basis rows, and s in {0, 1, 2} rows past them
+    also the others."""
+    r = rng.randrange(n // 2, n)
+    s = rng.choice((0, 1, 2))
+    basis = [[rng.choice((-2, -1, 1, 2)) if rng.random() < 0.2 else 0
+              for _ in range(n)] for _ in range(r)]
+
+    def combination(k):
+        row = [0] * n
+        for b in rng.sample(range(k), min(k, rng.randrange(1, 4))):
+            f = rng.choice((-2, -1, 1, 2))
+            row = [a + f * x for a, x in zip(row, basis[b])]
+        return row
+
+    rows = [combination(r - s) for _ in range(m)]
+    for i in rng.sample(range(2 * n, m), s):
+        rows[i] = combination(r)
+    return rows
+
+
+def _one_pass(m, n, csr, p):
+    """The elimination mod p on one m x n array, as (supports, residues,
+    rows) lists: columns last to first, each pivoting on the first row
+    with a nonzero there, which is normalised and updates the rows below
+    at its support."""
+    at = np.zeros((n, m), dtype=np.int64 if p < 2**31 else object)
+    at[csr.indices, np.arange(m).repeat(np.diff(csr.indptr))] = csr.nums % p
+    flat = at.reshape(-1)
+    supports, residues, rows = [], [], []
+    for c in range(n - 1, -1, -1):
+        nz = at[c].nonzero()[0]
+        if nz.size == 0:
+            continue
+        i, below = nz[0], nz[1:]
+        row = at[:c + 1, i]
+        support = row.nonzero()[0]
+        res = row[support] * pow(int(row[c]), -1, p) % p
+        row[support] = 0
+        supports.append(support.tolist())
+        residues.append([int(x) for x in res])
+        rows.append(int(i))
+        if below.size:
+            cells = (support[:, None] * m + below).ravel()
+            f = flat.take(below + c * m)
+            flat.put(cells, (flat.take(cells) - (res[:, None] * f).ravel()) % p)
+    return supports, residues, rows
+
+
+def _pivot_lists(pivots):
+    """The pivots of _eliminate as (supports, residues, rows) lists."""
+    return ([s.tolist() for s, _ in pivots], [[int(x) for x in r] for _, r in pivots],
+            [int(i) for i in pivots.rows])
 
 
 def _to_ring(m, ring):
