@@ -635,7 +635,8 @@ def _cocycle_array(rack: RackTable, t) -> np.ndarray:
         # the new frontier, the rows it keeps and their indices, and per
         # condition the four values, the two products and their comparison
         charge_budget(count * (t.itemsize * (2 * pos + 2 + 8 * cond.shape[1]) + 8),
-                      f"the {count} partial cocycles of a nonabelian search")
+                      f"the {count} partial cocycles of a nonabelian search",
+                      "use a smaller rack or group")
         nxt = np.empty((count, pos + 1), dtype=t.dtype)
         nxt[:, :pos] = np.repeat(f, size, axis=0)
         nxt[:, pos] = np.tile(values, len(f))
@@ -694,7 +695,8 @@ def nonabelian_h2(rack: RackTable, group_table,
     least = np.empty_like(keys)
     for lo in range(0, len(keys), chunk):
         charge_budget(per_cocycle * min(chunk, len(keys) - lo),
-                      "the gauge images of a nonabelian class search")
+                      "the gauge images of a nonabelian class search",
+                      "use a smaller rack or group")
         images = t[t[left, cocycles[None, lo:lo + chunk]], right] @ digits
         at = np.searchsorted(keys, images).clip(max=len(keys) - 1)
         if (keys[at] != images).any():
@@ -703,7 +705,8 @@ def nonabelian_h2(rack: RackTable, group_table,
     reps = cocycles[np.searchsorted(keys, np.unique(least))]
     # a tuple of small ints per representative, and the list it is made from
     charge_budget(len(reps) * (120 + 16 * n * n),
-                  f"the {len(reps)} class representatives of a nonabelian H^2")
+                  f"the {len(reps)} class representatives of a nonabelian H^2",
+                  "use a smaller rack or group")
     return NonabelianH2(len(keys), len(reps), tuple(map(tuple, reps.tolist())))
 
 

@@ -16,14 +16,18 @@ matrix first comes from one elimination modulo a ~30-bit prime, proven
 by an exact certificate: its kernel mod p, lifted to integer vectors that
 the matrix annihilates over Z.  When the certificate refuses, the rank
 falls back to that echelon form.  Every F_p rank runs the same numpy
-elimination, with no certificate.  The Smith form runs it over Z, where it
-pivots only on +-1 entries, and runs its dense loop only on the core that
-remains.  That one loop (_eliminate) eliminates the columns of a
-column-major array from last to first, pivoting on the first row that
-meets each; on a rack differential such pivots share few columns with the
-other rows, so fill-in stays small.  A pivot step updates only the rows
-that meet the pivot column, and in them only the pivot row's support: on
-int64 entries below 2^31, on Python ints above.
+elimination.  The Smith form runs it over Z, where it pivots only on +-1
+entries, and runs its dense loop only on the core that remains.  That one
+loop (_eliminate) eliminates the columns of a column-major array from
+last to first, pivoting on the first row that meets each; on a rack
+differential such pivots share few columns with the other rows, so
+fill-in stays small.  A pivot step updates only the rows that meet the
+pivot column, and in them only the pivot row's support: mod p on int32
+residues, over Z on int64 entries below 2^31, on Python ints above.  Mod
+p a large tall matrix is read in two blocks of rows: the first 2n and a
+probe, a combination of the rest, which pivots only if the rest leaves
+their span; if not, a proof (the kernel mod p or the exact certificate)
+may put the rest in that span unread.
 Every rank comes with as many independent rows (independent_rows): the
 modular pivot rows, which are independent mod p and so over Q, a wide
 matrix's transpose's pivot columns, or the rows the echelon form found
@@ -57,6 +61,10 @@ MODULAR_RANK_THRESHOLD = 10_000
 # residues fit int64
 MODULAR_PRIME = 2**30 - 35
 
+# modular ranks of at least this many cells read rows in blocks (see
+# _eliminate); on fewer the probe and proof cost more than the rows skipped
+ROW_BLOCK_THRESHOLD = 400_000
+
 # the products that the exact check of a modular rank's kernel, and the
 # gauge images of a nonabelian class search, hold at once: larger blocks
 # stay resident in the malloc heap after they are freed
@@ -74,9 +82,10 @@ BYTES_PER_TERM = 72
 DEFAULT_SNF_BIT_CAP = 200_000
 
 
-def charge_budget(need: int, what: str) -> None:
+def charge_budget(need: int, what: str, hint: str = "lower the degree") -> None:
     """Refuse `what`, which takes `need` bytes, if that passes the memory
-    budget RACKOH_BUDGET_MB (a positive number of MiB, default 512)."""
+    budget RACKOH_BUDGET_MB (a positive number of MiB, default 512); the
+    message suggests `hint` or a larger budget."""
     mb = os.environ.get("RACKOH_BUDGET_MB", "512")
     try:
         budget = int(mb) << 20
@@ -87,7 +96,7 @@ def charge_budget(need: int, what: str) -> None:
     if need > budget:  # the need rounded up to 0.1 MiB reads above the budget
         raise ResourceError(
             f"{what} exceeds the memory budget ({-(-10 * need >> 20) / 10} MiB > "
-            f"{budget >> 20} MiB); lower the degree or raise RACKOH_BUDGET_MB")
+            f"{budget >> 20} MiB); {hint} or raise RACKOH_BUDGET_MB")
 
 
 def is_prime(n: int) -> bool:
@@ -811,73 +820,129 @@ class _Pivots(list):
     pair of arrays each (none over Z), and `rows`: the index of the matrix
     row that each pivoted on.  Each such row is the matrix row plus a
     combination of the rows that pivoted before it, so the matrix rows at
-    `rows` are independent mod p."""
+    `rows` are independent mod p; `proven` if a proof stopped it early."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "proven")
 
     def __init__(self):
         super().__init__()
-        self.rows = []
+        self.rows, self.proven = [], False
 
 
-def _eliminate(m, n, csr, p):
+def _eliminate(m, n, csr, p, exact=False):
     """(pivots, at): the pivots of one elimination of the m x n integer
     matrix of the numerators stored in `csr` (a CSR; the row denominators
     do not change the rank), as _Pivots, and the column-major array it
-    leaves.  With a prime p it works mod p: the pivots are the rank mod
-    p, each pivot row normalised so that its pivot entry, at the last
-    column of its support, is 1.  With p = 0 it works over Z, pivots
-    only on +-1 entries and keeps no pivot rows, only `rows`: the
-    invariant factors are len(rows) ones, then those of the array.
+    leaves (mod p, that of its last block).  With a prime p it works mod
+    p: the pivots are the rank mod p, each pivot row normalised so that
+    its pivot entry, at the last column of its support, is 1.  With p = 0
+    it works over Z, pivots only on +-1 entries and keeps no pivot rows,
+    only `rows`: the invariant factors are len(rows) ones, then those of
+    the array.
 
-    One numpy elimination over the columns from last to first, each
-    pivoting on the first row, in the original order, that has not
-    pivoted yet and has a nonzero in it (over Z a +-1; a column with
-    none is left as it is).  No rows are swapped: the pivot row is copied
-    out and zeroed in the array.  A pivot step updates only the rows with
-    a nonzero in the pivot column, and in them only the pivot row's
-    nonzero columns, through flat indices.  Mod p every column right of
-    the pivot is zero by then in the rows that have not pivoted, so each
-    pivot row's support lies in the columns up to its pivot; over Z
-    column operations then clear the pivot row and touch nothing else,
-    so zeroing it splits off a factor 1.  The order suits the
-    lex-ordered differentials: the rows whose first argument y_1 is
+    One numpy elimination (_sweep) over the columns from last to first,
+    each pivoting on the first row, in the original order, that has not
+    pivoted yet and has a nonzero in it (over Z a +-1).  The order suits
+    the lex-ordered differentials: the rows whose first argument y_1 is
     element 0 come first, and each column z meets an invertible (over Z,
-    +-1) block in row (0, z), from the term that deletes y_1.  All but
-    one of that row's other blocks sit in columns (0, ...), which come
-    first and so are eliminated last; the pivots therefore share few
-    columns with the rows below them (structural pivots, as in
-    LaMacchia-Odlyzko and Faugere-Lachartre), and the updates stay
-    small: on dihedral:5 d_4 they touch 1.2 M cells, against 7.6 M going
-    first to last.
+    +-1) block in row (0, z), from the term that deletes y_1.  All but one
+    of that row's other blocks sit in columns (0, ...), eliminated last;
+    the pivots therefore share few columns with the rows below them
+    (structural pivots, as in LaMacchia-Odlyzko and Faugere-Lachartre),
+    and the updates stay small: on dihedral:5 d_4 they touch 1.2 M cells,
+    against 7.6 M going first to last.
 
-    The array is stored column by column, so that finding a column's
-    nonzeros reads contiguous memory.  Its 8 * m * n bytes are charged to
-    the memory budget before it exists, mod p with the pivot rows: at
-    most n(n + 1)/2 columns and residues and 2n array headers.  Entries
-    start on int64 below 2^31, so every update's products fit: residues
-    mod p < 2^31, and over Z an update that reaches 2^31 moves the array
-    to Python ints, charged again, and the loop goes on there.  Larger
-    primes and entries run the same loop on Python ints.
-    The int64 array gets an anonymous mapping of its own, unmapped when
-    the array dies: a large array from the malloc heap stays resident
-    after it is freed, and whether the next one reuses it depends on the
-    heap's layout, so peak memory would differ from run to run.
+    Mod p < 2^31 a matrix of at least ROW_BLOCK_THRESHOLD cells is read
+    in two blocks, as a tall differential's independent rows sit near its
+    top.  The first is the first k = min(m, 2n) rows and a probe row that
+    combines the others (_residue_block).  A row pivots only where no row
+    above it has a nonzero, and its step touches only rows below it, so
+    rows evolve as if the rows below them were absent: the probe moves no
+    pivot, and pivots exactly when it leaves the span of the first k rows.
+    If it does not, a proof that the others lie in that span (the kernel
+    mod p of the pivot rows annihilates them, or with `exact` the
+    certificate of _kernel_certifies holds) stops the elimination; else
+    the others are reduced by the first block's pivots, interleaved with
+    their own in the same column order.  The pivots are those of one pass
+    over all rows either way, and the pivot rows the greedy row basis.
+
+    Mod p a block holds int32 residues, whose products run on int64
+    (larger primes: Python ints); over Z the array is int64 until an
+    update reaches 2^31, then Python ints.  Each array is charged to the
+    memory budget before it exists, mod p with the pivot rows (at most
+    n(n + 1)/2 columns and residues and 2n array headers), and an int
+    array gets an anonymous mapping of its own, unmapped when it dies: a
+    large array from the malloc heap stays resident after it is freed,
+    and whether the next one reuses it depends on the heap's layout, so
+    peak memory would differ from run to run.
     """
-    need = 8 * m * n
-    if p:
-        what = f"the {m}x{n} residue array of a modular rank"
-        charge_budget(need + 8 * n * (n + 1) + 2 * 112 * n, what)
-    else:
-        what = f"the Smith form working array of a {m}x{n} matrix"
-        charge_budget(need, what)
-    if (p or csr.top) < 2**31:
-        at = np.frombuffer(mmap.mmap(-1, need), dtype=np.int64).reshape(n, m)
-    else:
-        at = np.zeros((n, m), dtype=object)
-    at[csr.indices, _row_ids(csr.indptr)] = csr.nums % p if p else csr.nums
-    flat = at.reshape(-1)
     pivots = _Pivots()
+    if not p:
+        what = f"the Smith form working array of a {m}x{n} matrix"
+        charge_budget(8 * m * n, what)
+        at = (np.frombuffer(mmap.mmap(-1, 8 * m * n), dtype=np.int64).reshape(n, m)
+              if csr.top < 2**31 else np.zeros((n, m), dtype=object))
+        at[csr.indices, _row_ids(csr.indptr)] = csr.nums
+        return pivots, _sweep(at, 0, pivots, grow=lambda: charge_budget(16 * m * n, what))
+    k = min(m, 2 * n) if m * n >= ROW_BLOCK_THRESHOLD and p < 2**31 else m
+    at = _sweep(_residue_block(csr, 0, k, n, p, probe=k < m), p, pivots)
+    if k == m:
+        return pivots, at
+    if k in pivots.rows:  # the probe pivoted
+        t = pivots.rows.index(k)
+        del pivots[t], pivots.rows[t]
+    elif _kernel_certifies(m, n, csr, pivots, p, unread=None if exact else k):
+        pivots.proven = True
+        return pivots, at
+    del at
+    more = _Pivots()
+    at = _sweep(_residue_block(csr, k, m, n, p), p, more,
+                known={int(s[-1]): (s, r) for s, r in pivots})
+    both = sorted(zip(pivots + more, pivots.rows + [k + i for i in more.rows]),
+                  key=lambda pair: -pair[0][0][-1])
+    pivots[:], pivots.rows = [q for q, _ in both], [i for _, i in both]
+    return pivots, at
+
+
+def _residue_block(csr, lo, hi, n, p, probe=False):
+    """The column-major array of rows lo..hi - 1 of the matrix in `csr`
+    mod p (int32 below 2^31), charged with the pivot rows (see
+    _eliminate); with `probe` one row more, the sum mod p of the rows from
+    hi on, row i times the top 30 bits of i * 2^64 / golden ratio."""
+    rows, size = hi - lo + probe, 4 if p < 2**31 else 8
+    charge_budget(size * rows * n + 8 * n * (n + 1) + 2 * 112 * n,
+                  f"the {rows}x{n} residue array of a modular rank")
+    at = (np.frombuffer(mmap.mmap(-1, 4 * rows * n), dtype=np.int32).reshape(n, rows)
+          if size == 4 else np.zeros((n, rows), dtype=object))
+    a, b = csr.indptr[lo], csr.indptr[hi]
+    at[csr.indices[a:b], _row_ids(csr.indptr[lo:hi + 1])] = csr.nums[a:b] % p
+    if probe:
+        ids = _row_ids(csr.indptr[hi:]).astype(np.uint64) + np.uint64(hi)
+        weights = (ids * np.uint64(0x9E3779B97F4A7C15) >> np.uint64(34)).astype(np.int64)
+        sums = np.zeros(n, dtype=np.int64)
+        np.add.at(sums, csr.indices[b:], csr.nums[b:] % p * (weights % p) % p)
+        at[:, -1] = sums % p
+    return at
+
+
+def _sweep(at, p, pivots, grow=None, known=()):
+    """The elimination loop of _eliminate on the column-major array `at`
+    (so that finding a column's nonzeros reads contiguous memory), which
+    it returns, appending the pivots it finds to `pivots`; a column in
+    `known`, which maps it to a pivot row (support, residues) found on
+    earlier rows, reduces the rows by that row instead.
+
+    No rows are swapped: the pivot row is copied out and zeroed.  A pivot
+    step updates only the rows with a nonzero in the pivot column, and in
+    them only the pivot row's nonzero columns, through flat indices.  Mod
+    p every column right of the pivot is zero by then in the rows that
+    have not pivoted, so a pivot row's support ends at its pivot, and the
+    step skips the pivot column, never read again.  Over Z column
+    operations then clear the pivot row and touch nothing else, so zeroing
+    it splits off a factor 1; an update that reaches 2^31 on int64 calls
+    grow() and moves the array to Python ints."""
+    n, m = at.shape
+    flat = at.reshape(-1)
     for c in range(n - 1, -1, -1):
         if len(pivots.rows) == m:
             break
@@ -885,33 +950,39 @@ def _eliminate(m, n, csr, p):
         nz = col.nonzero()[0]
         if nz.size == 0:
             continue
-        if p:
-            i, below = nz[0], nz[1:]
-            row = at[:c + 1, i]
+        if c in known:
+            (support, residues), below = known[c], nz
         else:
-            unit = nz[np.abs(col[nz]) == 1]
-            if unit.size == 0:
-                continue
-            i = unit[0]
-            below, row = nz[nz != i], at[:, i]
-        support = row.nonzero()[0]
+            if p:
+                i, below = nz[0], nz[1:]
+                row = at[:c + 1, i]
+            else:
+                unit = nz[np.abs(col[nz]) == 1]
+                if unit.size == 0:
+                    continue
+                i = unit[0]
+                below, row = nz[nz != i], at[:, i]
+            support = row.nonzero()[0]
+            if p:
+                inv = pow(int(row[c]), -1, p)  # int64 times int32 is int64
+                residues = row[support] * (inv if p >= 2**31 else np.int64(inv)) % p
+                pivots.append((support, residues))
+            else:
+                residues = row[support] * row[c]
+            row[support] = 0
+            pivots.rows.append(int(i))
         if p:
-            residues = row[support] * pow(int(row[c]), -1, p) % p
-            pivots.append((support, residues))
-        else:
-            residues = row[support] * row[c]
-        row[support] = 0
-        pivots.rows.append(int(i))
-        if below.size:
+            support, residues = support[:-1], residues[:-1]
+        if below.size and support.size:
             cells = (support[:, None] * m + below).ravel()
-            f = flat.take(below + c * m)
-            new = flat.take(cells) - (residues[:, None] * f).ravel()
-            flat.put(cells, new % p if p else new)
-            if not p and at.dtype == np.int64 and np.abs(new).max() >= 2**31:
-                charge_budget(2 * need, what)
+            f = col.take(below)
+            vals = flat.take(cells) - (residues[:, None] * f).ravel()
+            flat.put(cells, vals % p if p else vals)
+            if not p and at.dtype == np.int64 and np.abs(vals).max() >= 2**31:
+                grow()
                 at = at.astype(object)
                 flat = at.reshape(-1)
-    return pivots, at
+    return at
 
 
 def _rank_certified(m, n, csr):
@@ -941,16 +1012,18 @@ def _rank_certified(m, n, csr):
         order = np.lexsort((rows, csr.indices))
         m, n, csr = n, m, ExactMatrix._normalised(
             n, m, ZZ, csr.indices[order] * m + rows[order], csr.nums[order])._csr
-    pivots = _eliminate(m, n, csr, MODULAR_PRIME)[0]
-    if not _kernel_certifies(m, n, csr, pivots, MODULAR_PRIME):
+    pivots = _eliminate(m, n, csr, MODULAR_PRIME, exact=True)[0]
+    if not (pivots.proven or _kernel_certifies(m, n, csr, pivots, MODULAR_PRIME)):
         return None
     return [support[-1] for support, _ in pivots] if wide else pivots.rows
 
 
-def _kernel_certifies(m, n, csr, pivots, p):
+def _kernel_certifies(m, n, csr, pivots, p, unread=None):
     """Whether the kernel mod p of the pivot rows `pivots` of the integer
     matrix A of the numerators stored in `csr` lifts to integer vectors
-    that A annihilates.
+    that A annihilates; with `unread`, whether the kernel mod p
+    annihilates the rows of A from `unread` on mod p: they lie in the span
+    of the pivot rows mod p.
 
     The free columns are taken in chunks, so that the kernel mod p, its
     lift and the back-substitution's products stay below half the
@@ -959,7 +1032,7 @@ def _kernel_certifies(m, n, csr, pivots, p):
     and 24 bytes per entry of A (its arrays, copied when a wide matrix is
     ranked as its transpose), are charged to the memory budget.
     """
-    nnz = csr.indices.size
+    nnz = csr.indices.size - csr.indptr[unread or 0]
     if not nnz:
         return True
     steps = _back_substitution(n, pivots)
@@ -969,14 +1042,16 @@ def _kernel_certifies(m, n, csr, pivots, p):
     charge_budget(24 * nnz + width * per_column
                   + min(8 * nnz * width, CHECK_BLOCK_BYTES),
                   f"the kernel certificate of a {m}x{n} modular rank")
-    starts, row_nnz = _row_starts(csr.indptr)
+    starts, row_nnz = _row_starts(csr.indptr[unread or 0:])
     bound = csr.top * row_nnz
     for lo in range(0, free.size, width):
-        lift = _lift_kernel(_kernel_mod_p(n, steps, free[lo:lo + width], p), p)
-        if lift is None or bound * int(np.abs(lift).max()) >= 2**62:
-            return False
+        lift = _kernel_mod_p(n, steps, free[lo:lo + width], p)
+        if unread is None:
+            lift = _lift_kernel(lift, p)
+            if lift is None or bound * int(np.abs(lift).max()) >= 2**62:
+                return False
         block = max(1, CHECK_BLOCK_BYTES // (8 * lift.shape[1] * row_nnz))
-        if not _annihilates(starts, csr.indices, csr.nums, lift, block):
+        if not _annihilates(starts, csr.indices, csr.nums, lift, block, p if unread else 0):
             return False
     return True
 
@@ -1055,19 +1130,20 @@ def _reconstruction_denominators(x, p):
     return out
 
 
-def _annihilates(starts, jj, vals, lift, block):
-    """Whether A @ lift == 0 exactly, for the integer matrix A whose
-    stored entries vals sit in columns jj and in non-empty rows that
-    begin at the offsets `starts`, `block` rows at a time: each entry
-    times its column's row of lift, summed by row with np.add.reduceat,
-    which would misread an empty row.  The caller keeps every sum below
-    2^62."""
+def _annihilates(starts, jj, vals, lift, block, p=0):
+    """Whether A @ lift == 0 exactly (mod p < 2^31 if p, lift residues),
+    for the integer matrix A whose stored entries vals sit in columns jj
+    and in non-empty rows that begin at the offsets `starts` and end at
+    the last entry, `block` rows at a time: each entry times its column's
+    row of lift, summed by row with np.add.reduceat, which would misread
+    an empty row.  Over Z the caller keeps every sum below 2^62."""
     for a in range(0, starts.size, block):
         lo = starts[a]
         hi = starts[a + block] if a + block < starts.size else jj.size
         products = lift[jj[lo:hi]]
-        products *= vals[lo:hi, None]
-        if np.add.reduceat(products, starts[a:a + block] - lo).any():
+        products *= vals[lo:hi, None] % p if p else vals[lo:hi, None]
+        sums = np.add.reduceat(products % p if p else products, starts[a:a + block] - lo)
+        if (sums % p if p else sums).any():
             return False
     return True
 

@@ -80,7 +80,8 @@ def group_closure(degree: int, perms, mats=(),
             if len(elements) > limit:  # charge the doubled list
                 limit *= 2
                 charge_budget(limit * _element_bytes(prod),
-                              f"a group closure of {limit} elements")
+                              f"a group closure of {limit} elements",
+                              "use a smaller rack or module")
     return elements
 
 

@@ -347,12 +347,13 @@ class TestBudgets:
         assert "budget" in err
 
     def test_residue_array_budget_exit_3(self, capsys, monkeypatch):
-        # with the builder's charge waived, the rank of dihedral:5 d_4
-        # (a 3125 x 625 residue array, 15 MiB) is what passes the budget;
-        # the zero check d_4 @ d_3 before it is charged 4.9 MiB
-        monkeypatch.setenv("RACKOH_BUDGET_MB", "8")
+        # with the builder's charge waived, the rank of dihedral:6 d_4
+        # (cleared to 7776 x 1116, its first block of 2233 rows a 9.5 MiB
+        # residue array, 19.3 MiB with its pivot rows) is what passes the
+        # budget; the zero check d_4 @ d_3 before it is charged 11.8 MiB
+        monkeypatch.setenv("RACKOH_BUDGET_MB", "16")
         monkeypatch.setattr(cochains, "BYTES_PER_ENTRY", 1)
-        code, _, err = run_cli(capsys, "cohomology", "--rack", "dihedral:5",
+        code, _, err = run_cli(capsys, "cohomology", "--rack", "dihedral:6",
                                "--ring", "F7", "--max-degree", "4")
         assert code == 3
         assert "residue array" in err and "budget" in err
@@ -399,9 +400,9 @@ class TestBudgets:
     def test_resident_growth_stays_within_the_budget(self, mb):
         # a child process runs a fixed list of calls under the budget: the
         # growth of its peak resident set over the bare import stays within
-        # the budget, or it exits 3.  At 16 MiB the rank of dihedral:5 d_4
-        # (a 15 MiB residue array and its pivot rows, 18 MiB) refuses; at
-        # 64 MiB everything runs
+        # the budget, or it exits 3.  The rank of dihedral:5 d_4 reads its
+        # first 1251 of 3125 rows (a 3 MiB residue array and its pivot rows,
+        # 6 MiB), so everything runs at 16 MiB as at 64 MiB
         src = Path(__file__).resolve().parents[1] / "src"
         path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "RACKOH_BUDGET_MB": str(mb), "PYTHONPATH": path}
@@ -427,6 +428,7 @@ class TestBudgets:
         assert child.returncode == 3
         assert "Traceback" not in child.stderr
         assert "group closure" in child.stderr and "budget" in child.stderr
+        assert "smaller rack" in child.stderr and "degree" not in child.stderr
         assert time.perf_counter() - start < 10
 
     def test_group_closure_fits_the_default_budget(self, capsys, tmp_path, monkeypatch):

@@ -249,19 +249,43 @@ class TestRank:
             # of all rows before them
             assert sorted(pivots.rows) == rref.independent
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_tall_matrices_pivot_as_one_pass(self, seed):
+    def test_tall_matrices_pivot_as_one_pass(self, monkeypatch):
         # tall matrices (m >= 8n) whose rows past the first 2n mostly lie
         # in the span of those, and sometimes leave it in one or two
         # directions: the elimination gives the pivots, residues and rows
-        # of the one-pass loop
-        rng = random.Random(seed)
-        n = rng.randrange(8, 30)
-        m = 8 * n + rng.randrange(0, 3 * n)
-        rows = _tall_rows(rng, m, n)
+        # of the one-pass loop, whether it stops at a proof, the probe
+        # leaves the span, or the proof fails after a zero probe (p = 2)
+        # and the second block runs
+        seen, calls = set(), []
+        certifies, block = linalg._kernel_certifies, linalg._residue_block
+
+        def spy_certifies(*args, **kwargs):
+            calls.append(("proof", certifies(*args, **kwargs)))
+            return calls[-1][1]
+
+        def spy_block(csr, lo, *args, **kwargs):
+            calls.append(("block", lo))
+            return block(csr, lo, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_kernel_certifies", spy_certifies)
+        monkeypatch.setattr(linalg, "_residue_block", spy_block)
+        monkeypatch.setattr(linalg, "ROW_BLOCK_THRESHOLD", 0)
+        for seed in range(12):
+            rng = random.Random(seed)
+            n = rng.randrange(8, 30)
+            m = 8 * n + rng.randrange(0, 3 * n)
+            rows = _tall_rows(rng, m, n)
+            coo = ExactMatrix.from_rows(rows, ZZ).csr
+            for p in (2, 3, 7, MODULAR_PRIME, 2**61 - 1):
+                calls.clear()
+                assert _pivot_lists(_eliminate(m, n, coo, p)[0]) == _one_pass(m, n, coo, p)
+                after = [kind if kind == "block" else result for kind, result in calls[1:]]
+                seen.add({(): "one block", (True,): "proof", ("block",): "escape",
+                          (False, "block"): f"failed proof at p = {p}"}[tuple(after)])
+        assert {"proof", "escape", "failed proof at p = 2"} <= seen
+        rows[2 * n:] = [[0] * n] * (m - 2 * n)  # the proof on rows with no entry
         coo = ExactMatrix.from_rows(rows, ZZ).csr
-        for p in (2, 3, 7, MODULAR_PRIME, 2**61 - 1):
-            assert _pivot_lists(_eliminate(m, n, coo, p)[0]) == _one_pass(m, n, coo, p)
+        assert _pivot_lists(_eliminate(m, n, coo, 7)[0]) == _one_pass(m, n, coo, 7)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=6, deadline=None)
@@ -301,15 +325,20 @@ class TestRank:
                                 3).rank() == 312
 
     def test_residue_array_is_charged_to_the_budget(self, monkeypatch):
-        # 8 bytes per cell of the m x n array, and 16 for each of the
-        # n(n + 1)/2 entries the pivot rows can hold, however few entries
-        # are stored: 846,400 bytes for 300 x 200 (a 200 x 300 matrix
-        # ranks as its transpose), 2,652,800 for 400 x 400
+        # 4 bytes per cell of the array of the rows read, 16 for each of
+        # the n(n + 1)/2 entries the pivot rows can hold and 224 per column,
+        # however few entries are stored: 606,400 bytes for 300 x 200 (a
+        # 200 x 300 matrix ranks as its transpose), 2,012,800 for 400 x
+        # 400, and 183,600 for 5000 x 100, whose first block (200 rows and
+        # the probe) holds a basis: an int64 array of all rows took 4 MB
         monkeypatch.setenv("RACKOH_BUDGET_MB", "1")
         entries = {(i, i): 1 for i in range(0, 200, 20)}
         with pytest.raises(ResourceError, match="budget"):
             ExactMatrix.from_entries(400, 400, ZZ, entries).rank()
         assert ExactMatrix.from_entries(200, 300, ZZ, entries).rank() == 10
+        tall = {(i, i % 100): 1 for i in range(5000)}
+        for ring in (ZZ, GF(7)):
+            assert ExactMatrix.from_entries(5000, 100, ring, tall).rank() == 100
 
 
 def _tall_rows(rng, m, n):
