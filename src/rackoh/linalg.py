@@ -10,14 +10,16 @@ budget before they are expanded; that A @ B = 0 is tested exactly, over
 every ring, as a product that stores no entry.  A product with a vector
 is the one-column case: the vector becomes a column (from_columns), and
 the column of the result a list again (column).
-Over Z and Q one exact elimination, a reduced row echelon form on integer
-rows, serves rank, kernels, solves and inverses.  The rank of a large
-matrix first comes from one elimination modulo a ~30-bit prime, proven
-by an exact certificate: its kernel mod p, lifted to integer vectors that
-the matrix annihilates over Z.  When the certificate refuses, the rank
-falls back to that echelon form.  Every F_p rank runs the same numpy
-elimination.  The Smith form runs it over Z, where it pivots only on +-1
-entries, and runs its dense loop only on the core that remains.  That one
+One numpy elimination serves every rank, kernel, solve, inverse and
+column basis.  Over F_p it runs mod p.  Over Z and Q it runs modulo a
+~30-bit prime and is proven by an exact certificate: its kernel mod p,
+lifted to integer vectors that the matrix annihilates over Z.  The lift
+is then the kernel over Q, a solve is the kernel of [rhs | A] and an
+inverse a solve against the identity.  When the certificate refuses (a
+prime that divides a minor, large denominators or entries), more primes
+are combined by CRT and rational reconstruction until the exact check
+holds.  The Smith form runs the elimination over Z, where it pivots only
+on +-1 entries, and runs its dense loop only on the core that remains.  That one
 loop (_eliminate) eliminates the columns of a column-major array from
 last to first, pivoting on the first row that meets each; on a rack
 differential such pivots share few columns with the other rows, so
@@ -29,9 +31,8 @@ probe, a combination of the rest, which pivots only if the rest leaves
 their span; if not, a proof (the kernel mod p or the exact certificate)
 may put the rest in that span unread.
 Every rank comes with as many independent rows (independent_rows): the
-modular pivot rows, which are independent mod p and so over Q, a wide
-matrix's transpose's pivot columns, or the rows the echelon form found
-independent.  They let a chain complex clear d_n before ranking it (see
+modular pivot rows, which are independent mod p and so over Q, or a wide
+matrix's transpose's pivot columns.  They let a chain complex clear d_n before ranking it (see
 cohomology.RackComplex): when d_n @ d_(n-1) = 0, checked exactly once per
 degree for field and integral ranks alike, the columns of d_n at
 rank d_(n-1) independent rows of d_(n-1) are combinations of its other
@@ -54,11 +55,8 @@ import numpy as np
 
 from .errors import InputError, PreconditionError, ResourceError
 
-# matrices with at least this many entries use the modular rank path
-MODULAR_RANK_THRESHOLD = 10_000
-
-# the prime of that path: the largest below 2^30, so that products of
-# residues fit int64
+# the prime of the elimination over Z and Q: the largest below 2^30, so
+# that products of residues fit int64 (more primes below it if need be)
 MODULAR_PRIME = 2**30 - 35
 
 # modular ranks of at least this many cells read rows in blocks (see
@@ -69,6 +67,11 @@ ROW_BLOCK_THRESHOLD = 400_000
 # gauge images of a nonabelian class search, hold at once: larger blocks
 # stay resident in the malloc heap after they are freed
 CHECK_BLOCK_BYTES = 1 << 20
+
+# elimination arrays below this size come from the malloc heap, where they
+# cost less than a mapping of their own; the kernel certificate's chunks
+# may take this much whatever the size of the matrix
+SMALL_BYTES = 1 << 16
 
 # What a matrix product charges per expanded term (one pair of stored
 # entries that meet) before it expands them: its int64 key, position and
@@ -575,37 +578,35 @@ class ExactMatrix:
         independent over the ring (over Q for Z), found once per matrix.
 
         F_p matrices run one modular elimination and give its pivot rows.
-        Z/Q matrices with at least MODULAR_RANK_THRESHOLD entries run it
-        mod MODULAR_PRIME, whose pivot rows are independent mod p and so
-        over Q, and prove the rank by an exact kernel certificate (see
-        _rank_certified); smaller ones, and those whose certificate
-        refuses, give the rows that the exact reduced row echelon form
-        found independent of the rows before them.
+        Z/Q matrices run it mod MODULAR_PRIME, whose pivot rows are
+        independent mod p and so over Q, and prove the rank by an exact
+        kernel certificate (see _rank_certified), a wide matrix as its
+        transpose.
         """
         if self._independent is None:
-            m, n, rows = self.rows, self.cols, None
-            if not m or not n:
-                rows = []
+            rows = []
+            if not self._csr.nums.size:
+                pass
             elif isinstance(self.ring, PrimeField):
-                rows = _eliminate(m, n, self._csr, self.ring.p)[0].rows
-            elif m * n >= MODULAR_RANK_THRESHOLD:
-                rows = _rank_certified(m, n, self._csr)
-            if rows is None:
-                rows = self._rref().independent
+                rows = _eliminate(self.rows, self.cols, self._csr, self.ring.p)[0].rows
+            else:
+                rows = _rank_certified(self.rows, self.cols, self._csr)
             self._independent = np.sort(np.array(rows, dtype=np.int64))
             self._independent.flags.writeable = False
         return self._independent
 
-    # -- field elimination ----------------------------------------------------
+    # -- kernels and solves ---------------------------------------------------
 
-    def _rref(self):
-        """The reduced row echelon form of the stored rows (over Q for Z)."""
-        rref = _IncrementalRREF(self.cols, getattr(self.ring, "p", None))
-        c = self._csr
-        ptr, cols, nums = c.indptr.tolist(), c.indices.tolist(), c.nums.tolist()
-        for a, b in zip(ptr, ptr[1:]):
-            rref.feed(zip(cols[a:b], nums[a:b]))
-        return rref
+    def _kernel(self):
+        """(free, kernel): the mask of the columns on which the elimination
+        of _eliminate does not pivot, and for each such free column f, in
+        order, the kernel vector that is 1 at f and 0 at the other free
+        columns, as the columns of an integer array: mod p over F_p, over
+        Z and Q (over Q for Z) d times the vector, for its d > 0 at f."""
+        n, c = self.cols, self._csr
+        if not c.nums.size:
+            return np.ones(n, dtype=bool), np.eye(n, dtype=np.int64)
+        return _kernel(self.rows, n, c, getattr(self.ring, "p", 0))
 
     def kernel_basis(self):
         """Basis of the right kernel; field rings only."""
@@ -614,19 +615,17 @@ class ExactMatrix:
 
     def kernel_matrix(self):
         """Columns spanning the right kernel, one per free column f of the
-        reduced row echelon form: 1 at f, minus column f of the reduced
-        pivot rows at the pivot columns."""
+        elimination (columns from last to first): 1 at f, 0 at the other
+        free columns."""
         if not self.ring.is_field:
             raise PreconditionError("kernel_basis needs a field ring (Q or Fp)")
-        rref = self._rref()
-        pivots = set(rref.pivot_cols)
-        free = [j for j in range(self.cols) if j not in pivots]
-        return rref.matrix(self.ring, self.cols, free, free)
+        free, lift = self._kernel()
+        return _over_columns(self.ring, lift, lift[free, np.arange(lift.shape[1])])
 
     def column_basis(self):
-        """The columns at the pivots of the reduced row echelon form (the
-        first columns that span the column space), as a matrix."""
-        return self.select_columns(self._rref().pivot_cols)
+        """The columns at the pivots of the elimination (the last columns
+        that span the column space), as a matrix."""
+        return self.select_columns((~self._kernel()[0]).nonzero()[0])
 
     def solve(self, rhs):
         """Some solution x of self @ x = rhs, or None; field rings only."""
@@ -640,25 +639,29 @@ class ExactMatrix:
             raise PreconditionError("solve needs a field ring (Q or Fp)")
         if rhs.rows != self.rows:
             raise InputError("rhs row count mismatch")
-        rref = self.hstack(rhs)._rref()
-        width = self.cols
-        if any(c >= width for c in rref.pivot_cols):
+        return self._solve(rhs)
+
+    def _solve(self, rhs):
+        """The X with self @ X = rhs that is 0 at the free unknowns (over Q
+        for Z), or None: the kernel of [rhs | self], whose columns are
+        eliminated last to first, so that rhs's columns are free unless
+        the system is inconsistent; column t of X is minus the kernel
+        vector of free column t, read at self's columns."""
+        k = rhs.cols
+        free, lift = rhs.hstack(self)._kernel()
+        if not free[:k].all():
             return None
-        return rref.matrix(self.ring, width, range(width, width + rhs.cols))
+        return _over_columns(self.ring, -lift[k:, :k], lift[np.arange(k), np.arange(k)])
 
     def inverse(self):
         """Inverse matrix; InputError when singular (Z needs a unimodular
-        input): the right half of the echelon form of rows [A_i | d_i e_i]."""
+        input): the solve against the identity."""
         n = self.rows
         if n != self.cols:
             raise InputError("only square matrices can be inverted")
-        ptr, cols, nums, dens = (a.tolist() for a in self._csr[:4])
-        rref = _IncrementalRREF(2 * n, getattr(self.ring, "p", None))
-        for i, (a, b) in enumerate(zip(ptr, ptr[1:])):
-            rref.feed([*zip(cols[a:b], nums[a:b]), (n + i, dens[i])])
-        if any(c >= n for c in rref.pivot_cols):
+        inv = self._solve(ExactMatrix.identity(n, self.ring))
+        if inv is None:
             raise InputError("matrix is singular")
-        inv = rref.matrix(self.ring, n, range(n, 2 * n))
         if self.ring == ZZ and (inv._csr.dens != 1).any():
             raise InputError("matrix is not invertible over Z")
         return inv
@@ -690,6 +693,15 @@ def _summed(rows, cols, ring, key, vals, den):
         if first.size < key.size:
             key, vals = key[first], np.add.reduceat(vals, first)
     return ExactMatrix._normalised(rows, cols, ring, key, vals, den)
+
+
+def _over_columns(ring, nums, dens):
+    """The matrix whose column t is nums[:, t] / dens[t], for a 2-D integer
+    array nums and positive integers dens (all 1 unless the ring is Q, or
+    Z when the result should be integral): put over the lcm D of dens."""
+    den = lcm(*dens.tolist())
+    nums, top = _canonical(nums)
+    return ExactMatrix.from_dense(_exact(nums, top * den) * (den // _exact(dens, den)), ring, den)
 
 
 def _exact(a, bound):
@@ -733,86 +745,6 @@ def _row_starts(indptr):
 
 # ---------------------------------------------------------------------------
 # elimination kernels
-
-
-class _IncrementalRREF:
-    """Reduced row echelon form built one row at a time.
-
-    Pivot rows are kept mutually reduced, so feeding a row costs one pass
-    over the current pivots; well suited to the tall thin matrices that
-    show up as restricted differentials.  Over F_p entries are residues
-    and each pivot entry is 1.  Over Q (p=None) rows are integers: each
-    pivot row is stored primitive with a positive pivot entry, which is
-    its denominator (the reduced row is row / row[pivot]).  Rows are
-    reduced by cross-multiplication and divided by their gcd, so no
-    Fraction is made.  `independent` lists, in feeding order, the indices
-    of the rows that were independent of the rows fed before them.
-    """
-
-    def __init__(self, width, p=None):
-        self.width = width
-        self.p = p
-        self.reduced = []
-        self.pivot_cols = []
-        self.independent = []
-        self.fed = 0
-
-    def _reduce(self, row, other, c):
-        """row with its column-c entry cleared by `other`, the pivot row of c."""
-        f, p = row[c], self.p
-        if p is not None:
-            return [(a - f * b) % p for a, b in zip(row, other)]
-        g = gcd(f, other[c])
-        f, h = f // g, other[c] // g
-        row = [h * a - f * b for a, b in zip(row, other)]
-        g = gcd(*row)
-        return [a // g for a in row] if g > 1 else row
-
-    def feed(self, items):
-        """Add the row given by its (column, integer) pairs (over Q any
-        nonzero multiple of the row will do); True if it was independent
-        of the rows fed so far."""
-        p = self.p
-        self.fed += 1
-        row = [0] * self.width
-        for j, x in items:
-            row[j] = x if p is None else int(x) % p
-        for r, c in zip(self.reduced, self.pivot_cols):
-            if row[c]:
-                row = self._reduce(row, r, c)
-        lead = next((j for j in range(self.width) if row[j]), None)
-        if lead is None:
-            return False
-        if p is None:
-            g = gcd(*row) if row[lead] > 0 else -gcd(*row)
-            row = [a // g for a in row]
-        else:
-            inv = pow(row[lead], -1, p)
-            row = [a * inv % p for a in row]
-        for i, r in enumerate(self.reduced):
-            if r[lead]:
-                self.reduced[i] = self._reduce(r, row, lead)
-        pos = bisect_left(self.pivot_cols, lead)
-        self.reduced.insert(pos, row)
-        self.pivot_cols.insert(pos, lead)
-        self.independent.append(self.fed - 1)
-        return True
-
-    def matrix(self, ring, rows, cols, free=()):
-        """The rows x len(cols) matrix whose row c, for each pivot column c,
-        is the reduced pivot row of c read at the columns `cols`; the other
-        rows are zero.  With free columns `free` (then also `cols`), the
-        pivot rows are negated and row free[t] is 1 at column t: the kernel
-        basis."""
-        sign, w = (-1 if free else 1), len(cols)
-        pairs = [(j * w + t, 1) for t, j in enumerate(free)]
-        dens = np.ones(rows, dtype=object)
-        for r, c in zip(self.reduced, self.pivot_cols):
-            pairs += [(c * w + t, sign * r[j]) for t, j in enumerate(cols) if r[j]]
-            dens[c] = r[c]
-        pairs = np.array(sorted(pairs), dtype=object).reshape(-1, 2)
-        return ExactMatrix._normalised(rows, w, ring, pairs[:, 0].astype(np.int64),
-                                       pairs[:, 1], dens if self.p is None else 1)
 
 
 class _Pivots(list):
@@ -871,7 +803,8 @@ def _eliminate(m, n, csr, p, exact=False):
     update reaches 2^31, then Python ints.  Each array is charged to the
     memory budget before it exists, mod p with the pivot rows (at most
     n(n + 1)/2 columns and residues and 2n array headers), and an int
-    array gets an anonymous mapping of its own, unmapped when it dies: a
+    array of SMALL_BYTES or more gets an anonymous mapping of its own (_zeroed),
+    unmapped when it dies: a
     large array from the malloc heap stays resident after it is freed,
     and whether the next one reuses it depends on the heap's layout, so
     peak memory would differ from run to run.
@@ -880,8 +813,7 @@ def _eliminate(m, n, csr, p, exact=False):
     if not p:
         what = f"the Smith form working array of a {m}x{n} matrix"
         charge_budget(8 * m * n, what)
-        at = (np.frombuffer(mmap.mmap(-1, 8 * m * n), dtype=np.int64).reshape(n, m)
-              if csr.top < 2**31 else np.zeros((n, m), dtype=object))
+        at = _zeroed((n, m), np.int64 if csr.top < 2**31 else object)
         at[csr.indices, _row_ids(csr.indptr)] = csr.nums
         return pivots, _sweep(at, 0, pivots, grow=lambda: charge_budget(16 * m * n, what))
     k = min(m, 2 * n) if m * n >= ROW_BLOCK_THRESHOLD and p < 2**31 else m
@@ -912,8 +844,7 @@ def _residue_block(csr, lo, hi, n, p, probe=False):
     rows, size = hi - lo + probe, 4 if p < 2**31 else 8
     charge_budget(size * rows * n + 8 * n * (n + 1) + 2 * 112 * n,
                   f"the {rows}x{n} residue array of a modular rank")
-    at = (np.frombuffer(mmap.mmap(-1, 4 * rows * n), dtype=np.int32).reshape(n, rows)
-          if size == 4 else np.zeros((n, rows), dtype=object))
+    at = _zeroed((n, rows), np.int32 if size == 4 else object)
     a, b = csr.indptr[lo], csr.indptr[hi]
     at[csr.indices[a:b], _row_ids(csr.indptr[lo:hi + 1])] = csr.nums[a:b] % p
     if probe:
@@ -923,6 +854,15 @@ def _residue_block(csr, lo, hi, n, p, probe=False):
         np.add.at(sums, csr.indices[b:], csr.nums[b:] % p * (weights % p) % p)
         at[:, -1] = sums % p
     return at
+
+
+def _zeroed(shape, dtype):
+    """A zeroed array; an int array of SMALL_BYTES or more on an anonymous
+    mapping of its own (see _eliminate)."""
+    size = prod(shape) * np.dtype(dtype).itemsize
+    if dtype is object or size < SMALL_BYTES:
+        return np.zeros(shape, dtype=dtype)
+    return np.frombuffer(mmap.mmap(-1, size), dtype=dtype).reshape(shape)
 
 
 def _sweep(at, p, pivots, grow=None, known=()):
@@ -986,26 +926,24 @@ def _sweep(at, p, pivots, grow=None, known=()):
 
 
 def _rank_certified(m, n, csr):
-    """Rank-many independent rows of the m x n integer matrix of the
-    numerators stored in `csr`, from one elimination mod MODULAR_PRIME,
-    or None when its certificate refuses.
+    """Rank-many independent rows of the m x n integer matrix A of the
+    numerators stored in `csr`, proven over Q.
 
-    The rank r mod p is at most the rank over Q.  The n - r kernel
-    vectors mod p that are the identity on the free (non-pivot) columns
-    are lifted to integer vectors and checked exactly: they are
-    independent, so a lift that A annihilates over Z proves the rank is
-    at most r.  A prime that divides a maximal minor, a kernel that
-    needs a denominator of 2^15 or more, or an entry of 2^31 or more
-    (the check runs on int64) makes the certificate refuse.  A wide
-    matrix is ranked as its transpose, whose kernel is the smaller: the
-    entries sorted by column, then row, with np.lexsort and read by fancy
-    indexing.  Its independent rows are then the transpose's pivot
-    columns: there the pivot rows form a triangular matrix with a unit
-    diagonal, as each clears its pivot column in the rows that pivot
-    after it.
+    One elimination mod MODULAR_PRIME gives r pivot rows, independent mod
+    p and so over Q, so the rank is at least r.  The n - r kernel vectors
+    mod p that are the identity on the free (non-pivot) columns are
+    lifted to integer vectors and checked exactly: they are independent,
+    so a lift that A annihilates over Z proves the rank is at most r.  A
+    prime that divides a maximal minor, a kernel that needs a denominator
+    of 2^15 or more, or an entry of 2^31 or more (the check runs on int64)
+    makes this certificate refuse; then _crt_kernel proves the rank with
+    more primes.  A wide matrix is ranked as its transpose, whose kernel
+    is the smaller: the entries sorted by column, then row, with
+    np.lexsort and read by fancy indexing.  Its independent rows are then
+    the transpose's pivot columns: there the pivot rows form a triangular
+    matrix with a unit diagonal, as each clears its pivot column in the
+    rows that pivot after it.
     """
-    if csr.top >= 2**31:
-        return None
     wide = m < n
     if wide:
         rows = _row_ids(csr.indptr)
@@ -1014,31 +952,100 @@ def _rank_certified(m, n, csr):
             n, m, ZZ, csr.indices[order] * m + rows[order], csr.nums[order])._csr
     pivots = _eliminate(m, n, csr, MODULAR_PRIME, exact=True)[0]
     if not (pivots.proven or _kernel_certifies(m, n, csr, pivots, MODULAR_PRIME)):
-        return None
+        pivots = _crt_kernel(m, n, csr, pivots)[0]
     return [support[-1] for support, _ in pivots] if wide else pivots.rows
 
 
-def _kernel_certifies(m, n, csr, pivots, p, unread=None):
+def _kernel(m, n, csr, p):
+    """ExactMatrix._kernel of the m x n integer matrix of the numerators
+    stored in `csr` (the row denominators do not change the kernel), mod
+    p, or over Q for p = 0: the lift that proves _rank_certified's rank,
+    kept, or _crt_kernel's when that certificate refuses."""
+    pivots = _eliminate(m, n, csr, p or MODULAR_PRIME)[0]
+    free = _free_columns(n, pivots)
+    if p:
+        return free, _kernel_mod_p(n, _back_substitution(n, pivots), free.nonzero()[0], p)
+    lifts = [np.zeros((n, 0), dtype=np.int64)]
+    if _kernel_certifies(m, n, csr, pivots, MODULAR_PRIME, keep=lifts):
+        return free, np.concatenate(lifts, axis=1)
+    return _crt_kernel(m, n, csr, pivots)[1:]
+
+
+def _crt_kernel(m, n, csr, pivots):
+    """(pivots, free, lift) as _kernel over Q gives them, for the m x n
+    integer matrix A of the numerators stored in `csr`, when the
+    certificate of `pivots`, its elimination mod MODULAR_PRIME, refuses:
+    from that prime and then each prime below it in turn.
+
+    The primes whose pivot columns, read from the last, are
+    lexicographically greatest so far are kept: a prime that divides a
+    minor only loses pivot columns, and the last column it loses is one
+    that Q keeps, while every prime of Q's pivots has the kernel of Q mod
+    p.  The kept primes' kernels mod p are combined by CRT, and each
+    column is lifted by rational reconstruction modulo their product
+    (_lift_kernel).  The first lift that A annihilates, checked on Python
+    ints, is returned, with the last prime's pivots: it proves the rank
+    as in _rank_certified and is the kernel over Q.  That check alone
+    makes the result exact; the rule for the primes only decides how soon
+    it holds.  The CRT residues, the lift and the check's products are
+    charged to the memory budget.
+    """
+    starts, row_nnz = _row_starts(csr.indptr)
+    p, best = MODULAR_PRIME, None
+    while True:
+        cols = [int(support[-1]) for support, _ in pivots]
+        if best is None or cols > best:
+            best, x, modulus = cols, 0, 1
+        if cols == best:
+            free = _free_columns(n, pivots)
+            r = _kernel_mod_p(n, _back_substitution(n, pivots), free.nonzero()[0], p)
+            x = x + modulus * ((r.astype(object) - x) * pow(modulus, -1, p) % p)
+            modulus *= p
+            entry = 8 + sys.getsizeof(modulus * csr.top * row_nnz)
+            charge_budget(3 * x.size * entry + CHECK_BLOCK_BYTES // 8 * entry,
+                          f"the kernel of a {m}x{n} matrix modulo several primes")
+            lift = _lift_kernel(x.copy(), modulus)
+            if lift is not None and _annihilates(starts, csr.indices, csr.nums, lift, max(
+                    1, CHECK_BLOCK_BYTES // (8 * max(1, lift.shape[1]) * row_nnz))):
+                return pivots, free, lift
+        p -= 2
+        while not is_prime(p):
+            p -= 2
+        pivots = _eliminate(m, n, csr, p)[0]
+
+
+def _free_columns(n, pivots):
+    """The mask of the columns of an n-column matrix on which `pivots`, the
+    pivot rows of an elimination mod p, do not pivot."""
+    free = np.ones(n, dtype=bool)
+    free[[support[-1] for support, _ in pivots]] = False
+    return free
+
+
+def _kernel_certifies(m, n, csr, pivots, p, unread=None, keep=None):
     """Whether the kernel mod p of the pivot rows `pivots` of the integer
     matrix A of the numerators stored in `csr` lifts to integer vectors
-    that A annihilates; with `unread`, whether the kernel mod p
-    annihilates the rows of A from `unread` on mod p: they lie in the span
-    of the pivot rows mod p.
+    that A annihilates, each lift appended to the list `keep` if given;
+    with `unread`, whether the kernel mod p annihilates the rows of A from
+    `unread` on mod p: they lie in the span of the pivot rows mod p.
 
     The free columns are taken in chunks, so that the kernel mod p, its
     lift and the back-substitution's products stay below half the
-    8 * m * n bytes of the residue array; the check takes A's rows in
+    8 * m * n bytes of the residue array, or SMALL_BYTES if that is
+    more; the check takes A's rows in
     blocks whose products fill at most CHECK_BLOCK_BYTES.  These arrays,
     and 24 bytes per entry of A (its arrays, copied when a wide matrix is
     ranked as its transpose), are charged to the memory budget.
     """
     nnz = csr.indices.size - csr.indptr[unread or 0]
-    if not nnz:
+    free = _free_columns(n, pivots).nonzero()[0]
+    if not (nnz and free.size):
         return True
+    if unread is None and csr.top >= 2**31:
+        return False
     steps = _back_substitution(n, pivots)
     per_column = 8 * (4 * n + 2 * max((c.size for _, c, _, _ in steps), default=0))
-    free = np.setdiff1d(np.arange(n), [support[-1] for support, _ in pivots])
-    width = max(1, min(free.size, 4 * m * n // per_column))
+    width = max(1, min(free.size, max(4 * m * n, SMALL_BYTES) // per_column))
     charge_budget(24 * nnz + width * per_column
                   + min(8 * nnz * width, CHECK_BLOCK_BYTES),
                   f"the kernel certificate of a {m}x{n} modular rank")
@@ -1053,6 +1060,8 @@ def _kernel_certifies(m, n, csr, pivots, p, unread=None):
         block = max(1, CHECK_BLOCK_BYTES // (8 * lift.shape[1] * row_nnz))
         if not _annihilates(starts, csr.indices, csr.nums, lift, block, p if unread else 0):
             return False
+        if keep is not None:
+            keep.append(lift)
     return True
 
 
@@ -1082,8 +1091,9 @@ def _back_substitution(n, pivots):
 def _kernel_mod_p(n, steps, free, p):
     """The kernel vectors mod p of the pivot rows that are 1 at one column
     of `free` and 0 at the other free columns, as the columns of an
-    n x len(free) array, from the back-substitution `steps`."""
-    x = np.zeros((n, free.size), dtype=np.int64)
+    n x len(free) array (of Python ints for p >= 2^31), from the
+    back-substitution `steps`."""
+    x = np.zeros((n, free.size), dtype=np.int64 if p < 2**31 else object)
     x[free, np.arange(free.size)] = 1
     for targets, cols, residues, starts in steps:
         x[targets] = -np.add.reduceat(residues[:, None] * x[cols] % p,
@@ -1092,36 +1102,39 @@ def _kernel_mod_p(n, steps, free, p):
 
 
 def _lift_kernel(x, p):
-    """Integer vectors d * x: each column of the residue array x times its
-    denominator d < 2^15, lifted to residues in (-p/2, p/2); None when a
-    column needs d >= 2^15.  d is the lcm of the rational reconstructions'
-    denominators of the column's residues that are not small integers."""
-    rows, cols = np.nonzero((x >= 2**15) & (x <= p - 2**15))
-    dens = _reconstruction_denominators(x[rows, cols], p)
-    d = np.ones(x.shape[1], dtype=np.int64)
-    keep = dens > 1
-    pairs = np.unique(cols[keep] * 2**15 + dens[keep])
-    for col, den in zip((pairs >> 15).tolist(), (pairs & 0x7FFF).tolist()):
-        d[col] = lcm(int(d[col]), den)
-        if d[col] >= 2**15:
-            return None
-    x *= d
-    x %= p
+    """Integer vectors d * x: each column of the array x of residues mod p
+    (a prime, or a product of primes on Python ints) times its denominator
+    d < B = 2^(bits of p // 2), lifted to residues in (-p/2, p/2); None
+    when a column needs d >= B.  d is the lcm of the rational
+    reconstructions' denominators of the column's residues that are not
+    small integers.  B is 2^15 for p < 2^30."""
+    bound = 1 << p.bit_length() // 2
+    rows, cols = np.nonzero((x >= bound) & (x <= p - bound))
+    if rows.size:
+        dens = _reconstruction_denominators(x[rows, cols], p, bound)
+        d = np.ones(x.shape[1], dtype=x.dtype)
+        keep = dens > 1
+        pairs = np.unique(cols[keep].astype(x.dtype) * bound + dens[keep])
+        for col, den in zip((pairs // bound).tolist(), (pairs % bound).tolist()):
+            d[col] = lcm(int(d[col]), den)
+            if d[col] >= bound:
+                return None
+        x *= d
+        x %= p
     x[x > p // 2] -= p
     return x
 
 
-def _reconstruction_denominators(x, p):
+def _reconstruction_denominators(x, p, bound):
     """For each residue x, the denominator b of the fraction a / b = x mod
     p that Euclid's algorithm on p and x reaches at the first remainder
-    |a| < 2^15 (the rational reconstruction of x); b <= p / 2^15 < 2^15
-    for p < 2^30."""
+    |a| < bound (the rational reconstruction of x); b <= p / bound."""
     out = np.empty_like(x)
     where = np.arange(x.size)
     r0, r1 = np.full_like(x, p), x.copy()
     t0, t1 = np.zeros_like(x), np.ones_like(x)
     while where.size:
-        done = r1 < 2**15
+        done = r1 < bound
         out[where[done]] = np.abs(t1[done])
         go = ~done
         where, r0, r1, t0, t1 = where[go], r0[go], r1[go], t0[go], t1[go]

@@ -18,10 +18,9 @@ from rackoh import linalg
 from rackoh.cochains import differential
 from rackoh.cohomology import _parse_coefficient
 from rackoh.errors import InputError, PreconditionError, ResourceError
-from rackoh.linalg import (BYTES_PER_TERM, GF, MODULAR_PRIME,
-                           MODULAR_RANK_THRESHOLD, QQ, ZZ, AbelianGroup,
-                           ExactMatrix, _annihilates, _back_substitution,
-                           _eliminate, _IncrementalRREF, _is_prime_power,
+from rackoh.linalg import (BYTES_PER_TERM, GF, MODULAR_PRIME, QQ, ZZ,
+                           AbelianGroup, ExactMatrix, _annihilates,
+                           _back_substitution, _eliminate, _is_prime_power,
                            _kernel_certifies, _kernel_mod_p, _lift_kernel,
                            _rank_certified, _unit_sweep, is_prime,
                            lattice_quotient)
@@ -97,6 +96,13 @@ sweep_entry = st.one_of(st.sampled_from((0, 0, 0, 1, -1, 2, -3)),
                         st.integers(-2**30, 2**30))
 
 
+# small entries, and entries that make the certificate of one prime refuse:
+# multiples of MODULAR_PRIME, entries past 2^31 and pairs 181, 182, whose
+# kernels need denominators past 2^15
+escape_entry = st.one_of(small_int, st.sampled_from(
+    (MODULAR_PRIME, -2 * MODULAR_PRIME, 2**31, -2**40 - 1, 181, 182)))
+
+
 class TestRank:
     def test_identity(self):
         assert ExactMatrix.identity(3, QQ).rank() == 3
@@ -129,13 +135,12 @@ class TestRank:
            st.integers(1, 6))
     @settings(max_examples=80, deadline=None)
     def test_small_rank_equals_oracle(self, ring, rows, den):
-        # below the modular threshold rank() counts the pivots of the
-        # integer-row echelon form; over Q the entries get denominators
+        # small matrices take the certified modular rank too; over Q the
+        # entries get denominators
         if ring == QQ:
             rows = [[Fraction(x, den + j) for j, x in enumerate(row)]
                     for row in rows]
         m = ExactMatrix.from_rows(rows, ring)
-        assert m.rows * m.cols < MODULAR_RANK_THRESHOLD
         assert m.rank() == len(_gauss_jordan(rows)[1])
 
     @given(int_matrices())
@@ -164,45 +169,45 @@ class TestRank:
         assert ExactMatrix.from_rows([[p, 0], [0, 1]], GF(p)).rank() == 1
 
     @staticmethod
-    def _rank_via_rref(monkeypatch, rows):
-        """rank() of the Z matrix `rows`, which must reach the exact echelon
-        form, and the oracle's rank."""
+    def _rank_via_escape(monkeypatch, rows):
+        """rank() of the Z matrix `rows`, whose one-prime certificate must
+        refuse, so that the rank comes from more primes, and the oracle's
+        rank."""
         m = ExactMatrix.from_rows(rows, ZZ)
-        assert m.rows * m.cols >= MODULAR_RANK_THRESHOLD
-        assert _rank_certified(m.rows, m.cols, m.csr) is None
         calls = []
-        rref = ExactMatrix._rref
-        monkeypatch.setattr(ExactMatrix, "_rref",
-                            lambda self: calls.append(self) or rref(self))
+        escape = linalg._crt_kernel
+        monkeypatch.setattr(linalg, "_crt_kernel",
+                            lambda *args: calls.append(args) or escape(*args))
         rank = m.rank()
-        assert calls == [m]
+        assert len(calls) == 1
         return rank, len(_gauss_jordan(rows)[1])
 
-    def test_modular_path_falls_back_on_bad_prime(self, monkeypatch):
+    def test_bad_prime_takes_more_primes(self, monkeypatch):
         # a diagonal entry equal to the scheduled prime drops the rank mod
         # p, and the kernel vector mod p it leaves is no kernel vector
         # over Z, so the certificate refuses
         n = 100
         rows = [[int(i == j) for j in range(n)] for i in range(n)]
         rows[0][0] = MODULAR_PRIME
-        rank, expected = self._rank_via_rref(monkeypatch, rows)
+        rank, expected = self._rank_via_escape(monkeypatch, rows)
         assert rank == expected == n
 
-    def test_large_entry_above_threshold_falls_back(self, monkeypatch):
-        # one entry of 2^31 leaves the int64 residue path; a copy of its
-        # row and a sum with it carry the large entry through elimination
+    def test_large_entry_takes_more_primes(self, monkeypatch):
+        # one entry of 2^31 leaves the int64 check; a copy of its row and a
+        # sum with it carry the large entry through elimination
         rng = random.Random(31)
         rows = [[rng.choice((-2, -1, 1, 2)) if rng.random() < 0.03 else 0
                  for _ in range(90)] for _ in range(120)]
         rows[0][7] = 2**31
         rows[1] = rows[0][:]
         rows[2] = [a + b for a, b in zip(rows[0], rows[3])]
-        rank, expected = self._rank_via_rref(monkeypatch, rows)
+        rank, expected = self._rank_via_escape(monkeypatch, rows)
         assert rank == expected
 
-    def test_auto_threshold_large_matrix(self):
+    def test_auto_threshold_large_matrix(self, monkeypatch):
         # rows a + c * b over 40 dense base rows, so the rank is 40, not
-        # full (and the Fraction oracle stays quick)
+        # full (and the Fraction oracle stays quick); the kernel of the
+        # transpose needs denominators past 2^15, so one prime refuses
         rng = random.Random(7)
         base = [[rng.randrange(-2, 3) for _ in range(80)] for _ in range(40)]
         rows = []
@@ -210,9 +215,8 @@ class TestRank:
             a, b = rng.sample(base, 2)
             c = rng.randrange(-2, 3)
             rows.append([x + c * y for x, y in zip(a, b)])
-        m = ExactMatrix.from_rows(rows, ZZ)
-        assert m.rows * m.cols >= 10_000
-        assert m.rank() == len(_gauss_jordan(rows)[1]) == 40
+        rank, expected = self._rank_via_escape(monkeypatch, rows)
+        assert rank == expected == 40
 
     def test_rational_rows_scaled_by_their_own_denominators(self):
         m = ExactMatrix.from_rows([[Fraction(1, 2), 0, Fraction(1, 3)],
@@ -225,12 +229,12 @@ class TestRank:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=6, deadline=None)
     def test_rank_mod_p_against_row_by_row_rref(self, seed):
-        # sparse matrices at the modular threshold, about 1 % nonzero, with
+        # sparse matrices of 10,000 cells and more, about 1 % nonzero, with
         # rank deficiency forced by duplicated and summed rows; the oracle
-        # is the independent row-at-a-time RREF
+        # is the independent row-at-a-time reduction
         rng = random.Random(seed)
         n = rng.randrange(60, 120)
-        m = -(-MODULAR_RANK_THRESHOLD // n) + rng.randrange(0, 30)
+        m = -(-10_000 // n) + rng.randrange(0, 30)
         rows = [[rng.choice((-2, -1, 1, 2)) if rng.random() < 0.01 else 0
                  for _ in range(n)] for _ in range(m)]
         for _ in range(m // 10):
@@ -240,14 +244,9 @@ class TestRank:
         matrix = ExactMatrix.from_rows(rows, ZZ)
         coo = matrix.csr
         for p in (2, 7, MODULAR_PRIME, 2**61 - 1):
-            rref = _IncrementalRREF(n, p)
-            for row in rows:
-                rref.feed(enumerate(row))
-            pivots = _eliminate(m, n, coo, p)[0]
-            assert len(pivots) == len(rref.pivot_cols)
             # the pivot rows are the greedy row basis: the rows independent
             # of all rows before them
-            assert sorted(pivots.rows) == rref.independent
+            assert sorted(_eliminate(m, n, coo, p)[0].rows) == _greedy_rows(rows, p)
 
     def test_tall_matrices_pivot_as_one_pass(self, monkeypatch):
         # tall matrices (m >= 8n) whose rows past the first 2n mostly lie
@@ -292,11 +291,11 @@ class TestRank:
     def test_rank_mod_p_ignores_row_and_column_order(self, seed):
         # the columns are eliminated last to first and the first nonzero
         # row pivots, so the work depends on where the entries sit; the
-        # rank must not: sparse matrices at and above the modular
-        # threshold, with dependent rows, under row and column shuffles
+        # rank must not: sparse matrices of 10,000 cells and more, with
+        # dependent rows, under row and column shuffles
         rng = random.Random(seed)
         n = rng.randrange(60, 120)
-        m = -(-MODULAR_RANK_THRESHOLD // n) + rng.randrange(0, 60)
+        m = -(-10_000 // n) + rng.randrange(0, 60)
         density = rng.choice((0.01, 0.03))
         rows = [[rng.choice((-2, -1, 1, 2)) if rng.random() < density else 0
                  for _ in range(n)] for _ in range(m)]
@@ -305,14 +304,12 @@ class TestRank:
             rows[i] = rows[k][:]
             rows[l] = [a + b for a, b in zip(rows[l], rows[k])]
         for p in (7, MODULAR_PRIME):
-            rref = _IncrementalRREF(n, p)
-            for row in rows:
-                rref.feed(enumerate(row))
+            rank = len(_greedy_rows(rows, p))
             for _ in range(2):
                 rperm, cperm = rng.sample(range(m), m), rng.sample(range(n), n)
                 coo = ExactMatrix.from_rows([[rows[i][j] for j in cperm]
                                              for i in rperm], ZZ).csr
-                assert len(_eliminate(m, n, coo, p)[0]) == len(rref.pivot_cols)
+                assert len(_eliminate(m, n, coo, p)[0]) == rank
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_differential_ranks_under_relabelling(self, seed):
@@ -392,6 +389,33 @@ def _one_pass(m, n, csr, p):
     return supports, residues, rows
 
 
+def _greedy_rows(rows, p=None):
+    """The indices of the rows independent of the rows before them, mod p
+    or over Q: the row-at-a-time oracle.  Each row, as a dict of its
+    nonzero entries, is reduced by the kept row of its leading column
+    until it has none or a new leading column; kept rows are 1 there."""
+    kept, picked = {}, []
+
+    def norm(x):
+        return Fraction(x) if p is None else x % p
+
+    for i, row in enumerate(rows):
+        row = {j: norm(x) for j, x in enumerate(row) if norm(x)}
+        while row and min(row) in kept:
+            f = row[min(row)]
+            for j, x in kept[min(row)].items():
+                y = norm(row.get(j, 0) - f * x)
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+        if row:
+            inv = 1 / row[min(row)] if p is None else pow(row[min(row)], -1, p)
+            kept[min(row)] = {j: norm(x * inv) for j, x in row.items()}
+            picked.append(i)
+    return picked
+
+
 def _pivot_lists(pivots):
     """The pivots of _eliminate as (supports, residues, rows) lists."""
     return ([s.tolist() for s, _ in pivots], [[int(x) for x in r] for _, r in pivots],
@@ -404,8 +428,8 @@ def _to_ring(m, ring):
         (i, j): x for i in range(m.rows) for j, x in m.nonzeros(i)})
 
 
-def _fails_to_rref(self):
-    raise AssertionError("the rank fell back to the exact echelon form")
+def _fails_to_escape(*args):
+    raise AssertionError("the one-prime certificate refused")
 
 
 class TestRankCertificate:
@@ -426,12 +450,11 @@ class TestRankCertificate:
         # needs denominators 2 and 4
         rack = dihedral_rack(5)
         m = differential(rack, jordan_module(rack, 1, 3, QQ), 2)
-        assert m.rows * m.cols >= MODULAR_RANK_THRESHOLD
         _, free, x = self._kernel(m)
         lift = _lift_kernel(x, MODULAR_PRIME)
         assert {2, 4} <= set(lift[free, np.arange(free.size)].tolist())
-        expected = len(m._rref().pivot_cols)
-        monkeypatch.setattr(ExactMatrix, "_rref", _fails_to_rref)
+        expected = len(_greedy_rows(m.data))
+        monkeypatch.setattr(linalg, "_crt_kernel", _fails_to_escape)
         assert m.rank() == expected == 62
 
     def test_exact_check_rejects_a_perturbed_kernel(self):
@@ -457,7 +480,7 @@ class TestRankCertificate:
             rows[2 * b + 1][3 * b + 2] = 182
         _, _, x = self._kernel(ExactMatrix.from_rows(rows, ZZ))
         assert _lift_kernel(x, MODULAR_PRIME) is None
-        rank, expected = TestRank._rank_via_rref(monkeypatch, rows)
+        rank, expected = TestRank._rank_via_escape(monkeypatch, rows)
         assert rank == expected == 66
 
     def test_wide_matrix_ranks_as_its_transpose(self, monkeypatch):
@@ -469,8 +492,8 @@ class TestRankCertificate:
             for _ in range(20):
                 row[rng.randrange(5000)] = rng.choice((-2, -1, 1, 2))
         m = ExactMatrix.from_rows(rows + [rows[0]], ZZ)
-        expected = len(m._rref().pivot_cols)
-        monkeypatch.setattr(ExactMatrix, "_rref", _fails_to_rref)
+        expected = len(_greedy_rows(rows + [rows[0]]))
+        monkeypatch.setattr(linalg, "_crt_kernel", _fails_to_escape)
         assert m.rank() == expected == 39
 
     def test_certificate_stays_below_the_residue_array(self):
@@ -489,23 +512,23 @@ class TestRankCertificate:
         assert peak < 8 * m.rows * m.cols
 
     def test_no_corpus_differential_falls_back(self, monkeypatch):
-        # every Z/Q differential of the corpus up to degree 3 at or above
-        # the modular threshold: trivial coefficients, the Jordan blocks
-        # and diag(1, 2) of criterion 4
+        # every Z/Q differential of the corpus up to degree 3 certifies
+        # with one prime: trivial coefficients, the Jordan blocks and
+        # diag(1, 2) of criterion 4
         diag = ExactMatrix.from_rows([[1, 0], [0, 2]], QQ)
         modules = [(rack, module) for _, rack in corpus() for module in (
             trivial_module(rack, ZZ), trivial_module(rack, QQ),
             jordan_module(rack, 1, 2, QQ), jordan_module(rack, 1, 3, QQ),
             jordan_module(rack, 2, 1, QQ), constant_module(rack, diag))]
-        monkeypatch.setattr(ExactMatrix, "_rref", _fails_to_rref)
+        monkeypatch.setattr(linalg, "_crt_kernel", _fails_to_escape)
         certified = 0
         for rack, module in modules:
             for n in range(4):
                 m = differential(rack, module, n)
-                if m.rows * m.cols >= MODULAR_RANK_THRESHOLD:
+                if not m.is_zero():
                     m.rank()
                     certified += 1
-        assert certified == 57
+        assert certified == 232
 
 
 def _sparse_rows(rng, m, n, density, dependent):
@@ -540,32 +563,32 @@ class TestIndependentRows:
     def test_certified_rank(self):
         rows = _sparse_rows(random.Random(1), 140, 80, 0.03, 20)
         m = ExactMatrix.from_rows(rows, ZZ)
-        assert m.rows * m.cols >= MODULAR_RANK_THRESHOLD and m.rows > m.cols
-        assert _rank_certified(m.rows, m.cols, m.csr) is not None
+        assert m.rows > m.cols
         self._check(m, rows)
 
     @given(st.sampled_from([ZZ, QQ]), int_matrices(max_dim=8), st.integers(1, 6))
     @settings(max_examples=60, deadline=None)
-    def test_echelon_form(self, ring, rows, den):
+    def test_small_matrices(self, ring, rows, den):
         if ring == QQ:
             rows = [[Fraction(x, den + j) for j, x in enumerate(row)] for row in rows]
-        m = ExactMatrix.from_rows(rows, ring)
-        assert m.rows * m.cols < MODULAR_RANK_THRESHOLD
-        self._check(m, rows)
+        self._check(ExactMatrix.from_rows(rows, ring), rows)
 
     def test_refused_certificate(self, monkeypatch):
         rows = _sparse_rows(random.Random(2), 110, 95, 0.03, 15)
         rows[0][7] = 2**31
         m = ExactMatrix.from_rows(rows, ZZ)
-        assert m.rows * m.cols >= MODULAR_RANK_THRESHOLD
-        assert _rank_certified(m.rows, m.cols, m.csr) is None
+        calls = []
+        escape = linalg._crt_kernel
+        monkeypatch.setattr(linalg, "_crt_kernel",
+                            lambda *args: calls.append(args) or escape(*args))
         self._check(m, rows)
+        assert len(calls) == 1
 
-    def test_wide_matrix_gives_its_transpose_pivot_columns(self):
+    def test_wide_matrix_gives_its_transpose_pivot_columns(self, monkeypatch):
         rows = _sparse_rows(random.Random(3), 30, 400, 0.05, 6)
         m = ExactMatrix.from_rows(rows, ZZ)
-        assert m.rows * m.cols >= MODULAR_RANK_THRESHOLD and m.rows < m.cols
-        assert _rank_certified(m.rows, m.cols, m.csr) is not None
+        assert m.rows < m.cols
+        monkeypatch.setattr(linalg, "_crt_kernel", _fails_to_escape)
         self._check(m, rows)
 
     def test_empty_shapes(self):
@@ -773,7 +796,9 @@ class TestInverse:
 # The reduced row echelon form is canonical, so the kernel basis (one vector
 # per free column), the solution with free unknowns 0 and the inverse that
 # it gives are unique: the results must be equal to the oracle's, entry for
-# entry, not merely span the same space.
+# entry, not merely span the same space.  The elimination takes the columns
+# from last to first, so the oracles below run Gauss-Jordan on the columns
+# reversed and reverse what it gives.
 
 
 def _gauss_jordan(rows, p=None):
@@ -801,8 +826,12 @@ def _gauss_jordan(rows, p=None):
     return rows[:len(pivots)], pivots
 
 
+def _reversed(rows):
+    return [row[::-1] for row in rows]
+
+
 def _oracle_kernel(rows, width, p=None):
-    reduced, pivots = _gauss_jordan(rows, p)
+    reduced, pivots = _gauss_jordan(_reversed(rows), p)
     basis = []
     for f in (j for j in range(width) if j not in pivots):
         vec = [Fraction(0)] * width
@@ -810,18 +839,24 @@ def _oracle_kernel(rows, width, p=None):
         for row, c in zip(reduced, pivots):
             vec[c] = -row[f] if p is None else -row[f] % p
         basis.append(vec)
-    return basis
+    return _reversed(basis[::-1])
 
 
 def _oracle_solve(rows, rhs, p=None):
     width = len(rows[0])
-    reduced, pivots = _gauss_jordan([a + b for a, b in zip(rows, rhs)], p)
+    reduced, pivots = _gauss_jordan([a + b for a, b in zip(_reversed(rows), rhs)], p)
     if any(c >= width for c in pivots):
         return None
     sol = [[Fraction(0)] * len(rhs[0]) for _ in range(width)]
     for row, c in zip(reduced, pivots):
         sol[c] = row[width:]
-    return sol
+    return sol[::-1]
+
+
+def _oracle_pivot_columns(rows, p=None):
+    """The columns that pivot from last to first, ascending."""
+    width = len(rows[0])
+    return sorted(width - 1 - c for c in _gauss_jordan(_reversed(rows), p)[1])
 
 
 def _q_rows(rng, m, n, rank):
@@ -903,6 +938,73 @@ class TestEliminationOracle:
         if len(_gauss_jordan(square.data, p)[1]) == 3:
             ident = [[int(i == j) for j in range(3)] for i in range(3)]
             assert square.inverse().data == _oracle_solve(square.data, ident, p)
+
+    @given(st.sampled_from([ZZ, QQ, GF(2), GF(7), GF(MODULAR_PRIME)]),
+           int_matrices(5, escape_entry), st.integers(1, 2), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_field_operations_against_oracle(self, ring, rows, k, data):
+        # entries that make the one-prime certificate refuse (multiples of
+        # MODULAR_PRIME, entries past 2^31, kernels with denominators past
+        # 2^15) reach the escape over Z and Q; over F_p they are residues
+        p = getattr(ring, "p", None)
+        a = ExactMatrix.from_rows(rows, ring)
+        m, n = len(rows), len(rows[0])
+        columns = _oracle_pivot_columns(rows, p)
+        assert a.column_basis() == a.select_columns(columns)
+        assert a.column_basis().data == [[a[i, j] for j in columns] for i in range(m)]
+        rhs = data.draw(st.lists(st.lists(escape_entry, min_size=k, max_size=k),
+                                 min_size=m, max_size=m))
+        if ring == ZZ:
+            with pytest.raises(PreconditionError):
+                a.kernel_matrix()
+            with pytest.raises(PreconditionError):
+                a.solve_columns(ExactMatrix.from_rows(rhs, ZZ))
+        else:
+            assert a.kernel_basis() == _oracle_kernel(rows, n, p)
+            sol = a.solve_columns(ExactMatrix.from_rows(rhs, ring))
+            expect = _oracle_solve(rows, rhs, p)
+            assert (sol is None and expect is None) or sol.data == expect
+        if m == n:
+            ident = [[int(i == j) for j in range(n)] for i in range(n)]
+            expect = _oracle_solve(rows, ident, p)
+            if expect is None:
+                with pytest.raises(InputError, match="singular"):
+                    a.inverse()
+            elif ring == ZZ and any(x.denominator != 1 for row in expect for x in row):
+                with pytest.raises(InputError, match="not invertible over Z"):
+                    a.inverse()
+            else:
+                assert a.inverse().data == expect
+
+    @pytest.mark.parametrize("case", ["prime_on_diagonal", "entry_2_31",
+                                      "denominator_181_182", "dense_150x80"])
+    def test_escape_gives_the_oracle_kernel(self, monkeypatch, case):
+        # the four kinds of matrix on which the one-prime certificate
+        # refuses: the kernel over Q comes from more primes and equals the
+        # oracle's, and so does the inverse of the square one
+        rng = random.Random(7)
+        if case == "prime_on_diagonal":
+            rows = [[int(i == j) for j in range(12)] for i in range(12)]
+            rows[0][0] = MODULAR_PRIME
+        elif case == "entry_2_31":
+            rows = _sparse_rows(rng, 30, 25, 0.1, 4)
+            rows[0][7] = 2**31
+        elif case == "denominator_181_182":
+            rows = [[1, 181, 0], [1, 0, 182]]
+        else:
+            base = [[rng.randrange(-2, 3) for _ in range(80)] for _ in range(40)]
+            rows = [[x + c * y for x, y in zip(*rng.sample(base, 2))]
+                    for c in (rng.randrange(-2, 3) for _ in range(150))]
+        calls = []
+        escape = linalg._crt_kernel
+        monkeypatch.setattr(linalg, "_crt_kernel",
+                            lambda *args: calls.append(args) or escape(*args))
+        a = ExactMatrix.from_rows(rows, QQ)
+        assert a.kernel_basis() == _oracle_kernel(rows, len(rows[0]))
+        assert len(calls) == 1
+        if case == "prime_on_diagonal":
+            ident = [[int(i == j) for j in range(12)] for i in range(12)]
+            assert a.inverse().data == _oracle_solve(rows, ident)
 
 
 class TestLatticeQuotient:
