@@ -16,13 +16,24 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError
-from .linalg import GF, QQ, ZZ, ExactMatrix, Ring, _int_dtype, matrix_stack
+from .linalg import (GF, QQ, ZZ, ExactMatrix, Ring, _int_dtype, charge_budget,
+                     matrix_stack)
 from .racks import RackTable
 
 TAG_TRIVIAL = "trivial"
 TAG_JORDAN = "jordan"
 TAG_CUSTOM = "custom"
 TAG_FUNCTIONS = "functions"
+
+# Peak bytes of building a module, which the builders charge to the memory
+# budget first (tracemalloc; tests/test_cli.py measures them): the
+# identity of a trivial module takes 48-50 per dimension, a Jordan block
+# built from its entries 550-660 per dimension, and check_module's dense
+# test of the action 29-30 per cell of its rack.size^2 products of
+# dim x dim matrices.
+IDENTITY_BYTES_PER_DIM = 56
+JORDAN_BYTES_PER_DIM = 700
+CHECK_BYTES_PER_CELL = 32
 
 
 @dataclass(frozen=True)
@@ -66,6 +77,9 @@ def check_module(rack: RackTable, module: CoeffModule):
     if len(module.matrices) != n:
         raise InputError(f"module provides {len(module.matrices)} matrices "
                          f"for a rack of size {n}")
+    charge_budget(CHECK_BYTES_PER_CELL * (n * module.dim) ** 2,
+                  f"the action check of a {module.dim}-dimensional module",
+                  "lower the module's dim")
     for x, m in enumerate(module.matrices):
         if m.rows != module.dim or m.cols != module.dim or m.ring != module.ring:
             raise InputError(f"action matrix for element {x} has the wrong shape or ring")
@@ -83,6 +97,8 @@ def check_module(rack: RackTable, module: CoeffModule):
 
 
 def trivial_module(rack: RackTable, ring: Ring, dim: int = 1) -> CoeffModule:
+    charge_budget(IDENTITY_BYTES_PER_DIM * dim, f"the identity of a {dim}-dimensional "
+                  "module", "lower the module's dim")
     ident = ExactMatrix.identity(dim, ring)
     return CoeffModule(ring, dim, (ident,) * rack.size, TAG_TRIVIAL)
 
@@ -98,6 +114,7 @@ def jordan_module(rack: RackTable, t, k: int, ring: Ring = QQ) -> CoeffModule:
         raise InputError("jordan eigenvalue must be nonzero")
     if k < 1:
         raise InputError("jordan block size must be >= 1")
+    charge_budget(JORDAN_BYTES_PER_DIM * k, f"a {k}x{k} Jordan block", "lower the module's dim")
     entries = {(i, i): t for i in range(k)}
     entries.update({(i, i - 1): 1 for i in range(1, k)})
     block = ExactMatrix.from_entries(k, k, ring, entries)
@@ -180,7 +197,7 @@ def module_from_spec(rack: RackTable, doc: dict) -> CoeffModule:
         raise InputError("module JSON must be an object")
     ring = ring_from_spec(doc)
     dim = doc.get("dim", 1)
-    if not isinstance(dim, int) or dim < 0:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise InputError("module dim must be a non-negative integer")
     action = doc.get("action", {"type": "trivial"})
     if not isinstance(action, dict):
@@ -197,6 +214,9 @@ def module_from_spec(rack: RackTable, doc: dict) -> CoeffModule:
                 for mat in matrices):
             raise InputError("custom action needs 'matrices', a list of "
                              "matrices given as lists of rows")
+        size = len(matrices[0]) if matrices else 0
+        if "dim" in doc and size != dim:
+            raise InputError(f"module dim {dim} does not match its {size}x{size} matrices")
         parsed = [[[_number(v) for v in row] for row in mat] for mat in matrices]
         return custom_module(rack, ring, parsed)
     raise InputError(f"unknown action type {kind!r}")

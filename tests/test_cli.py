@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -7,21 +8,34 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rackoh import cochains
+from rackoh import cochains, modules
 from rackoh.cli import (EXIT_CHECK_FAILED, EXIT_INPUT, EXIT_OK, canonical_json,
                         main, parse_rack_spec)
 from rackoh.errors import InputError, ResourceError
-from rackoh.linalg import ZZ, charge_budget
+from rackoh.linalg import GF, QQ, ZZ, charge_budget
 from rackoh.modules import trivial_module
 from rackoh.racks import dihedral_rack, rack_to_json
 
 from conftest import transposition_rack
+
+
+def _traced_peak(build):
+    """The tracemalloc peak of calling build()."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def run_cli(capsys, *argv):
@@ -226,8 +240,12 @@ class TestCohomologyCommand:
         {"ring": "Q", "action": {"type": "jordan", "t": "abc"}},
         {"ring": "Q", "action": {"type": "custom",
                                  "matrices": [[["x"]], [[1]], [[1]]]}},
+        {"ring": "Q", "dim": True},
+        {"ring": "Q", "dim": 2, "action": {"type": "custom",
+                                           "matrices": [[[1]], [[1]], [[1]]]}},
+        {"ring": "Q", "dim": 1, "action": {"type": "custom", "matrices": [[], [], []]}},
     ], ids=["not_an_object", "action_not_an_object", "jordan_t_abc",
-            "custom_entry_x"])
+            "custom_entry_x", "dim_bool", "dim_above_matrices", "dim_of_empty_matrices"])
     def test_malformed_module_file_exit_2(self, capsys, tmp_path, doc):
         path = tmp_path / "module.json"
         path.write_text(json.dumps(doc))
@@ -386,6 +404,58 @@ class TestBudgets:
             d4.smith_normal_form()
         assert "Smith form working array" in str(refused.value)
         assert "budget" in str(refused.value)
+
+    @pytest.mark.parametrize("spec", [
+        "trivial:99999999999999999999", "dihedral:99999999999999999999",
+        "cyclic:99999999999999999999", "conj:Z99999999999999999999"])
+    def test_giant_rack_table_exit_3(self, capsys, spec):
+        # the table is charged before it is built, so the refusal is at once
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "cohomology", "--rack", spec, "--max-degree", "0")
+        assert code == 3 and "table" in err and "budget" in err
+        assert time.perf_counter() - start < 1.0
+
+    def test_rack_table_budget_exit_3(self, capsys, monkeypatch):
+        # a 1000 x 1000 table takes about 44 MB; its axioms alone took 99 s
+        monkeypatch.setenv("RACKOH_BUDGET_MB", "1")
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "cohomology", "--rack", "trivial:1000",
+                               "--max-degree", "0")
+        assert code == 3 and "1000x1000 table of a trivial rack" in err
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("action", [{"type": "trivial"}, {"type": "jordan", "t": 2}])
+    def test_giant_module_dim_exit_3(self, capsys, tmp_path, action):
+        path = tmp_path / "module.json"
+        path.write_text(json.dumps({"ring": "Q", "dim": 10**12, "action": action}))
+        code, _, err = run_cli(capsys, "cohomology", "--rack", "dihedral:3",
+                               "--module", str(path))
+        assert code == 3 and "budget" in err
+
+    def test_module_charges_cover_measured_bytes(self):
+        # tracemalloc peaks of a trivial module's identity and a Jordan
+        # block per dimension, and of check_module's dense action test per
+        # cell of its products, against the constants charged for them
+        rack = dihedral_rack(3)
+        for dim in (1000, 20000):
+            for ring in (QQ, ZZ):
+                peak = _traced_peak(lambda: modules.trivial_module(rack, ring, dim))
+                assert peak <= modules.IDENTITY_BYTES_PER_DIM * dim
+        check = modules.check_module
+        try:  # the Jordan blocks alone, without their check
+            modules.check_module = lambda rack, module: module
+            for k in (200, 2000):
+                peak = _traced_peak(lambda: modules.jordan_module(rack, Fraction(1, 3), k))
+                assert peak <= modules.JORDAN_BYTES_PER_DIM * k
+            blocks = [modules.jordan_module(rack, t, 60, ring)
+                      for t, ring in ((Fraction(1, 3), QQ), (1, ZZ), (2, GF(7)))]
+        finally:
+            modules.check_module = check
+        for module in blocks:
+            for x in range(rack.size):
+                module.action_inverse(x)
+            peak = _traced_peak(lambda: modules.check_module(rack, module))
+            assert peak <= modules.CHECK_BYTES_PER_CELL * (rack.size * module.dim) ** 2
 
     def test_refusal_reads_the_need_above_the_budget(self, monkeypatch):
         # 1.6 MiB against 1 MiB, both rounded down, would read "1 MiB > 1 MiB"

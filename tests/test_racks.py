@@ -1,14 +1,18 @@
+import gc
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rackoh.errors import InputError
+from rackoh import racks
+from rackoh.errors import InputError, ResourceError
 from rackoh.linalg import GF, ExactMatrix
 from rackoh.modules import constant_module, trivial_module
 from rackoh.racks import (AXIOM_BIJECTIVE, AXIOM_SELF_DISTRIBUTIVE, RackTable,
-                          conjugation_rack, cyclic_rack, dihedral_rack,
+                          RackValidation, conjugation_rack, cyclic_group_table,
+                          cyclic_rack, dihedral_rack,
                           is_quandle, make_semidirect, make_standard, orbits,
                           rack_from_json, rack_to_json, symmetric_group_table,
                           trivial_rack, verify_rack, verify_yang_baxter)
@@ -113,6 +117,29 @@ class TestStandardRacks:
     def test_unknown_kind(self):
         with pytest.raises(InputError):
             make_standard("moebius", 3)
+
+    def test_table_charge_covers_measured_bytes(self, monkeypatch):
+        # the tracemalloc peak of each formula table, its axioms skipped
+        # (O(n^3) steps), against BYTES_PER_CELL per cell; at n = 500 half
+        # the entries are ints past the small-int cache
+        monkeypatch.setattr(racks, "verify_rack", lambda table: RackValidation(True, ()))
+        for n in (100, 500):
+            for build in (trivial_rack, dihedral_rack, cyclic_rack, cyclic_group_table):
+                gc.collect()
+                tracemalloc.start()
+                try:
+                    build(n)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= racks.BYTES_PER_CELL * n * n
+
+    def test_table_is_charged_before_it_is_built(self, monkeypatch):
+        monkeypatch.setenv("RACKOH_BUDGET_MB", "1")
+        assert trivial_rack(140).size == 140  # 0.9 MiB charged
+        for build in (trivial_rack, dihedral_rack, cyclic_rack, cyclic_group_table):
+            with pytest.raises(ResourceError, match="150x150 table"):
+                build(150)
 
 
 class TestOrbits:
