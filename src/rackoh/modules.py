@@ -43,7 +43,7 @@ class CoeffModule:
     matrices: tuple  # one invertible dim x dim ExactMatrix per rack element
     tag: str = TAG_CUSTOM
     params: tuple = ()
-    # element -> inverse of its matrix, filled on demand; not part of the
+    # action matrix -> its inverse, filled on demand; not part of the
     # module's identity, so equality and hashing ignore it
     _inverses: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
@@ -52,10 +52,12 @@ class CoeffModule:
         return self.matrices[x]
 
     def action_inverse(self, x: int) -> ExactMatrix:
-        """The inverse of element x's matrix, computed once per module."""
-        if x not in self._inverses:
-            self._inverses[x] = self.matrices[x].inverse()
-        return self._inverses[x]
+        """The inverse of element x's matrix, computed once per distinct
+        matrix of the module (a Jordan or constant module has one)."""
+        m = self.matrices[x]
+        if m not in self._inverses:
+            self._inverses[m] = m.inverse()
+        return self._inverses[m]
 
     @cached_property  # the matrices never change
     def is_trivial(self) -> bool:
