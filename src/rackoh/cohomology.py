@@ -131,14 +131,13 @@ class RackComplex:
     rows R of d_(n-1) have full row rank, so some v in im d_(n-1) has
     v_R = e_r, and d_n v = 0.  Each rank meets the proof's obligations:
     - R is independent: its rows are d_(n-1)'s independent_rows(), pivot
-      rows of a modular elimination (independent mod p, so over Q) or of
-      the exact echelon form, found on the cleared d_(n-1), whose
-      independent rows are independent in all of d_(n-1);
+      rows of a modular elimination (independent mod p, so over Q), found
+      on the cleared d_(n-1), whose independent rows are independent in
+      all of d_(n-1);
     - |R| = rank d_(n-1), itself certified this way;
     - d_n @ d_(n-1) = 0, checked exactly by check_zero_product(n), once
       per degree for field and integral ranks alike.
-    So the cleared matrix's certificate, or its exact fallback, proves
-    rank d_n.
+    So the cleared matrix's certificate proves rank d_n.
     """
 
     def __init__(self, rack: RackTable, module: CoeffModule, rack_spec="custom",

@@ -11,15 +11,13 @@ every ring, as a product that stores no entry.  A product with a vector
 is the one-column case: the vector becomes a column (from_columns), and
 the column of the result a list again (column).
 One numpy elimination serves every rank, kernel, solve, inverse and
-column basis.  Over F_p it runs mod p.  Over Z and Q it runs modulo a
-~30-bit prime and is proven by an exact certificate: its kernel mod p,
-lifted to integer vectors that the matrix annihilates over Z.  The lift
-is then the kernel over Q, a solve is the kernel of [rhs | A] and an
-inverse a solve against the identity.  When the certificate refuses (a
-prime that divides a minor, large denominators or entries), more primes
-are combined by CRT and rational reconstruction until the exact check
-holds.  The Smith form runs the elimination over Z, where it pivots only
-on +-1 entries, and runs its dense loop only on the core that remains.  That one
+column basis: mod p over F_p, over Z and Q modulo a ~30-bit prime,
+proven by an exact certificate (its kernel mod p, lifted to integer
+vectors that the matrix annihilates over Z, is the kernel over Q).  A
+solve is the kernel of [rhs | A], an inverse a solve against the
+identity.  When the certificate refuses, more primes are combined by CRT
+until the exact check holds.  The Smith form runs the elimination over
+Z, pivoting only on +-1 entries, then a dense loop on the core.  That one
 loop (_eliminate) eliminates the columns of a column-major array from
 last to first, pivoting on the first row that meets each; on a rack
 differential such pivots share few columns with the other rows, so
@@ -31,9 +29,9 @@ probe, a combination of the rest, which pivots only if the rest leaves
 their span; if not, a proof (the kernel mod p or the exact certificate)
 may put the rest in that span unread.
 Every rank comes with as many independent rows (independent_rows): the
-modular pivot rows, which are independent mod p and so over Q, or a wide
-matrix's transpose's pivot columns.  They let a chain complex clear d_n before ranking it (see
-cohomology.RackComplex): when d_n @ d_(n-1) = 0, checked exactly once per
+modular pivot rows, independent mod p and so over Q, or a wide matrix's
+transpose's pivot columns.  They let a chain complex clear d_n before
+ranking it (see cohomology.RackComplex): when d_n @ d_(n-1) = 0, checked exactly once per
 degree for field and integral ranks alike, the columns of d_n at
 rank d_(n-1) independent rows of d_(n-1) are combinations of its other
 columns, so d_n has the rank of select_columns of the rest, and that
@@ -68,9 +66,8 @@ ROW_BLOCK_THRESHOLD = 400_000
 # stay resident in the malloc heap after they are freed
 CHECK_BLOCK_BYTES = 1 << 20
 
-# elimination arrays below this size come from the malloc heap, where they
-# cost less than a mapping of their own; the kernel certificate's chunks
-# may take this much whatever the size of the matrix
+# elimination arrays below this size come from the malloc heap, cheaper
+# than a mapping of their own; the certificate's chunks may take this much
 SMALL_BYTES = 1 << 16
 
 # What a matrix product charges per expanded term (one pair of stored
@@ -577,20 +574,13 @@ class ExactMatrix:
         """The ascending indices of rank-many rows that are linearly
         independent over the ring (over Q for Z), found once per matrix.
 
-        F_p matrices run one modular elimination and give its pivot rows.
-        Z/Q matrices run it mod MODULAR_PRIME, whose pivot rows are
-        independent mod p and so over Q, and prove the rank by an exact
-        kernel certificate (see _rank_certified), a wide matrix as its
-        transpose.
+        F_p matrices run one modular elimination and give its pivot rows,
+        Z/Q matrices _rank_certified.
         """
         if self._independent is None:
-            rows = []
-            if not self._csr.nums.size:
-                pass
-            elif isinstance(self.ring, PrimeField):
-                rows = _eliminate(self.rows, self.cols, self._csr, self.ring.p)[0].rows
-            else:
-                rows = _rank_certified(self.rows, self.cols, self._csr)
+            m, n, c = self.rows, self.cols, self._csr
+            rows = (_eliminate(m, n, c, self.ring.p)[0].rows if isinstance(self.ring, PrimeField)
+                    else _rank_certified(m, n, c))
             self._independent = np.sort(np.array(rows, dtype=np.int64))
             self._independent.flags.writeable = False
         return self._independent
@@ -598,15 +588,23 @@ class ExactMatrix:
     # -- kernels and solves ---------------------------------------------------
 
     def _kernel(self):
-        """(free, kernel): the mask of the columns on which the elimination
-        of _eliminate does not pivot, and for each such free column f, in
-        order, the kernel vector that is 1 at f and 0 at the other free
-        columns, as the columns of an integer array: mod p over F_p, over
-        Z and Q (over Q for Z) d times the vector, for its d > 0 at f."""
-        n, c = self.cols, self._csr
+        """(free, kernel): the mask of the columns where _eliminate does not
+        pivot, and per free column f the kernel vector that is 1 at f and 0
+        at the other free ones, as the columns of an integer array: mod p
+        over F_p, over Z and Q (Q for Z) d > 0 times it, the lift that proves
+        _rank_certified's rank or, when that refuses, _crt_kernel's."""
+        m, n, c = self.rows, self.cols, self._csr
         if not c.nums.size:
             return np.ones(n, dtype=bool), np.eye(n, dtype=np.int64)
-        return _kernel(self.rows, n, c, getattr(self.ring, "p", 0))
+        p = getattr(self.ring, "p", 0)
+        pivots = _eliminate(m, n, c, p or MODULAR_PRIME)[0]
+        free = _free_columns(n, pivots)
+        if p:
+            return free, _kernel_mod_p(n, _back_substitution(n, pivots), free.nonzero()[0], p)
+        lifts = [np.zeros((n, 0), dtype=np.int64)]
+        if _kernel_certifies(m, n, c, pivots, MODULAR_PRIME, keep=lifts):
+            return free, np.concatenate(lifts, axis=1)
+        return _crt_kernel(m, n, c, pivots)[1:]
 
     def kernel_basis(self):
         """Basis of the right kernel; field rings only."""
@@ -615,16 +613,14 @@ class ExactMatrix:
 
     def kernel_matrix(self):
         """Columns spanning the right kernel, one per free column f of the
-        elimination (columns from last to first): 1 at f, 0 at the other
-        free columns."""
+        elimination (last to first): 1 at f, 0 at the other free columns."""
         if not self.ring.is_field:
             raise PreconditionError("kernel_basis needs a field ring (Q or Fp)")
         free, lift = self._kernel()
         return _over_columns(self.ring, lift, lift[free, np.arange(lift.shape[1])])
 
     def column_basis(self):
-        """The columns at the pivots of the elimination (the last columns
-        that span the column space), as a matrix."""
+        """The pivot columns of the elimination (last to first), as a matrix."""
         return self.select_columns((~self._kernel()[0]).nonzero()[0])
 
     def solve(self, rhs):
@@ -637,16 +633,12 @@ class ExactMatrix:
         """Solve self @ X = rhs column-wise; returns X or None if inconsistent."""
         if not self.ring.is_field:
             raise PreconditionError("solve needs a field ring (Q or Fp)")
-        if rhs.rows != self.rows:
-            raise InputError("rhs row count mismatch")
         return self._solve(rhs)
 
     def _solve(self, rhs):
-        """The X with self @ X = rhs that is 0 at the free unknowns (over Q
-        for Z), or None: the kernel of [rhs | self], whose columns are
-        eliminated last to first, so that rhs's columns are free unless
-        the system is inconsistent; column t of X is minus the kernel
-        vector of free column t, read at self's columns."""
+        """The X with self @ X = rhs (over Q for Z) that is 0 at the free
+        unknowns, or None: from the kernel of [rhs | self], eliminated last
+        to first, where a pivot in rhs means no solution."""
         k = rhs.cols
         free, lift = rhs.hstack(self)._kernel()
         if not free[:k].all():
@@ -696,9 +688,8 @@ def _summed(rows, cols, ring, key, vals, den):
 
 
 def _over_columns(ring, nums, dens):
-    """The matrix whose column t is nums[:, t] / dens[t], for a 2-D integer
-    array nums and positive integers dens (all 1 unless the ring is Q, or
-    Z when the result should be integral): put over the lcm D of dens."""
+    """The matrix whose column t is nums[:, t] / dens[t] (integer arrays,
+    dens > 0), put over the lcm of dens."""
     den = lcm(*dens.tolist())
     nums, top = _canonical(nums)
     return ExactMatrix.from_dense(_exact(nums, top * den) * (den // _exact(dens, den)), ring, den)
@@ -857,8 +848,7 @@ def _residue_block(csr, lo, hi, n, p, probe=False):
 
 
 def _zeroed(shape, dtype):
-    """A zeroed array; an int array of SMALL_BYTES or more on an anonymous
-    mapping of its own (see _eliminate)."""
+    """A zeroed array, on a mapping of its own from SMALL_BYTES on (ints)."""
     size = prod(shape) * np.dtype(dtype).itemsize
     if dtype is object or size < SMALL_BYTES:
         return np.zeros(shape, dtype=dtype)
@@ -930,19 +920,16 @@ def _rank_certified(m, n, csr):
     numerators stored in `csr`, proven over Q.
 
     One elimination mod MODULAR_PRIME gives r pivot rows, independent mod
-    p and so over Q, so the rank is at least r.  The n - r kernel vectors
-    mod p that are the identity on the free (non-pivot) columns are
-    lifted to integer vectors and checked exactly: they are independent,
-    so a lift that A annihilates over Z proves the rank is at most r.  A
-    prime that divides a maximal minor, a kernel that needs a denominator
-    of 2^15 or more, or an entry of 2^31 or more (the check runs on int64)
-    makes this certificate refuse; then _crt_kernel proves the rank with
-    more primes.  A wide matrix is ranked as its transpose, whose kernel
-    is the smaller: the entries sorted by column, then row, with
-    np.lexsort and read by fancy indexing.  Its independent rows are then
-    the transpose's pivot columns: there the pivot rows form a triangular
-    matrix with a unit diagonal, as each clears its pivot column in the
-    rows that pivot after it.
+    p and so over Q.  Its n - r kernel vectors mod p that are the identity
+    on the free (non-pivot) columns, independent, lifted to integer vectors
+    that A annihilates over Z, prove the rank is at most r.  A prime that
+    divides a maximal minor, a denominator of 2^15 or more, or an entry of
+    2^31 or more (the check runs on int64) makes this certificate refuse,
+    and _crt_kernel takes more primes.  A wide matrix is ranked as its
+    transpose, whose kernel is the smaller (entries sorted by column, then
+    row, with np.lexsort); its independent rows are the transpose's pivot
+    columns, where the pivot rows form a triangular matrix with a unit
+    diagonal, as each clears its pivot column in the rows after it.
     """
     wide = m < n
     if wide:
@@ -956,39 +943,19 @@ def _rank_certified(m, n, csr):
     return [support[-1] for support, _ in pivots] if wide else pivots.rows
 
 
-def _kernel(m, n, csr, p):
-    """ExactMatrix._kernel of the m x n integer matrix of the numerators
-    stored in `csr` (the row denominators do not change the kernel), mod
-    p, or over Q for p = 0: the lift that proves _rank_certified's rank,
-    kept, or _crt_kernel's when that certificate refuses."""
-    pivots = _eliminate(m, n, csr, p or MODULAR_PRIME)[0]
-    free = _free_columns(n, pivots)
-    if p:
-        return free, _kernel_mod_p(n, _back_substitution(n, pivots), free.nonzero()[0], p)
-    lifts = [np.zeros((n, 0), dtype=np.int64)]
-    if _kernel_certifies(m, n, csr, pivots, MODULAR_PRIME, keep=lifts):
-        return free, np.concatenate(lifts, axis=1)
-    return _crt_kernel(m, n, csr, pivots)[1:]
-
-
 def _crt_kernel(m, n, csr, pivots):
-    """(pivots, free, lift) as _kernel over Q gives them, for the m x n
-    integer matrix A of the numerators stored in `csr`, when the
-    certificate of `pivots`, its elimination mod MODULAR_PRIME, refuses:
-    from that prime and then each prime below it in turn.
+    """(pivots, free, lift) of the m x n integer matrix A of the numerators
+    in `csr`, as ExactMatrix._kernel gives them over Q, when the certificate
+    of `pivots`, its elimination mod MODULAR_PRIME, refuses: from that
+    prime and each prime below it in turn.
 
     The primes whose pivot columns, read from the last, are
-    lexicographically greatest so far are kept: a prime that divides a
-    minor only loses pivot columns, and the last column it loses is one
-    that Q keeps, while every prime of Q's pivots has the kernel of Q mod
-    p.  The kept primes' kernels mod p are combined by CRT, and each
-    column is lifted by rational reconstruction modulo their product
-    (_lift_kernel).  The first lift that A annihilates, checked on Python
-    ints, is returned, with the last prime's pivots: it proves the rank
-    as in _rank_certified and is the kernel over Q.  That check alone
-    makes the result exact; the rule for the primes only decides how soon
-    it holds.  The CRT residues, the lift and the check's products are
-    charged to the memory budget.
+    lexicographically greatest so far are kept (a prime that divides a
+    minor only loses pivot columns, the last of which Q keeps), their
+    kernels mod p combined by CRT and lifted by rational reconstruction
+    modulo their product.  The first lift that A annihilates on Python ints
+    proves the rank and is the kernel over Q: that check alone makes the
+    result exact.  The residues, lift and check are charged first.
     """
     starts, row_nnz = _row_starts(csr.indptr)
     p, best = MODULAR_PRIME, None
@@ -1015,8 +982,7 @@ def _crt_kernel(m, n, csr, pivots):
 
 
 def _free_columns(n, pivots):
-    """The mask of the columns of an n-column matrix on which `pivots`, the
-    pivot rows of an elimination mod p, do not pivot."""
+    """The mask of the n columns where the pivot rows `pivots` do not pivot."""
     free = np.ones(n, dtype=bool)
     free[[support[-1] for support, _ in pivots]] = False
     return free
@@ -1031,11 +997,10 @@ def _kernel_certifies(m, n, csr, pivots, p, unread=None, keep=None):
 
     The free columns are taken in chunks, so that the kernel mod p, its
     lift and the back-substitution's products stay below half the
-    8 * m * n bytes of the residue array, or SMALL_BYTES if that is
-    more; the check takes A's rows in
-    blocks whose products fill at most CHECK_BLOCK_BYTES.  These arrays,
-    and 24 bytes per entry of A (its arrays, copied when a wide matrix is
-    ranked as its transpose), are charged to the memory budget.
+    8 * m * n bytes of the residue array (or SMALL_BYTES); the check takes
+    A's rows in blocks whose products fill at most CHECK_BLOCK_BYTES.
+    These arrays, and 24 bytes per entry of A (its arrays, copied when a
+    wide matrix is ranked as its transpose), are charged to the budget.
     """
     nnz = csr.indices.size - csr.indptr[unread or 0]
     free = _free_columns(n, pivots).nonzero()[0]
@@ -1103,11 +1068,10 @@ def _kernel_mod_p(n, steps, free, p):
 
 def _lift_kernel(x, p):
     """Integer vectors d * x: each column of the array x of residues mod p
-    (a prime, or a product of primes on Python ints) times its denominator
-    d < B = 2^(bits of p // 2), lifted to residues in (-p/2, p/2); None
-    when a column needs d >= B.  d is the lcm of the rational
-    reconstructions' denominators of the column's residues that are not
-    small integers.  B is 2^15 for p < 2^30."""
+    (a prime or, on Python ints, a product of primes) times its denominator
+    d < B = 2^(bits of p // 2), 2^15 for p < 2^30, lifted to (-p/2, p/2);
+    None when a column needs d >= B.  d is the lcm of the denominators of
+    the rational reconstructions of the column's residues in [B, p - B]."""
     bound = 1 << p.bit_length() // 2
     rows, cols = np.nonzero((x >= bound) & (x <= p - bound))
     if rows.size:

@@ -25,12 +25,9 @@ TAG_JORDAN = "jordan"
 TAG_CUSTOM = "custom"
 TAG_FUNCTIONS = "functions"
 
-# Peak bytes of building a module, which the builders charge to the memory
-# budget first (tracemalloc; tests/test_cli.py measures them): the
-# identity of a trivial module takes 48-50 per dimension, a Jordan block
-# built from its entries 550-660 per dimension, and check_module's dense
-# test of the action 29-30 per cell of its rack.size^2 products of
-# dim x dim matrices.
+# Peak bytes that the builders charge first (tracemalloc, tests/test_cli.py):
+# per dimension of a trivial module's identity (48-50) or a Jordan block
+# (550-660), per cell of check_module's rack.size^2 dense products (29-30).
 IDENTITY_BYTES_PER_DIM = 56
 JORDAN_BYTES_PER_DIM = 700
 CHECK_BYTES_PER_CELL = 32
@@ -52,8 +49,7 @@ class CoeffModule:
         return self.matrices[x]
 
     def action_inverse(self, x: int) -> ExactMatrix:
-        """The inverse of element x's matrix, computed once per distinct
-        matrix of the module (a Jordan or constant module has one)."""
+        """The inverse of element x's matrix, computed once per distinct matrix."""
         m = self.matrices[x]
         if m not in self._inverses:
             self._inverses[m] = m.inverse()
@@ -79,9 +75,8 @@ def check_module(rack: RackTable, module: CoeffModule):
     if len(module.matrices) != n:
         raise InputError(f"module provides {len(module.matrices)} matrices "
                          f"for a rack of size {n}")
-    charge_budget(CHECK_BYTES_PER_CELL * (n * module.dim) ** 2,
-                  f"the action check of a {module.dim}-dimensional module",
-                  "lower the module's dim")
+    charge_budget(CHECK_BYTES_PER_CELL * (n * module.dim) ** 2, f"the action check "
+                  f"of a {module.dim}-dimensional module", "lower the module's dim")
     for x, m in enumerate(module.matrices):
         if m.rows != module.dim or m.cols != module.dim or m.ring != module.ring:
             raise InputError(f"action matrix for element {x} has the wrong shape or ring")
@@ -99,8 +94,7 @@ def check_module(rack: RackTable, module: CoeffModule):
 
 
 def trivial_module(rack: RackTable, ring: Ring, dim: int = 1) -> CoeffModule:
-    charge_budget(IDENTITY_BYTES_PER_DIM * dim, f"the identity of a {dim}-dimensional "
-                  "module", "lower the module's dim")
+    charge_budget(IDENTITY_BYTES_PER_DIM * dim, f"a {dim}-dim trivial module", "lower its dim")
     ident = ExactMatrix.identity(dim, ring)
     return CoeffModule(ring, dim, (ident,) * rack.size, TAG_TRIVIAL)
 

@@ -13,11 +13,9 @@ from itertools import permutations as _all_permutations
 from .errors import InputError
 from .linalg import charge_budget
 
-# What a table built from a formula takes per cell at its peak, charged to
-# the memory budget first: an 8-byte slot in the candidate list and one in
-# the validated tuple, and for entries past the small-int cache a 28-byte
-# int; tracemalloc measures 41.5 bytes at n = 1200, 44 in the limit
-# (tests/test_racks.py measures it).
+# Peak bytes per cell of a formula table: a slot in the candidate list and
+# one in the validated tuple, and past the small-int cache a 28-byte int;
+# tracemalloc measures 41.5 at n = 1200, 44 in the limit (tests/test_racks.py)
 BYTES_PER_CELL = 48
 
 AXIOM_BIJECTIVE = "row_bijective"
@@ -142,33 +140,26 @@ def is_quandle(rack: RackTable) -> bool:
 # standard constructions
 
 
-def _charge_table(n, what):
-    charge_budget(BYTES_PER_CELL * n * n, f"the {n}x{n} table of {what}", "use a smaller rack")
+def _formula_table(n: int, what: str, entry):
+    """The n x n table of entry(x, y), charged to the memory budget first."""
+    if n < 1:
+        raise InputError(f"{what} needs n >= 1")
+    charge_budget(BYTES_PER_CELL * n * n, f"the {n}x{n} table of a {what}", "use a smaller rack")
+    return [[entry(x, y) for y in range(n)] for x in range(n)]
 
 
 def trivial_rack(n: int) -> RackTable:
-    if n < 1:
-        raise InputError("trivial rack needs n >= 1")
-    _charge_table(n, "a trivial rack")
-    return RackTable.from_table([[y for y in range(n)] for _ in range(n)])
+    return RackTable.from_table(_formula_table(n, "trivial rack", lambda x, y: y))
 
 
 def dihedral_rack(n: int) -> RackTable:
     """x |> y = 2x - y mod n."""
-    if n < 1:
-        raise InputError("dihedral rack needs n >= 1")
-    _charge_table(n, "a dihedral rack")
-    return RackTable.from_table(
-        [[(2 * x - y) % n for y in range(n)] for x in range(n)])
+    return RackTable.from_table(_formula_table(n, "dihedral rack", lambda x, y: (2 * x - y) % n))
 
 
 def cyclic_rack(n: int) -> RackTable:
     """x |> y = y + 1 mod n (a rack that is not a quandle for n > 1)."""
-    if n < 1:
-        raise InputError("cyclic rack needs n >= 1")
-    _charge_table(n, "a cyclic rack")
-    return RackTable.from_table(
-        [[(y + 1) % n for y in range(n)] for _ in range(n)])
+    return RackTable.from_table(_formula_table(n, "cyclic rack", lambda x, y: (y + 1) % n))
 
 
 def conjugation_rack(group_table, subset=None) -> RackTable:
@@ -232,8 +223,7 @@ def symmetric_group_table(k: int):
 
 
 def cyclic_group_table(k: int):
-    _charge_table(k, "a cyclic group")
-    return [[(a + b) % k for b in range(k)] for a in range(k)]
+    return _formula_table(k, "cyclic group", lambda a, b: (a + b) % k)
 
 
 def make_standard(kind: str, n: int | None = None, *,
