@@ -70,6 +70,11 @@ CHECK_BLOCK_BYTES = 1 << 20
 # than a mapping of their own; the certificate's chunks may take this much
 SMALL_BYTES = 1 << 16
 
+# What a kernel takes per cell of its n x (free columns) array of integer
+# vectors, with the matrix made of them: 16-35 bytes on zero, sparse and
+# random matrices over Q and F_7 (tracemalloc; tests/test_linalg.py).
+KERNEL_BYTES_PER_CELL = 40
+
 # What a matrix product charges per expanded term (one pair of stored
 # entries that meet) before it expands them: its int64 key, position and
 # value arrays, their sort order and sorted copies peak at 58 bytes per
@@ -594,13 +599,13 @@ class ExactMatrix:
         over F_p, over Z and Q (Q for Z) d > 0 times it, the lift that proves
         _rank_certified's rank or, when that refuses, _crt_kernel's."""
         m, n, c = self.rows, self.cols, self._csr
-        if not c.nums.size:
-            return np.ones(n, dtype=bool), np.eye(n, dtype=np.int64)
         p = getattr(self.ring, "p", 0)
         pivots = _eliminate(m, n, c, p or MODULAR_PRIME)[0]
         free = _free_columns(n, pivots)
-        if p:
-            return free, _kernel_mod_p(n, _back_substitution(n, pivots), free.nonzero()[0], p)
+        charge_budget(KERNEL_BYTES_PER_CELL * n * int(free.sum()), f"the kernel of a {m}x{n} matrix")
+        if p or not c.nums.size:
+            steps = _back_substitution(n, pivots)
+            return free, _kernel_mod_p(n, steps, free.nonzero()[0], p or MODULAR_PRIME)
         lifts = [np.zeros((n, 0), dtype=np.int64)]
         if _kernel_certifies(m, n, c, pivots, MODULAR_PRIME, keep=lifts):
             return free, np.concatenate(lifts, axis=1)
@@ -793,9 +798,9 @@ def _eliminate(m, n, csr, p, exact=False):
     (larger primes: Python ints); over Z the array is int64 until an
     update reaches 2^31, then Python ints.  Each array is charged to the
     memory budget before it exists, mod p with the pivot rows (at most
-    n(n + 1)/2 columns and residues and 2n array headers), and an int
-    array of SMALL_BYTES or more gets an anonymous mapping of its own (_zeroed),
-    unmapped when it dies: a
+    r = min(m, n) of them, with 2r array headers and min(n(n + 1)/2, rn)
+    columns and residues), and an int array of SMALL_BYTES or more gets an
+    anonymous mapping of its own (_zeroed), unmapped when it dies: a
     large array from the malloc heap stays resident after it is freed,
     and whether the next one reuses it depends on the heap's layout, so
     peak memory would differ from run to run.
@@ -833,8 +838,9 @@ def _residue_block(csr, lo, hi, n, p, probe=False):
     _eliminate); with `probe` one row more, the sum mod p of the rows from
     hi on, row i times the top 30 bits of i * 2^64 / golden ratio."""
     rows, size = hi - lo + probe, 4 if p < 2**31 else 8
-    charge_budget(size * rows * n + 8 * n * (n + 1) + 2 * 112 * n,
-                  f"the {rows}x{n} residue array of a modular rank")
+    r = min(csr.indptr.size - 1, n)
+    charge_budget(size * rows * n + 16 * min(n * (n + 1) // 2, r * n) + 2 * 112 * r,
+                  f"the {rows}x{n} residue array of a modular elimination")
     at = _zeroed((n, rows), np.int32 if size == 4 else object)
     a, b = csr.indptr[lo], csr.indptr[hi]
     at[csr.indices[a:b], _row_ids(csr.indptr[lo:hi + 1])] = csr.nums[a:b] % p

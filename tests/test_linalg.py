@@ -654,6 +654,29 @@ class TestKernelSolve:
         assert len(basis) == 1
         assert all(x == 0 for x in m.matvec(basis[0]))
 
+    def test_kernel_charge_covers_measured_bytes(self, monkeypatch):
+        # the tracemalloc peak of kernel_matrix where the kernel array is
+        # large (a zero matrix, a sparse wide one) against
+        # KERNEL_BYTES_PER_CELL per cell of that array, which is charged
+        # before it is built
+        rng = random.Random(1)
+        entries = {(i, j): rng.choice((-2, -1, 1, 2))
+                   for i in range(150) for j in rng.sample(range(900), 6)}
+        for ring in (QQ, GF(7)):
+            for a in (ExactMatrix.zeros(20, 1000, ring),
+                      ExactMatrix.from_entries(150, 900, ring, entries)):
+                gc.collect()
+                tracemalloc.start()
+                try:
+                    k = a.kernel_matrix()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= linalg.KERNEL_BYTES_PER_CELL * a.cols * k.cols
+        monkeypatch.setenv("RACKOH_BUDGET_MB", "1")
+        with pytest.raises(ResourceError, match="kernel of a 1x2000 matrix"):
+            ExactMatrix.zeros(1, 2000, QQ).kernel_matrix()
+
 
 class TestSmithNormalForm:
     def test_oracle_on_spec_example(self):
