@@ -174,10 +174,7 @@ class TestRank:
         refuse, so that the rank comes from more primes, and the oracle's
         rank."""
         m = ExactMatrix.from_rows(rows, ZZ)
-        calls = []
-        escape = linalg._crt_kernel
-        monkeypatch.setattr(linalg, "_crt_kernel",
-                            lambda *args: calls.append(args) or escape(*args))
+        calls = _spy_escape(monkeypatch)
         rank = m.rank()
         assert len(calls) == 1
         return rank, len(_gauss_jordan(rows)[1])
@@ -432,6 +429,13 @@ def _fails_to_escape(*args):
     raise AssertionError("the one-prime certificate refused")
 
 
+def _spy_escape(monkeypatch):
+    """A list that records the arguments of every _crt_kernel call."""
+    calls, escape = [], linalg._crt_kernel
+    monkeypatch.setattr(linalg, "_crt_kernel", lambda *args: calls.append(args) or escape(*args))
+    return calls
+
+
 class TestRankCertificate:
     @staticmethod
     def _kernel(matrix):
@@ -577,10 +581,7 @@ class TestIndependentRows:
         rows = _sparse_rows(random.Random(2), 110, 95, 0.03, 15)
         rows[0][7] = 2**31
         m = ExactMatrix.from_rows(rows, ZZ)
-        calls = []
-        escape = linalg._crt_kernel
-        monkeypatch.setattr(linalg, "_crt_kernel",
-                            lambda *args: calls.append(args) or escape(*args))
+        calls = _spy_escape(monkeypatch)
         self._check(m, rows)
         assert len(calls) == 1
 
@@ -1018,10 +1019,7 @@ class TestEliminationOracle:
             base = [[rng.randrange(-2, 3) for _ in range(80)] for _ in range(40)]
             rows = [[x + c * y for x, y in zip(*rng.sample(base, 2))]
                     for c in (rng.randrange(-2, 3) for _ in range(150))]
-        calls = []
-        escape = linalg._crt_kernel
-        monkeypatch.setattr(linalg, "_crt_kernel",
-                            lambda *args: calls.append(args) or escape(*args))
+        calls = _spy_escape(monkeypatch)
         a = ExactMatrix.from_rows(rows, QQ)
         assert a.kernel_basis() == _oracle_kernel(rows, len(rows[0]))
         assert len(calls) == 1
