@@ -204,15 +204,18 @@ def chain_isomorphism(rack: RackTable, module: CoeffModule, n: int) -> ExactMatr
     two differentials: chain_isomorphism . d == d' . chain_isomorphism."""
     size, k = rack.size, module.dim
     dim = size ** n * k
-    # prods: the distinct products x_1 ... x_i; ids: each i-tuple's product
-    prods, ids = [ExactMatrix.identity(k, module.ring)], np.zeros(1, np.int64)
+    # prods: the distinct products x_1 ... x_i, invs their inverses x_i^-1
+    # ... x_1^-1 (from where each first appears); ids: each i-tuple's product
+    ident = ExactMatrix.identity(k, module.ring)
+    prods, invs, ids = [ident], [ident], np.zeros(1, np.int64)
     for _ in range(n):
         seen = {}
         step = np.array([[seen.setdefault(p @ module.action(x), len(seen))
                           for x in range(size)] for p in prods])
-        prods = list(seen)
-        ids = step[ids].ravel()
-    return _block_rows(module.ring, dim, dim, k, [p.inverse() for p in prods], 1,
+        first = np.unique(step, return_index=True)[1].tolist()
+        invs = [module.action_inverse(t % size) @ invs[t // size] for t in first]
+        prods, ids = list(seen), step[ids].ravel()
+    return _block_rows(module.ring, dim, dim, k, invs, 1,
                        lambda: (np.arange(size ** n)[:, None] * k, 1, ids[:, None]))
 
 

@@ -593,23 +593,22 @@ class ExactMatrix:
     # -- kernels and solves ---------------------------------------------------
 
     def _kernel(self):
-        """(free, kernel): the mask of the columns where _eliminate does not
-        pivot, and per free column f the kernel vector that is 1 at f and 0
-        at the other free ones, as the columns of an integer array: mod p
-        over F_p, over Z and Q (Q for Z) d > 0 times it, the lift that proves
-        _rank_certified's rank or, when that refuses, _crt_kernel's."""
+        """(free, kernel): the mask of the columns where the elimination
+        does not pivot, and per free column f the kernel vector that is 1
+        at f and 0 at the other free ones, as the columns of an integer
+        array: mod p over F_p, over Z and Q d > 0 times it (_certified)."""
         m, n, c = self.rows, self.cols, self._csr
         p = getattr(self.ring, "p", 0)
-        pivots = _eliminate(m, n, c, p or MODULAR_PRIME)[0]
-        free = _free_columns(n, pivots)
-        charge_budget(KERNEL_BYTES_PER_CELL * n * int(free.sum()), f"the kernel of a {m}x{n} matrix")
         if p or not c.nums.size:
+            pivots = _eliminate(m, n, c, p or MODULAR_PRIME)[0]
+            free = _free_columns(n, pivots)
+            charge_budget(KERNEL_BYTES_PER_CELL * n * int(free.sum()),
+                          f"the kernel of a {m}x{n} matrix")
             steps = _back_substitution(n, pivots)
             return free, _kernel_mod_p(n, steps, free.nonzero()[0], p or MODULAR_PRIME)
         lifts = [np.zeros((n, 0), dtype=np.int64)]
-        if _kernel_certifies(m, n, c, pivots, MODULAR_PRIME, keep=lifts):
-            return free, np.concatenate(lifts, axis=1)
-        return _crt_kernel(m, n, c, pivots)[1:]
+        pivots = _certified(m, n, c, keep=lifts)
+        return _free_columns(n, pivots), np.concatenate(lifts, axis=1)
 
     def kernel_basis(self):
         """Basis of the right kernel; field rings only."""
@@ -922,117 +921,111 @@ def _sweep(at, p, pivots, grow=None, known=()):
 
 
 def _rank_certified(m, n, csr):
-    """Rank-many independent rows of the m x n integer matrix A of the
-    numerators stored in `csr`, proven over Q.
-
-    One elimination mod MODULAR_PRIME gives r pivot rows, independent mod
-    p and so over Q.  Its n - r kernel vectors mod p that are the identity
-    on the free (non-pivot) columns, independent, lifted to integer vectors
-    that A annihilates over Z, prove the rank is at most r.  A prime that
-    divides a maximal minor, a denominator of 2^15 or more, or an entry of
-    2^31 or more (the check runs on int64) makes this certificate refuse,
-    and _crt_kernel takes more primes.  A wide matrix is ranked as its
-    transpose, whose kernel is the smaller (entries sorted by column, then
-    row, with np.lexsort); its independent rows are the transpose's pivot
-    columns, where the pivot rows form a triangular matrix with a unit
-    diagonal, as each clears its pivot column in the rows after it.
-    """
+    """Rank-many independent rows of the m x n integer matrix of the
+    numerators stored in `csr`: _certified's pivot rows.  A wide matrix is
+    ranked as its transpose, whose kernel is the smaller (entries sorted by
+    column, then row); its independent rows are the transpose's pivot
+    columns, where the pivot rows form a unit triangular matrix."""
     wide = m < n
     if wide:
         rows = _row_ids(csr.indptr)
         order = np.lexsort((rows, csr.indices))
         m, n, csr = n, m, ExactMatrix._normalised(
             n, m, ZZ, csr.indices[order] * m + rows[order], csr.nums[order])._csr
-    pivots = _eliminate(m, n, csr, MODULAR_PRIME, exact=True)[0]
-    if not (pivots.proven or _kernel_certifies(m, n, csr, pivots, MODULAR_PRIME)):
-        pivots = _crt_kernel(m, n, csr, pivots)[0]
+    pivots = _certified(m, n, csr)
     return [support[-1] for support, _ in pivots] if wide else pivots.rows
 
 
-def _crt_kernel(m, n, csr, pivots):
-    """(pivots, free, lift) of the m x n integer matrix A of the numerators
-    in `csr`, as ExactMatrix._kernel gives them over Q, when the certificate
-    of `pivots`, its elimination mod MODULAR_PRIME, refuses: from that
-    prime and each prime below it in turn.
+def _certified(m, n, csr, keep=None):
+    """The pivot rows of an elimination mod MODULAR_PRIME of the m x n
+    integer matrix A of the numerators in `csr` (independent over Q) whose
+    kernel mod p lifts to A's over Q (_kernel_certifies, the lifts appended
+    to `keep` if given), so that they have its rank; else _crt_kernel's."""
+    pivots = _eliminate(m, n, csr, MODULAR_PRIME, exact=keep is None)[0]
+    if pivots.proven and keep is None or _kernel_certifies(
+            m, n, csr, pivots, MODULAR_PRIME, keep=keep):
+        return pivots
+    return _crt_kernel(m, n, csr, pivots, keep)
 
-    The primes whose pivot columns, read from the last, are
-    lexicographically greatest so far are kept (a prime that divides a
-    minor only loses pivot columns, the last of which Q keeps), their
-    kernels mod p combined by CRT and lifted by rational reconstruction
-    modulo their product.  The first lift that A annihilates on Python ints
-    proves the rank and is the kernel over Q: that check alone makes the
-    result exact.  The residues, lift and check are charged first.
-    """
-    starts, row_nnz = _row_starts(csr.indptr)
+
+def _crt_kernel(m, n, csr, pivots, keep=None):
+    """_certified's pivot rows when the elimination `pivots` mod
+    MODULAR_PRIME does not certify: eliminations modulo each prime below it
+    in turn.  The kernels mod p of the primes whose pivot columns, from the
+    last, are lexicographically greatest so far (a prime that divides a
+    minor only loses pivot columns) are combined by CRT, charged first, and
+    certified each time their product doubles in bits, so that all checks
+    cost about twice the last; the check alone makes the result exact."""
     p, best = MODULAR_PRIME, None
     while True:
         cols = [int(support[-1]) for support, _ in pivots]
-        if best is None or cols > best:
+        if best is None or cols > best:  # the first prime was checked alone
+            tried = 0 if best is not None else p.bit_length()
             best, x, modulus = cols, 0, 1
         if cols == best:
-            free = _free_columns(n, pivots)
-            r = _kernel_mod_p(n, _back_substitution(n, pivots), free.nonzero()[0], p)
-            x = x + modulus * ((r.astype(object) - x) * pow(modulus, -1, p) % p)
-            modulus *= p
-            entry = 8 + sys.getsizeof(modulus * csr.top * row_nnz)
-            charge_budget(3 * x.size * entry + CHECK_BLOCK_BYTES // 8 * entry,
+            free = _free_columns(n, pivots).nonzero()[0]
+            charge_budget(3 * n * free.size * (8 + sys.getsizeof(modulus * p)),
                           f"the kernel of a {m}x{n} matrix modulo several primes")
-            lift = _lift_kernel(x.copy(), modulus)
-            if lift is not None and _annihilates(starts, csr.indices, csr.nums, lift, max(
-                    1, CHECK_BLOCK_BYTES // (8 * max(1, lift.shape[1]) * row_nnz))):
-                return pivots, free, lift
-        p -= 2
-        while not is_prime(p):
-            p -= 2
+            r = _kernel_mod_p(n, _back_substitution(n, pivots), free, p).astype(object)
+            x, modulus = x + modulus * ((r - x) * pow(modulus, -1, p) % p), modulus * p
+            if modulus.bit_length() >= 2 * tried:
+                tried = modulus.bit_length()
+                if _kernel_certifies(m, n, csr, pivots, modulus, keep=keep, x=x):
+                    return pivots
+        p = next(q for q in range(p - 2, 2, -2) if is_prime(q))
         pivots = _eliminate(m, n, csr, p)[0]
 
 
 def _free_columns(n, pivots):
     """The mask of the n columns where the pivot rows `pivots` do not pivot."""
-    free = np.ones(n, dtype=bool)
-    free[[support[-1] for support, _ in pivots]] = False
-    return free
+    return np.bincount([support[-1] for support, _ in pivots], minlength=n) == 0
 
 
-def _kernel_certifies(m, n, csr, pivots, p, unread=None, keep=None):
+def _kernel_certifies(m, n, csr, pivots, p, unread=None, keep=None, x=None):
     """Whether the kernel mod p of the pivot rows `pivots` of the integer
-    matrix A of the numerators stored in `csr` lifts to integer vectors
-    that A annihilates, each lift appended to the list `keep` if given;
-    with `unread`, whether the kernel mod p annihilates the rows of A from
-    `unread` on mod p: they lie in the span of the pivot rows mod p.
+    matrix A of the numerators in `csr` (or x, its residues modulo any p)
+    lifts to integer vectors that A annihilates, then appended to the list
+    `keep` if given; with `unread`, whether the kernel mod p annihilates
+    the rows of A from `unread` on mod p.
 
     The free columns are taken in chunks, so that the kernel mod p, its
-    lift and the back-substitution's products stay below half the
-    8 * m * n bytes of the residue array (or SMALL_BYTES); the check takes
-    A's rows in blocks whose products fill at most CHECK_BLOCK_BYTES.
-    These arrays, and 24 bytes per entry of A (its arrays, copied when a
-    wide matrix is ranked as its transpose), are charged to the budget.
-    """
+    lift and the back-substitution's products stay below half the residue
+    array's 8mn bytes (or SMALL_BYTES); the check takes A's rows in blocks
+    whose products fill at most CHECK_BLOCK_BYTES.  Below 2^31 it runs on
+    int64, refusing an entry of 2^31 or more and a lift L with max|a| *
+    max row nnz * max|L| >= 2^62, above on Python ints.  These arrays, the
+    kept lifts and 24 bytes per entry of A (copied for a transpose) are
+    charged first."""
     nnz = csr.indices.size - csr.indptr[unread or 0]
     free = _free_columns(n, pivots).nonzero()[0]
     if not (nnz and free.size):
         return True
-    if unread is None and csr.top >= 2**31:
+    if unread is None and p < 2**31 and csr.top >= 2**31:
         return False
-    steps = _back_substitution(n, pivots)
-    per_column = 8 * (4 * n + 2 * max((c.size for _, c, _, _ in steps), default=0))
-    width = max(1, min(free.size, max(4 * m * n, SMALL_BYTES) // per_column))
-    charge_budget(24 * nnz + width * per_column
-                  + min(8 * nnz * width, CHECK_BLOCK_BYTES),
-                  f"the kernel certificate of a {m}x{n} modular rank")
     starts, row_nnz = _row_starts(csr.indptr[unread or 0:])
     bound = csr.top * row_nnz
+    item = 8 if p < 2**31 else 8 + sys.getsizeof(p * bound)
+    steps = _back_substitution(n, pivots) if x is None else ()
+    per_column = item * (4 * n + 2 * max((c.size for _, c, _, _ in steps), default=0))
+    width = max(1, min(free.size, max(4 * m * n, SMALL_BYTES) // per_column))
+    charge_budget(24 * nnz + width * per_column + min(item * nnz * width, CHECK_BLOCK_BYTES)
+                  + (keep is not None) * KERNEL_BYTES_PER_CELL * item // 8 * n * free.size,
+                  f"the kernel certificate of a {m}x{n} modular rank")
+    lifts = []
     for lo in range(0, free.size, width):
-        lift = _kernel_mod_p(n, steps, free[lo:lo + width], p)
+        lift = (_kernel_mod_p(n, steps, free[lo:lo + width], p) if x is None
+                else x[:, lo:lo + width].copy())
         if unread is None:
             lift = _lift_kernel(lift, p)
-            if lift is None or bound * int(np.abs(lift).max()) >= 2**62:
+            if lift is None or p < 2**31 and bound * int(np.abs(lift).max()) >= 2**62:
                 return False
-        block = max(1, CHECK_BLOCK_BYTES // (8 * lift.shape[1] * row_nnz))
+        block = max(1, CHECK_BLOCK_BYTES // (item * lift.shape[1] * row_nnz))
         if not _annihilates(starts, csr.indices, csr.nums, lift, block, p if unread else 0):
             return False
         if keep is not None:
-            keep.append(lift)
+            lifts.append(lift)
+    if keep is not None:
+        keep += lifts
     return True
 
 

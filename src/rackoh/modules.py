@@ -16,8 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError
-from .linalg import (GF, QQ, ZZ, ExactMatrix, Ring, _int_dtype, charge_budget,
-                     matrix_stack)
+from .linalg import GF, QQ, ZZ, ExactMatrix, Ring, _int_dtype, charge_budget, matrix_stack
 from .racks import RackTable
 
 TAG_TRIVIAL = "trivial"
