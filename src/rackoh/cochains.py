@@ -20,10 +20,10 @@ from math import lcm
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from .linalg import (QQ, ZZ, ExactMatrix, PrimeField, _canonical, _exact,
-                     _int_dtype, _summed, charge_budget, matrix_stack)
+from .linalg import (QQ, ZZ, ExactMatrix, PrimeField, _exact, _int_dtype,
+                     _summed, charge_budget, matrix_stack)
 from .modules import CoeffModule, tensor_with_trivial
-from .permutations import DEFAULT_CLOSURE_CAP, FiniteGroup, group_closure
+from .permutations import FiniteGroup, group_closure
 from .racks import RackTable, orbit_labels
 
 # What _block_rows charges per entry a matrix may store: the tracemalloc
@@ -108,8 +108,7 @@ def _block_rows(ring, rows, cols, k, mats, width, terms, scale=1):
     # last, transposed, as the key offset l * cols + j and the integer
     # value num * den * block[j, l]
     csrs = [m.csr for m in mats] + [ExactMatrix.identity(k, ring).csr]
-    row_dens = np.concatenate([c.dens for c in csrs])
-    den, num = lcm(*set(row_dens.tolist())), scale.numerator
+    den, num = lcm(*(c.den for c in csrs)), scale.numerator
     row_counts = np.diff(np.stack([c.indptr for c in csrs]), axis=1).ravel()
     keys = (np.concatenate([c.indices for c in csrs]) * cols
             + np.repeat(np.tile(np.arange(k), len(csrs)), row_counts))
@@ -121,7 +120,7 @@ def _block_rows(ring, rows, cols, k, mats, width, terms, scale=1):
     dtype = _int_dtype(max(top * max(int(np.abs(weights).max(initial=0)), 1) * width,
                            den * scale.denominator))
     vals = np.concatenate([c.nums for c in csrs]).astype(dtype)
-    vals *= np.repeat(num * (den // row_dens.astype(dtype)), row_counts)
+    vals *= np.repeat(np.array([num * (den // c.den) for c in csrs], dtype=dtype), sizes)
 
     # expand: term t contributes the counts[t] = sizes[blocks[t]] pattern
     # entries of its block, from start[blocks[t]] on
@@ -260,8 +259,7 @@ def apply_group_action_columns(rack, module, n, elements, which, block):
     which = np.asarray(which, dtype=np.int64).reshape(cols)
     mats, mat_den, top = matrix_stack([mat for _, mat in elements])
     a, den = block.dense()
-    a, a_top = _canonical(a)
-    dtype = _int_dtype(a_top * top * k)
+    dtype = _int_dtype(block.csr.top * top * k)
     # src[x, t, j]: column t of f at the image of the x-th tuple under its
     # permutation, so out[t, x, l] is sum_j src[x, t, j] mat_t[j, l]
     images = np.stack([_permuted_index(perm, n) for perm, _ in elements])
@@ -307,13 +305,13 @@ def slice_first(rack: RackTable, module: CoeffModule, n: int, y: int, vec):
     return slice_first_columns(rack, module, n, [y], _column(module, vec)).column(0)
 
 
-def finite_action_group(rack: RackTable, module: CoeffModule,
-                        cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
+def finite_action_group(rack: RackTable, module: CoeffModule) -> FiniteGroup:
     """The finite group through which the action factors: the closure of
-    the pairs (translation of x, action matrix of x).  A ResourceError past
-    `cap` means that the finiteness hypothesis (the kernel of the action
-    has finite index) is violated or cannot be certified for this module."""
-    return group_closure(rack.size, rack.table, module.matrices, cap)
+    the pairs (translation of x, action matrix of x).  A ResourceError from
+    the memory budget means that the finiteness hypothesis (the kernel of
+    the action has finite index) is violated or cannot be certified for
+    this module."""
+    return group_closure(rack.size, rack.table, module.matrices)
 
 
 def averaging_projector(rack: RackTable, module: CoeffModule, n: int,
@@ -434,7 +432,7 @@ def cochain_product_columns(rack: RackTable, module_a: CoeffModule, a: int, f,
     size, cols = rack.size, f.cols
     tensor = tensor_with_trivial(module_n, module_a.dim)
     (fi, fden), (gi, gden) = f.dense(), g.dense()
-    bound = f.csr.top * fden * g.csr.top * gden
+    bound = f.csr.top * g.csr.top
     # entry ((front, back, i), j) of column t is f_t(front)_i g_t(back)_j
     out = (_exact(fi, bound).reshape(size ** a, 1, module_a.dim, 1, cols)
            * _exact(gi, bound).reshape(1, size ** b, 1, module_n.dim, cols))

@@ -3,13 +3,13 @@
 Rank, kernel, solve, and Smith normal form back every cohomology
 computation.  All arithmetic is arbitrary precision; no floats anywhere.
 Matrices store their nonzero entries as compressed sparse rows: numpy
-arrays of row offsets, columns and integer numerators, and one
-denominator per row, made canonical by one normaliser.  Products with a
-matrix sort and sum expanded entries (Gustavson), charged to the memory
-budget before they are expanded; that A @ B = 0 is tested exactly, over
-every ring, as a product that stores no entry.  A product with a vector
-is the one-column case: the vector becomes a column (from_columns), and
-the column of the result a list again (column).
+arrays of row offsets, columns and integer numerators, over one
+denominator for the whole matrix, made canonical by one normaliser.
+Products with a matrix sort and sum expanded entries (Gustavson), charged
+to the memory budget before they are expanded; that A @ B = 0 is tested
+exactly, over every ring, as a product that stores no entry.  A product
+with a vector is the one-column case: the vector becomes a column
+(from_columns), and the column of the result a list again (column).
 One numpy elimination serves every rank, kernel, solve, inverse and
 column basis: mod p over F_p, over Z and Q modulo a ~30-bit prime,
 proven by an exact certificate (its kernel mod p, lifted to integer
@@ -258,13 +258,13 @@ def ring_vector(ring, ints, den=1):
 
 
 class CSR(NamedTuple):
-    """Stored entries: row i holds nums[t] / dens[i] at column indices[t]
-    for indptr[i] <= t < indptr[i + 1]; top is the largest |nums[t]|."""
+    """Stored entries: row i holds nums[t] / den at column indices[t] for
+    indptr[i] <= t < indptr[i + 1]; top is the largest |nums[t]|."""
 
     indptr: np.ndarray
     indices: np.ndarray
     nums: np.ndarray
-    dens: np.ndarray
+    den: int
     top: int
 
 
@@ -273,11 +273,12 @@ class ExactMatrix:
 
     The nonzero entries are stored as compressed sparse rows (CSR):
     ascending columns and integer numerators (int64 below 2^62, Python ints
-    above) and one denominator per row: 1 over Z and F_p (numerators are
-    residues in [1, p)), over Q the lcm of the row's denominators, the row
-    in lowest terms.  _normalised, which ends every constructor and
-    operation, makes that canonical.  Read entries through `m[i, j]` and
-    `m.nonzeros(i)`, or as arrays through `m.csr`.
+    above) over one denominator for the whole matrix: 1 over Z and F_p
+    (numerators are residues in [1, p)), over Q the lcm of the entries'
+    denominators, so that the numerators and it have gcd 1.  _normalised,
+    which ends every constructor and operation, makes that canonical.
+    Read entries through `m[i, j]` and `m.nonzeros(i)`, or as arrays
+    through `m.csr`.
     """
 
     __slots__ = ("rows", "cols", "ring", "_csr", "_independent")
@@ -296,9 +297,9 @@ class ExactMatrix:
     @classmethod
     def _normalised(cls, rows, cols, ring, key, nums, den=1):
         """The matrix with entry nums[t] / den at position key[t] = i * cols
-        + j, keys ascending, for one denominator `den` or one per row (1
-        unless the ring is Q): entries reduced mod p over F_p, zeros
-        dropped and each Q row brought to lowest terms, on whole arrays."""
+        + j, keys ascending (den is 1 unless the ring is Q): entries reduced
+        mod p over F_p, zeros dropped and the matrix brought to lowest
+        terms, on whole arrays."""
         nums = np.asarray(nums)
         if nums.dtype.kind != "O" and nums.dtype != np.int64:  # exactly, as Python ints
             nums = nums.astype(object)
@@ -308,19 +309,13 @@ class ExactMatrix:
         if keep.size < nums.size:
             key, nums = key[keep], nums[keep]
         indptr = key.searchsorted(np.arange(rows + 1) * cols)
-        dens, per_row = np.ones(rows, dtype=np.int64), isinstance(den, np.ndarray)
-        if nums.size and ((den != 1).any() if per_row else den != 1):
-            counts = indptr[1:] - indptr[:-1]
-            present = counts.nonzero()[0]
-            den = den[present] if per_row else np.asarray(den, dtype=_int_dtype(den))
-            g = np.gcd(np.gcd.reduceat(nums, indptr[present]), den)
-            nums = nums // g.repeat(counts[present])
-            dens = dens.astype(g.dtype)
-            dens[present] = den // g
-            dens = _canonical(dens)[0]
+        den = int(den)
+        if den != 1:  # g = den on no entries, so a zero matrix is over 1
+            g = gcd(int(np.gcd.reduce(nums)), den)
+            nums, den = nums // g, den // g
         nums, top = _canonical(nums)
         m = cls.__new__(cls)
-        m.rows, m.cols, m.ring, m._csr = rows, cols, ring, CSR(indptr, key % cols, nums, dens, top)
+        m.rows, m.cols, m.ring, m._csr = rows, cols, ring, CSR(indptr, key % cols, nums, den, top)
         m._independent = None
         return m
 
@@ -382,7 +377,7 @@ class ExactMatrix:
     @classmethod
     def from_triplets(cls, rows, cols, ring, ii, jj, nums, den=1):
         """Build from COO triplets: entry (ii[t], jj[t]) is nums[t] / den,
-        for one denominator `den` or one per row (1 unless the ring is Q).
+        den a positive integer (1 unless the ring is Q).
 
         ii and jj are integer arrays, nums an int64 array or an object
         array of integers, sorted by (row, column) with no position
@@ -394,8 +389,8 @@ class ExactMatrix:
                         jj.max() >= cols or (keys[1:] <= keys[:-1]).any()):
             raise InputError(f"entries do not fit a {rows}x{cols} matrix, "
                              "sorted by row and column without repeats")
-        if ring != QQ and np.any(np.asarray(den) != 1):
-            raise InputError(f"a matrix over {ring} takes no denominator")
+        if den < 1 or ring != QQ and den != 1:
+            raise InputError(f"a matrix over {ring} cannot take the denominator {den}")
         return cls._normalised(rows, cols, ring, keys, nums, den)
 
     # -- entry access --------------------------------------------------------
@@ -417,7 +412,7 @@ class ExactMatrix:
         if t == len(cols) or cols[t] != j:
             return self.ring.coerce(0)
         num = int(c.nums[a + t])
-        return Fraction(num, int(c.dens[i])) if self.ring == QQ else num
+        return Fraction(num, c.den) if self.ring == QQ else num
 
     def nonzeros(self, i):
         """The (column, value) pairs of row i's nonzero entries, by column."""
@@ -425,21 +420,16 @@ class ExactMatrix:
         a, b = c.indptr[i:i + 2].tolist()
         cols, nums = c.indices[a:b].tolist(), c.nums[a:b].tolist()
         if self.ring == QQ:
-            den = int(c.dens[i])
-            return [(j, Fraction(x, den)) for j, x in zip(cols, nums)]
+            return [(j, Fraction(x, c.den)) for j, x in zip(cols, nums)]
         return list(zip(cols, nums))
 
     def dense(self):
-        """(a, den): the matrix is a / den for the 2-D integer array a,
-        int64 when its entries fit with room to spare, and den the lcm of
-        the rows' denominators."""
+        """(a, den): the matrix is a / den for the 2-D integer array a of
+        the stored numerators, int64 when they fit with room to spare."""
         c = self._csr
-        den = lcm(*set(c.dens.tolist()))
-        top = c.top * den
-        a = np.zeros((self.rows, self.cols), dtype=_int_dtype(top))
-        a[_row_ids(c.indptr), c.indices] = _exact(c.nums, top) * (
-            den // _exact(c.dens, den)).repeat(np.diff(c.indptr))
-        return a, den
+        a = np.zeros((self.rows, self.cols), dtype=c.nums.dtype)
+        a[_row_ids(c.indptr), c.indices] = c.nums
+        return a, c.den
 
     @property
     def data(self):
@@ -455,7 +445,8 @@ class ExactMatrix:
     def _key(self):
         # the storage is canonical: int64 arrays by their bytes, object
         # arrays by their Python ints
-        return [tuple(a.tolist()) if a.dtype.hasobject else a.tobytes() for a in self._csr[:4]]
+        c = self._csr
+        return [tuple(a.tolist()) if a.dtype.hasobject else a.tobytes() for a in c[:3]] + [c.den]
 
     def __eq__(self, other):
         return (isinstance(other, ExactMatrix) and self.rows == other.rows
@@ -483,7 +474,7 @@ class ExactMatrix:
         keep = new >= 0
         return ExactMatrix._normalised(
             self.rows, cols.size, self.ring,
-            _row_ids(c.indptr)[keep] * cols.size + new[keep], c.nums[keep], c.dens)
+            _row_ids(c.indptr)[keep] * cols.size + new[keep], c.nums[keep], c.den)
 
     def hstack(self, other):
         if other.rows != self.rows or other.ring != self.ring:
@@ -500,46 +491,36 @@ class ExactMatrix:
     def _add(self, other, sign, shift, cols):
         """The rows x cols matrix whose row i is row i of self plus sign
         times row i of other moved right by `shift` columns, as integers
-        over the lcm of the two rows' denominators."""
+        over the lcm of the two denominators."""
         a, b = self._csr, other._csr
-        a_nums, b_nums, den = a.nums, b.nums, 1
-        if self.ring == QQ:
-            bound = max(a.top, b.top) * int(a.dens.max(initial=1)) * int(b.dens.max(initial=1))
-            den = np.lcm(_exact(a.dens, bound), b.dens)
-            a_nums = a_nums * (den // a.dens).repeat(np.diff(a.indptr))
-            b_nums = b_nums * (den // b.dens).repeat(np.diff(b.indptr))
+        den = lcm(a.den, b.den)
+        # bounds the sums and the scales, an empty side's (den) too
+        bound = 2 * den * max(a.top, b.top)
         key = np.concatenate([_row_ids(a.indptr) * cols + a.indices,
                               _row_ids(b.indptr) * cols + (b.indices + shift)])
-        return _summed(self.rows, cols, self.ring, key,
-                       np.concatenate([a_nums, sign * b_nums]), den)
+        return _summed(self.rows, cols, self.ring, key, np.concatenate([
+            _exact(a.nums, bound) * (den // a.den),
+            _exact(b.nums, bound) * (sign * (den // b.den))]), den)
 
     def __matmul__(self, other):
         """Matrix product, or matvec for a vector.  Gustavson's sort and sum:
-        a_ij expands to a_ij times row j of other (over Q put over the lcm
-        L of its rows' denominators, so row i of A @ B is over dens[i] * L).
-        When more than half of other's entries are stored (a block of
-        cochain columns, say) its rows are read dense and added up in
-        place, one entry of each row of self at a time, with no sort and
-        no array of all terms.  The expanded terms are charged to the
-        memory budget first, BYTES_PER_TERM each, and on Python ints two
-        ints more."""
+        a_ij expands to a_ij times row j of other, numerators over the
+        product of the two denominators.  When more than half of other's
+        entries are stored (a block of cochain columns, say) its rows are
+        read dense and added up in place, one entry of each row of self at
+        a time, with no sort and no array of all terms.  The expanded terms
+        are charged to the memory budget first, BYTES_PER_TERM each, and on
+        Python ints two ints more."""
         if not isinstance(other, ExactMatrix):
             return self.matvec(other)
         if self.cols != other.rows or self.ring != other.ring:
             raise InputError("matmul shape or ring mismatch")
         a, b = self._csr, other._csr
-        b_counts = b.indptr[1:] - b.indptr[:-1]
-        b_nums, b_top, den = b.nums, b.top, 1
-        if self.ring == QQ:
-            scale, den = lcm(*set(b.dens.tolist())), a.dens
-            if scale != 1:
-                den = _exact(den, int(den.max(initial=1)) * scale) * scale
-                b_top *= scale
-                b_nums = _exact(b_nums, b_top) * (scale // _exact(b.dens, scale)).repeat(b_counts)
-        counts = b_counts[a.indices]
+        den = a.den * b.den
+        counts = (b.indptr[1:] - b.indptr[:-1])[a.indices]
         ends = counts.cumsum()
         # a row of the product sums at most other.rows products
-        bound = a.top * b_top * other.rows
+        bound = a.top * b.top * other.rows
         per_term = BYTES_PER_TERM + (2 * sys.getsizeof(bound) if bound >= 2**62 else 0)
         charge_budget(int(ends[-1]) * per_term if ends.size else 0, f"the expanded terms of a "
                       f"{self.rows}x{self.cols} by {other.rows}x{other.cols} product")
@@ -559,7 +540,7 @@ class ExactMatrix:
         key = (_row_ids(a.indptr) * other.cols).repeat(counts)
         key += b.indices[pos]
         a_nums = _exact(a.nums, bound).repeat(counts)
-        return _summed(self.rows, other.cols, self.ring, key, a_nums * b_nums[pos], den)
+        return _summed(self.rows, other.cols, self.ring, key, a_nums * b.nums[pos], den)
 
     def matvec(self, vec):
         """self @ vec as a list of ring elements: the one-column case of
@@ -658,7 +639,7 @@ class ExactMatrix:
         inv = self._solve(ExactMatrix.identity(n, self.ring))
         if inv is None:
             raise InputError("matrix is singular")
-        if self.ring == ZZ and (inv._csr.dens != 1).any():
+        if self.ring == ZZ and inv._csr.den != 1:
             raise InputError("matrix is not invertible over Z")
         return inv
 
@@ -675,9 +656,9 @@ class ExactMatrix:
 
 def _summed(rows, cols, ring, key, vals, den):
     """The matrix whose entry (i, j) is the sum of vals[t] over the t with
-    key[t] = i * cols + j, over den (one or one per row): the keys are
-    sorted, a merge sort that is fast on keys grouped by row, and repeats
-    summed with np.add.reduceat."""
+    key[t] = i * cols + j, over den: the keys are sorted, a merge sort
+    that is fast on keys grouped by row, and repeats summed with
+    np.add.reduceat."""
     order = key.argsort(kind="stable")
     key, vals = key[order], vals[order]
     del order
@@ -758,8 +739,8 @@ class _Pivots(list):
 
 def _eliminate(m, n, csr, p, exact=False):
     """(pivots, at): the pivots of one elimination of the m x n integer
-    matrix of the numerators stored in `csr` (a CSR; the row denominators
-    do not change the rank), as _Pivots, and the column-major array it
+    matrix of the numerators stored in `csr` (a CSR; the denominator does
+    not change the rank), as _Pivots, and the column-major array it
     leaves (mod p, that of its last block).  With a prime p it works mod
     p: the pivots are the rank mod p, each pivot row normalised so that
     its pivot entry, at the last column of its support, is 1.  With p = 0

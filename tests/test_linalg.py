@@ -220,13 +220,13 @@ class TestRank:
         rank, expected = self._rank_via_escape(monkeypatch, rows)
         assert rank == expected == 40
 
-    def test_rational_rows_scaled_by_their_own_denominators(self):
+    def test_rational_entries_share_one_denominator(self):
         m = ExactMatrix.from_rows([[Fraction(1, 2), 0, Fraction(1, 3)],
                                    [0, 0, 0],
                                    [0, Fraction(-5, 4), 0]], QQ)
         csr = m.csr
         assert [csr.indptr.tolist(), csr.indices.tolist(), csr.nums.tolist(),
-                csr.dens.tolist()] == [[0, 2, 2, 3], [0, 2, 1], [3, 2, -5], [6, 1, 4]]
+                csr.den, csr.top] == [[0, 2, 2, 3], [0, 2, 1], [6, 4, -15], 12, 15]
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=6, deadline=None)
