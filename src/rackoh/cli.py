@@ -30,7 +30,7 @@ from .errors import InputError, PreconditionError, RackohError, ResourceError
 from .linalg import GF, QQ, ZZ, ExactMatrix
 from .modules import (constant_module, jordan_module, module_from_spec,
                       trivial_module, function_module)
-from .permutations import DEFAULT_CLOSURE_CAP, inner_group
+from .permutations import inner_group
 from .racks import (RackTable, conjugation_rack, cyclic_group_table,
                     cyclic_rack, dihedral_rack, is_quandle, make_semidirect,
                     orbits, rack_from_json, rack_to_json, read_rack_document,
@@ -58,7 +58,7 @@ def canonical_json(obj) -> str:
 def _builtin_group_table(name: str):
     if name == "S3":
         return symmetric_group_table(3)
-    if name.startswith("Z") and name[1:].isdigit():
+    if name.startswith("Z") and name[1:].isdecimal():
         k = int(name[1:])
         if k < 1:
             raise InputError("cyclic group size must be >= 1")
@@ -72,7 +72,7 @@ def _read_json(path: str, what: str):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {what} {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"{what} {path} is not valid JSON: {exc}")
 
 
@@ -85,7 +85,7 @@ def parse_rack_spec(spec: str):
         rack, labels = rack_from_json(_read_json(param, "rack file"))
         return spec, rack, labels
     if kind in ("trivial", "dihedral", "cyclic"):
-        if not param.isdigit():
+        if not param.isdecimal():
             raise InputError(f"{kind} rack needs a positive integer size")
         n = int(param)
         builder = {"trivial": trivial_rack, "dihedral": dihedral_rack,
@@ -108,13 +108,10 @@ class RunConfig:
     nonabelian: str | None = None
     invariant: bool = False
     as_json: bool = False
-    closure_cap: int = DEFAULT_CLOSURE_CAP
 
     def __post_init__(self):
         if self.max_degree < 0:
             raise InputError("max-degree must be >= 0")
-        if self.closure_cap <= 0:
-            raise InputError("budget caps must be positive")
 
 
 def _parse_ring(name: str):
@@ -122,7 +119,7 @@ def _parse_ring(name: str):
         return QQ
     if name == "Z":
         return ZZ
-    if name.startswith("F") and name[1:].isdigit():
+    if name.startswith("F") and name[1:].isdecimal():
         return GF(int(name[1:]))
     raise InputError(f"unknown ring {name!r} (use Q, Z, or F<p>)")
 
@@ -177,7 +174,7 @@ def cmd_verify(config: RunConfig) -> tuple:
             "yang_baxter": verify_yang_baxter(rack),
             "orbit_count": part.orbit_count,
             "orbits": [sorted(c) for c in part.classes()],
-            "inner_group_order": inner_group(rack, cap=config.closure_cap).order,
+            "inner_group_order": inner_group(rack).order,
         })
     return (EXIT_OK if report.valid else EXIT_CHECK_FAILED), doc
 
@@ -205,7 +202,7 @@ def cmd_cohomology(config: RunConfig) -> tuple:
         module = trivial_module(rack, ring)
     if config.invariant and not module.ring.is_field:
         raise InputError("--invariant needs Q or Fp coefficients")
-    cx = RackComplex(rack, module, spec, closure_cap=config.closure_cap)
+    cx = RackComplex(rack, module, spec)
     if module.ring == ZZ:
         report = cohomology_integral(rack, config.max_degree, spec, complex_=cx)
         return _report_exit(report), report.to_json_dict()
@@ -214,19 +211,14 @@ def cmd_cohomology(config: RunConfig) -> tuple:
     if config.invariant:
         comparison = invariant_cohomology(rack, module, config.max_degree, spec,
                                           complex_=cx)
+        report.checks += comparison.report.checks
+        report.notes += comparison.report.notes
         doc = report.to_json_dict()
         doc["invariant"] = {
             "betti": comparison.invariant_betti,
             "xi_rank": comparison.xi_rank,
             "isomorphism_expected": comparison.isomorphism_expected,
         }
-        for check in comparison.report.checks:
-            report.checks.append(check)
-            doc["checks"].append({"name": check.name, "pass": check.passed,
-                                  "details": check.details})
-        for note in comparison.report.notes:
-            report.notes.append(note)
-            doc["notes"].append(note)
         return _report_exit(report), doc
     return _report_exit(report), report.to_json_dict()
 
@@ -653,20 +645,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact cohomology workbench for finite racks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_rack=True, closes_groups=False):
+    def common(p, needs_rack=True):
         if needs_rack:
             p.add_argument("--rack", required=True,
                            help="rack spec: trivial:n, dihedral:n, cyclic:n, "
                                 "conj:S3, file:path.json")
         p.add_argument("--json", action="store_true", help="canonical JSON output")
-        if closes_groups:
-            p.add_argument("--closure-cap", type=int, default=DEFAULT_CLOSURE_CAP)
 
     p = sub.add_parser("verify", help="check the rack axioms and invariants")
-    common(p, closes_groups=True)
+    common(p)
 
     p = sub.add_parser("cohomology", help="betti numbers and torsion")
-    common(p, closes_groups=True)
+    common(p)
     p.add_argument("--ring", default="Q", help="Q, Z, or F<p>")
     p.add_argument("--max-degree", type=int, default=3)
     p.add_argument("--twisted", help="t=<rational>,k=<block size> over Q")
@@ -702,7 +692,6 @@ def main(argv=None) -> int:
             nonabelian=getattr(args, "nonabelian", None),
             invariant=getattr(args, "invariant", False),
             as_json=args.json,
-            closure_cap=getattr(args, "closure_cap", DEFAULT_CLOSURE_CAP),
         )
         code, doc = handlers[args.command](config)
     except ResourceError as exc:

@@ -23,7 +23,7 @@ from .linalg import (CHECK_BLOCK_BYTES, QQ, ZZ, AbelianGroup, ExactMatrix,
                      charge_budget, lattice_quotient)
 from .modules import (CoeffModule, constant_module, function_module,
                       jordan_module, trivial_module)
-from .permutations import DEFAULT_CLOSURE_CAP, inner_group
+from .permutations import inner_group
 from .racks import RackTable, is_quandle, make_semidirect, orbits
 
 CHECK_BETTI_MN = "betti_equals_m_pow_n"
@@ -140,12 +140,10 @@ class RackComplex:
     So the cleared matrix's certificate proves rank d_n.
     """
 
-    def __init__(self, rack: RackTable, module: CoeffModule, rack_spec="custom",
-                 closure_cap: int = DEFAULT_CLOSURE_CAP):
+    def __init__(self, rack: RackTable, module: CoeffModule, rack_spec="custom"):
         self.rack = rack
         self.module = module
         self.rack_spec = rack_spec
-        self.closure_cap = closure_cap
         self._diff: dict = {}
         self._rank: dict = {}
         self._independent: dict = {}
@@ -159,7 +157,7 @@ class RackComplex:
 
     @cached_property
     def inner_order(self):
-        return inner_group(self.rack, cap=self.closure_cap).order
+        return inner_group(self.rack).order
 
     def space_dim(self, n):
         return self.rack.size ** n * self.module.dim
@@ -342,7 +340,7 @@ def invariant_cohomology(rack: RackTable, module: CoeffModule, max_degree: int,
     if not module.ring.is_field:
         raise PreconditionError("invariant cohomology needs field coefficients")
     cx = complex_ or RackComplex(rack, module, rack_spec)
-    group = finite_action_group(rack, module, cx.closure_cap)
+    group = finite_action_group(rack, module)
     ring = module.ring
     invertible = not isinstance(ring, PrimeField) or group.order % ring.p != 0
 

@@ -180,8 +180,8 @@ def _number(value):
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             pass
-    elif isinstance(value, int) or (isinstance(value, float)
-                                    and math.isfinite(value)):
+    elif (isinstance(value, int) and not isinstance(value, bool)
+          or isinstance(value, float) and math.isfinite(value)):
         return value
     raise InputError(f"bad number {value!r} in the module file")
 

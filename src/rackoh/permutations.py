@@ -12,11 +12,8 @@ from math import gcd
 
 import numpy as np
 
-from .errors import ResourceError
 from .linalg import _int_dtype, charge_budget, matrix_stack
 from .racks import RackTable
-
-DEFAULT_CLOSURE_CAP = 10_000_000
 
 # What a closure charges per element besides its tuple's 8-byte slots and
 # ints past the small-int cache (tests/test_permutations.py measures it):
@@ -49,16 +46,15 @@ def _times(tail, stack, den, top, p):
             for row in (prods % p if p else prods).reshape(s, k * k).tolist()]
 
 
-def group_closure(degree: int, perms, mats=(),
-                  cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
+def group_closure(degree: int, perms, mats=()) -> FiniteGroup:
     """The group generated by the pairs (perms[i], mats[i]) of the images
     of a permutation of range(degree) and an invertible ExactMatrix, or by
     the permutations alone when mats is empty: each element, in BFS order,
     times each generator, (p, a) (q, b) = (p[q], a @ b), the permutations
     by indexing and the matrices by one stacked product, exact on int64 or
-    Python ints as _int_dtype decides.  Raises ResourceError past `cap`
-    elements or when the element list, charged before it doubles, would
-    pass the memory budget.
+    Python ints as _int_dtype decides.  Raises ResourceError when the
+    element list, charged before it doubles, would pass the memory budget:
+    the group is too large, or infinite.
     """
     ident = tuple(range(degree))
     if mats:
@@ -74,9 +70,6 @@ def group_closure(degree: int, perms, mats=(),
                 continue
             seen.add(prod)
             elements.append(prod)
-            if len(elements) > cap:
-                raise ResourceError(f"group closure exceeded cap {cap}: the "
-                                    "group is larger, or infinite")
             if len(elements) > limit:  # charge the doubled list
                 limit *= 2
                 charge_budget(limit * _element_bytes(prod),
@@ -85,7 +78,7 @@ def group_closure(degree: int, perms, mats=(),
     return elements
 
 
-def inner_group(rack: RackTable, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
+def inner_group(rack: RackTable) -> FiniteGroup:
     """The permutation group generated by the rack translations, the rows
     of its table."""
-    return group_closure(rack.size, rack.table, cap=cap)
+    return group_closure(rack.size, rack.table)

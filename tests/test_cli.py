@@ -52,7 +52,8 @@ class TestRackSpecs:
             assert rack.size == size
 
     def test_bad_specs(self):
-        for spec in ("dihedral", "dihedral:x", "moebius:3", "conj:K4"):
+        for spec in ("dihedral", "dihedral:x", "moebius:3", "conj:K4",
+                     "dihedral:³", "conj:Z³"):
             with pytest.raises(InputError):
                 parse_rack_spec(spec)
 
@@ -99,10 +100,11 @@ class TestVerify:
         {"table": [5, 6]},
         {"table": [[0, 1], [0, 1]], "labels": 5},
         {"table": [[0, 1], [0, 1]], "size": 3},
-    ], ids=["rows-not-lists", "labels-not-list", "size-mismatch"])
+        b"\xff\xfe{}",
+    ], ids=["rows-not-lists", "labels-not-list", "size-mismatch", "not-utf8"])
     def test_malformed_document_exit_2(self, capsys, tmp_path, doc):
         path = tmp_path / "doc.json"
-        path.write_text(json.dumps(doc))
+        path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
         for command in ("verify", "cohomology"):
             code, _, err = run_cli(capsys, command, "--rack", f"file:{path}")
             assert code == EXIT_INPUT
@@ -215,10 +217,13 @@ class TestCohomologyCommand:
                                "--module", str(path))
         assert code == EXIT_INPUT
 
-    def test_bad_ring_exit_2(self, capsys):
+    @pytest.mark.parametrize("ring", ["R", "F³"])
+    def test_bad_ring_exit_2(self, capsys, ring):
+        # str.isdigit accepts the superscript, which int() refuses
         code, _, err = run_cli(capsys, "cohomology", "--rack", "dihedral:3",
-                               "--ring", "R")
+                               "--ring", ring)
         assert code == EXIT_INPUT
+        assert err.startswith("input error:")
 
     def test_missing_module_file_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "cohomology", "--rack", "dihedral:3",
@@ -244,11 +249,16 @@ class TestCohomologyCommand:
         {"ring": "Q", "dim": 2, "action": {"type": "custom",
                                            "matrices": [[[1]], [[1]], [[1]]]}},
         {"ring": "Q", "dim": 1, "action": {"type": "custom", "matrices": [[], [], []]}},
+        {"ring": "Q", "action": {"type": "jordan", "t": True}},
+        {"ring": "Q", "action": {"type": "custom",
+                                 "matrices": [[[True]], [[True]], [[True]]]}},
+        b"\xff\xfe{}",
     ], ids=["not_an_object", "action_not_an_object", "jordan_t_abc",
-            "custom_entry_x", "dim_bool", "dim_above_matrices", "dim_of_empty_matrices"])
+            "custom_entry_x", "dim_bool", "dim_above_matrices", "dim_of_empty_matrices",
+            "jordan_t_bool", "custom_entry_bool", "not_utf8"])
     def test_malformed_module_file_exit_2(self, capsys, tmp_path, doc):
         path = tmp_path / "module.json"
-        path.write_text(json.dumps(doc))
+        path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
         code, _, err = run_cli(capsys, "cohomology", "--rack", "dihedral:3",
                                "--module", str(path))
         assert code == EXIT_INPUT
@@ -537,31 +547,12 @@ class TestBudgets:
         assert code == 3
         assert "partial cocycles" in err and "budget" in err
 
-    def test_caps_must_be_positive(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--rack", "dihedral:3",
-                               "--closure-cap", "0")
-        assert code == EXIT_INPUT
-
-    @pytest.mark.parametrize("flags", [("--ring", "F5"), ("--invariant",)],
-                             ids=["field", "invariant"])
-    def test_closure_cap_reaches_field_path(self, capsys, flags):
-        code, _, err = run_cli(capsys, "cohomology", "--rack", "dihedral:3",
-                               *flags, "--max-degree", "1",
-                               "--closure-cap", "1")
-        assert code == 3
-        assert "exceeded cap 1" in err
-
-    @pytest.mark.parametrize("argv", [
-        ["corpus"], ["h2", "--rack", "dihedral:3", "--coeff", "Z3"]],
-        ids=["corpus", "h2"])
-    def test_closure_cap_only_where_groups_close(self, capsys, argv):
-        # corpus and h2 close their groups at the default cap, so they
-        # do not take the flag
+    @pytest.mark.parametrize("command", ["verify", "cohomology"])
+    def test_closure_cap_flag_is_gone(self, capsys, command):
+        # the memory budget bounds every group closure
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--closure-cap", "1"])
+            main([command, "--rack", "dihedral:3", "--closure-cap", "1"])
         assert exc.value.code == EXIT_INPUT
-        err = capsys.readouterr().err
-        assert "error:" in err and "--closure-cap" in err
 
     def test_snf_bit_cap_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -601,7 +592,7 @@ SMALL_RACK_SPECS = ["trivial:1", "trivial:2", "trivial:3", "cyclic:1",
                     "cyclic:2", "cyclic:3", "dihedral:1", "dihedral:2",
                     "dihedral:3", "conj:Z1", "conj:Z2", "conj:Z3",
                     "trivial:0", "dihedral:x", "cyclic:-1", "moebius:3",
-                    "conj:K4", "dihedral"]
+                    "conj:K4", "dihedral", "dihedral:³"]
 SMALL_RACK_TABLES = [[[0]], [[0, 0], [1, 1]], [[1, 1], [0, 0]],
                      [[0, 2, 1], [2, 1, 0], [1, 0, 2]],
                      [[1, 1, 1], [2, 2, 2], [0, 0, 0]]]
@@ -625,7 +616,7 @@ def _rack_documents():
 
 def _module_documents():
     number = st.one_of(st.integers(-2, 2), st.sampled_from(
-        ["1/2", "-1", "abc", "1/0", 0.5, None, [1]]))
+        ["1/2", "-1", "abc", "1/0", 0.5, None, [1], True]))
     matrix = st.lists(st.lists(number, max_size=2), max_size=2)
     action = st.one_of(
         st.fixed_dictionaries({"type": st.just("trivial")}),
@@ -656,12 +647,10 @@ def _argv_and_files(draw):
         argv += ["--rack", draw(st.sampled_from(SMALL_RACK_SPECS))]
     if draw(st.booleans()):
         argv.append("--json")
-    if draw(st.integers(0, 3)) == 0:
-        argv += ["--closure-cap", str(draw(st.integers(0, 30)))]
     if command == "cohomology":
         if draw(st.booleans()):
             argv += ["--ring", draw(st.sampled_from(
-                ["Q", "Z", "F2", "F3", "F4", "F5", "F", "X", "F1"]))]
+                ["Q", "Z", "F2", "F3", "F4", "F5", "F", "X", "F1", "F³"]))]
         argv += ["--max-degree", str(draw(st.sampled_from([0, 1, 2, 2, -1])))]
         if draw(st.integers(0, 3)) == 0:
             argv += ["--twisted", draw(st.sampled_from(TWISTED_ARGS))]
