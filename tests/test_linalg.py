@@ -1445,10 +1445,13 @@ class TestSparseAgainstDense:
         with pytest.raises(InputError):
             ExactMatrix.from_triplets(m + 1, n, ring, ii + [m], jj + [n],
                                       np.append(nums, 1), den)
+        for bad in (0, -den):  # a matrix is over a positive denominator
+            with pytest.raises(InputError):
+                ExactMatrix.from_triplets(m, n, ring, ii, jj, nums, bad)
         # every constructor and operation stores equal matrices alike, so
         # they compare and hash equal: entries past 2^62 too, int64 and
-        # object numerators, and Q rows over a common denominator that is
-        # not the lowest
+        # object numerators, and Q entries over a denominator that is not
+        # the lowest
         ident, zero = ExactMatrix.identity(n, ring), ExactMatrix.zeros(m, n, ring)
         for big in (1, 2**62 + 1):
             rows_b = [[x * big for x in row] for row in a_rows]
