@@ -9,6 +9,7 @@ configurations produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -92,7 +93,9 @@ def parse_rack_spec(spec: str):
                    "cyclic": cyclic_rack}[kind]
         return f"{kind}:{n}", builder(n), None
     if kind == "conj":
-        return spec, conjugation_rack(_builtin_group_table(param)), None
+        table = _builtin_group_table(param)
+        name = param if param == "S3" else f"Z{int(param[1:])}"
+        return f"conj:{name}", conjugation_rack(table), None
     raise InputError(f"unknown rack kind {kind!r}")
 
 
@@ -639,7 +642,10 @@ def _print_human(command: str, doc: dict, out):
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every main()
+    call in the process."""
     parser = argparse.ArgumentParser(
         prog="rackoh",
         description="exact cohomology workbench for finite racks")

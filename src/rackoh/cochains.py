@@ -95,7 +95,7 @@ def _block_rows(ring, rows, cols, k, mats, width, terms, scale=1):
     is allocated for a matrix the guard refuses.
 
     Each term is expanded by its block's stored entries with np.repeat;
-    _summed sorts the keys row * cols + col and sums repeats.  Entries are
+    _summed sums the terms at each key row * cols + col.  Entries are
     integers over den, the lcm of the denominators of mats and of scale
     (an integer, or over Q a Fraction), on int64 when the largest scaled
     block entry times the largest weight times width (the terms one entry

@@ -5,11 +5,14 @@ computation.  All arithmetic is arbitrary precision; no floats anywhere.
 Matrices store their nonzero entries as compressed sparse rows: numpy
 arrays of row offsets, columns and integer numerators, over one
 denominator for the whole matrix, made canonical by one normaliser.
-Products with a matrix sort and sum expanded entries (Gustavson), charged
-to the memory budget before they are expanded; that A @ B = 0 is tested
-exactly, over every ring, as a product that stores no entry.  A product
-with a vector is the one-column case: the vector becomes a column
-(from_columns), and the column of the result a list again (column).
+A product with a matrix expands its terms (Gustavson) a block of rows at
+a time and sums each block before the next: in a dense accumulator when
+the block's positions are few per term, else by a sort.  Each block is
+charged to the memory budget before it is expanded, with the entries kept
+so far; that A @ B = 0 is tested exactly, over every ring, as a product
+that stores no entry, in one block of memory.  A product with a vector is
+the one-column case: the vector becomes a column (from_columns), and the
+column of the result a list again (column).
 One numpy elimination serves every rank, kernel, solve, inverse and
 column basis: mod p over F_p, over Z and Q modulo a ~30-bit prime,
 proven by an exact certificate (its kernel mod p, lifted to integer
@@ -75,14 +78,25 @@ SMALL_BYTES = 1 << 16
 # random matrices over Q and F_7 (tracemalloc; tests/test_linalg.py).
 KERNEL_BYTES_PER_CELL = 40
 
-# What a matrix product charges per expanded term (one pair of stored
-# entries that meet) before it expands them: its int64 key, position and
-# value arrays, their sort order and sorted copies peak at 58 bytes per
-# term on dihedral:5 d_4 @ d_3 (over Z and Q), and at 66 when no two terms
-# share a position, so that the result keeps them all.  Terms on Python
-# ints are charged two ints more each, of which the product takes one.
-# tests/test_linalg.py measures it.
-BYTES_PER_TERM = 72
+# What a matrix product charges per term of a block, and per entry that
+# it keeps, before it expands the block: the block's int64 keys, positions
+# and values, then its sort order and sorted copies or its dense
+# accumulator (at most DENSE_CELLS_PER_TERM cells a term), and the sums.
+# Under tracemalloc the worst case, one term a row in DENSE_CELLS_PER_TERM
+# columns, peaks at 101 bytes a term of its charge; dihedral:5 d_4 @ d_3
+# and d_5 @ d_4 (dense and sorted blocks) at 55 and 67, products that
+# keep every term at 49 to 57.  Terms on Python ints are charged two ints
+# more each, of which the product takes one.  tests/test_linalg.py
+# measures it.
+BYTES_PER_TERM = 112
+
+# a block of terms whose keys span at most this many cells a term is
+# added up in a dense int64 accumulator rather than sorted: np.add.at and
+# a scan of the cells cost about 3 ns a cell, a stable sort and
+# np.add.reduceat about 40 ns a term (keys grouped by row, 14,000 terms,
+# numpy 2.4), so the two meet near 10 cells a term; the accumulator's 8
+# bytes a cell are charged within BYTES_PER_TERM
+DENSE_CELLS_PER_TERM = 8
 
 DEFAULT_SNF_BIT_CAP = 200_000
 
@@ -503,44 +517,63 @@ class ExactMatrix:
             _exact(b.nums, bound) * (sign * (den // b.den))]), den)
 
     def __matmul__(self, other):
-        """Matrix product, or matvec for a vector.  Gustavson's sort and sum:
-        a_ij expands to a_ij times row j of other, numerators over the
-        product of the two denominators.  When more than half of other's
-        entries are stored (a block of cochain columns, say) its rows are
-        read dense and added up in place, one entry of each row of self at
-        a time, with no sort and no array of all terms.  The expanded terms
-        are charged to the memory budget first, BYTES_PER_TERM each, and on
-        Python ints two ints more."""
+        """Matrix product, or matvec for a vector.  Row i sums a_ij times
+        row j of other (Gustavson), numerators over the product of the two
+        denominators.  The rows of self are taken in blocks whose expanded
+        terms fit CHECK_BLOCK_BYTES (one row at least), and each block is
+        summed by _sum_terms before the next is expanded.  Before a block
+        is expanded, its terms and the result entries kept so far are
+        charged to the memory budget, BYTES_PER_TERM each and on Python ints
+        two ints more; a product that stores no entry is charged one block."""
         if not isinstance(other, ExactMatrix):
             return self.matvec(other)
         if self.cols != other.rows or self.ring != other.ring:
             raise InputError("matmul shape or ring mismatch")
         a, b = self._csr, other._csr
-        den = a.den * b.den
-        counts = (b.indptr[1:] - b.indptr[:-1])[a.indices]
-        ends = counts.cumsum()
+        rows, cols, den = self.rows, other.cols, a.den * b.den
         # a row of the product sums at most other.rows products
         bound = a.top * b.top * other.rows
         per_term = BYTES_PER_TERM + (2 * sys.getsizeof(bound) if bound >= 2**62 else 0)
-        charge_budget(int(ends[-1]) * per_term if ends.size else 0, f"the expanded terms of a "
-                      f"{self.rows}x{self.cols} by {other.rows}x{other.cols} product")
-        if 2 * b.nums.size > other.rows * other.cols:
-            # mostly dense: add entry t of every row of self, times the
-            # dense row of other it meets, for t = 0, 1, .. in turn
-            x = _exact(other.dense()[0], bound)
-            counts = np.diff(a.indptr)
-            out = np.zeros((self.rows, other.cols), dtype=x.dtype)
-            for t in range(int(counts.max(initial=0))):
-                rows = (counts > t).nonzero()[0]
-                at = a.indptr[rows] + t
-                out[rows] += x[a.indices[at]] * _exact(a.nums[at], bound)[:, None]
-            return ExactMatrix.from_dense(out, self.ring, den)
-        pos = (b.indptr[a.indices] - ends + counts).repeat(counts)
-        pos += np.arange(pos.size)
-        key = (_row_ids(a.indptr) * other.cols).repeat(counts)
-        key += b.indices[pos]
-        a_nums = _exact(a.nums, bound).repeat(counts)
-        return _summed(self.rows, other.cols, self.ring, key, a_nums * b.nums[pos], den)
+        a_nums, counts = _exact(a.nums, bound), b.indptr[1:] - b.indptr[:-1]
+        # the terms before each entry of self, then before each row of it
+        ends = np.zeros(a.indices.size + 1, dtype=np.int64)
+        np.cumsum(counts[a.indices], out=ends[1:])
+        row_terms = ends[a.indptr]
+        del ends
+        total, block = int(row_terms[-1]), max(1, CHECK_BLOCK_BYTES // per_term)
+        # row_terms, counts and the two arrays that made row_terms, 8 bytes
+        # an entry, are charged with every block
+        fixed = 8 * (rows + other.rows + 2 * a.indices.size)
+        what = f"a block of terms of a {rows}x{self.cols} by {other.rows}x{cols} product"
+
+        def summed(r0, r1):
+            # (keys, sums) of rows r0 to r1 of the product, keys from r0 * cols
+            at = a.indices[a.indptr[r0]:a.indptr[r1]]
+            n = counts[at]
+            pos = (b.indptr[at] - n.cumsum() + n).repeat(n)
+            pos += np.arange(pos.size)
+            key = (np.arange(r1 - r0) * cols).repeat(np.diff(row_terms[r0:r1 + 1]))
+            key += b.indices[pos]
+            vals = a_nums[a.indptr[r0]:a.indptr[r1]].repeat(n)
+            vals *= b.nums[pos]  # Python ints wherever a term could pass 2^62
+            del pos
+            return _sum_terms(key, vals, (r1 - r0) * cols, self.ring.characteristic)
+
+        if not total:  # (with no entries in self, a_nums may be int64 against big b.nums)
+            return ExactMatrix._normalised(rows, cols, self.ring, *np.zeros((2, 0), np.int64))
+        if total <= block:
+            charge_budget(fixed + total * per_term, what)
+            return ExactMatrix._normalised(rows, cols, self.ring, *summed(0, rows), den)
+        keys, nums, kept, r0 = [], [], 0, 0
+        while r0 < rows:
+            r1 = max(r0 + 1, int(row_terms.searchsorted(row_terms[r0] + block, "right")) - 1)
+            charge_budget(fixed + (int(row_terms[r1] - row_terms[r0]) + kept) * per_term, what)
+            key, vals = summed(r0, r1)
+            keys.append(key + r0 * cols)
+            nums.append(vals)
+            kept, r0 = kept + key.size, r1
+        return ExactMatrix._normalised(rows, cols, self.ring, np.concatenate(keys),
+                                       np.concatenate(nums), den)
 
     def matvec(self, vec):
         """self @ vec as a list of ring elements: the one-column case of
@@ -656,20 +689,37 @@ class ExactMatrix:
 
 def _summed(rows, cols, ring, key, vals, den):
     """The matrix whose entry (i, j) is the sum of vals[t] over the t with
-    key[t] = i * cols + j, over den: the keys are sorted, a merge sort
-    that is fast on keys grouped by row, and repeats summed with
-    np.add.reduceat."""
-    order = key.argsort(kind="stable")
-    key, vals = key[order], vals[order]
-    del order
-    if key.size > 1:
-        first = np.empty(key.size, dtype=bool)
-        first[0] = True
-        np.not_equal(key[1:], key[:-1], out=first[1:])
-        first = first.nonzero()[0]
-        if first.size < key.size:
-            key, vals = key[first], np.add.reduceat(vals, first)
-    return ExactMatrix._normalised(rows, cols, ring, key, vals, den)
+    key[t] = i * cols + j, over den."""
+    return ExactMatrix._normalised(rows, cols, ring, *_sum_terms(key, vals, rows * cols), den)
+
+
+def _sum_terms(key, vals, space, p=0):
+    """(keys, sums): the keys in [0, space) whose values sum to nonzero
+    (mod p if p), ascending, and those sums (mod p).  int64 values whose
+    key space is at most DENSE_CELLS_PER_TERM cells a term are added into
+    a dense accumulator (np.add.at), with no sort; others are sorted, a
+    stable merge sort that is fast on keys grouped by row, and repeats
+    summed with np.add.reduceat."""
+    if vals.dtype != object and space <= DENSE_CELLS_PER_TERM * key.size:
+        acc = np.zeros(space, dtype=np.int64)
+        np.add.at(acc, key, vals)
+        key = acc.nonzero()[0]
+        vals = acc[key]
+    else:
+        order = key.argsort(kind="stable")
+        key, vals = key[order], vals[order]
+        del order
+        if key.size > 1:
+            first = np.empty(key.size, dtype=bool)
+            first[0] = True
+            np.not_equal(key[1:], key[:-1], out=first[1:])
+            first = first.nonzero()[0]
+            if first.size < key.size:
+                key, vals = key[first], np.add.reduceat(vals, first)
+    if p:
+        vals %= p
+    keep = vals.nonzero()[0]
+    return (key, vals) if keep.size == key.size else (key[keep], vals[keep])
 
 
 def _over_columns(ring, nums, dens):

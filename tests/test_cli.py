@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rackoh import cochains, modules
-from rackoh.cli import (EXIT_CHECK_FAILED, EXIT_INPUT, EXIT_OK, canonical_json,
-                        main, parse_rack_spec)
+from rackoh.cli import (EXIT_CHECK_FAILED, EXIT_INPUT, EXIT_OK, build_parser,
+                        canonical_json, main, parse_rack_spec)
 from rackoh.errors import InputError, ResourceError
 from rackoh.linalg import GF, QQ, ZZ, charge_budget
 from rackoh.modules import trivial_module
@@ -50,6 +50,17 @@ class TestRackSpecs:
                            ("cyclic:4", 4), ("conj:S3", 6)):
             _, rack, _ = parse_rack_spec(spec)
             assert rack.size == size
+
+    def test_specs_are_reported_normalised(self):
+        # decimal digits of any script, and leading zeros, are read as the
+        # integer they spell; conj:S3 is reported as typed
+        for spec, normal in (("cyclic:٣", "cyclic:3"), ("dihedral:05", "dihedral:5"),
+                             ("conj:Z03", "conj:Z3"), ("conj:Z٣", "conj:Z3"),
+                             ("conj:Z3", "conj:Z3"), ("conj:S3", "conj:S3")):
+            assert parse_rack_spec(spec)[0] == normal
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
 
     def test_bad_specs(self):
         for spec in ("dihedral", "dihedral:x", "moebius:3", "conj:K4",
@@ -388,14 +399,26 @@ class TestBudgets:
 
     def test_product_budget_exit_3(self, capsys, monkeypatch):
         # with the builder's charge waived, the zero check d_4 @ d_3 of
-        # dihedral:5 (70,880 expanded terms, 4.9 MiB) is what passes the
-        # budget
-        monkeypatch.setenv("RACKOH_BUDGET_MB", "2")
+        # dihedral:5 (70,880 terms) is charged one block of them, 1.2 MiB:
+        # it passes 2 MiB, where the rank of d_4 after it (a 4.3 MiB
+        # residue array) is refused, and is refused itself at 1 MiB
         monkeypatch.setattr(cochains, "BYTES_PER_ENTRY", 1)
+        for budget, refused in (("2", "1043x521 residue array"),
+                                ("1", "3125x625 by 625x125 product")):
+            monkeypatch.setenv("RACKOH_BUDGET_MB", budget)
+            code, _, err = run_cli(capsys, "cohomology", "--rack", "dihedral:5",
+                                   "--ring", "F7", "--max-degree", "4")
+            assert code == 3
+            assert refused in err and "budget" in err
+
+    def test_fifth_degree_refuses_at_the_residue_array(self, capsys, monkeypatch):
+        # at 32 MiB the zero check d_5 @ d_4 of dihedral:5 (580,000 terms)
+        # passes in blocks; the rank of d_5 after it is what is refused
+        monkeypatch.setenv("RACKOH_BUDGET_MB", "32")
         code, _, err = run_cli(capsys, "cohomology", "--rack", "dihedral:5",
-                               "--ring", "F7", "--max-degree", "4")
+                               "--ring", "F7", "--max-degree", "5")
         assert code == 3
-        assert "3125x625 by 625x125 product" in err and "budget" in err
+        assert "residue array" in err and "budget" in err and "product" not in err
 
     def test_smith_working_copy_budget_exit_3(self, capsys, monkeypatch):
         # with the builder's charge waived, integral cohomology of

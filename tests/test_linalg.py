@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rackoh
-from rackoh import linalg
+from rackoh import cochains, linalg
 from rackoh.cochains import differential
 from rackoh.cohomology import _parse_coefficient
 from rackoh.errors import InputError, PreconditionError, ResourceError
@@ -1229,7 +1229,8 @@ def _big_entries(rows, cols, bits, sign, rng):
 class TestProductCharge:
     @staticmethod
     def _charged(monkeypatch, product):
-        """(the bytes `product` charged to the budget, its tracemalloc peak)."""
+        """(the largest charge of `product` to the budget, its tracemalloc
+        peak): a block's charge covers all that the product holds at once."""
         charged = []
         monkeypatch.setattr(linalg, "charge_budget",
                             lambda need, what: charged.append(need))
@@ -1240,27 +1241,31 @@ class TestProductCharge:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return sum(charged), peak
+        return max(charged), peak
 
     def test_charge_covers_measured_bytes(self, monkeypatch):
         # the tracemalloc peak of a product, per byte it charges, stays
-        # within 1 on int64 terms (dihedral:5 d_4 @ d_3 over Z and Q, whose
-        # terms meet in few positions, and a diagonal times a dense block,
-        # where no two terms share one) and on Python ints (big entries,
-        # products that collide or not, of both signs); and the int64
-        # charge is near the worst case, not padded far above it
+        # within 1 on int64 terms (dihedral:5 d_4 @ d_3 and d_5 @ d_4 over
+        # Z and Q, summed in many blocks, densely and by sorting; a
+        # diagonal times a dense block, where no two terms share a
+        # position; one term a row in DENSE_CELLS_PER_TERM columns, the
+        # largest dense accumulator a term may take) and on Python ints (big
+        # entries, products that collide or not, of both signs); and the
+        # int64 charge is near the worst case, not padded far above it
         rack = dihedral_rack(5)
         rng = random.Random(5)
         int64, objects = [], []
         for ring in (ZZ, QQ):
-            d3, d4 = (differential(rack, trivial_module(rack, ring), n) for n in (3, 4))
-            int64.append(lambda d3=d3, d4=d4: d4 @ d3)
+            d3, d4, d5 = (differential(rack, trivial_module(rack, ring), n) for n in (3, 4, 5))
+            int64 += [lambda d3=d3, d4=d4: d4 @ d3, lambda d4=d4, d5=d5: d5 @ d4]
         n = 1000
         diag = np.arange(n)
         block = ExactMatrix.from_triplets(n, 20, ZZ, diag.repeat(20), np.tile(np.arange(20), n),
                                           np.full(20 * n, 5))
         diagonal = ExactMatrix.from_triplets(n, n, ZZ, diag, diag, np.full(n, -3))
-        int64.append(lambda: diagonal @ block)
+        width = linalg.DENSE_CELLS_PER_TERM
+        one = ExactMatrix.from_triplets(n, width, ZZ, diag, diag % width, np.full(n, 5))
+        int64 += [lambda: diagonal @ block, lambda: diagonal @ one]
         for bits in (40, 70, 200, 1000):
             for sign in (0, 0.5, 1):
                 a, b = (_big_entries(40, 40, bits, sign, rng) for _ in range(2))
@@ -1278,16 +1283,45 @@ class TestProductCharge:
         assert max(ratios["int64"]) >= 0.8
 
     def test_product_over_the_budget_refuses(self, monkeypatch):
-        # dihedral:5 d_4 @ d_3 expands 70,880 terms: 4.9 MiB
+        # dihedral:5 d_4 @ d_3 expands 70,880 terms (7.6 MiB at
+        # BYTES_PER_TERM), but in blocks of CHECK_BLOCK_BYTES that keep no
+        # entry: it passes 2 MiB.  The entries that a product keeps are
+        # charged as they build up: a 20000 x 20 result (400,000 entries)
+        # cannot fit 4 MiB
         rack = dihedral_rack(5)
         d3, d4 = (differential(rack, trivial_module(rack, ZZ), n) for n in (3, 4))
         assert int(np.diff(d3.csr.indptr)[d4.csr.indices].sum()) == 70880
+        assert 70880 * BYTES_PER_TERM > 7 << 20
+        monkeypatch.setenv("RACKOH_BUDGET_MB", "2")
+        assert (d4 @ d3).is_zero()
+        n = 20000
+        diag = np.arange(n)
+        block = ExactMatrix.from_triplets(n, 20, ZZ, diag.repeat(20), np.tile(np.arange(20), n),
+                                          np.full(20 * n, 5))
+        diagonal = ExactMatrix.from_triplets(n, n, ZZ, diag, diag, np.full(n, -3))
         monkeypatch.setenv("RACKOH_BUDGET_MB", "4")
         with pytest.raises(ResourceError, match="product exceeds the memory budget"):
-            d4 @ d3
-        monkeypatch.setenv("RACKOH_BUDGET_MB", "5")
-        assert (d4 @ d3).is_zero()
-        assert 70880 * BYTES_PER_TERM <= 5 << 20
+            diagonal @ block
+        monkeypatch.setenv("RACKOH_BUDGET_MB", "64")
+        assert diagonal @ block == ExactMatrix.from_triplets(
+            n, 20, ZZ, diag.repeat(20), np.tile(np.arange(20), n), np.full(20 * n, -15))
+
+    def test_fifth_zero_check_fits_4_mib(self, monkeypatch):
+        # with the builder's charge waived, the zero check d_5 @ d_4 of
+        # dihedral:5 (580,000 terms) runs within a 4 MiB budget, and its
+        # tracemalloc peak stays below 4 MiB
+        rack = dihedral_rack(5)
+        monkeypatch.setenv("RACKOH_BUDGET_MB", "4")
+        monkeypatch.setattr(cochains, "BYTES_PER_ENTRY", 1)
+        d4, d5 = (differential(rack, trivial_module(rack, GF(7)), n) for n in (4, 5))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert (d5 @ d4).is_zero()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 << 20
 
 
 def _is_prime_power_by_trial_division(q):
@@ -1515,6 +1549,57 @@ def test_canonical_top_of_the_most_negative_int64(dtype):
     assert linalg._canonical(np.array([], dtype=dtype))[1] == 0
     m = ExactMatrix.from_dense(np.array([[0, -2**63]], dtype=dtype), ZZ)
     assert m.csr.top == 2**63 and m[0, 1] == -2**63
+
+
+def _nonzero_values(ring):
+    """Entries that are nonzero in the ring."""
+    if ring == QQ:
+        return st.builds(Fraction, st.integers(1, 6) | st.integers(-6, -1), st.integers(1, 6))
+    p = ring.characteristic
+    return st.integers(1, p - 1) if p else st.integers(1, 9) | st.integers(-9, -1)
+
+
+@st.composite
+def product_cases(draw):
+    """Two matrices that can be multiplied: 0-row and 0-column shapes,
+    empty rows, zero matrices and entries past 2^62 among them, and right
+    factors that are more than half full."""
+    ring = draw(st.sampled_from(SPARSE_RINGS))
+    m, n, q = draw(st.integers(0, 6)), draw(st.integers(0, 6)), draw(st.integers(0, 12))
+    values = _ring_values(ring)
+    if draw(st.booleans()):
+        values = st.one_of(values, _huge_values(ring))
+    left = [_dense(ring, draw, 1, n, values)[0] if draw(st.booleans()) else [0] * n
+            for _ in range(m)]
+    full = draw(st.booleans())
+    right = _dense(ring, draw, n, q, _nonzero_values(ring) if full else values)
+    if draw(st.booleans()):
+        left = [[0] * n for _ in range(m)]
+    return ring, m, n, q, left, right
+
+
+class TestProductOracle:
+    @pytest.mark.parametrize("block_bytes", [linalg.CHECK_BLOCK_BYTES, 300])
+    @given(case=product_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dict_product(self, block_bytes, case):
+        # a plain product of {(i, j): value} dicts in Fractions; blocks of
+        # a few hundred bytes split every product into many, and a row's
+        # terms overrun one
+        ring, m, n, q, left, right = case
+        a, b = ExactMatrix(m, n, ring, left), ExactMatrix(n, q, ring, right)
+        entries = {}
+        for i, row in enumerate(left):
+            for k, x in enumerate(row):
+                if x:
+                    for j, y in enumerate(right[k]):
+                        entries[i, j] = entries.get((i, j), 0) + Fraction(x) * Fraction(y)
+        want = [[_ref(ring, entries.get((i, j), 0)) for j in range(q)] for i in range(m)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "CHECK_BLOCK_BYTES", block_bytes)
+            product = a @ b
+        assert product.data == want
+        assert product == ExactMatrix(m, q, ring, want)
 
 
 @st.composite
