@@ -4,10 +4,9 @@ from .errors import InputError, PreconditionError, RackohError, ResourceError
 from .linalg import (GF, QQ, ZZ, AbelianGroup, ExactMatrix, PrimeField,
                      SmithForm, lattice_quotient)
 from .racks import (OrbitPartition, RackTable, conjugation_rack, cyclic_rack,
-                    dihedral_rack, is_quandle, make_semidirect, make_standard,
-                    orbits, rack_from_json, rack_to_json,
-                    symmetric_group_table, trivial_rack, verify_rack,
-                    verify_yang_baxter)
+                    dihedral_rack, is_quandle, make_semidirect, orbits,
+                    rack_from_json, rack_to_json, symmetric_group_table,
+                    trivial_rack, verify_rack, verify_yang_baxter)
 from .permutations import FiniteGroup, group_closure, inner_group
 from .modules import (CoeffModule, constant_module, custom_module,
                       function_module, jordan_module, module_from_spec,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -21,10 +22,9 @@ from .cochains import (apply_rack_element_columns, chain_isomorphism,
                        invariant_basis, is_invariant_cochain,
                        slice_first_columns)
 from .cohomology import (CHECK_BETTI_MN, CHECK_TORSION_PRIMES, RackComplex,
-                         CohomologyReport, _parse_coefficient,
-                         cohomology_integral,
+                         CohomologyReport, cohomology_integral,
                          cohomology_over_field, direct_h2, h2_via_group,
-                         invariant_cohomology, nonabelian_h2,
+                         invariant_cohomology, nonabelian_h2, prime_factors,
                          same_operator_cohomology, semidirect_cocycle_check,
                          twisted_cohomology)
 from .errors import InputError, PreconditionError, RackohError, ResourceError
@@ -32,11 +32,11 @@ from .linalg import GF, QQ, ZZ, ExactMatrix
 from .modules import (constant_module, jordan_module, module_from_spec,
                       trivial_module, function_module)
 from .permutations import inner_group
-from .racks import (RackTable, conjugation_rack, cyclic_group_table,
-                    cyclic_rack, dihedral_rack, is_quandle, make_semidirect,
-                    orbits, rack_from_json, rack_to_json, read_rack_document,
-                    symmetric_group_table, trivial_rack, verify_rack,
-                    verify_yang_baxter)
+from .racks import (RackTable, RackValidation, conjugation_rack,
+                    cyclic_group_table, cyclic_rack, dihedral_rack, is_quandle,
+                    make_semidirect, orbits, rack_from_json, rack_to_json,
+                    read_rack_document, symmetric_group_table, trivial_rack,
+                    verify_rack, verify_yang_baxter)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -65,6 +65,11 @@ def _builtin_group_table(name: str):
             raise InputError("cyclic group size must be >= 1")
         return cyclic_group_table(k)
     raise InputError(f"unknown coefficient group {name!r} (use S3 or Z<k>)")
+
+
+def _prime_power_factors(k: int) -> list:
+    """The prime powers whose product is k, one for each prime factor."""
+    return [math.gcd(k, p ** k.bit_length()) for p in prime_factors(k)]
 
 
 def _read_json(path: str, what: str):
@@ -99,24 +104,6 @@ def parse_rack_spec(spec: str):
     raise InputError(f"unknown rack kind {kind!r}")
 
 
-@dataclass
-class RunConfig:
-    command: str
-    rack_spec: str | None = None
-    module_path: str | None = None
-    ring: str = "Q"
-    max_degree: int = 3
-    twisted: str | None = None
-    coeff: str | None = None
-    nonabelian: str | None = None
-    invariant: bool = False
-    as_json: bool = False
-
-    def __post_init__(self):
-        if self.max_degree < 0:
-            raise InputError("max-degree must be >= 0")
-
-
 def _parse_ring(name: str):
     if name == "Q":
         return QQ
@@ -148,20 +135,18 @@ def _parse_twisted(arg: str):
 # subcommands
 
 
-def load_rack_candidate(spec: str):
-    """Like parse_rack_spec, but file tables are returned unvalidated so the
-    axiom report (not an input error) covers non-racks."""
-    kind, _, param = spec.partition(":")
+def cmd_verify(args) -> tuple:
+    kind, _, param = args.rack.partition(":")
     if kind == "file":
+        # a file's table is read unvalidated, so that the axiom report (not
+        # an input error) covers non-racks
+        spec = args.rack
         table, labels = read_rack_document(_read_json(param, "rack file"))
-        return spec, table, labels
-    spec, rack, labels = parse_rack_spec(spec)
-    return spec, [list(row) for row in rack.table], labels
-
-
-def cmd_verify(config: RunConfig) -> tuple:
-    spec, table, labels = load_rack_candidate(config.rack_spec)
-    report = verify_rack(table)  # raises InputError on malformed tables
+        report = verify_rack(table)  # raises InputError on malformed tables
+        rack = RackTable.from_table(table) if report.valid else None
+    else:
+        spec, rack, labels = parse_rack_spec(args.rack)
+        report = RackValidation(True, ())
     doc = {
         "spec": spec,
         "valid": report.valid,
@@ -169,7 +154,6 @@ def cmd_verify(config: RunConfig) -> tuple:
                        for v in report.violations],
     }
     if report.valid:
-        rack = RackTable.from_table(table)
         part = orbits(rack)
         doc.update({
             "rack": rack_to_json(rack, labels),
@@ -186,33 +170,33 @@ def _report_exit(report: CohomologyReport) -> int:
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 
-def cmd_cohomology(config: RunConfig) -> tuple:
-    spec, rack, _ = parse_rack_spec(config.rack_spec)
-    if config.twisted is not None:
+def cmd_cohomology(args) -> tuple:
+    spec, rack, _ = parse_rack_spec(args.rack)
+    if args.twisted is not None:
         # a twisted run always uses the Jordan module over Q
-        if config.module_path is not None or config.invariant or \
-                _parse_ring(config.ring) != QQ:
+        if args.module_path is not None or args.invariant or \
+                _parse_ring(args.ring) != QQ:
             raise InputError("--twisted cannot be combined with --module, "
                              "--invariant or a --ring other than Q")
-        t, k = _parse_twisted(config.twisted)
-        report = twisted_cohomology(rack, t, k, config.max_degree, spec)
+        t, k = _parse_twisted(args.twisted)
+        report = twisted_cohomology(rack, t, k, args.max_degree, spec)
         return _report_exit(report), report.to_json_dict()
-    if config.module_path is not None:
+    if args.module_path is not None:
         module = module_from_spec(
-            rack, _read_json(config.module_path, "module file"))
+            rack, _read_json(args.module_path, "module file"))
     else:
-        ring = _parse_ring(config.ring)
+        ring = _parse_ring(args.ring)
         module = trivial_module(rack, ring)
-    if config.invariant and not module.ring.is_field:
+    if args.invariant and not module.ring.is_field:
         raise InputError("--invariant needs Q or Fp coefficients")
     cx = RackComplex(rack, module, spec)
     if module.ring == ZZ:
-        report = cohomology_integral(rack, config.max_degree, spec, complex_=cx)
+        report = cohomology_integral(rack, args.max_degree, spec, complex_=cx)
         return _report_exit(report), report.to_json_dict()
-    report = cohomology_over_field(rack, module, config.max_degree, spec,
+    report = cohomology_over_field(rack, module, args.max_degree, spec,
                                    complex_=cx)
-    if config.invariant:
-        comparison = invariant_cohomology(rack, module, config.max_degree, spec,
+    if args.invariant:
+        comparison = invariant_cohomology(rack, module, args.max_degree, spec,
                                           complex_=cx)
         report.checks += comparison.report.checks
         report.notes += comparison.report.notes
@@ -226,32 +210,32 @@ def cmd_cohomology(config: RunConfig) -> tuple:
     return _report_exit(report), report.to_json_dict()
 
 
-def cmd_h2(config: RunConfig) -> tuple:
-    spec, rack, _ = parse_rack_spec(config.rack_spec)
-    if config.nonabelian is not None:
-        if config.coeff is not None:
+def cmd_h2(args) -> tuple:
+    spec, rack, _ = parse_rack_spec(args.rack)
+    if args.nonabelian is not None:
+        if args.coeff is not None:
             raise InputError("--nonabelian cannot be combined with --coeff")
-        abelian = config.nonabelian.startswith("Z")
-        if abelian:
-            _parse_coefficient(config.nonabelian)
-        table = _builtin_group_table(config.nonabelian)
+        table = _builtin_group_table(args.nonabelian)
         result = nonabelian_h2(rack, table)
         doc = {
             "rack": spec,
-            "coefficient_group": config.nonabelian,
+            "coefficient_group": args.nonabelian,
             "cocycles": result.cocycle_count,
             "classes": result.class_count,
         }
-        if abelian:
-            # abelian input: cross-check the class count against the
-            # linear pipeline
-            order = direct_h2(rack, config.nonabelian).order
+        if args.nonabelian != "S3":
+            # Z<k>: cross-check the class count against the linear
+            # pipeline, H^2(X, Z/k) being the product of its groups over
+            # the prime powers q that make up k
+            cx = RackComplex(rack, trivial_module(rack, ZZ), spec)
+            order = math.prod(direct_h2(rack, f"Z{q}", cx).order
+                              for q in _prime_power_factors(len(table)))
             match = result.class_count == order
             doc["abelian_order"] = order
             doc["match"] = match
             return (EXIT_OK if match else EXIT_CHECK_FAILED), doc
         return EXIT_OK, doc
-    coeff = config.coeff or "Q"
+    coeff = args.coeff or "Q"
     comparison = h2_via_group(rack, coeff, spec)
     return (EXIT_OK if comparison.match else EXIT_CHECK_FAILED,
             comparison.to_json_dict())
@@ -398,14 +382,6 @@ def _leibniz_columns(rack, triv, tcx, fun, fcx, f, g, require_invariant=True):
     return fcx.diff(2) @ fg == dfg - fdg
 
 
-def _leibniz_holds(rack, triv, tcx, fun, fcx, f, g, require_invariant=True):
-    """_leibniz_columns for the vectors f and g."""
-    return _leibniz_columns(rack, triv, tcx, fun, fcx,
-                            ExactMatrix.from_columns([f], triv.ring),
-                            ExactMatrix.from_columns([g], fun.ring),
-                            require_invariant)
-
-
 def _trial_blocks(rng, trials, lo, hi, draw, ring):
     """{n: (ys, block)}: per trial a degree n drawn in [lo, hi), then
     draw(n) = (y, column), or None for no column; the columns of each
@@ -489,8 +465,11 @@ def criterion_structural(racks, trials=20):
                 g_bad = [rng.randrange(-3, 4) for _ in range(size * size)]
                 found_violation = (
                     not is_invariant_cochain(rack, fun, 1, g_bad)
-                    and not _leibniz_holds(rack, zmod, zcx, fun, fcx, fs[-1],
-                                           g_bad, require_invariant=False))
+                    and not _leibniz_columns(
+                        rack, zmod, zcx, fun, fcx,
+                        ExactMatrix.from_columns([fs[-1]], ZZ),
+                        ExactMatrix.from_columns([g_bad], ZZ),
+                        require_invariant=False))
         g, _ = (gbasis @ ExactMatrix.from_columns(coeffs, QQ)).dense()
         record("leibniz_rule", _leibniz_columns(
             rack, zmod, zcx, fun, fcx, ExactMatrix.from_columns(fs, ZZ),
@@ -550,10 +529,8 @@ def criterion_nonabelian(max_size=2):
     return out
 
 
-def run_corpus(max_degree=3, include_semidirect=True):
-    racks = corpus_racks()
-    if include_semidirect:
-        racks = racks + semidirect_examples()
+def run_corpus(max_degree=3):
+    racks = corpus_racks() + semidirect_examples()
     outcomes = []
     outcomes += criterion_betti(racks, max_degree)
     outcomes += criterion_torsion(racks, max_degree)
@@ -566,8 +543,8 @@ def run_corpus(max_degree=3, include_semidirect=True):
     return outcomes
 
 
-def cmd_corpus(config: RunConfig) -> tuple:
-    outcomes = run_corpus(config.max_degree)
+def cmd_corpus(args) -> tuple:
+    outcomes = run_corpus(args.max_degree)
     failures = [o for o in outcomes if not o.passed]
     doc = {
         "outcomes": [{"rack": o.rack, "check": o.name, "pass": o.passed,
@@ -687,19 +664,9 @@ def main(argv=None) -> int:
     handlers = {"verify": cmd_verify, "cohomology": cmd_cohomology,
                 "h2": cmd_h2, "corpus": cmd_corpus}
     try:
-        config = RunConfig(
-            command=args.command,
-            rack_spec=getattr(args, "rack", None),
-            module_path=getattr(args, "module_path", None),
-            ring=getattr(args, "ring", "Q"),
-            max_degree=getattr(args, "max_degree", 3),
-            twisted=getattr(args, "twisted", None),
-            coeff=getattr(args, "coeff", None),
-            nonabelian=getattr(args, "nonabelian", None),
-            invariant=getattr(args, "invariant", False),
-            as_json=args.json,
-        )
-        code, doc = handlers[args.command](config)
+        if getattr(args, "max_degree", 0) < 0:
+            raise InputError("max-degree must be >= 0")
+        code, doc = handlers[args.command](args)
     except ResourceError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -709,10 +676,10 @@ def main(argv=None) -> int:
     except RackohError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if config.as_json:
+    if args.json:
         sys.stdout.write(canonical_json(doc))
     else:
-        _print_human(config.command, doc, sys.stdout)
+        _print_human(args.command, doc, sys.stdout)
     return code
 
 

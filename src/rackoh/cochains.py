@@ -277,15 +277,11 @@ def apply_rack_element_columns(rack, module, n, ys, block):
                           for y in range(rack.size)], ys, block)
 
 
-def apply_group_action(rack, module, n, perm_images, mat, vec):
-    """f -> f.g for a closure pair g = (permutation, matrix), vector form."""
-    return apply_group_action_columns(
-        rack, module, n, [(perm_images, mat)], [0], _column(module, vec)).column(0)
-
-
 def apply_rack_element(rack, module, n, y, vec):
-    return apply_group_action(rack, module, n, rack.translation(y),
-                              module.action(y), vec)
+    """The cochain vector vec acted on by the rack element y."""
+    return apply_group_action_columns(
+        rack, module, n, [(rack.translation(y), module.action(y))], [0],
+        _column(module, vec)).column(0)
 
 
 def slice_first_columns(rack, module, n, ys, block):

@@ -24,7 +24,8 @@ from .linalg import (CHECK_BLOCK_BYTES, QQ, ZZ, AbelianGroup, ExactMatrix,
 from .modules import (CoeffModule, constant_module, function_module,
                       jordan_module, trivial_module)
 from .permutations import inner_group
-from .racks import RackTable, is_quandle, make_semidirect, orbits
+from .racks import (RackTable, _group_arrays, is_quandle, make_semidirect,
+                    orbits)
 
 CHECK_BETTI_MN = "betti_equals_m_pow_n"
 CHECK_BETTI0 = "betti0_equals_fixed_space_dim"
@@ -35,6 +36,9 @@ CHECK_TWISTED_VANISH = "twisted_vanishing_eigenvalue_ne_1"
 CHECK_TWISTED_JORDAN = "twisted_jordan_betti_m_pow_n"
 CHECK_SAME_OP = "same_operator_betti_formula"
 CHECK_H2_MATCH = "h2_group_comparison_match"
+
+# the most functions X x X -> A that nonabelian_h2 may enumerate
+NONABELIAN_FUNCTION_CAP = 2_000_000
 
 QUANDLE_NOTE = ("quandle and degeneracy subcomplex dimensions are not computed "
                 "separately; they follow from the known splitting of the full "
@@ -569,41 +573,6 @@ class NonabelianH2:
     representatives: tuple
 
 
-def _group_arrays(table):
-    """The multiplication table as an array of the smallest unsigned dtype
-    that holds its entries, and the inverse of each element; InputError
-    unless `table` is a group's.  Associativity is Light's test: it holds
-    once (x g) y = x (g y) for every x, y and every g of a generating set,
-    here the elements picked greedily until their left-nested products
-    reach every element."""
-    n = len(table)
-    if not n or any(len(row) != n for row in table):
-        raise InputError("a group table must be a non-empty square table")
-    t = np.array(table)
-    if t.dtype.kind not in "iu" or t.min() < 0 or t.max() >= n:
-        raise InputError(f"group table entries must be integers in [0, {n})")
-    t = t.astype(np.min_scalar_type(n - 1))
-    elems = np.arange(n)
-    ident = np.flatnonzero((t == elems).all(axis=1) & (t.T == elems).all(axis=1))
-    if not ident.size:
-        raise InputError("the group table has no identity")
-    inv = (t == ident[0]).argmax(axis=1)
-    if (t[elems, inv] != ident[0]).any():
-        raise InputError("an element of the group table has no inverse")
-    gens, reached = [], np.zeros(n, dtype=bool)
-    while not reached.all():
-        gens.append(int(reached.argmin()))
-        new = np.array(gens)
-        reached[:] = False
-        while new.size:
-            reached[new] = True
-            new = np.unique(t[np.ix_(new, gens)])
-            new = new[~reached[new]]
-    if any((t[t[:, g]] != t[:, t[g]]).any() for g in gens):
-        raise InputError("the group table is not associative")
-    return t, inv
-
-
 def _cocycle_array(rack: RackTable, t) -> np.ndarray:
     """The degree-2 cocycles f: X x X -> A for the group table array t, one
     row each of the values f(x, y) at x * |X| + y, in lex order.
@@ -645,36 +614,28 @@ def _cocycle_array(rack: RackTable, t) -> np.ndarray:
     return f
 
 
-def _nonabelian_cocycles(rack: RackTable, group_table) -> list:
-    """The degree-2 cocycles f: X x X -> A, as tuples of the values
-    f(x, y) at x * |X| + y, in lex order (see _cocycle_array)."""
-    t, _ = _group_arrays(group_table)
-    return list(map(tuple, _cocycle_array(rack, t).tolist()))
-
-
-def nonabelian_h2(rack: RackTable, group_table,
-                  budget: int = 2_000_000) -> NonabelianH2:
+def nonabelian_h2(rack: RackTable, group_table) -> NonabelianH2:
     """Enumerate degree-2 cocycles valued in a finite (possibly nonabelian)
     group and partition them by the gauge equivalence
     f'(x,y) = gamma(x|>y) f(x,y) gamma(y)^-1.
 
     The cocycle search prunes, but its worst case is exponential in
-    |X|^2; guarded by `budget` on the function count.  A cocycle's key is
-    its base-|A| digits, which fit int64 because |A|^(|X|^2) is at most
-    the budget; keys sort like the cocycles.  The gauges form a group
-    acting on the cocycles, so one cocycle's images under all |A|^|X|
-    gauges are its class, and the least image is its class's lex-first
-    member.  The cocycles are expanded by all gauges at once, in chunks
+    |X|^2; guarded by NONABELIAN_FUNCTION_CAP on the function count.  A
+    cocycle's key is its base-|A| digits, which fit int64 because
+    |A|^(|X|^2) is at most the cap; keys sort like the cocycles.  The
+    gauges form a group acting on the cocycles, so one cocycle's images
+    under all |A|^|X| gauges are its class, and the least image is its
+    class's lex-first member.  The cocycles are expanded by all gauges at once, in chunks
     whose images fill about CHECK_BLOCK_BYTES, each charged to the memory
     budget first.
     """
     n = rack.size
     t, inv = _group_arrays(group_table)
     size = len(t)
-    if size ** (n * n) > budget:
+    if size ** (n * n) > NONABELIAN_FUNCTION_CAP:
         raise ResourceError(
             f"{size}^{n * n} functions exceed the enumeration budget "
-            f"{budget}; use a smaller rack or coefficient group")
+            f"{NONABELIAN_FUNCTION_CAP}; use a smaller rack or coefficient group")
 
     cocycles = _cocycle_array(rack, t)
     digits = size ** np.arange(n * n - 1, -1, -1, dtype=np.int64)

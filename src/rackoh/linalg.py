@@ -678,10 +678,10 @@ class ExactMatrix:
 
     # -- Smith normal form ------------------------------------------------------
 
-    def smith_normal_form(self, bit_cap: int = DEFAULT_SNF_BIT_CAP) -> "SmithForm":
+    def smith_normal_form(self) -> "SmithForm":
         if self.ring != ZZ:
             raise PreconditionError("Smith normal form needs an integer matrix")
-        return _smith(self, bit_cap)
+        return _smith(self)
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols} over {self.ring})"
@@ -1189,9 +1189,10 @@ def _unit_sweep(matrix: ExactMatrix):
     return len(pivots.rows), core.T.tolist()
 
 
-def _smith(matrix: ExactMatrix, bit_cap: int) -> SmithForm:
+def _smith(matrix: ExactMatrix) -> SmithForm:
     """Invariant factors: the unit pivots of _unit_sweep, then a dense loop
-    on the core they leave."""
+    on the core they leave, refused once an entry passes
+    DEFAULT_SNF_BIT_CAP bits."""
     units, d = _unit_sweep(matrix)
     m, n = len(d), len(d[0]) if d else 0
 
@@ -1211,8 +1212,8 @@ def _smith(matrix: ExactMatrix, bit_cap: int) -> SmithForm:
 
         while True:
             # entries can grow within one pivot step, so check every pass
-            if max(abs(a) for row in d[s:] for a in row[s:]).bit_length() > bit_cap:
-                raise ResourceError(f"Smith form entries exceeded {bit_cap} bits")
+            if max(abs(a) for row in d[s:] for a in row[s:]).bit_length() > DEFAULT_SNF_BIT_CAP:
+                raise ResourceError(f"Smith form entries exceeded {DEFAULT_SNF_BIT_CAP} bits")
             dirty = False
             for i in range(s + 1, m):
                 if d[i][s]:

@@ -174,14 +174,16 @@ def ring_from_spec(doc: dict) -> Ring:
 
 
 def _number(value):
-    """A module-file entry: a JSON number, or a string such as "1/2"."""
+    """A module-file entry: a JSON number, or a string such as "1/2"; a
+    float is read as the decimal it was written as, so 0.1 is 1/10."""
+    if isinstance(value, float) and math.isfinite(value):
+        return Fraction(repr(value))
     if isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             pass
-    elif (isinstance(value, int) and not isinstance(value, bool)
-          or isinstance(value, float) and math.isfinite(value)):
+    elif isinstance(value, int) and not isinstance(value, bool):
         return value
     raise InputError(f"bad number {value!r} in the module file")
 

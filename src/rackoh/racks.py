@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations as _all_permutations
 
+import numpy as np
+
 from .errors import InputError
 from .linalg import charge_budget
 
@@ -162,53 +164,65 @@ def cyclic_rack(n: int) -> RackTable:
     return RackTable.from_table(_formula_table(n, "cyclic rack", lambda x, y: (y + 1) % n))
 
 
+def _group_arrays(table):
+    """The multiplication table as an array of the smallest unsigned dtype
+    that holds its entries, and the inverse of each element; InputError
+    unless `table` is a group's.  Associativity is Light's test: it holds
+    once (x g) y = x (g y) for every x, y and every g of a generating set,
+    here the elements picked greedily until their left-nested products
+    reach every element."""
+    n = len(table)
+    if not n or any(len(row) != n for row in table):
+        raise InputError("a group table must be a non-empty square table")
+    t = np.array(table)
+    if t.dtype.kind not in "iu" or t.min() < 0 or t.max() >= n:
+        raise InputError(f"group table entries must be integers in [0, {n})")
+    t = t.astype(np.min_scalar_type(n - 1))
+    elems = np.arange(n)
+    ident = np.flatnonzero((t == elems).all(axis=1) & (t.T == elems).all(axis=1))
+    if not ident.size:
+        raise InputError("the group table has no identity")
+    inv = (t == ident[0]).argmax(axis=1)
+    if (t[elems, inv] != ident[0]).any():
+        raise InputError("an element of the group table has no inverse")
+    gens, reached = [], np.zeros(n, dtype=bool)
+    while not reached.all():
+        gens.append(int(reached.argmin()))
+        new = np.array(gens)
+        reached[:] = False
+        while new.size:
+            reached[new] = True
+            # a mask, not np.unique, whose first call imports numpy.ma
+            hit = np.zeros(n, dtype=bool)
+            hit[t[np.ix_(new, gens)]] = True
+            new = np.flatnonzero(hit & ~reached)
+    if any((t[t[:, g]] != t[:, t[g]]).any() for g in gens):
+        raise InputError("the group table is not associative")
+    return t, inv
+
+
 def conjugation_rack(group_table, subset=None) -> RackTable:
     """Conjugation rack x |> y = x y x^-1 on a group or a closed subset.
 
     `group_table` is the multiplication table of a finite group; `subset`
     (optional, sorted element list) must be closed under conjugation.
     """
-    n = len(group_table)
-    _check_shape(group_table)
-    identity = None
-    for e in range(n):
-        if all(group_table[e][x] == x and group_table[x][e] == x for x in range(n)):
-            identity = e
-            break
-    if identity is None:
-        raise InputError("multiplication table has no identity element")
-    inverse = [None] * n
-    for a in range(n):
-        for b in range(n):
-            if group_table[a][b] == identity:
-                inverse[a] = b
-                break
-        if inverse[a] is None:
-            raise InputError(f"element {a} has no inverse")
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if group_table[group_table[a][b]][c] != group_table[a][group_table[b][c]]:
-                    raise InputError("multiplication table is not associative")
-
-    def conj(x, y):
-        return group_table[group_table[x][y]][inverse[x]]
-
+    t, inv = _group_arrays(group_table)
+    conj = t[t, inv[:, None]]  # conj[x, y] = x y x^-1
     if subset is None:
-        elements = list(range(n))
-    else:
-        elements = sorted(set(subset))
-        if any(not 0 <= e < n for e in elements):
-            raise InputError("subset contains invalid element indices")
-        in_subset = set(elements)
-        for x in range(n):
-            for y in elements:
-                if conj(x, y) not in in_subset:
-                    raise InputError(
-                        f"subset is not closed under conjugation: {x} |> {y}")
-    pos = {e: i for i, e in enumerate(elements)}
-    table = [[pos[conj(x, y)] for y in elements] for x in elements]
-    return RackTable.from_table(table)
+        return RackTable.from_table(conj.tolist())
+    n = len(t)
+    elements = sorted(set(subset))
+    if any(not 0 <= e < n for e in elements):
+        raise InputError("subset contains invalid element indices")
+    outside = np.argwhere(~np.isin(conj[:, elements], elements))
+    if outside.size:
+        x, j = outside[0]
+        raise InputError(
+            f"subset is not closed under conjugation: {x} |> {elements[j]}")
+    pos = np.zeros(n, dtype=np.int64)
+    pos[elements] = np.arange(len(elements))
+    return RackTable.from_table(pos[conj[np.ix_(elements, elements)]].tolist())
 
 
 def symmetric_group_table(k: int):
@@ -224,28 +238,6 @@ def symmetric_group_table(k: int):
 
 def cyclic_group_table(k: int):
     return _formula_table(k, "cyclic group", lambda a, b: (a + b) % k)
-
-
-def make_standard(kind: str, n: int | None = None, *,
-                  group_table=None, subset=None) -> RackTable:
-    """Dispatcher for the built-in rack families."""
-    if kind == "trivial":
-        return trivial_rack(_require_n(kind, n))
-    if kind == "dihedral":
-        return dihedral_rack(_require_n(kind, n))
-    if kind == "cyclic":
-        return cyclic_rack(_require_n(kind, n))
-    if kind == "conjugation":
-        if group_table is None:
-            raise InputError("conjugation rack needs a group multiplication table")
-        return conjugation_rack(group_table, subset)
-    raise InputError(f"unknown rack kind {kind!r}")
-
-
-def _require_n(kind, n):
-    if n is None:
-        raise InputError(f"{kind} rack needs a size parameter")
-    return n
 
 
 def make_semidirect(rack: RackTable, module) -> RackTable:

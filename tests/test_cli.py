@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rackoh import cochains, modules
+from rackoh import cli, cochains, modules, racks
 from rackoh.cli import (EXIT_CHECK_FAILED, EXIT_INPUT, EXIT_OK, build_parser,
                         canonical_json, main, parse_rack_spec)
 from rackoh.errors import InputError, ResourceError
@@ -82,6 +82,21 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--rack", "dihedral:3")
         assert code == EXIT_OK
         assert "valid rack" in out and "quandle: True" in out
+
+    def test_builtin_rack_axioms_checked_once(self, capsys, monkeypatch):
+        # by the builder; a rack file's table is checked for the report
+        # and again when it becomes a RackTable
+        calls = []
+        check = racks.verify_rack
+
+        def counted(table):
+            calls.append(len(table))
+            return check(table)
+
+        monkeypatch.setattr(racks, "verify_rack", counted)
+        monkeypatch.setattr(cli, "verify_rack", counted)
+        assert run_cli(capsys, "verify", "--rack", "dihedral:3")[0] == EXIT_OK
+        assert calls == [3]
 
     def test_cyclic_not_quandle(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--rack", "cyclic:4")
@@ -275,6 +290,13 @@ class TestCohomologyCommand:
         assert code == EXIT_INPUT
         assert err.startswith("input error:")
 
+    @pytest.mark.parametrize("command", [["cohomology", "--rack", "trivial:2"],
+                                         ["corpus"]])
+    def test_negative_max_degree_exit_2(self, capsys, command):
+        code, out, err = run_cli(capsys, *command, "--max-degree", "-1")
+        assert code == EXIT_INPUT and not out
+        assert err == "input error: max-degree must be >= 0\n"
+
     def test_bad_twisted_eigenvalue_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "cohomology", "--rack", "dihedral:3",
                                "--twisted", "t=abc")
@@ -324,13 +346,17 @@ class TestH2Command:
         assert code == EXIT_OK
         assert "MATCH" in out
 
-    def test_nonabelian_bad_modulus_exit_2(self, capsys):
-        # rejected before the enumeration, whose budget cyclic:3 exceeds
-        for rack in ("trivial:2", "cyclic:3"):
-            code, _, err = run_cli(capsys, "h2", "--rack", rack,
-                                   "--nonabelian", "Z6")
-            assert code == EXIT_INPUT, rack
-            assert "prime power" in err
+    def test_nonabelian_composite_modulus(self, capsys):
+        # Z6 is checked against |H^2(Z2)| |H^2(Z3)|; on cyclic:3 its 6^9
+        # functions pass the enumeration budget
+        code, out, _ = run_cli(capsys, "h2", "--rack", "trivial:2",
+                               "--nonabelian", "Z6", "--json")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["classes"] == doc["abelian_order"] == 1296 and doc["match"]
+        code, _, err = run_cli(capsys, "h2", "--rack", "cyclic:3",
+                               "--nonabelian", "Z6")
+        assert code == 3 and "budget" in err
 
     def test_nonabelian_refuses_coeff(self, capsys):
         # --coeff picks the abelian comparison, which --nonabelian skips

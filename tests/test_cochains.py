@@ -23,7 +23,7 @@ from rackoh.cohomology import RackComplex, RackPresentation, _h1_matrices
 from rackoh.errors import InputError, PreconditionError, ResourceError
 from rackoh.linalg import GF, QQ, ZZ, ExactMatrix, int_vector
 from rackoh.modules import (CoeffModule, check_module, constant_module, custom_module,
-                            function_module, jordan_module,
+                            function_module, jordan_module, module_from_spec,
                             tensor_with_trivial, trivial_module)
 from rackoh.racks import (conjugation_rack, cyclic_rack, dihedral_rack,
                           symmetric_group_table, trivial_rack)
@@ -117,6 +117,19 @@ class TestModules:
         assert m[0, 0] == Fraction(1, 2)
         assert m[1, 0] == 1 and m[2, 1] == 1
         assert m[0, 1] == 0
+
+    def test_module_file_floats_read_as_written(self):
+        # a JSON float is the decimal it spells: 0.1 is 1/10, not the
+        # binary fraction nearest to it, and 2.0 and -1.0 are integers
+        d3 = dihedral_rack(3)
+        jordan = module_from_spec(d3, {"ring": "Q", "dim": 2,
+                                       "action": {"type": "jordan", "t": 0.1}})
+        assert jordan.action(0)[0, 0] == Fraction(1, 10)
+        assert jordan.describe()["action"]["t"] == "1/10"
+        for ring, entry in (("Q", 2.0), ("Z", -1.0)):
+            custom = module_from_spec(d3, {"ring": ring, "action": {
+                "type": "custom", "matrices": [[[entry]]] * 3}})
+            assert custom.action(0)[0, 0] == int(entry)
 
 
 def _unflat(space, flat):
@@ -685,8 +698,9 @@ class TestGroupAction:
                     # f.(yz) applies the pair (perm, matrix) of the word yz
                     perm = tuple(d3.op(y, d3.op(z, i)) for i in range(3))
                     mat = fun.action(y) @ fun.action(z)
-                    from rackoh.cochains import apply_group_action
-                    direct = apply_group_action(d3, fun, n, perm, mat, f)
+                    direct = cochains.apply_group_action_columns(
+                        d3, fun, n, [(perm, mat)], [0],
+                        ExactMatrix.from_columns([f], QQ)).column(0)
                     assert two == direct
 
     def test_action_commutes_with_d(self, corpus_rack):
@@ -811,8 +825,9 @@ class TestCochainLengths:
             with pytest.raises(InputError):
                 apply_rack_element(d3, fun, 1, 0, [Fraction(1)] * dim)
             with pytest.raises(InputError):
-                cochains.apply_group_action(d3, fun, 1, d3.translation(1),
-                                            fun.action(1), [Fraction(1)] * dim)
+                cochains.apply_group_action_columns(
+                    d3, fun, 1, [(d3.translation(1), fun.action(1))], [0],
+                    ExactMatrix.from_columns([[Fraction(1)] * dim], QQ))
 
     def test_slice_refuses_long_and_short_vectors(self):
         d3, _, fun = self._setup()
@@ -1059,7 +1074,7 @@ class TestCochainProduct:
     def test_leibniz_over_q_and_its_integer_scaling(self):
         # criterion_structural runs Leibniz over Z on int_vector-scaled g;
         # the unscaled fractional g must satisfy it over Q as well
-        from rackoh.cli import _leibniz_holds
+        from rackoh.cli import _leibniz_columns
         from rackoh.cohomology import RackComplex
         d3 = dihedral_rack(3)
         gbasis = cochains._fixed_space_stack(
@@ -1080,9 +1095,11 @@ class TestCochainProduct:
         for ring, ff, gg, holds in ((QQ, f, g, True), (ZZ, fi, gi, True),
                                     (ZZ, fi, g_bad, False)):
             triv, fun = trivial_module(d3, ring), function_module(d3, ring)
-            assert _leibniz_holds(d3, triv, RackComplex(d3, triv), fun,
-                                  RackComplex(d3, fun), ff, gg,
-                                  require_invariant=False) == holds
+            assert _leibniz_columns(d3, triv, RackComplex(d3, triv), fun,
+                                    RackComplex(d3, fun),
+                                    ExactMatrix.from_columns([ff], ring),
+                                    ExactMatrix.from_columns([gg], ring),
+                                    require_invariant=False) == holds
 
     def test_leibniz_check_tests_each_invariant_factor_once(self, monkeypatch):
         # the Leibniz check of criterion_structural forms f (x) g and

@@ -57,11 +57,12 @@ def test_corpus_runs_torsion_through_degree_3(monkeypatch):
     racks = [(spec, rack) for spec, rack in corpus_racks()
              if spec in ("dihedral:4", "conj:S3")]
     monkeypatch.setattr(rackoh.cli, "corpus_racks", lambda: racks)
+    monkeypatch.setattr(rackoh.cli, "semidirect_examples", lambda: [])
     for name in ("criterion_betti", "criterion_invariant_iso",
                  "criterion_twisted", "criterion_h2", "criterion_structural",
                  "criterion_semidirect_lemma", "criterion_nonabelian"):
         monkeypatch.setattr(rackoh.cli, name, lambda *args: [])
-    outcomes = rackoh.cli.run_corpus(include_semidirect=False)
+    outcomes = rackoh.cli.run_corpus()
     assert [o.details for o in outcomes] == [
         "torsion=[[], [], [], [2, 2]] N=4", "torsion=[[], [], [], [3]] N=6"]
     assert all(o.passed for o in outcomes)

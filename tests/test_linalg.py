@@ -705,11 +705,13 @@ class TestSmithNormalForm:
         sf = ExactMatrix.zeros(2, 3, ZZ).smith_normal_form()
         assert sf.invariant_factors == () and sf.rank == 0
 
-    def test_bit_cap_enforced_on_core(self):
+    def test_bit_cap_enforced_on_core(self, monkeypatch):
         # no +-1 entry, so the whole matrix reaches the dense loop
         m = ExactMatrix.from_rows([[2**10, 0], [0, 3]], ZZ)
-        with pytest.raises(ResourceError):
-            m.smith_normal_form(bit_cap=8)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "DEFAULT_SNF_BIT_CAP", 8)
+            with pytest.raises(ResourceError):
+                m.smith_normal_form()
         assert m.smith_normal_form().invariant_factors == (1, 3 * 2**10)
 
     @given(int_matrices())

@@ -13,7 +13,7 @@ from rackoh.modules import constant_module, trivial_module
 from rackoh.racks import (AXIOM_BIJECTIVE, AXIOM_SELF_DISTRIBUTIVE, RackTable,
                           RackValidation, conjugation_rack, cyclic_group_table,
                           cyclic_rack, dihedral_rack,
-                          is_quandle, make_semidirect, make_standard, orbits,
+                          is_quandle, make_semidirect, orbits,
                           rack_from_json, rack_to_json, symmetric_group_table,
                           trivial_rack, verify_rack, verify_yang_baxter)
 
@@ -76,17 +76,17 @@ class TestYangBaxter:
 
 class TestStandardRacks:
     def test_trivial_rows_are_identity(self):
-        rack = make_standard("trivial", 3)
+        rack = trivial_rack(3)
         assert all(rack.table[x] == (0, 1, 2) for x in range(3))
 
     def test_dihedral_formula(self):
-        rack = make_standard("dihedral", 3)
+        rack = dihedral_rack(3)
         for x in range(3):
             for y in range(3):
                 assert rack.op(x, y) == (2 * x - y) % 3
 
     def test_conjugation_s3(self):
-        rack = make_standard("conjugation", group_table=symmetric_group_table(3))
+        rack = conjugation_rack(symmetric_group_table(3))
         assert rack.size == 6
         part = orbits(rack)
         assert part.orbit_count == 3
@@ -113,10 +113,6 @@ class TestStandardRacks:
         assert is_quandle(dihedral_rack(3))
         assert not is_quandle(cyclic_rack(3))
         assert is_quandle(trivial_rack(2))
-
-    def test_unknown_kind(self):
-        with pytest.raises(InputError):
-            make_standard("moebius", 3)
 
     def test_table_charge_covers_measured_bytes(self, monkeypatch):
         # the tracemalloc peak of each formula table, its axioms skipped
