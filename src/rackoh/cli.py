@@ -139,11 +139,11 @@ def cmd_verify(args) -> tuple:
     kind, _, param = args.rack.partition(":")
     if kind == "file":
         # a file's table is read unvalidated, so that the axiom report (not
-        # an input error) covers non-racks
+        # an input error) covers non-racks; a valid one is the rack, not checked again
         spec = args.rack
         table, labels = read_rack_document(_read_json(param, "rack file"))
         report = verify_rack(table)  # raises InputError on malformed tables
-        rack = RackTable.from_table(table) if report.valid else None
+        rack = RackTable(len(table), tuple(map(tuple, table))) if report.valid else None
     else:
         spec, rack, labels = parse_rack_spec(args.rack)
         report = RackValidation(True, ())

@@ -25,12 +25,13 @@ loop (_eliminate) eliminates the columns of a column-major array from
 last to first, pivoting on the first row that meets each; on a rack
 differential such pivots share few columns with the other rows, so
 fill-in stays small.  A pivot step updates only the rows that meet the
-pivot column, and in them only the pivot row's support: mod p on int32
-residues, over Z on int64 entries below 2^31, on Python ints above.  Mod
-p a large tall matrix is read in two blocks of rows: the first 2n and a
-probe, a combination of the rest, which pivots only if the rest leaves
-their span; if not, a proof (the kernel mod p or the exact certificate)
-may put the rest in that span unread.
+pivot column, and in them only the pivot row's support, in one int32
+array (Python ints past 2^31) of residues mod p, or of entries over Z.
+Mod p a large tall matrix is read in two blocks of rows: the first 2n
+and a probe, a combination of the rest, which pivots only if the rest
+leaves their span; if not, a proof (the kernel mod p or the exact
+certificate) may put the rest in that span unread, else the rest is
+swept under the first block's pivot rows.
 Every rank comes with as many independent rows (independent_rows): the
 modular pivot rows, independent mod p and so over Q, or a wide matrix's
 transpose's pivot columns.  They let a chain complex clear d_n before
@@ -524,17 +525,19 @@ class ExactMatrix:
         summed by _sum_terms before the next is expanded.  Before a block
         is expanded, its terms and the result entries kept so far are
         charged to the memory budget, BYTES_PER_TERM each and on Python ints
-        two ints more; a product that stores no entry is charged one block."""
+        two ints more; a product that stores no entry is charged one block.
+        Over F_p the terms are products of residues in (-p/2, p/2]."""
         if not isinstance(other, ExactMatrix):
             return self.matvec(other)
         if self.cols != other.rows or self.ring != other.ring:
             raise InputError("matmul shape or ring mismatch")
         a, b = self._csr, other._csr
-        rows, cols, den = self.rows, other.cols, a.den * b.den
+        rows, cols, den, p = self.rows, other.cols, a.den * b.den, self.ring.characteristic
+        (a_nums, a_top), (b_nums, b_top) = _symmetric(a, p), _symmetric(b, p)
         # a row of the product sums at most other.rows products
-        bound = a.top * b.top * other.rows
+        bound = a_top * b_top * other.rows
         per_term = BYTES_PER_TERM + (2 * sys.getsizeof(bound) if bound >= 2**62 else 0)
-        a_nums, counts = _exact(a.nums, bound), b.indptr[1:] - b.indptr[:-1]
+        a_nums, counts = _exact(a_nums, bound), b.indptr[1:] - b.indptr[:-1]
         # the terms before each entry of self, then before each row of it
         ends = np.zeros(a.indices.size + 1, dtype=np.int64)
         np.cumsum(counts[a.indices], out=ends[1:])
@@ -542,8 +545,9 @@ class ExactMatrix:
         del ends
         total, block = int(row_terms[-1]), max(1, CHECK_BLOCK_BYTES // per_term)
         # row_terms, counts and the two arrays that made row_terms, 8 bytes
-        # an entry, are charged with every block
-        fixed = 8 * (rows + other.rows + 2 * a.indices.size)
+        # an entry, are charged with every block, over F_p with the lifts
+        fixed = 8 * (rows + other.rows + 2 * a.indices.size
+                     + (a.indices.size + b.indices.size if p else 0))
         what = f"a block of terms of a {rows}x{self.cols} by {other.rows}x{cols} product"
 
         def summed(r0, r1):
@@ -555,9 +559,9 @@ class ExactMatrix:
             key = (np.arange(r1 - r0) * cols).repeat(np.diff(row_terms[r0:r1 + 1]))
             key += b.indices[pos]
             vals = a_nums[a.indptr[r0]:a.indptr[r1]].repeat(n)
-            vals *= b.nums[pos]  # Python ints wherever a term could pass 2^62
+            vals *= b_nums[pos]  # Python ints wherever a term could pass 2^62
             del pos
-            return _sum_terms(key, vals, (r1 - r0) * cols, self.ring.characteristic)
+            return _sum_terms(key, vals, (r1 - r0) * cols, p)
 
         if not total:  # (with no entries in self, a_nums may be int64 against big b.nums)
             return ExactMatrix._normalised(rows, cols, self.ring, *np.zeros((2, 0), np.int64))
@@ -722,6 +726,14 @@ def _sum_terms(key, vals, space, p=0):
     return (key, vals) if keep.size == key.size else (key[keep], vals[keep])
 
 
+def _symmetric(csr, p):
+    """(nums, top): the numerators in `csr` and their largest |entry|, mod
+    p > 0 lifted to (-p/2, p/2], so that a product's terms cancel as over Z."""
+    if not p or csr.top <= p // 2:
+        return csr.nums, csr.top
+    return np.where(csr.nums > p // 2, csr.nums - p, csr.nums), p // 2
+
+
 def _over_columns(ring, nums, dens):
     """The matrix whose column t is nums[:, t] / dens[t] (integer arrays,
     dens > 0), put over the lcm of dens."""
@@ -760,13 +772,6 @@ def matrix_stack(mats):
 def _row_ids(indptr):
     """The row index of each stored entry, from the row offsets."""
     return np.arange(indptr.size - 1).repeat(indptr[1:] - indptr[:-1])
-
-
-def _row_starts(indptr):
-    """(starts, most): the offsets where the non-empty rows begin and the
-    most entries in a row."""
-    counts = indptr[1:] - indptr[:-1]
-    return indptr[counts.nonzero()[0]], int(counts.max(initial=0))
 
 
 # ---------------------------------------------------------------------------
@@ -820,29 +825,23 @@ def _eliminate(m, n, csr, p, exact=False):
     If it does not, a proof that the others lie in that span (the kernel
     mod p of the pivot rows annihilates them, or with `exact` the
     certificate of _kernel_certifies holds) stops the elimination; else
-    the others are reduced by the first block's pivots, interleaved with
-    their own in the same column order.  The pivots are those of one pass
-    over all rows either way, and the pivot rows the greedy row basis.
+    the first block's pivot rows, in the order they pivoted, head the
+    others in a second block.  A head row is zero right of its pivot, so
+    it pivots there, unchanged, reducing the others as in one pass, and
+    is zero elsewhere.  The pivots are those of one pass over all rows
+    either way, and the pivot rows the greedy row basis.
 
-    Mod p a block holds int32 residues, whose products run on int64
-    (larger primes: Python ints); over Z the array is int64 until an
-    update reaches 2^31, then Python ints.  Each array is charged to the
-    memory budget before it exists, mod p with the pivot rows (at most
-    r = min(m, n) of them, with 2r array headers and min(n(n + 1)/2, rn)
-    columns and residues), and an int array of SMALL_BYTES or more gets an
-    anonymous mapping of its own (_zeroed), unmapped when it dies: a
-    large array from the malloc heap stays resident after it is freed,
-    and whether the next one reuses it depends on the heap's layout, so
-    peak memory would differ from run to run.
+    Each array (_residue_block) is charged to the memory budget before it
+    exists, mod p with the pivot rows (at most r = min(m, n) of them, with
+    2r array headers and min(n(n + 1)/2, rn) columns and residues), and an
+    int array of SMALL_BYTES or more gets an anonymous mapping of its own
+    (_zeroed), unmapped when it dies: a large array from the malloc heap
+    stays resident after it is freed, and whether the next one reuses it
+    depends on the heap's layout, so peak memory would differ from run to
+    run.
     """
     pivots = _Pivots()
-    if not p:
-        what = f"the Smith form working array of a {m}x{n} matrix"
-        charge_budget(8 * m * n, what)
-        at = _zeroed((n, m), np.int64 if csr.top < 2**31 else object)
-        at[csr.indices, _row_ids(csr.indptr)] = csr.nums
-        return pivots, _sweep(at, 0, pivots, grow=lambda: charge_budget(16 * m * n, what))
-    k = min(m, 2 * n) if m * n >= ROW_BLOCK_THRESHOLD and p < 2**31 else m
+    k = min(m, 2 * n) if m * n >= ROW_BLOCK_THRESHOLD and 0 < p < 2**31 else m
     at = _sweep(_residue_block(csr, 0, k, n, p, probe=k < m), p, pivots)
     if k == m:
         return pivots, at
@@ -853,27 +852,32 @@ def _eliminate(m, n, csr, p, exact=False):
         pivots.proven = True
         return pivots, at
     del at
-    more = _Pivots()
-    at = _sweep(_residue_block(csr, k, m, n, p), p, more,
-                known={int(s[-1]): (s, r) for s, r in pivots})
-    both = sorted(zip(pivots + more, pivots.rows + [k + i for i in more.rows]),
-                  key=lambda pair: -pair[0][0][-1])
-    pivots[:], pivots.rows = [q for q, _ in both], [i for _, i in both]
+    at, rows = _residue_block(csr, k, m, n, p, head=pivots), pivots.rows + list(range(k, m))
+    pivots = _Pivots()  # the head rows pivot again, as the rows they came from
+    at = _sweep(at, p, pivots)
+    pivots.rows = [rows[i] for i in pivots.rows]
     return pivots, at
 
 
-def _residue_block(csr, lo, hi, n, p, probe=False):
-    """The column-major array of rows lo..hi - 1 of the matrix in `csr`
-    mod p (int32 below 2^31), charged with the pivot rows (see
-    _eliminate); with `probe` one row more, the sum mod p of the rows from
-    hi on, row i times the top 30 bits of i * 2^64 / golden ratio."""
-    rows, size = hi - lo + probe, 4 if p < 2**31 else 8
-    r = min(csr.indptr.size - 1, n)
-    charge_budget(size * rows * n + 16 * min(n * (n + 1) // 2, r * n) + 2 * 112 * r,
-                  f"the {rows}x{n} residue array of a modular elimination")
-    at = _zeroed((n, rows), np.int32 if size == 4 else object)
+def _residue_block(csr, lo, hi, n, p, probe=False, head=()):
+    """The column-major array that _sweep runs on, int32 below 2^31 and
+    Python ints above: the pivot rows `head` ((support, residues) pairs),
+    then rows lo..hi - 1 of the matrix in `csr` mod p (over Z as they are)
+    and with `probe` one row more, the sum mod p of the rows from hi on,
+    row i times the top 30 bits of i * 2^64 / golden ratio.  It is charged
+    4 bytes per cell (8 on Python ints), mod p with the pivot rows."""
+    h, small = len(head), p < 2**31 if p else csr.top < 2**31
+    rows, r = h + hi - lo + probe, min(csr.indptr.size - 1, n) if p else 0
+    charge_budget((4 if small else 8) * rows * n + 16 * min(n * (n + 1) // 2, r * n) + 224 * r,
+                  f"the {rows}x{n} residue array of a modular elimination" if p
+                  else f"the Smith form working array of a {rows}x{n} matrix")
+    at = _zeroed((n, rows), np.int32 if small else object)
+    if h:
+        at[np.concatenate([s for s, _ in head]),
+           np.arange(h).repeat([s.size for s, _ in head])] = np.concatenate([v for _, v in head])
     a, b = csr.indptr[lo], csr.indptr[hi]
-    at[csr.indices[a:b], _row_ids(csr.indptr[lo:hi + 1])] = csr.nums[a:b] % p
+    at[csr.indices[a:b], h + _row_ids(csr.indptr[lo:hi + 1])] = (
+        csr.nums[a:b] % p if p else csr.nums[a:b])
     if probe:
         ids = _row_ids(csr.indptr[hi:]).astype(np.uint64) + np.uint64(hi)
         weights = (ids * np.uint64(0x9E3779B97F4A7C15) >> np.uint64(34)).astype(np.int64)
@@ -891,12 +895,10 @@ def _zeroed(shape, dtype):
     return np.frombuffer(mmap.mmap(-1, size), dtype=dtype).reshape(shape)
 
 
-def _sweep(at, p, pivots, grow=None, known=()):
+def _sweep(at, p, pivots):
     """The elimination loop of _eliminate on the column-major array `at`
     (so that finding a column's nonzeros reads contiguous memory), which
-    it returns, appending the pivots it finds to `pivots`; a column in
-    `known`, which maps it to a pivot row (support, residues) found on
-    earlier rows, reduces the rows by that row instead.
+    it returns, appending the pivots it finds to `pivots`.
 
     No rows are swapped: the pivot row is copied out and zeroed.  A pivot
     step updates only the rows with a nonzero in the pivot column, and in
@@ -905,8 +907,9 @@ def _sweep(at, p, pivots, grow=None, known=()):
     have not pivoted, so a pivot row's support ends at its pivot, and the
     step skips the pivot column, never read again.  Over Z column
     operations then clear the pivot row and touch nothing else, so zeroing
-    it splits off a factor 1; an update that reaches 2^31 on int64 calls
-    grow() and moves the array to Python ints."""
+    it splits off a factor 1.  Products in an int32 array run on int64;
+    over Z an update that reaches 2^31 first moves the array to Python
+    ints, charged with the int32 array it replaces."""
     n, m = at.shape
     flat = at.reshape(-1)
     for c in range(n - 1, -1, -1):
@@ -914,40 +917,31 @@ def _sweep(at, p, pivots, grow=None, known=()):
             break
         col = at[c]
         nz = col.nonzero()[0]
-        if nz.size == 0:
+        pivotal = nz if p else nz[np.abs(col[nz]) == 1]
+        if pivotal.size == 0:
             continue
-        if c in known:
-            (support, residues), below = known[c], nz
-        else:
-            if p:
-                i, below = nz[0], nz[1:]
-                row = at[:c + 1, i]
-            else:
-                unit = nz[np.abs(col[nz]) == 1]
-                if unit.size == 0:
-                    continue
-                i = unit[0]
-                below, row = nz[nz != i], at[:, i]
-            support = row.nonzero()[0]
-            if p:
-                inv = pow(int(row[c]), -1, p)  # int64 times int32 is int64
-                residues = row[support] * (inv if p >= 2**31 else np.int64(inv)) % p
-                pivots.append((support, residues))
-            else:
-                residues = row[support] * row[c]
-            row[support] = 0
-            pivots.rows.append(int(i))
+        i = pivotal[0]
+        below, row = (nz[1:], at[:c + 1, i]) if p else (nz[nz != i], at[:, i])
+        support = row.nonzero()[0]
+        inv = pow(int(row[c]), -1, p) if p else int(row[c])  # +-1 over Z
+        residues = row[support] * (inv if at.dtype == object else np.int64(inv))
+        row[support] = 0
+        pivots.rows.append(int(i))
         if p:
+            residues %= p
+            pivots.append((support, residues))
             support, residues = support[:-1], residues[:-1]
         if below.size and support.size:
             cells = (support[:, None] * m + below).ravel()
-            f = col.take(below)
-            vals = flat.take(cells) - (residues[:, None] * f).ravel()
-            flat.put(cells, vals % p if p else vals)
-            if not p and at.dtype == np.int64 and np.abs(vals).max() >= 2**31:
-                grow()
+            vals = flat.take(cells) - (residues[:, None] * col.take(below)).ravel()
+            if p:
+                vals %= p
+            elif at.dtype != object and np.abs(vals).max() >= 2**31:
+                charge_budget(12 * m * n, f"the Smith form working array of a {m}x{n} matrix")
+                flat.put(cells, 0)  # no Python ints made for the cells put next
                 at = at.astype(object)
                 flat = at.reshape(-1)
+            flat.put(cells, vals)
     return at
 
 
@@ -1033,7 +1027,9 @@ def _kernel_certifies(m, n, csr, pivots, p, unread=None, keep=None, x=None):
         return True
     if unread is None and p < 2**31 and csr.top >= 2**31:
         return False
-    starts, row_nnz = _row_starts(csr.indptr[unread or 0:])
+    indptr = csr.indptr[unread or 0:]
+    counts = indptr[1:] - indptr[:-1]
+    starts, row_nnz = indptr[counts.nonzero()[0]], int(counts.max(initial=0))
     bound = csr.top * row_nnz
     item = 8 if p < 2**31 else 8 + sys.getsizeof(p * bound)
     steps = _back_substitution(n, pivots) if x is None else ()

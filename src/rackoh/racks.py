@@ -88,7 +88,7 @@ def verify_rack(candidate) -> RackValidation:
 
 @dataclass(frozen=True)
 class RackTable:
-    """A validated finite rack; construct through from_table only."""
+    """A validated finite rack: from_table, or a table that verify_rack passed."""
 
     size: int
     table: tuple

@@ -98,6 +98,24 @@ class TestVerify:
         assert run_cli(capsys, "verify", "--rack", "dihedral:3")[0] == EXIT_OK
         assert calls == [3]
 
+    def test_file_rack_axioms_checked_once(self, capsys, monkeypatch, tmp_path):
+        # a rack file's table is checked for the report, and that check
+        # makes it the rack
+        path = tmp_path / "rack.json"
+        path.write_text(json.dumps(rack_to_json(dihedral_rack(5))))
+        calls = []
+        check = racks.verify_rack
+
+        def counted(table):
+            calls.append(len(table))
+            return check(table)
+
+        monkeypatch.setattr(racks, "verify_rack", counted)
+        monkeypatch.setattr(cli, "verify_rack", counted)
+        code, out, _ = run_cli(capsys, "verify", "--rack", f"file:{path}", "--json")
+        assert code == EXIT_OK and calls == [5]
+        assert json.loads(out)["rack"] == rack_to_json(dihedral_rack(5))
+
     def test_cyclic_not_quandle(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--rack", "cyclic:4")
         assert code == EXIT_OK

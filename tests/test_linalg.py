@@ -792,10 +792,28 @@ class TestSmithNormalForm:
             shuffled = ExactMatrix.from_entries(d.rows, d.cols, ZZ, entries)
             assert shuffled.smith_normal_form().invariant_factors == want
 
+    @pytest.mark.parametrize("rows, dtype, factors", [
+        # the update 2^30 - (-(2^30 - 1)) lands on 2^31 - 1, and its
+        # negation on -(2^31 - 1): both fit int32
+        ([[1, 1], [2**30, 1 - 2**30]], np.int32, (1, 2**31 - 1)),
+        ([[1, 1], [-2**30, 2**30 - 1]], np.int32, (1, 2**31 - 1)),
+        # the update reaches 2^31, and -2^31: Python ints before it is written
+        ([[1, 1], [2**30, -2**30]], object, (1, 2**31)),
+        ([[1, 1], [-2**30, 2**30]], object, (1, 2**31)),
+        # an entry of 2^31 or more: Python ints from the start
+        ([[2**31, 1], [3, 1]], object, (1, 2**31 - 3)),
+        ([[1, 0], [0, -2**31]], object, (1, 2**31)),
+    ])
+    def test_int32_boundary_of_the_working_array(self, rows, dtype, factors):
+        a = ExactMatrix.from_rows(rows, ZZ)
+        assert _eliminate(a.rows, a.cols, a.csr, 0)[1].dtype == dtype
+        assert snf_by_minor_gcds(rows) == factors
+        assert a.smith_normal_form().invariant_factors == factors
+
     def test_working_copy_is_charged_to_the_budget(self, monkeypatch):
-        # the working array takes 8 bytes per matrix cell
+        # the working array takes 4 bytes per matrix cell (int32)
         monkeypatch.setenv("RACKOH_BUDGET_MB", "1")
-        side = isqrt((1 << 20) // 8)
+        side = isqrt((1 << 20) // 4)
         fits = ExactMatrix.identity(side, ZZ)
         assert fits.smith_normal_form().rank == side
         with pytest.raises(ResourceError, match="Smith form .* budget"):
@@ -834,14 +852,21 @@ class TestInverse:
 
 
 def _gauss_jordan(rows, p=None):
-    """Nonzero rows of the reduced row echelon form, by Fraction arithmetic
-    (reduced mod p when p is given), and their pivot columns."""
-    def norm(x):
-        return x if p is None else Fraction(x.numerator * pow(x.denominator, -1, p) % p)
-
-    rows = [[norm(Fraction(x)) for x in row] for row in rows]
+    """Nonzero rows of the reduced row echelon form, as Fractions, and
+    their pivot columns.  Mod p it runs on residues.  Over Q it is
+    fraction-free (Bareiss): each row is scaled to integers, every other
+    row becomes (pivot * row - its entry * pivot row) / previous pivot, an
+    exact division, and the pivot rows, whose pivots all end equal to the
+    last, are divided by it once at the end."""
+    if p is None:
+        rows = [[Fraction(x) for x in row] for row in rows]
+        rows = [[int(x * d) for x in row] for row, d in
+                ((row, lcm(*(x.denominator for x in row))) for row in rows)]
+    else:
+        rows = [[Fraction(x).numerator * pow(Fraction(x).denominator, -1, p) % p
+                 for x in row] for row in rows]
     width = len(rows[0]) if rows else 0
-    pivots = []
+    pivots, prev = [], 1
     for c in range(width):
         r = len(pivots)
         piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
@@ -849,13 +874,20 @@ def _gauss_jordan(rows, p=None):
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         head = rows[r][c]
-        rows[r] = [norm(x / head) for x in rows[r]]
+        if p is not None:
+            inv = pow(head, -1, p)
+            rows[r] = [x * inv % p for x in rows[r]]
         for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [norm(a - f * b) for a, b in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i == r:
+                continue
+            if p is None:
+                rows[i] = [(head * a - f * b) // prev for a, b in zip(rows[i], rows[r])]
+            elif f:
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        prev = head if p is None else 1
         pivots.append(c)
-    return rows[:len(pivots)], pivots
+    return [[Fraction(x, prev) for x in row] for row in rows[:len(pivots)]], pivots
 
 
 def _reversed(rows):
