@@ -191,13 +191,11 @@ def cmd_cohomology(args) -> tuple:
         raise InputError("--invariant needs Q or Fp coefficients")
     cx = RackComplex(rack, module, spec)
     if module.ring == ZZ:
-        report = cohomology_integral(rack, args.max_degree, spec, complex_=cx)
+        report = cohomology_integral(cx, args.max_degree)
         return _report_exit(report), report.to_json_dict()
-    report = cohomology_over_field(rack, module, args.max_degree, spec,
-                                   complex_=cx)
+    report = cohomology_over_field(cx, args.max_degree)
     if args.invariant:
-        comparison = invariant_cohomology(rack, module, args.max_degree, spec,
-                                          complex_=cx)
+        comparison = invariant_cohomology(cx, args.max_degree)
         report.checks += comparison.report.checks
         report.notes += comparison.report.notes
         doc = report.to_json_dict()
@@ -212,6 +210,7 @@ def cmd_cohomology(args) -> tuple:
 
 def cmd_h2(args) -> tuple:
     spec, rack, _ = parse_rack_spec(args.rack)
+    cx = RackComplex(rack, trivial_module(rack, ZZ), spec)
     if args.nonabelian is not None:
         if args.coeff is not None:
             raise InputError("--nonabelian cannot be combined with --coeff")
@@ -227,8 +226,7 @@ def cmd_h2(args) -> tuple:
             # Z<k>: cross-check the class count against the linear
             # pipeline, H^2(X, Z/k) being the product of its groups over
             # the prime powers q that make up k
-            cx = RackComplex(rack, trivial_module(rack, ZZ), spec)
-            order = math.prod(direct_h2(rack, f"Z{q}", cx).order
+            order = math.prod(direct_h2(cx, f"Z{q}").order
                               for q in _prime_power_factors(len(table)))
             match = result.class_count == order
             doc["abelian_order"] = order
@@ -236,7 +234,7 @@ def cmd_h2(args) -> tuple:
             return (EXIT_OK if match else EXIT_CHECK_FAILED), doc
         return EXIT_OK, doc
     coeff = args.coeff or "Q"
-    comparison = h2_via_group(rack, coeff, spec)
+    comparison = h2_via_group(cx, coeff)
     return (EXIT_OK if comparison.match else EXIT_CHECK_FAILED,
             comparison.to_json_dict())
 
@@ -293,7 +291,8 @@ def criterion_betti(racks, max_degree=3):
     out = []
     for spec, rack in racks:
         deg = _degree_cap(rack, 1, max_degree)
-        report = cohomology_over_field(rack, trivial_module(rack, QQ), deg, spec)
+        report = cohomology_over_field(
+            RackComplex(rack, trivial_module(rack, QQ), spec), deg)
         m = orbits(rack).orbit_count
         want = [m ** n for n in range(deg + 1)]
         out.append(CheckOutcome(spec, CHECK_BETTI_MN, report.betti == want,
@@ -306,7 +305,8 @@ def criterion_torsion(racks, max_degree=2):
     out = []
     for spec, rack in racks:
         deg = _degree_cap(rack, 1, max_degree)
-        report = cohomology_integral(rack, deg, spec)
+        report = cohomology_integral(
+            RackComplex(rack, trivial_module(rack, ZZ), spec), deg)
         check = next(c for c in report.checks if c.name == CHECK_TORSION_PRIMES)
         torsion = [list(d.torsion) for d in report.degrees]
         ok = check.passed and report.all_passed
@@ -320,8 +320,8 @@ def criterion_invariant_iso(racks, max_degree=3):
     out = []
     for spec, rack in racks:
         deg = _degree_cap(rack, 1, max_degree)
-        comparison = invariant_cohomology(rack, trivial_module(rack, QQ),
-                                          deg, spec)
+        comparison = invariant_cohomology(
+            RackComplex(rack, trivial_module(rack, QQ), spec), deg)
         out.append(CheckOutcome(
             spec, "invariant_map_full_rank", comparison.is_isomorphism,
             f"xi={comparison.xi_rank} inv={comparison.invariant_betti} "
@@ -358,7 +358,7 @@ def criterion_h2(racks, coefficients=("Q", "Z2", "Z3")):
     for spec, rack in racks:
         cx = RackComplex(rack, trivial_module(rack, ZZ), spec)
         for coeff in coefficients:
-            comparison = h2_via_group(rack, coeff, spec, complex_=cx)
+            comparison = h2_via_group(cx, coeff)
             out.append(CheckOutcome(
                 spec, f"h2_group_match_{coeff}", comparison.match,
                 f"direct={comparison.direct.describe()} "
@@ -522,7 +522,8 @@ def criterion_nonabelian(max_size=2):
         if rack.size > max_size:
             continue
         result = nonabelian_h2(rack, cyclic_group_table(3))
-        order = direct_h2(rack, "Z3").order
+        cx = RackComplex(rack, trivial_module(rack, ZZ), spec)
+        order = direct_h2(cx, "Z3").order
         ok = result.class_count == order
         out.append(CheckOutcome(spec, "nonabelian_matches_abelian_Z3", ok,
                                 f"classes={result.class_count} |H2|={order}"))

@@ -13,7 +13,6 @@ _permuted_index) and the module blocks it is read through.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -42,29 +41,6 @@ def _guard(rows, cols, per_row):
     in each row, would take more than the memory budget."""
     charge_budget(rows * min(per_row, cols) * BYTES_PER_ENTRY,
                   f"a {rows}x{cols} matrix with up to {per_row} entries per row")
-
-
-@dataclass(frozen=True)
-class CochainSpace:
-    rack: RackTable
-    module: CoeffModule
-    degree: int
-
-    @property
-    def dimension(self):
-        return self.rack.size ** self.degree * self.module.dim
-
-    def flat(self, xs, j=0):
-        idx = 0
-        for x in xs:
-            idx = idx * self.rack.size + x
-        return idx * self.module.dim + j
-
-
-def cochain_space(rack, module, degree) -> CochainSpace:
-    if degree < 0:
-        raise InputError("cochain degree must be >= 0")
-    return CochainSpace(rack, module, degree)
 
 
 # ---------------------------------------------------------------------------

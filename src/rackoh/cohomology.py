@@ -22,7 +22,7 @@ from .linalg import (CHECK_BLOCK_BYTES, QQ, ZZ, AbelianGroup, ExactMatrix,
                      PrimeField, SmithForm, _is_prime_power, _quotient_invariants,
                      charge_budget, lattice_quotient)
 from .modules import (CoeffModule, constant_module, function_module,
-                      jordan_module, trivial_module)
+                      jordan_module)
 from .permutations import inner_group
 from .racks import (RackTable, _group_arrays, is_quandle, make_semidirect,
                     orbits)
@@ -126,6 +126,11 @@ class CohomologyReport:
 class RackComplex:
     """Differentials and ranks of one (rack, module) pair, cached by degree.
 
+    It is the one input of cohomology_over_field, cohomology_integral,
+    invariant_cohomology, direct_h2, h2_via_group and
+    semidirect_cocycle_check, which read the rack, the module and the spec
+    their reports name from it.
+
     d_n maps C^n to C^(n+1).  rank(n) ranks d_n cleared by d_(n-1), as the
     clearing (twist) step of persistent homology does (Chen-Kerber 2011,
     Bauer-Kerber-Reininghaus 2014): on its columns outside a set R of
@@ -224,21 +229,19 @@ class RackComplex:
 # field and integral cohomology
 
 
-def cohomology_over_field(rack: RackTable, module: CoeffModule, max_degree: int,
-                          rack_spec: str = "custom",
-                          complex_: RackComplex | None = None) -> CohomologyReport:
+def cohomology_over_field(cx: RackComplex, max_degree: int) -> CohomologyReport:
     """Betti numbers dim ker d_n - rank d_(n-1) for degrees 0..max_degree."""
+    module = cx.module
     if not module.ring.is_field:
         raise PreconditionError("cohomology_over_field needs Q or Fp coefficients")
     if max_degree < 0:
         raise InputError("max_degree must be >= 0")
-    cx = complex_ or RackComplex(rack, module, rack_spec)
     degrees = [DegreeData(n, cx.betti(n)) for n in range(max_degree + 1)]
-    report = CohomologyReport(rack_spec, rack, module.describe(), degrees)
+    report = CohomologyReport(cx.rack_spec, cx.rack, module.describe(), degrees)
     report.checks.append(_betti0_check(cx, degrees[0].betti))
     if module.is_trivial and _characteristic_ok(module, cx):
         report.checks.append(_betti_mn_check(cx, [d.betti for d in degrees]))
-    if is_quandle(rack):
+    if is_quandle(cx.rack):
         report.notes.append(QUANDLE_NOTE)
     return report
 
@@ -274,17 +277,14 @@ def integral_degree(cx: RackComplex, n: int) -> AbelianGroup:
     return _quotient_invariants(cx.space_dim(n), cx.rank(n), cx.smith(n - 1))
 
 
-def cohomology_integral(rack: RackTable, max_degree: int,
-                        rack_spec: str = "custom",
-                        complex_: RackComplex | None = None) -> CohomologyReport:
+def cohomology_integral(cx: RackComplex, max_degree: int) -> CohomologyReport:
     """Integral cohomology: free rank plus invariant-factor torsion per degree.
 
-    The coefficients are those of `complex_`, trivial Z when it is omitted;
-    the torsion-primes theorem is checked only for trivial coefficients.
+    The coefficients are those of the complex cx; the torsion-primes
+    theorem is checked only for trivial coefficients.
     """
     if max_degree < 0:
         raise InputError("max_degree must be >= 0")
-    cx = complex_ or RackComplex(rack, trivial_module(rack, ZZ), rack_spec)
     degrees = []
     consistent = True
     for n in range(max_degree + 1):
@@ -293,7 +293,7 @@ def cohomology_integral(rack: RackTable, max_degree: int,
         if group.free_rank != cx.betti(n):
             consistent = False
         degrees.append(DegreeData(n, group.free_rank, group.torsion))
-    report = CohomologyReport(rack_spec, rack, cx.module.describe(), degrees)
+    report = CohomologyReport(cx.rack_spec, cx.rack, cx.module.describe(), degrees)
     report.checks.append(TheoremCheck(
         CHECK_UNIV_COEFF, consistent,
         "free rank from the lattice quotient matches the rational betti"))
@@ -305,7 +305,7 @@ def cohomology_integral(rack: RackTable, max_degree: int,
             CHECK_TORSION_PRIMES, not bad,
             f"N={bigN}; offending factors {bad}" if bad else f"N={bigN}"))
     report.checks.append(_betti0_check(cx, degrees[0].betti))
-    if is_quandle(rack):
+    if is_quandle(cx.rack):
         report.notes.append(QUANDLE_NOTE)
     return report
 
@@ -331,9 +331,7 @@ class InvariantComparison:
                    zip(self.xi_rank, self.invariant_betti, self.ordinary_betti))
 
 
-def invariant_cohomology(rack: RackTable, module: CoeffModule, max_degree: int,
-                         rack_spec: str = "custom",
-                         complex_: RackComplex | None = None) -> InvariantComparison:
+def invariant_cohomology(cx: RackComplex, max_degree: int) -> InvariantComparison:
     """Cohomology of the invariant subcomplex and the rank of the
     inclusion-induced map into the full cohomology, per degree.
 
@@ -341,35 +339,29 @@ def invariant_cohomology(rack: RackTable, module: CoeffModule, max_degree: int,
     an isomorphism; in other characteristics the ranks are reported with
     no claim attached.
     """
-    if not module.ring.is_field:
-        raise PreconditionError("invariant cohomology needs field coefficients")
-    cx = complex_ or RackComplex(rack, module, rack_spec)
-    group = finite_action_group(rack, module)
+    rack, module = cx.rack, cx.module
     ring = module.ring
+    if not ring.is_field:
+        raise PreconditionError("invariant cohomology needs field coefficients")
+    group = finite_action_group(rack, module)
     invertible = not isinstance(ring, PrimeField) or group.order % ring.p != 0
 
-    bases = {n: invariant_basis(rack, module, n, group=group)
-             for n in range(max_degree + 1)}
     inv_betti, xi_ranks, ordinary = [], [], []
+    prev_rank = 0  # rank of d_(n-1) V_(n-1), V_n the invariant basis
     for n in range(max_degree + 1):
-        v = bases[n]
-        restricted = cx.diff(n) @ v
-        kernel_coords = restricted.kernel_matrix()
-        cocycles = v @ kernel_coords
-        if n == 0:
-            prev_rank = 0
-            prev_full = ExactMatrix.zeros(cx.space_dim(0), 0, ring)
-        else:
-            prev_full = cx.diff(n - 1)
-            prev_rank = (prev_full @ bases[n - 1]).rank()
+        v = invariant_basis(rack, module, n, group=group)
+        kernel_coords = (cx.diff(n) @ v).kernel_matrix()
         inv_betti.append(kernel_coords.cols - prev_rank)
-        span = cocycles.hstack(prev_full)
+        cocycles = v @ kernel_coords
+        span = cocycles.hstack(cx.diff(n - 1)) if n else cocycles
         xi_ranks.append(span.rank() - cx.rank(n - 1))
         ordinary.append(cx.betti(n))
+        # rank-nullity for d_n V_n, whose kernel has just been computed
+        prev_rank = v.cols - kernel_coords.cols
 
     degrees = [DegreeData(n, b) for n, b in enumerate(inv_betti)]
-    report = CohomologyReport(rack_spec, rack, module.describe(), degrees)
-    comparison = InvariantComparison(rack_spec, inv_betti, ordinary, xi_ranks,
+    report = CohomologyReport(cx.rack_spec, rack, module.describe(), degrees)
+    comparison = InvariantComparison(cx.rack_spec, inv_betti, ordinary, xi_ranks,
                                      invertible, report)
     if invertible:
         report.checks.append(TheoremCheck(
@@ -431,32 +423,21 @@ def _one_matrix_cohomology(rack, module, max_degree, rack_spec, fixed, check,
 # group cohomology of the structure group in degree one
 
 
-@dataclass(frozen=True)
-class RackPresentation:
-    """Generators = rack elements; one relation x.y = (x|>y).x per pair."""
-
-    size: int
-    relations: tuple  # of (x, y, x|>y)
-
-    @classmethod
-    def of(cls, rack: RackTable):
-        return cls(rack.size,
-                   tuple((x, y, rack.op(x, y))
-                         for x in range(rack.size) for y in range(rack.size)))
-
-
-def _h1_matrices(presentation: RackPresentation, module: CoeffModule):
+def _h1_matrices(rack: RackTable, module: CoeffModule):
     """Cocycle constraints and coboundary generators for degree-1 group
-    cohomology; a cocycle is its value vector on the rack generators."""
-    n, k = presentation.size, module.dim
+    cohomology of the structure group, presented by the rack elements and
+    one relation x.y = (x|>y).x per pair (x, y) in lex order; a cocycle is
+    its value vector on the generators."""
+    n, k = rack.size, module.dim
 
     def constraints():
         # relation x.y = (x|>y).x: c(y) + c(x) A_y - c(x|>y) A_x - c(x) = 0
-        x, y, xy = np.array(presentation.relations, dtype=np.int64).reshape(-1, 3).T
+        x, y = np.indices((n, n)).reshape(2, -1)
+        xy = np.array(rack.table, dtype=np.int64).ravel()
         return (np.stack([x, xy, y, x], axis=1) * k, np.array([[1, -1, 1, -1]]),
                 np.stack([y, x, np.full_like(x, n), np.full_like(x, n)], axis=1))
 
-    cmat = _block_rows(module.ring, len(presentation.relations) * k, n * k, k,
+    cmat = _block_rows(module.ring, n * n * k, n * k, k,
                        module.matrices, 4, constraints)
     # the coboundary of v is x -> v A_x - v
     bmat = _block_rows(module.ring, n * k, k, k, module.matrices, 2, lambda: (
@@ -464,15 +445,14 @@ def _h1_matrices(presentation: RackPresentation, module: CoeffModule):
     return cmat, bmat
 
 
-def group_h1(presentation: RackPresentation, module: CoeffModule,
-             modulus: int = 0) -> AbelianGroup:
+def group_h1(rack: RackTable, module: CoeffModule, modulus: int = 0) -> AbelianGroup:
     """H^1 of the structure group: cocycles on generators modulo coboundaries.
 
     Field coefficients give a dimension (reported as free rank over Q,
     p-torsion over Fp); integer coefficients give free rank and invariant
     factors, optionally modulo `modulus`.
     """
-    cmat, bmat = _h1_matrices(presentation, module)
+    cmat, bmat = _h1_matrices(rack, module)
     ring = module.ring
     if ring == ZZ:
         return lattice_quotient(cmat, bmat, modulus)
@@ -532,15 +512,19 @@ class H2Comparison:
         }
 
 
-def direct_h2(rack: RackTable, coeff: str,
-              complex_: RackComplex | None = None) -> AbelianGroup:
-    """H^2 straight from the complex with trivial coefficients: `complex_`,
-    or a new one over Q for Q and over Z otherwise.  A complex over Z
-    serves every coefficient, as its ranks are over Q; over Z and Z/q,
-    H^2 is the lattice quotient ker d_2 / im d_1 from the complex's zero
-    product check and the Smith forms of d_1 and d_2 it caches."""
+def direct_h2(cx: RackComplex, coeff: str) -> AbelianGroup:
+    """H^2 straight from the complex cx of trivial 1-dimensional
+    coefficients over Z (for Q, over Q too).  A complex over Z serves
+    every coefficient, as its ranks are over Q; over Z and Z/q, H^2 is the
+    lattice quotient ker d_2 / im d_1 from the complex's zero product
+    check and the Smith forms of d_1 and d_2 it caches."""
     kind, q = _parse_coefficient(coeff)
-    cx = complex_ or RackComplex(rack, trivial_module(rack, QQ if kind == "Q" else ZZ))
+    module = cx.module
+    if not (module.is_trivial and module.dim == 1
+            and (module.ring == ZZ or kind == "Q" and module.ring == QQ)):
+        raise PreconditionError(
+            f"H^2 with {coeff} coefficients is read from a complex of trivial "
+            f"1-dimensional coefficients over {'Z or Q' if kind == 'Q' else 'Z'}")
     if kind == "Q":
         return AbelianGroup(cx.betti(2), ())
     cx.check_zero_product(2)
@@ -548,18 +532,14 @@ def direct_h2(rack: RackTable, coeff: str,
     return _quotient_invariants(cx.space_dim(2), a.rank, cx.smith(1), q, a.torsion)
 
 
-def h2_via_group(rack: RackTable, coeff: str, rack_spec: str = "custom",
-                 complex_: RackComplex | None = None) -> H2Comparison:
-    """Compare H^2(X, A) with H^1 of the structure group valued in the
-    function module Fun(X, A); the two must agree as abelian groups.
-    `complex_` is passed to direct_h2."""
+def h2_via_group(cx: RackComplex, coeff: str) -> H2Comparison:
+    """Compare H^2(X, A), read from the complex cx by direct_h2, with H^1
+    of the structure group valued in the function module Fun(X, A); the
+    two must agree as abelian groups."""
     kind, q = _parse_coefficient(coeff)
-    pres = RackPresentation.of(rack)
-    if kind == "Q":
-        via = group_h1(pres, function_module(rack, QQ))
-    else:
-        via = group_h1(pres, function_module(rack, ZZ), modulus=q)
-    return H2Comparison(rack_spec, coeff, direct_h2(rack, coeff, complex_), via)
+    direct = direct_h2(cx, coeff)
+    fun = function_module(cx.rack, QQ if kind == "Q" else ZZ)
+    return H2Comparison(cx.rack_spec, coeff, direct, group_h1(cx.rack, fun, q))
 
 
 # ---------------------------------------------------------------------------

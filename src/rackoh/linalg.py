@@ -909,7 +909,12 @@ def _sweep(at, p, pivots):
     operations then clear the pivot row and touch nothing else, so zeroing
     it splits off a factor 1.  Products in an int32 array run on int64;
     over Z an update that reaches 2^31 first moves the array to Python
-    ints, charged with the int32 array it replaces."""
+    ints.  That move is charged 72 bytes a cell: the int32 array (4) and
+    the object array (8), an int of at most 36 bytes (below 2^63) for
+    each cell, and the update's int64 cells and values and the object
+    copy of the values that put makes (24); the tracemalloc peak of a
+    dense matrix of 30-bit entries is 64-68 bytes a cell
+    (tests/test_linalg.py)."""
     n, m = at.shape
     flat = at.reshape(-1)
     for c in range(n - 1, -1, -1):
@@ -937,7 +942,7 @@ def _sweep(at, p, pivots):
             if p:
                 vals %= p
             elif at.dtype != object and np.abs(vals).max() >= 2**31:
-                charge_budget(12 * m * n, f"the Smith form working array of a {m}x{n} matrix")
+                charge_budget(72 * m * n, f"the Smith form working array of a {m}x{n} matrix")
                 flat.put(cells, 0)  # no Python ints made for the cells put next
                 at = at.astype(object)
                 flat = at.reshape(-1)

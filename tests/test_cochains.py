@@ -14,12 +14,12 @@ from rackoh import cochains
 from rackoh.cochains import (apply_rack_element, apply_rack_element_columns,
                              averaging_projector, chain_isomorphism,
                              cochain_product, cochain_product_columns,
-                             cochain_space, differential, differential_prime,
+                             differential, differential_prime,
                              finite_action_group, group_action_on_cochains,
                              invariant_basis, invariant_columns,
                              is_invariant_cochain, slice_first,
                              slice_first_columns)
-from rackoh.cohomology import RackComplex, RackPresentation, _h1_matrices
+from rackoh.cohomology import RackComplex, _h1_matrices
 from rackoh.errors import InputError, PreconditionError, ResourceError
 from rackoh.linalg import GF, QQ, ZZ, ExactMatrix, int_vector
 from rackoh.modules import (CoeffModule, check_module, constant_module, custom_module,
@@ -132,24 +132,12 @@ class TestModules:
             assert custom.action(0)[0, 0] == int(entry)
 
 
-def _unflat(space, flat):
-    """The (tuple, module index) of a flat cochain coordinate: the inverse
-    of CochainSpace.flat."""
-    j = flat % space.module.dim
-    idx = flat // space.module.dim
-    xs = []
-    for _ in range(space.degree):
-        xs.append(idx % space.rack.size)
-        idx //= space.rack.size
-    return tuple(reversed(xs)), j
-
-
 class TestCochainSpace:
     def test_dimensions(self):
         d3 = dihedral_rack(3)
-        j2 = jordan_module(d3, 1, 2)
-        assert cochain_space(d3, j2, 0).dimension == 2
-        assert cochain_space(d3, j2, 2).dimension == 18
+        cx = RackComplex(d3, jordan_module(d3, 1, 2))
+        assert cx.space_dim(0) == 2
+        assert cx.space_dim(2) == 18
 
     def test_memory_budget_guard(self, monkeypatch):
         monkeypatch.setenv("RACKOH_BUDGET_MB", "1")
@@ -186,9 +174,8 @@ class TestCochainSpace:
                    lambda: cochains._fixed_space_stack(d5, jordan, 2),
                    lambda: cochains._fixed_space_stack(d6, trivial_module(d6, QQ), 3),
                    lambda: invariant_basis(d6, trivial_module(d6, QQ), 3),
-                   lambda: _h1_matrices(RackPresentation.of(d6),
-                                        trivial_module(d6, ZZ)),
-                   lambda: _h1_matrices(RackPresentation.of(d5), fun)]
+                   lambda: _h1_matrices(d6, trivial_module(d6, ZZ)),
+                   lambda: _h1_matrices(d5, fun)]
         per_entry = []
         for build in builds:
             before = len(charged)
@@ -202,13 +189,6 @@ class TestCochainSpace:
             per_entry.append(peak / sum(charged[before:]))
         assert max(per_entry) <= cochains.BYTES_PER_ENTRY
         assert max(per_entry) >= 0.8 * cochains.BYTES_PER_ENTRY
-
-    def test_flat_round_trip(self):
-        d3 = dihedral_rack(3)
-        j2 = jordan_module(d3, 1, 2)
-        space = cochain_space(d3, j2, 3)
-        flat = space.flat((2, 0, 1), 1)
-        assert _unflat(space, flat) == ((2, 0, 1), 1)
 
 
 class TestDifferential:
@@ -385,11 +365,12 @@ def _reference_orbit_indicators(rack, ring, n, k):
          for idx, xs in enumerate(tuples) for j in range(k)})
 
 
-def _reference_h1_matrices(presentation, module):
-    n, k = presentation.size, module.dim
+def _reference_h1_matrices(rack, module):
+    n, k = rack.size, module.dim
     ring = module.ring
     constraints = {}
-    for ridx, (x, y, xy) in enumerate(presentation.relations):
+    relations = [(x, y, rack.op(x, y)) for x in range(n) for y in range(n)]
+    for ridx, (x, y, xy) in enumerate(relations):
         base = ridx * k
         _add_matrix(constraints, base, x * k, module.action(y))
         _add_matrix(constraints, base, xy * k, module.action(x), -1)
@@ -398,7 +379,7 @@ def _reference_h1_matrices(presentation, module):
             constraints[key] = constraints.get(key, 0) + 1
             key = (base + l, x * k + l)
             constraints[key] = constraints.get(key, 0) - 1
-    cmat = ExactMatrix.from_entries(len(presentation.relations) * k, n * k,
+    cmat = ExactMatrix.from_entries(len(relations) * k, n * k,
                                     ring, constraints)
     cob = {}
     for x in range(n):
@@ -517,10 +498,9 @@ class TestBuilderOracle:
     @pytest.mark.parametrize("spec", sorted(ORACLE_RACKS))
     def test_h1_matrices_and_fixed_space_dim_match_dict_builder(self, spec):
         rack = ORACLE_RACKS[spec]()
-        pres = RackPresentation.of(rack)
         for module in self._modules(rack, spec) + [trivial_module(rack, QQ, 2)]:
-            assert _h1_matrices(pres, module) == \
-                _reference_h1_matrices(pres, module)
+            assert _h1_matrices(rack, module) == \
+                _reference_h1_matrices(rack, module)
             assert RackComplex(rack, module).fixed_space_dim() == \
                 _reference_fixed_space_dim(rack, module)
 

@@ -6,10 +6,10 @@ from rackoh import cohomology
 from rackoh.cohomology import (RackComplex, _cocycle_array, direct_h2,
                                h2_via_group, nonabelian_h2,
                                semidirect_cocycle_check)
-from rackoh.errors import InputError, ResourceError
+from rackoh.errors import InputError, PreconditionError, ResourceError
 from rackoh.cochains import differential
-from rackoh.linalg import GF, ZZ, AbelianGroup, ExactMatrix, lattice_quotient
-from rackoh.modules import constant_module, trivial_module
+from rackoh.linalg import GF, QQ, ZZ, AbelianGroup, ExactMatrix, lattice_quotient
+from rackoh.modules import constant_module, function_module, trivial_module
 from rackoh.racks import (_group_arrays, conjugation_rack, cyclic_group_table,
                           cyclic_rack, dihedral_rack, make_semidirect,
                           symmetric_group_table, trivial_rack)
@@ -17,37 +17,42 @@ from rackoh.racks import (_group_arrays, conjugation_rack, cyclic_group_table,
 from conftest import ORBITS, relabelled
 
 
+def _z_complex(rack, spec="custom"):
+    """The complex of trivial Z coefficients, which serves every H^2."""
+    return RackComplex(rack, trivial_module(rack, ZZ), spec)
+
+
 class TestH2ViaGroup:
     def test_dihedral_3_mod_3(self):
-        comparison = h2_via_group(dihedral_rack(3), "Z3")
+        comparison = h2_via_group(_z_complex(dihedral_rack(3)), "Z3")
         # both pipelines give Z/3 (derived through both and frozen)
         assert comparison.direct == AbelianGroup(0, (3,))
         assert comparison.via_group == AbelianGroup(0, (3,))
         assert comparison.match
 
     def test_trivial_2_rational_dimension_4(self):
-        comparison = h2_via_group(trivial_rack(2), "Q")
+        comparison = h2_via_group(_z_complex(trivial_rack(2)), "Q")
         assert comparison.direct == AbelianGroup(4, ())
         assert comparison.match
 
     def test_corpus_matches(self, corpus_rack):
         spec, rack = corpus_rack
         for coeff in ("Q", "Z2", "Z3"):
-            comparison = h2_via_group(rack, coeff, spec)
+            comparison = h2_via_group(_z_complex(rack, spec), coeff)
             assert comparison.match, (spec, coeff)
 
     def test_rational_dimension_is_m_squared(self, corpus_rack):
         spec, rack = corpus_rack
-        comparison = h2_via_group(rack, "Q", spec)
+        comparison = h2_via_group(_z_complex(rack, spec), "Q")
         assert comparison.direct.free_rank == ORBITS[spec] ** 2
 
     def test_integer_coefficients(self):
-        comparison = h2_via_group(dihedral_rack(3), "Z")
+        comparison = h2_via_group(_z_complex(dihedral_rack(3)), "Z")
         assert comparison.match
         assert comparison.direct == AbelianGroup(1, ())
 
     def test_prime_power_modulus(self):
-        comparison = h2_via_group(dihedral_rack(3), "Z4")
+        comparison = h2_via_group(_z_complex(dihedral_rack(3)), "Z4")
         assert comparison.match
 
     def test_one_z_complex_serves_every_coefficient(self, corpus_rack, monkeypatch):
@@ -57,22 +62,38 @@ class TestH2ViaGroup:
         spec, rack = corpus_rack
         module = trivial_module(rack, ZZ)
         d1, d2 = differential(rack, module, 1), differential(rack, module, 2)
-        expected = {"Q": direct_h2(rack, "Q"),
+        expected = {"Q": direct_h2(RackComplex(rack, trivial_module(rack, QQ)), "Q"),
                     **{f"Z{q or ''}": lattice_quotient(d2, d1, q) for q in (0, 2, 3, 4)}}
         cx = RackComplex(rack, module, spec)
         formed, smith = [], ExactMatrix.smith_normal_form
         monkeypatch.setattr(ExactMatrix, "smith_normal_form", lambda m, *a: (
             formed.append(m), smith(m, *a))[1])
         for coeff, group in expected.items():
-            comparison = h2_via_group(rack, coeff, spec, complex_=cx)
+            comparison = h2_via_group(cx, coeff)
             assert comparison.direct == group and comparison.match, (spec, coeff)
         assert [sum(m is cx.diff(n) for m in formed) for n in (1, 2)] == [1, 1]
 
     def test_rejects_composite_modulus(self):
         with pytest.raises(InputError):
-            h2_via_group(dihedral_rack(3), "Z6")
+            h2_via_group(_z_complex(dihedral_rack(3)), "Z6")
         with pytest.raises(InputError):
-            h2_via_group(dihedral_rack(3), "R")
+            h2_via_group(_z_complex(dihedral_rack(3)), "R")
+
+    def test_needs_trivial_1_dimensional_integer_coefficients(self):
+        # a Q complex serves Q only; other rings, dimensions and actions
+        # are refused before any matrix is built
+        d3 = dihedral_rack(3)
+        assert direct_h2(RackComplex(d3, trivial_module(d3, QQ)), "Q") == \
+            direct_h2(_z_complex(d3), "Q")
+        qcx = RackComplex(d3, trivial_module(d3, QQ))
+        for cx, coeff in ((qcx, "Z"), (qcx, "Z3"),
+                          (RackComplex(d3, trivial_module(d3, GF(3))), "Q"),
+                          (RackComplex(d3, trivial_module(d3, ZZ, 2)), "Z"),
+                          (RackComplex(d3, function_module(d3, ZZ)), "Z3")):
+            for entry in (direct_h2, h2_via_group):
+                with pytest.raises(PreconditionError):
+                    entry(cx, coeff)
+            assert not cx._diff
 
 
 def _brute_force_cocycles(rack, table):
@@ -133,7 +154,7 @@ class TestNonabelianH2:
     def test_abelian_pipeline_consistency(self):
         for rack in (trivial_rack(1), trivial_rack(2)):
             result = nonabelian_h2(rack, cyclic_group_table(3))
-            linear = direct_h2(rack, "Z3")
+            linear = direct_h2(_z_complex(rack), "Z3")
             order = 1
             for d in linear.torsion:
                 order *= d

@@ -819,6 +819,27 @@ class TestSmithNormalForm:
         with pytest.raises(ResourceError, match="Smith form .* budget"):
             ExactMatrix.identity(side + 1, ZZ).smith_normal_form()
 
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_move_to_python_ints_is_charged(self, monkeypatch, n):
+        # a dense n x n matrix of entries in [2^29, 2^30) with one unit, in
+        # the column pivoted first: its update reaches 2^58 and moves the
+        # working array to Python ints; the tracemalloc peak stays within
+        # the largest charge, which is near it, not padded far above it
+        a = np.random.default_rng(n).integers(2**29, 2**30, size=(n, n))
+        a[0, -1] = 1
+        csr = ExactMatrix.from_dense(a, ZZ).csr
+        charged = []
+        monkeypatch.setattr(linalg, "charge_budget", lambda need, what: charged.append(need))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            at = _eliminate(n, n, csr, 0)[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert at.dtype == object
+        assert 0.8 * max(charged) <= peak <= max(charged)
+
 
 class TestInverse:
     def test_field_inverse(self):
